@@ -639,16 +639,16 @@ def building_expansion_audit(
         for _ in range(min(samples, 20)):
             f = random_cochain(X, ring, k, rng)
             df_supp = coboundary(f).support
+            if ring.is_finite:
+                dist, _ = distance(f, COBOUNDARIES, cap=cap)
+            else:
+                dist, _ = distance(f, COBOUNDARIES, coeff_bound=2, cap=cap)
             for sigma in X.top_faces[:3]:
                 bound = Fraction(0)
                 for tau in X.faces(k):
                     A = intersection_complex(B, sigma, tau)
                     overlap = sum(1 for r in df_supp if A.has_face(r))
                     bound += X.weight(tau) * overlap
-                if ring.is_finite:
-                    dist, _ = distance(f, COBOUNDARIES, cap=cap)
-                else:
-                    dist, _ = distance(f, COBOUNDARIES, coeff_bound=2, cap=cap)
                 if dist > bound:
                     homological_ok = False
 

@@ -21,7 +21,7 @@ from . import fatfaces as fatfaces_mod
 from . import lattice as lattice_mod
 from .catalog import named_complex, names
 from .complexes import load_complex
-from .errors import HdxError, UsageError
+from .errors import HdxError, PropertyViolation, UsageError
 from .rings import parse_ring
 
 PROPERTY_FAILURE = 2
@@ -206,8 +206,10 @@ def report_building_audit(args) -> int:
         and audit.chain_family_ok
         and audit.homological_ok
         and audit.cohomology_trivial_below_top
+        and sym.transitive_on_top
         and sym.stabilizer_bound_ok
         and sym.summed_bound_ok
+        and sym.apartment_equivariance_ok
     )
     return 0 if ok else PROPERTY_FAILURE
 
@@ -320,6 +322,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
+    except PropertyViolation as exc:
+        print(f"property failure: {exc}", file=sys.stderr)
+        return PROPERTY_FAILURE
     except HdxError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -13,15 +13,22 @@ Conventions fixed here and used everywhere else:
   * the boundary is augmented: the boundary of a vertex is the empty face
     with coefficient 1, which makes 0-coboundaries exactly the constants;
   * localization to the link of s reads f at s followed by the link face.
+
+Distances to the coboundaries B^k and cocycles Z^k, and the repair steps of
+the locally-minimal procedure, are coset minima: finite rings scan the whole
+subgroup, cached on the complex as an int64 array, and the integers scan a
+bounded box of lattice combinations, both through the kernel in `cosets`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import gcd
 
-from . import intmat
+import numpy as np
+
+from . import cosets, intmat
 from .complexes import SimplicialComplex
 from .config import candidate_cap
 from .errors import (
@@ -34,11 +41,10 @@ from .errors import (
     NegativeDimension,
     NonTerminatingSearch,
     RingMismatch,
-    SearchSpaceTooLarge,
     TopDimension,
     Uncertified,
 )
-from .rings import Ring
+from .rings import Ring, prime_field
 
 COBOUNDARIES = "coboundaries"
 COCYCLES = "cocycles"
@@ -332,26 +338,9 @@ def norm_of_vector(X, k, vec) -> Fraction:
 
 
 def _span_vectors(basis, ring, cap, width):
-    """All R-linear combinations of the basis vectors, deterministically ordered."""
-    n = ring.size
-    total = n ** len(basis)
-    if total > cap:
-        raise SearchSpaceTooLarge(f"{total} combinations exceed cap {cap}")
-    if not basis:
-        return [(0,) * width]
-    out = []
-    seen = set()
-    for coeffs in product(range(n), repeat=len(basis)):
-        vec = [0] * width
-        for c, b in zip(coeffs, basis):
-            if c:
-                for i, x in enumerate(b):
-                    vec[i] += c * x
-        vec = tuple(ring.reduce(v) for v in vec)
-        if vec not in seen:
-            seen.add(vec)
-            out.append(vec)
-    return out
+    """All R-linear combinations of the basis vectors, in order of first appearance."""
+    rows = cosets.span(basis, ring.size, width, cap).tolist()
+    return list(dict.fromkeys(map(tuple, rows)))
 
 
 def coboundary_group(X, ring: Ring, k: int, cap=None):
@@ -360,17 +349,12 @@ def coboundary_group(X, ring: Ring, k: int, cap=None):
     key = ("B", ring, k)
     if key in X.cache:
         return X.cache[key]
-    nk = len(X.faces(k))
-    if k <= -1:
-        vecs = [(0,) * nk]
-    else:
-        D = delta_matrix(X, k - 1)
-        gens = [tuple(row) for row in intmat.transpose(D)] if D and D[0] else []
-        if ring.is_field:
-            basis, _ = intmat.rref_mod_p(gens, ring.size) if gens else ([], [])
-            vecs = _span_vectors([tuple(r) for r in basis], ring, cap, nk)
-        else:
-            vecs = _span_vectors(gens, ring, cap, nk)
+    gens = []
+    if k > -1:
+        gens = intmat.transpose(delta_matrix(X, k - 1))
+        if ring.is_field and gens:
+            gens, _ = intmat.rref_mod_p(gens, ring.size)
+    vecs = _span_vectors(gens, ring, cap, len(X.faces(k)))
     X.cache[key] = vecs
     return vecs
 
@@ -383,70 +367,53 @@ def cocycle_group(X, ring: Ring, k: int, cap=None):
         return X.cache[key]
     nk = len(X.faces(k))
     if k == X.dim:
-        total = ring.size ** nk
-        if total > cap:
-            raise SearchSpaceTooLarge(f"{total} cocycles exceed cap {cap}")
-        vecs = [tuple(v) for v in product(range(ring.size), repeat=nk)]
+        gens = intmat.identity(nk)
+    elif ring.is_field:
+        gens = intmat.kernel_mod_p(delta_matrix(X, k), ring.size)
     else:
-        D = delta_matrix(X, k)
-        if ring.is_field:
-            basis = intmat.kernel_mod_p(D, ring.size)
-            vecs = _span_vectors([tuple(b) for b in basis], ring, cap, nk)
-        else:
-            n = ring.size
-            U, S, V = intmat.smith_normal_form(D)
-            r = len(intmat.snf_diagonal(S))
-            gens = []
-            for j in range(nk):
-                col = tuple(V[i][j] for i in range(nk))
-                if j < r:
-                    m = n // gcd(S[j][j], n)
-                    if m % n:
-                        gens.append(tuple(ring.reduce(m * x) for x in col))
-                else:
-                    gens.append(tuple(ring.reduce(x) for x in col))
-            vecs = _span_vectors(gens, ring, cap, nk)
+        # column j of V scaled by n / gcd(s_j, n) generates the kernel mod n
+        n = ring.size
+        _, S, V = intmat.smith_normal_form(delta_matrix(X, k))
+        r = len(intmat.snf_diagonal(S))
+        scale = [n // gcd(S[j][j], n) if j < r else 1 for j in range(nk)]
+        gens = [[scale[j] * V[i][j] % n for i in range(nk)] for j in range(nk)]
+        gens = [g for g in gens if any(g)]
+    vecs = _span_vectors(gens, ring, cap, nk)
     X.cache[key] = vecs
     return vecs
 
 
-def _target_group(X, ring, k, target, cap):
-    if target == COBOUNDARIES:
-        return coboundary_group(X, ring, k, cap)
-    if target == COCYCLES:
-        return cocycle_group(X, ring, k, cap)
-    raise InputFormatError(f"unknown distance target {target!r}")
-
-
-def _weights(X, k):
-    faces = X.faces(k)
-    return [X.deg_top(f) for f in faces], X.weight_denominator(k)
+def subgroup_array(X, ring: Ring, k: int, target: str, cap=None):
+    """B^k or Z^k of a finite ring as a cached int64 array, one row per element."""
+    key = ("array", target, ring, k)
+    G = X.cache.get(key)
+    if G is None:
+        if target not in (COBOUNDARIES, COCYCLES):
+            raise InputFormatError(f"unknown distance target {target!r}")
+        group = coboundary_group if target == COBOUNDARIES else cocycle_group
+        G = np.array(group(X, ring, k, cap), dtype=np.int64)
+        X.cache[key] = G
+    return G
 
 
 def distance(f: Cochain, target: str = COBOUNDARIES, coeff_bound=None, cap=None):
     """Distance of f from the coboundaries or the cocycles.
 
-    Finite rings enumerate the whole subgroup, so the value is exact and
-    certified. Over the integers an exact membership test handles distance
-    zero; otherwise a bounded-coefficient search over a lattice basis of the
-    subgroup yields an upper bound flagged as uncertified.
+    Finite rings scan the whole subgroup with the coset kernel, so the value
+    is exact and certified. Over the integers an exact membership test
+    handles distance zero; otherwise a bounded-coefficient search over a
+    lattice basis of the subgroup yields an upper bound flagged as
+    uncertified.
     """
     X, k, ring = f.complex, f.dim, f.ring
     cap = candidate_cap(cap)
     fvec = cochain_vector(f)
-    wnum, wden = _weights(X, k)
-
-    def setdist(vec):
-        num = sum(w for w, a, b in zip(wnum, fvec, vec) if ring.reduce(a - b))
-        return Fraction(num, wden)
+    w, den = cosets.face_weights(X, k)
 
     if ring.is_finite:
-        best = None
-        for g in _target_group(X, ring, k, target, cap):
-            d = setdist(g)
-            if best is None or d < best:
-                best = d
-        return best, True
+        G = subgroup_array(X, ring, k, target, cap)
+        v = np.array(fvec, dtype=np.int64)
+        return Fraction(cosets.min_distance(cosets.chunks(G), v, w), den), True
 
     # integers: exact membership, then bounded search
     if target == COBOUNDARIES:
@@ -471,37 +438,20 @@ def distance(f: Cochain, target: str = COBOUNDARIES, coeff_bound=None, cap=None)
         raise IntegerRingRequiresBound(
             "distance over Z needs coeff_bound for the bounded search"
         )
+    # the coefficient box is symmetric, so f + c.gens and f - c.gens agree
     b = int(coeff_bound)
-    total = (2 * b + 1) ** len(gens)
-    if total > cap:
-        raise SearchSpaceTooLarge(f"{total} combinations exceed cap {cap}")
-    best = f.norm()
-    for coeffs in product(range(-b, b + 1), repeat=len(gens)):
-        vec = [0] * len(fvec)
-        for c, g in zip(coeffs, gens):
-            if c:
-                for i, x in enumerate(g):
-                    vec[i] += c * x
-        d = setdist(vec)
-        if d < best:
-            best = d
-    return best, False
+    rows = cosets.combinations(fvec, gens, range(-b, b + 1), cap)
+    zero = np.zeros(len(fvec), dtype=np.int64)
+    return Fraction(cosets.min_distance(rows, zero, w), den), False
 
 
-def _mod_p_distance_floor(f: Cochain, target: str, cap) -> Fraction:
-    """Largest reduction-mod-p distance; a lower bound for the Z distance."""
-    best = Fraction(0)
-    for p in (2, 3):
-        from .rings import prime_field
-
-        ring = prime_field(p)
-        g = Cochain(f.complex, ring, f.dim, dict(f.values))
-        try:
-            d, _ = distance(g, target, cap=cap)
-        except SearchSpaceTooLarge:
-            continue
-        best = max(best, d)
-    return best
+def mod_p_distance_floor(f: Cochain, target: str, cap) -> Fraction:
+    """Largest distance of a reduction of f mod p; a lower bound for the Z distance."""
+    return cosets.mod_p_floor(
+        lambda p: distance(
+            Cochain(f.complex, prime_field(p), f.dim, dict(f.values)), target, cap=cap
+        )[0]
+    )
 
 
 def is_minimal(f: Cochain, coeff_bound=2, cap=None) -> bool:
@@ -512,9 +462,16 @@ def is_minimal(f: Cochain, coeff_bound=2, cap=None) -> bool:
     upper, certified = distance(f, COBOUNDARIES, coeff_bound=coeff_bound, cap=cap)
     if certified or upper < f.norm():
         return upper == f.norm()
-    if _mod_p_distance_floor(f, COBOUNDARIES, cap) == f.norm():
+    if mod_p_distance_floor(f, COBOUNDARIES, cap) == f.norm():
         return True
     raise Uncertified("bounded integer search could not certify minimality")
+
+
+def _faces_below_support(f: Cochain):
+    """Faces of 1..k vertices under the support of f, by size then lexicographically."""
+    faces = {sub for face in f.support for c in range(1, f.dim + 1)
+             for sub in combinations(face, c)}
+    return sorted(faces, key=lambda s: (len(s), s))
 
 
 def is_locally_minimal(f: Cochain, coeff_bound=2, cap=None) -> bool:
@@ -524,13 +481,7 @@ def is_locally_minimal(f: Cochain, coeff_bound=2, cap=None) -> bool:
     always minimal, so only faces of dimension below k need checking; only
     faces under the support can give a nonzero localization.
     """
-    k = f.dim
-    candidates = set()
-    for face in f.support:
-        for c in range(1, k + 1):
-            for sub in combinations(face, c):
-                candidates.add(sub)
-    for sigma in sorted(candidates, key=lambda s: (len(s), s)):
+    for sigma in _faces_below_support(f):
         h = localize(f, sigma)
         if h.is_zero():
             continue
@@ -566,29 +517,18 @@ def make_locally_minimal(f: Cochain, cap=None, max_steps=100000):
 def _first_repair_step(f: Cochain, cap):
     """The lift of the best improving link coboundary at the first bad face."""
     X, ring = f.complex, f.ring
-    candidates = set()
-    for face in f.support:
-        for c in range(1, f.dim + 1):
-            for sub in combinations(face, c):
-                candidates.add(sub)
-    for sigma in sorted(candidates, key=lambda s: (len(s), s)):
+    for sigma in _faces_below_support(f):
         h = localize(f, sigma)
         if h.is_zero():
             continue
         L = h.complex
-        hvec = cochain_vector(h)
-        wnum, wden = _weights(L, h.dim)
-        group = coboundary_group(L, ring, h.dim, cap)
-        hnorm = h.norm()
-        best = None
-        for b in group:
-            num = sum(w for w, a, x in zip(wnum, hvec, b) if ring.reduce(a - x))
-            d = Fraction(num, wden)
-            if d < hnorm and (best is None or d < best[0] or (d == best[0] and b < best[1])):
-                best = (d, b)
-        if best is None:
+        w, _ = cosets.face_weights(L, h.dim)
+        hvec = np.array(cochain_vector(h), dtype=np.int64)
+        group = subgroup_array(L, ring, h.dim, COBOUNDARIES, cap)
+        d, b = cosets.least_row(cosets.chunks(group), hvec, w)
+        if d >= int(w[hvec != 0].sum()):
             continue
-        target = tuple(ring.reduce(v if len(sigma) % 2 == 0 else -v) for v in best[1])
+        target = tuple(ring.reduce(v if len(sigma) % 2 == 0 else -v) for v in b)
         h_pre = _lex_least_preimage(L, ring, h.dim - 1, target, cap)
         return lift_from_link(h_pre, sigma, X)
     return None
@@ -596,19 +536,16 @@ def _first_repair_step(f: Cochain, cap):
 
 def _lex_least_preimage(L, ring, j, target_vec, cap):
     """Lexicographically least h in C^j(L) with delta(h) equal to the target."""
-    faces = L.faces(j)
-    total = ring.size ** len(faces)
-    if total > cap:
-        raise SearchSpaceTooLarge(f"{total} preimage candidates exceed cap {cap}")
-    tfaces = L.faces(j + 1)
-    for vec in product(range(ring.size), repeat=len(faces)):
-        h = vector_cochain(L, ring, j, vec)
-        dv = cochain_vector(coboundary(h))
-        if tuple(dv) == tuple(target_vec):
-            return h
+    n, nj = ring.size, len(L.faces(j))
+    D = np.array(delta_matrix(L, j), dtype=np.int64)
+    # the combinations of the unit vectors, in product order, are C^j in lex order
+    for H in cosets.combinations([0] * nj, np.eye(nj, dtype=np.int64), range(n), cap):
+        hit = np.flatnonzero(((H @ D.T) % n == np.array(target_vec)).all(axis=1))
+        if hit.size:
+            return vector_cochain(L, ring, j, H[hit[0]].tolist())
     raise NonTerminatingSearch(
         f"no preimage for a link coboundary over {ring} at dimension {j} "
-        f"({len(faces)} faces, {len(tfaces)} above)"
+        f"({nj} faces, {len(L.faces(j + 1))} above)"
     )
 
 

@@ -1,0 +1,150 @@
+"""Exact coset minima: the one numpy kernel behind every finite or bounded search.
+
+Each exhaustive minimum in hdx is the least weighted Hamming distance from a
+vector v to the rows of an enumerated set: ((R != v) @ w) over int64 arrays,
+with w the face-weight numerators of one dimension, taken at most CHUNK rows
+at a time. Callers divide by the common weight denominator only at the end.
+Witness ties go to the lexicographically least row. Rows come from a stored
+array (a subgroup cached on the complex) or from `combinations`; values that
+could leave int64 are refused with SearchSpaceTooLarge before any arithmetic.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import numpy as np
+
+from .errors import SearchSpaceTooLarge
+
+CHUNK = 1 << 12
+INT64_MAX = int(np.iinfo(np.int64).max)
+MOD_P_PRIMES = (2, 3)
+
+
+def require_int64(bound: int, what: str) -> None:
+    """Refuse a computation whose values can reach beyond int64."""
+    if bound > INT64_MAX:
+        raise SearchSpaceTooLarge(
+            f"{what} can reach {bound}, beyond the int64 range of the coset kernel"
+        )
+
+
+def face_weights(X, k):
+    """int64 weight numerators of the k-faces and their common denominator (cached)."""
+    key = ("weights", k)
+    hit = X.cache.get(key)
+    if hit is None:
+        nums = [X.deg_top(f) for f in X.faces(k)]
+        require_int64(sum(nums), "weight sums")
+        hit = (np.array(nums, dtype=np.int64), X.weight_denominator(k))
+        X.cache[key] = hit
+    return hit
+
+
+def lex_digits(start, count, base, cols, width):
+    """Rows start .. start+count-1 of the lexicographic enumeration of base^len(cols).
+
+    Digit j of a row sits in column cols[j]; the other columns are zero.
+    """
+    idx = np.arange(start, start + count, dtype=np.int64)
+    F = np.zeros((count, width), dtype=np.min_scalar_type(base - 1))
+    nd = len(cols)
+    for j, col in enumerate(cols):
+        F[:, col] = (idx // base ** (nd - 1 - j)) % base
+    return F
+
+
+def chunks(G):
+    """A stored array as consecutive blocks of at most CHUNK rows."""
+    return (G[i:i + CHUNK] for i in range(0, len(G), CHUNK))
+
+
+def combinations(base, gens, coeffs, cap, skip_zero=False):
+    """Blocks of the rows base + c @ gens for c in coeffs^len(gens), product order.
+
+    coeffs is a range such as range(-b, b + 1); skip_zero leaves out c = 0.
+    Raises SearchSpaceTooLarge when there are more than cap combinations or
+    when an entry could overflow int64.
+    """
+    m, n, width = len(gens), len(coeffs), len(base)
+    total = n ** m
+    if total > cap:
+        raise SearchSpaceTooLarge(f"{total} combinations exceed cap {cap}")
+    cmax = max(abs(coeffs[0]), abs(coeffs[-1]))
+    require_int64(
+        max((abs(int(base[i])) + cmax * sum(abs(int(g[i])) for g in gens)
+             for i in range(width)), default=0),
+        "combination entries",
+    )
+    G = np.array(gens, dtype=np.int64).reshape(m, width)
+    b0 = np.array(base, dtype=np.int64)
+    for start in range(0, total, CHUNK):
+        C = lex_digits(start, min(CHUNK, total - start), n, range(m), m)
+        C = C.astype(np.int64) + coeffs[0]
+        if skip_zero:
+            C = C[C.any(axis=1)]
+        R = C @ G
+        R += b0
+        yield R
+
+
+def span(basis, n, width, cap):
+    """Every combination c @ basis mod n, c in range(n)^len(basis), product order."""
+    return np.concatenate(list(combinations([0] * width, basis, range(n), cap))) % n
+
+
+def min_distance(blocks, v, w):
+    """Least w-weighted Hamming distance from v to a row of the (nonempty) blocks."""
+    best = None
+    for R in blocks:
+        d = int(((R != v) @ w).min())
+        if best is None or d < best:
+            best = d
+    return best
+
+
+def least_row(blocks, v, w):
+    """(distance, row) minimising the distance from v, ties to the lex-least row."""
+    best = None
+    for R in blocks:
+        if not len(R):
+            continue
+        d = (R != v) @ w
+        m = int(d.min())
+        if best is not None and m > best[0]:
+            continue
+        tied = R[d == m]
+        for col in range(tied.shape[1]):
+            if len(tied) == 1:
+                break
+            tied = tied[tied[:, col] == tied[:, col].min()]
+        cand = (m, tuple(int(x) for x in tied[0]))
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+def min_distance_rows(F, G, w):
+    """For each row of F, the least w-weighted Hamming distance to a row of G."""
+    s = None
+    for g in G:
+        d = (F != g) @ w
+        s = d if s is None else np.minimum(s, d)
+    return s
+
+
+def mod_p_floor(minimum_mod) -> Fraction:
+    """Largest minimum_mod(p) over the small primes whose scan fits the cap.
+
+    Reduction mod p only shrinks supports, so each mod-p minimum is a floor
+    for the matching integer minimum; primes whose exhaustive scan raises
+    SearchSpaceTooLarge are skipped, and with none left the floor is 0.
+    """
+    best = Fraction(0)
+    for p in MOD_P_PRIMES:
+        try:
+            best = max(best, minimum_mod(p))
+        except SearchSpaceTooLarge:
+            continue
+    return best

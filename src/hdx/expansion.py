@@ -1,7 +1,7 @@
 """Exact measurement of coboundary, cosystolic, skeleton and small-set expansion.
 
 All four notions are measured by exhaustive enumeration with exact rational
-arithmetic. Coset scans over prime fields run through a vectorized engine
+arithmetic. Coset scans over finite rings run through one vectorized engine
 (numpy, integer weights) but report exact Fractions; every reported minimum
 carries a witness that reproduces the ratio, and ties resolve to the
 lexicographically least witness vector so reruns are byte-identical.
@@ -15,17 +15,17 @@ from itertools import product
 
 import numpy as np
 
-from . import intmat
+from . import cosets, intmat
 from .cochains import (
     COBOUNDARIES,
+    COCYCLES,
     Cochain,
     coboundary,
     coboundary_group,
-    cochain_vector,
-    cocycle_group,
     delta_matrix,
     distance,
     is_locally_minimal,
+    subgroup_array,
     vector_cochain,
 )
 from .complexes import SimplicialComplex
@@ -149,19 +149,10 @@ def skeleton_alpha(X: SimplicialComplex, max_vertices=None):
     return alpha, witness
 
 
-# -- coset scan engine (prime fields) ------------------------------------------------
+# -- coset scan engine ------------------------------------------------------------------
 
 
-def _lex_digit_block(start, count, base, free_cols, n_cols):
-    idx = np.arange(start, start + count, dtype=np.int64)
-    F = np.zeros((count, n_cols), dtype=np.uint8)
-    nd = len(free_cols)
-    for j, col in enumerate(free_cols):
-        F[:, col] = (idx // base ** (nd - 1 - j)) % base
-    return F
-
-
-def _field_coset_scan(X, ring, k, subgroup_basis, cap, chunk=1 << 15):
+def _field_coset_scan(X, ring, k, subgroup_basis, cap):
     """Min of ||delta f|| / dist(f, span(basis)) over f outside the span.
 
     Representatives pin the pivot coordinates of the span to zero and are
@@ -170,40 +161,49 @@ def _field_coset_scan(X, ring, k, subgroup_basis, cap, chunk=1 << 15):
     """
     p = ring.size
     nk = len(X.faces(k))
-    Dk = np.array(delta_matrix(X, k), dtype=np.int64) % p
-    wk = np.array([X.deg_top(f) for f in X.faces(k)], dtype=np.int64)
-    wk1 = np.array([X.deg_top(f) for f in X.faces(k + 1)], dtype=np.int64)
-    den_k = X.weight_denominator(k)
-    den_k1 = X.weight_denominator(k + 1)
-
-    basis_rows, pivots = intmat.rref_mod_p([list(b) for b in subgroup_basis], p) \
-        if subgroup_basis else ([], [])
+    basis_rows, pivots = intmat.rref_mod_p(subgroup_basis, p)
     free_cols = [j for j in range(nk) if j not in pivots]
-    n_reps = p ** len(free_cols)
-    n_sub = p ** len(basis_rows)
+    n_reps, n_sub = p ** len(free_cols), p ** len(basis_rows)
     if n_reps > cap or n_sub > cap:
         raise SearchSpaceTooLarge(
             f"{n_reps} representatives / {n_sub} subgroup elements exceed cap {cap}"
         )
-    sub = np.zeros((n_sub, nk), dtype=np.uint8)
-    for i, coeffs in enumerate(product(range(p), repeat=len(basis_rows))):
-        acc = np.zeros(nk, dtype=np.int64)
-        for c, row in zip(coeffs, basis_rows):
-            acc += c * np.array(row, dtype=np.int64)
-        sub[i] = acc % p
+    return _coset_scan(X, ring, k, free_cols, cosets.span(basis_rows, p, nk, cap))
+
+
+def _generic_coset_scan(X, ring, k, subgroup, cap):
+    """The scan for non-field finite rings: every cochain, in product order."""
+    nk = len(X.faces(k))
+    if ring.size ** nk > cap:
+        raise SearchSpaceTooLarge(f"{ring.size ** nk} cochains exceed cap {cap}")
+    return _coset_scan(X, ring, k, range(nk), subgroup)
+
+
+def _coset_scan(X, ring, k, free_cols, sub):
+    """Min of ||delta f|| / dist(f, sub) over f supported on free_cols, outside sub.
+
+    Candidates run in lexicographic order, CHUNK at a time; ratios are
+    compared by integer cross-multiplication and the witness is the first
+    candidate that strictly lowers the ratio.
+    """
+    n = ring.size
+    nk = len(X.faces(k))
+    Dk = np.array(delta_matrix(X, k), dtype=np.int64) % n
+    wk, den_k = cosets.face_weights(X, k)
+    wk1, den_k1 = cosets.face_weights(X, k + 1)
+    cosets.require_int64(int(wk.sum()) * int(wk1.sum()), "ratio cross products")
+    cosets.require_int64((n - 1) * int(Dk.sum(axis=1).max(initial=0)),
+                         "coboundary entries")
+    n_reps = n ** len(free_cols)
+    sub = np.asarray(sub).astype(np.min_scalar_type(n - 1))
 
     best_e = best_s = None
     best_index = None
-    start = 0
-    while start < n_reps:
-        count = min(chunk, n_reps - start)
-        F = _lex_digit_block(start, count, p, free_cols, nk)
-        DF = (F.astype(np.int64) @ Dk.T) % p
-        e = (DF != 0) @ wk1
-        s = None
-        for b in sub:
-            diff = (F != b[None, :]) @ wk
-            s = diff if s is None else np.minimum(s, diff)
+    for start in range(0, n_reps, cosets.CHUNK):
+        count = min(cosets.CHUNK, n_reps - start)
+        F = cosets.lex_digits(start, count, n, free_cols, nk)
+        e = ((F.astype(np.int64) @ Dk.T) % n != 0) @ wk1
+        s = cosets.min_distance_rows(F, sub, wk)
         live = s > 0
         while True:
             if best_e is None:
@@ -218,49 +218,10 @@ def _field_coset_scan(X, ring, k, subgroup_basis, cap, chunk=1 << 15):
             best_index = start + i0
             live = live.copy()
             live[: i0 + 1] = False
-        start += count
     if best_index is None:
         return INFINITY, None, n_reps
-    ratio = Fraction(best_e * den_k, best_s * den_k1) if best_s else INFINITY
-    # rebuild the witness vector from its index
-    vec = [0] * nk
-    nd = len(free_cols)
-    for j, col in enumerate(free_cols):
-        vec[col] = (best_index // p ** (nd - 1 - j)) % p
-    return ratio, tuple(vec), n_reps
-
-
-def _generic_coset_scan(X, ring, k, subgroup, cap):
-    """Plain-Python fallback for non-field finite rings: scan all cochains."""
-    nk = len(X.faces(k))
-    total = ring.size ** nk
-    if total > cap:
-        raise SearchSpaceTooLarge(f"{total} cochains exceed cap {cap}")
-    wk = [X.deg_top(f) for f in X.faces(k)]
-    wk1 = [X.deg_top(f) for f in X.faces(k + 1)]
-    den_k = X.weight_denominator(k)
-    den_k1 = X.weight_denominator(k + 1)
-    D = delta_matrix(X, k)
-    best = None
-    witness = None
-    for vec in product(range(ring.size), repeat=nk):
-        s = min(
-            sum(w for w, a, b in zip(wk, vec, g) if ring.reduce(a - b))
-            for g in subgroup
-        )
-        if s == 0:
-            continue
-        e = sum(
-            w
-            for w, row in zip(wk1, D)
-            if ring.reduce(sum(c * v for c, v in zip(row, vec)))
-        )
-        ratio = Fraction(e * den_k, s * den_k1)
-        if best is None or ratio < best:
-            best, witness = ratio, vec
-    if best is None:
-        return INFINITY, None, total
-    return best, witness, total
+    witness = cosets.lex_digits(best_index, 1, n, free_cols, nk)[0].tolist()
+    return Fraction(best_e * den_k, best_s * den_k1), tuple(witness), n_reps
 
 
 def coboundary_epsilon(X, ring: Ring, k: int, cap=None, coeff_bound=None) -> ExpansionReport:
@@ -287,11 +248,10 @@ def coboundary_epsilon(X, ring: Ring, k: int, cap=None, coeff_bound=None) -> Exp
             )
         return _integer_coboundary_scan(X, ring, k, coeff_bound, cap)
     if ring.is_field:
-        D = delta_matrix(X, k - 1)
-        gens = [tuple(r) for r in intmat.transpose(D)] if D and D[0] else []
+        gens = intmat.transpose(delta_matrix(X, k - 1))
         eps, vec, n_reps = _field_coset_scan(X, ring, k, gens, cap)
     else:
-        subgroup = coboundary_group(X, ring, k, cap)
+        subgroup = subgroup_array(X, ring, k, COBOUNDARIES, cap)
         eps, vec, n_reps = _generic_coset_scan(X, ring, k, subgroup, cap)
     witness = vector_cochain(X, ring, k, vec) if vec is not None else None
     return ExpansionReport(
@@ -332,25 +292,19 @@ def cosystolic_pair(X, ring: Ring, k: int, cap=None) -> ExpansionReport:
         raise IntegerRingRequiresBound("cosystolic measurement needs a finite ring")
     if ring.is_field:
         kern = intmat.kernel_mod_p(delta_matrix(X, k), ring.size)
-        eps, vec, n_reps = _field_coset_scan(X, ring, k, [tuple(v) for v in kern], cap)
+        eps, vec, n_reps = _field_coset_scan(X, ring, k, kern, cap)
     else:
-        subgroup = cocycle_group(X, ring, k, cap)
+        subgroup = subgroup_array(X, ring, k, COCYCLES, cap)
         eps, vec, n_reps = _generic_coset_scan(X, ring, k, subgroup, cap)
     witness = vector_cochain(X, ring, k, vec) if vec is not None else None
 
-    cocycles = cocycle_group(X, ring, k, cap)
+    cocycles = subgroup_array(X, ring, k, COCYCLES, cap)
     bset = set(coboundary_group(X, ring, k, cap))
-    mu = INFINITY
-    mu_witness = None
-    wnum = [X.deg_top(f) for f in X.faces(k)]
-    den = X.weight_denominator(k)
-    for z in cocycles:
-        if z in bset:
-            continue
-        nrm = Fraction(sum(w for w, v in zip(wnum, z) if v), den)
-        if mu == INFINITY or (nrm, z) < (mu, cochain_vector(mu_witness)):
-            mu = nrm
-            mu_witness = vector_cochain(X, ring, k, z)
+    outside = cocycles[np.array([z not in bset for z in map(tuple, cocycles.tolist())])]
+    w, den = cosets.face_weights(X, k)
+    least = cosets.least_row(cosets.chunks(outside), np.zeros(len(w), dtype=np.int64), w)
+    mu = INFINITY if least is None else Fraction(least[0], den)
+    mu_witness = None if least is None else vector_cochain(X, ring, k, least[1])
     return ExpansionReport(
         "cosystolic", k, ring, eps, mu=mu, witness=witness, mu_witness=mu_witness,
         extra={"cosets_scanned": n_reps},

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .errors import NoSolution
+from .errors import NoSolution, PropertyViolation
 
 
 def zeros(m, n):
@@ -302,7 +302,8 @@ def invert_unimodular(U):
                 c = A[i][col]
                 A[i] = [a - c * b for a, b in zip(A[i], A[col])]
     out = [[v for v in row[n:]] for row in A]
-    assert all(v.denominator == 1 for row in out for v in row), "not unimodular"
+    if any(v.denominator != 1 for row in out for v in row):
+        raise PropertyViolation("inverse of a unimodular matrix is not integral")
     return [[int(v) for v in row] for row in out]
 
 

@@ -4,18 +4,28 @@ The coboundary matrices have entries in {-1, 0, +1}; Smith normal form over
 the integers yields the free rank and the torsion of each cohomology group,
 the universal-coefficient consistency check ties the mod-2 dimensions to
 them, and bounded coset searches produce minimal cocycle representatives
-whose integer span is the lattice. Norms are the probability norm of the
-ambient complex; reports carry the raw support counts alongside.
+whose integer span is the lattice. The bounded searches and the mod-p floors
+that certify them run through the coset kernel in `cosets`. Norms are the
+probability norm of the ambient complex; reports carry the raw support
+counts alongside.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
-from . import intmat
-from .cochains import Cochain, cochain_vector, delta_matrix, vector_cochain
+import numpy as np
+
+from . import cosets, intmat
+from .cochains import (
+    COBOUNDARIES,
+    Cochain,
+    cochain_vector,
+    delta_matrix,
+    mod_p_distance_floor,
+    vector_cochain,
+)
 from .complexes import SimplicialComplex
 from .config import candidate_cap
 from .errors import (
@@ -23,9 +33,9 @@ from .errors import (
     DimensionOutOfRange,
     NoFreePart,
     NotAGraph,
-    SearchSpaceTooLarge,
+    PropertyViolation,
 )
-from .rings import INTEGERS, prime_field
+from .rings import INTEGERS
 
 
 @dataclass
@@ -58,7 +68,7 @@ def smith_profile(M) -> SmithProfile:
         return SmithProfile(0, (), [], [list(r) for r in entries], [])
     U, S, V = intmat.smith_normal_form(entries)
     if intmat.mat_mul(intmat.mat_mul(U, entries), V) != S:
-        raise AssertionError("smith transform verification failed")
+        raise PropertyViolation("smith transform verification failed")
     diag = intmat.snf_diagonal(S)
     return SmithProfile(len(diag), tuple(diag), U, S, V)
 
@@ -157,7 +167,7 @@ def free_cocycle_generators(X, k):
     for col in image_cols:
         y = intmat.solve_int(K, col)
         if y is None:
-            raise AssertionError("coboundary outside the cocycle lattice")
+            raise PropertyViolation("coboundary outside the cocycle lattice")
         Y.append(y)
     m = len(kernel)
     if Y:
@@ -176,44 +186,15 @@ def free_cocycle_generators(X, k):
 
 
 def _bounded_coset_minimum(X, k, base_vec, gens, coeff_bound, cap):
-    """Min norm over base + integer combinations of gens with small coefficients."""
+    """Min norm over base + integer combinations of gens with small coefficients.
+
+    Ties resolve to the lexicographically least signed vector.
+    """
     b = int(coeff_bound)
-    total = (2 * b + 1) ** len(gens)
-    if total > cap:
-        raise SearchSpaceTooLarge(f"{total} coset candidates exceed cap {cap}")
-    wnum = [X.deg_top(f) for f in X.faces(k)]
-    den = X.weight_denominator(k)
-    best = None
-    best_vec = None
-    for coeffs in product(range(-b, b + 1), repeat=len(gens)):
-        vec = list(base_vec)
-        for c, g in zip(coeffs, gens):
-            if c:
-                for i, x in enumerate(g):
-                    vec[i] += c * x
-        num = sum(w for w, v in zip(wnum, vec) if v)
-        val = Fraction(num, den)
-        key = (val, tuple(vec))
-        if best is None or key < best:
-            best = key
-            best_vec = vec
-    return best[0], best_vec
-
-
-def _mod_p_coset_floor(X, k, vec, cap):
-    """Exhaustive mod-p lower bound for the integer coset minimum."""
-    from .cochains import COBOUNDARIES, distance
-
-    best = Fraction(0)
-    for p in (2, 3):
-        ring = prime_field(p)
-        f = vector_cochain(X, ring, k, [v % p for v in vec])
-        try:
-            d, _ = distance(f, COBOUNDARIES, cap=cap)
-        except SearchSpaceTooLarge:
-            continue
-        best = max(best, d)
-    return best
+    w, den = cosets.face_weights(X, k)
+    rows = cosets.combinations(base_vec, gens, range(-b, b + 1), cap)
+    num, vec = cosets.least_row(rows, np.zeros(len(base_vec), dtype=np.int64), w)
+    return Fraction(num, den), list(vec)
 
 
 def minimal_representatives(X, k, coeff_bound=3, cap=None):
@@ -233,7 +214,9 @@ def minimal_representatives(X, k, coeff_bound=3, cap=None):
     out = []
     for vec in gens:
         val, best_vec = _bounded_coset_minimum(X, k, vec, bgens, coeff_bound, cap)
-        floor = _mod_p_coset_floor(X, k, best_vec, cap)
+        floor = mod_p_distance_floor(
+            vector_cochain(X, INTEGERS, k, best_vec), COBOUNDARIES, cap
+        )
         certified = val == floor
         out.append(
             LatticeGenerator(vector_cochain(X, INTEGERS, k, best_vec), certified)
@@ -298,11 +281,8 @@ def _lattice_minimum(L: CohomologyLattice, coeff_bound, cap):
     cap = candidate_cap(cap)
     X, k = L.complex, L.k
     gens = [list(cochain_vector(g)) for g in L.generators]
-    wnum = [X.deg_top(f) for f in X.faces(k)]
-    den = X.weight_denominator(k)
-
-    def norm_of(vec):
-        return Fraction(sum(w for w, v in zip(wnum, vec) if v), den)
+    w, den = cosets.face_weights(X, k)
+    zero = np.zeros(len(gens[0]), dtype=np.int64)
 
     supports = [frozenset(i for i, v in enumerate(g) if v) for g in gens]
     disjoint = all(
@@ -311,53 +291,22 @@ def _lattice_minimum(L: CohomologyLattice, coeff_bound, cap):
         for j in range(i + 1, len(gens))
     )
     if disjoint:
-        best = None
-        for g in gens:
-            key = (norm_of(g), tuple(g))
-            if best is None or key < best:
-                best = key
-        return best[0], True, best[1]
+        num, vec = cosets.least_row([np.array(gens, dtype=np.int64)], zero, w)
+        return Fraction(num, den), True, vec
 
     b = int(coeff_bound)
-    total = (2 * b + 1) ** len(gens)
-    if total > cap:
-        raise SearchSpaceTooLarge(f"{total} combinations exceed cap {cap}")
-    best = None
-    for coeffs in product(range(-b, b + 1), repeat=len(gens)):
-        if not any(coeffs):
-            continue
-        vec = [0] * len(gens[0])
-        for c, g in zip(coeffs, gens):
-            if c:
-                for i, x in enumerate(g):
-                    vec[i] += c * x
-        key = (norm_of(vec), tuple(vec))
-        if best is None or key < best:
-            best = key
+    rows = cosets.combinations(zero, gens, range(-b, b + 1), cap, skip_zero=True)
+    num, vec = cosets.least_row(rows, zero, w)
+    best = Fraction(num, den)
     # mod-p floor over primitive coefficient vectors: any nonzero integer
     # combination divided by its content has the same support and a nonzero
     # reduction mod p, so the mod-p minimum bounds the true distance below
-    floor = None
-    for p in (2, 3):
-        pbest = None
-        count = p ** len(gens)
-        if count > cap:
-            continue
-        for coeffs in product(range(p), repeat=len(gens)):
-            if not any(coeffs):
-                continue
-            vec = [0] * len(gens[0])
-            for c, g in zip(coeffs, gens):
-                if c:
-                    for i, x in enumerate(g):
-                        vec[i] += c * x
-            val = Fraction(sum(w for w, v in zip(wnum, vec) if v % p), den)
-            if pbest is None or val < pbest:
-                pbest = val
-        if pbest is not None and (floor is None or pbest > floor):
-            floor = pbest
-    certified = floor is not None and best[0] == floor
-    return best[0], certified, best[1]
+    def minimum_mod(p):
+        rows = cosets.combinations(zero, gens, range(p), cap, skip_zero=True)
+        return Fraction(cosets.min_distance((R % p for R in rows), zero, w), den)
+
+    floor = cosets.mod_p_floor(minimum_mod)
+    return best, best == floor, vec
 
 
 def lattice_distance(L: CohomologyLattice, coeff_bound=3, cap=None):

@@ -4,7 +4,7 @@ import pytest
 
 from hdx.cli import main, parse_fraction, resolve_complex
 from hdx.catalog import named_complex
-from hdx.errors import UsageError
+from hdx.errors import PropertyViolation, UsageError
 
 
 def run_cli(args, capsys):
@@ -123,6 +123,39 @@ def test_report_building_audit(capsys):
     assert doc["beta_theorem"] == {"num": 1, "den": 24}
     assert doc["epsilon_ok"] and doc["homotopy_ok"]
     assert doc["symmetry"]["group_order"] == 168
+
+
+def test_property_violation_exits_2(capsys, monkeypatch):
+    import hdx.building as building
+
+    def broken_chain_family(B, ring, **kwargs):
+        raise PropertyViolation("injected chain family failure")
+
+    monkeypatch.setattr(building, "chain_family", broken_chain_family)
+    code, out, err = run_cli(
+        ["report", "building-audit", "--n", "3", "--q", "2", "--samples", "1"], capsys
+    )
+    assert code == 2
+    assert "injected chain family failure" in err
+
+
+@pytest.mark.parametrize("flag", ["transitive_on_top", "apartment_equivariance_ok"])
+def test_building_audit_exit_code_gates_symmetry_flags(capsys, monkeypatch, flag):
+    import hdx.building as building
+
+    checks = building.symmetry_checks
+
+    def failing_checks(B, **kwargs):
+        report = checks(B, **kwargs)
+        setattr(report, flag, False)
+        return report
+
+    monkeypatch.setattr(building, "symmetry_checks", failing_checks)
+    code, out, _ = run_cli(
+        ["report", "building-audit", "--n", "3", "--q", "2", "--samples", "1"], capsys
+    )
+    assert code == 2
+    assert json.loads(out)["symmetry"][flag] is False
 
 
 def test_report_lattice(capsys):

@@ -1,0 +1,184 @@
+"""The coset kernel against brute-force oracles on random relabelled complexes.
+
+Each oracle is the plain-Python scan the kernel replaced: it enumerates the
+subgroup straight from the definition (every coboundary, or every cochain
+with zero coboundary), compares Fractions, and breaks ties on Python tuples.
+"""
+
+from fractions import Fraction
+from itertools import combinations, product
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from hdx import cosets
+from hdx.cochains import (
+    COBOUNDARIES,
+    COCYCLES,
+    _first_repair_step,
+    coboundary,
+    cochain_vector,
+    distance,
+    lift_from_link,
+    localize,
+    vector_cochain,
+)
+from hdx.complexes import build_complex
+from hdx.errors import SearchSpaceTooLarge
+from hdx.expansion import _generic_coset_scan
+from hdx.lattice import _bounded_coset_minimum
+from hdx.rings import modular_ring, prime_field
+
+RINGS = [prime_field(2), prime_field(3), modular_ring(4), modular_ring(6)]
+BUDGET = 1500  # largest brute-force enumeration one example may need
+SETTINGS = settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+
+
+@st.composite
+def complexes(draw):
+    """A pure complex on at most 7 vertices whose labels are a random permutation."""
+    n = draw(st.integers(3, 7))
+    d = draw(st.integers(1, 2))
+    tops = draw(st.lists(st.sampled_from(list(combinations(range(n), d + 1))),
+                         min_size=1, max_size=5, unique=True))
+    labels = draw(st.permutations([f"v{i}" for i in range(n)]))
+    return build_complex([[labels[i] for i in t] for t in tops])
+
+
+def brute_group(X, ring, k, target):
+    """B^k as all coboundaries, or Z^k as all cochains with zero coboundary."""
+    if target == COBOUNDARIES:
+        faces = X.faces(k - 1)
+        assume(ring.size ** len(faces) <= BUDGET)
+        return {
+            cochain_vector(coboundary(vector_cochain(X, ring, k - 1, g)))
+            for g in product(range(ring.size), repeat=len(faces))
+        }
+    assume(ring.size ** len(X.faces(k)) <= BUDGET)
+    out = set()
+    for z in product(range(ring.size), repeat=len(X.faces(k))):
+        if k == X.dim or coboundary(vector_cochain(X, ring, k, z)).is_zero():
+            out.add(z)
+    return out
+
+
+def brute_distance(X, k, vec, group):
+    wnum = [X.deg_top(f) for f in X.faces(k)]
+    den = X.weight_denominator(k)
+    return min(Fraction(sum(w for w, a, b in zip(wnum, vec, g) if a != b), den)
+               for g in group)
+
+
+@SETTINGS
+@given(complexes(), st.sampled_from(RINGS), st.data())
+def test_distance_matches_brute_force(X, ring, data):
+    k = data.draw(st.integers(0, X.dim))
+    target = data.draw(st.sampled_from([COBOUNDARIES, COCYCLES]))
+    group = brute_group(X, ring, k, target)
+    nk = len(X.faces(k))
+    vec = data.draw(st.lists(st.integers(0, ring.size - 1), min_size=nk, max_size=nk))
+    f = vector_cochain(X, ring, k, vec)
+    d, certified = distance(f, target)
+    assert certified
+    assert d == brute_distance(X, k, tuple(vec), group)
+
+
+def repair_oracle(f):
+    """The first repair step by the definition, with a brute-force link subgroup."""
+    X, ring = f.complex, f.ring
+    candidates = {sub for face in f.support for c in range(1, f.dim + 1)
+                  for sub in combinations(face, c)}
+    for sigma in sorted(candidates, key=lambda s: (len(s), s)):
+        h = localize(f, sigma)
+        if h.is_zero():
+            continue
+        L = h.complex
+        hvec = cochain_vector(h)
+        hnorm = h.norm()
+        best = None
+        for b in sorted(brute_group(L, ring, h.dim, COBOUNDARIES)):
+            d = brute_distance(L, h.dim, hvec, [b])
+            if d < hnorm and (best is None or d < best[0]):
+                best = (d, b)
+        if best is None:
+            continue
+        target = tuple(ring.reduce(v if len(sigma) % 2 == 0 else -v) for v in best[1])
+        for pre in product(range(ring.size), repeat=len(L.faces(h.dim - 1))):
+            g = vector_cochain(L, ring, h.dim - 1, pre)
+            if cochain_vector(coboundary(g)) == target:
+                return lift_from_link(g, sigma, X)
+    return None
+
+
+@SETTINGS
+@given(complexes(), st.sampled_from(RINGS), st.data())
+def test_first_repair_step_matches_brute_force(X, ring, data):
+    k = data.draw(st.integers(1, X.dim))
+    nk = len(X.faces(k))
+    vec = data.draw(st.lists(st.integers(0, ring.size - 1), min_size=nk, max_size=nk))
+    f = vector_cochain(X, ring, k, vec)
+    assert _first_repair_step(f, 1 << 24) == repair_oracle(f)
+
+
+def scan_oracle(X, ring, k, group):
+    """Least ||delta f|| / dist(f, group), first strict improvement in lex order."""
+    best = witness = None
+    for vec in product(range(ring.size), repeat=len(X.faces(k))):
+        s = brute_distance(X, k, vec, group)
+        if s == 0:
+            continue
+        ratio = coboundary(vector_cochain(X, ring, k, vec)).norm() / s
+        if best is None or ratio < best:
+            best, witness = ratio, vec
+    return best, witness
+
+
+@SETTINGS
+@given(complexes(), st.sampled_from(RINGS), st.data())
+def test_generic_coset_scan_matches_brute_force(X, ring, data):
+    k = data.draw(st.integers(0, X.dim - 1))
+    target = data.draw(st.sampled_from([COBOUNDARIES, COCYCLES]))
+    nk = len(X.faces(k))
+    assume(ring.size ** nk <= 256)
+    group = brute_group(X, ring, k, target)
+    ratio, witness, total = _generic_coset_scan(X, ring, k, sorted(group), 1 << 24)
+    want_ratio, want_witness = scan_oracle(X, ring, k, group)
+    assert total == ring.size ** nk
+    assert (ratio, witness) == (want_ratio if want_ratio is not None else "infinity",
+                                want_witness)
+
+
+@SETTINGS
+@given(complexes(), st.data())
+def test_bounded_coset_minimum_matches_brute_force(X, data):
+    k = data.draw(st.integers(0, X.dim))
+    nk = len(X.faces(k))
+    ints = st.integers(-2, 2)
+    base = data.draw(st.lists(ints, min_size=nk, max_size=nk))
+    gens = data.draw(st.lists(st.lists(ints, min_size=nk, max_size=nk), max_size=3))
+    b = data.draw(st.integers(0, 2))
+    wnum = [X.deg_top(f) for f in X.faces(k)]
+    den = X.weight_denominator(k)
+    best = None
+    for coeffs in product(range(-b, b + 1), repeat=len(gens)):
+        vec = tuple(x + sum(c * g[i] for c, g in zip(coeffs, gens))
+                    for i, x in enumerate(base))
+        key = (Fraction(sum(w for w, v in zip(wnum, vec) if v), den), vec)
+        if best is None or key < best:
+            best = key
+    val, vec = _bounded_coset_minimum(X, k, base, gens, b, 1 << 24)
+    assert (val, tuple(vec)) == best
+
+
+def test_kernel_refuses_int64_overflow():
+    X = build_complex(["a b", "b c"])
+    big = 1 << 62
+    with pytest.raises(SearchSpaceTooLarge):
+        _bounded_coset_minimum(X, 0, [big, 0, 0], [[big, big, 0]], 1, 1 << 24)
+    with pytest.raises(SearchSpaceTooLarge):
+        cosets.require_int64(cosets.INT64_MAX + 1, "test values")
