@@ -7,6 +7,10 @@ at a time. Callers divide by the common weight denominator only at the end.
 Witness ties go to the lexicographically least row. Rows come from a stored
 array (a subgroup cached on the complex) or from `combinations`; values that
 could leave int64 are refused with SearchSpaceTooLarge before any arithmetic.
+Expansion scans, which need the distance of every coset representative, take
+it from one table per scan (`distance_table`, with `coboundary_norm_table`
+for the numerators), so their cost is representatives x faces, not
+representatives x subgroup x faces.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import SearchSpaceTooLarge
+from .errors import ParameterOutOfRange, SearchSpaceTooLarge
 
 CHUNK = 1 << 12
 INT64_MAX = int(np.iinfo(np.int64).max)
@@ -63,11 +67,13 @@ def chunks(G):
 def combinations(base, gens, coeffs, cap, skip_zero=False):
     """Blocks of the rows base + c @ gens for c in coeffs^len(gens), product order.
 
-    coeffs is a range such as range(-b, b + 1); skip_zero leaves out c = 0.
-    Raises SearchSpaceTooLarge when there are more than cap combinations or
-    when an entry could overflow int64.
+    coeffs is a range such as range(-b, b + 1), refused when empty (b < 0);
+    skip_zero leaves out c = 0. Raises SearchSpaceTooLarge when there are
+    more than cap combinations or when an entry could overflow int64.
     """
     m, n, width = len(gens), len(coeffs), len(base)
+    if not n:
+        raise ParameterOutOfRange(f"empty coefficient range {coeffs}")
     total = n ** m
     if total > cap:
         raise SearchSpaceTooLarge(f"{total} combinations exceed cap {cap}")
@@ -125,13 +131,69 @@ def least_row(blocks, v, w):
     return best
 
 
-def min_distance_rows(F, G, w):
-    """For each row of F, the least w-weighted Hamming distance to a row of G."""
-    s = None
-    for g in G:
-        d = (F != g) @ w
-        s = d if s is None else np.minimum(s, d)
-    return s
+def table_dtype(bound: int) -> np.dtype:
+    """Smallest unsigned dtype that holds every value up to bound."""
+    for dt in (np.uint8, np.uint16, np.uint32, np.uint64):
+        if bound <= int(np.iinfo(dt).max):
+            return np.dtype(dt)
+    raise SearchSpaceTooLarge(f"table values can reach {bound}, beyond uint64")
+
+
+def distance_table(blocks, n, free_cols, w):
+    """Least w-weighted Hamming distance from each f to a row of the blocks.
+
+    The f range over the vectors mod n that are zero off free_cols, in
+    lex_digits order (the C-order index of shape (n,) * len(free_cols)). The
+    rows (entries reduced mod n, at least one) are scattered to their free
+    digits at the cost of their weight off free_cols; then one pass per free
+    axis lets each f take the best entry along that axis at the cost w[col].
+    Weight is a sum over coordinates and changing a coordinate costs w[col]
+    whatever the new value, so the passes leave D[f] = min_b wt(f - b).
+    """
+    total = int(w.sum())
+    dt = table_dtype(2 * total + 1)  # sentinel total + 1, plus one weight
+    m = len(free_cols)
+    D = np.full(n ** m, total + 1, dtype=dt)
+    fixed = np.ones(len(w), dtype=bool)
+    cols = np.asarray(free_cols, dtype=np.intp)
+    fixed[cols] = False
+    place = n ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    for R in blocks:
+        cost = (R[:, fixed] != 0) @ w[fixed]
+        np.minimum.at(D, R[:, cols] @ place, cost.astype(dt))
+    wd = w.astype(dt)
+    for a, col in enumerate(free_cols):
+        # axis a as the middle axis of a 3-d view; slice minima beat a reduce
+        V = D.reshape(n ** a, n, n ** (m - 1 - a))
+        step = V[:, 0].copy()
+        for x in range(1, n):
+            np.minimum(step, V[:, x], out=step)
+        step += wd[col]
+        np.minimum(V, step[:, None, :], out=V)
+    return D
+
+
+def coboundary_norm_table(M, n, free_cols, w):
+    """Weighted count of the rows t of M with (M f)_t != 0 mod n, for each f.
+
+    The f are those of distance_table. Row t is a linear form on at most a
+    few free axes; its indicator, times w[t], is tabulated on those axes and
+    added by broadcasting.
+    """
+    m = len(free_cols)
+    E = np.zeros((n,) * m, dtype=table_dtype(int(w.sum())))
+    digits = np.arange(n, dtype=np.int64)
+    cols = np.asarray(free_cols, dtype=np.intp)
+    for t, row in enumerate(np.asarray(M, dtype=np.int64)[:, cols] % n):
+        axes = np.flatnonzero(row)
+        if not len(axes):
+            continue
+        form = sum(int(c) * g for c, g in zip(row[axes], np.ix_(*[digits] * len(axes))))
+        shape = [1] * m
+        for a in axes:
+            shape[a] = n
+        E += ((form % n != 0) * w[t]).astype(E.dtype).reshape(shape)
+    return E.reshape(-1)
 
 
 def mod_p_floor(minimum_mod) -> Fraction:

@@ -168,7 +168,8 @@ def _field_coset_scan(X, ring, k, subgroup_basis, cap):
         raise SearchSpaceTooLarge(
             f"{n_reps} representatives / {n_sub} subgroup elements exceed cap {cap}"
         )
-    return _coset_scan(X, ring, k, free_cols, cosets.span(basis_rows, p, nk, cap))
+    span = cosets.combinations([0] * nk, basis_rows, range(p), cap)
+    return _coset_scan(X, ring, k, free_cols, (R % p for R in span))
 
 
 def _generic_coset_scan(X, ring, k, subgroup, cap):
@@ -176,34 +177,33 @@ def _generic_coset_scan(X, ring, k, subgroup, cap):
     nk = len(X.faces(k))
     if ring.size ** nk > cap:
         raise SearchSpaceTooLarge(f"{ring.size ** nk} cochains exceed cap {cap}")
-    return _coset_scan(X, ring, k, range(nk), subgroup)
+    sub = np.asarray(subgroup, dtype=np.int64)
+    return _coset_scan(X, ring, k, range(nk), cosets.chunks(sub))
 
 
-def _coset_scan(X, ring, k, free_cols, sub):
+def _coset_scan(X, ring, k, free_cols, sub_blocks):
     """Min of ||delta f|| / dist(f, sub) over f supported on free_cols, outside sub.
 
-    Candidates run in lexicographic order, CHUNK at a time; ratios are
-    compared by integer cross-multiplication and the witness is the first
-    candidate that strictly lowers the ratio.
+    sub_blocks holds the subgroup's rows, reduced mod n. Both ||delta f|| and
+    dist(f, sub) come from one table each over all candidates; candidates
+    run in lexicographic order, CHUNK at a time, ratios are compared by
+    integer cross-multiplication and the witness is the first candidate that
+    strictly lowers the ratio.
     """
     n = ring.size
     nk = len(X.faces(k))
-    Dk = np.array(delta_matrix(X, k), dtype=np.int64) % n
     wk, den_k = cosets.face_weights(X, k)
     wk1, den_k1 = cosets.face_weights(X, k + 1)
     cosets.require_int64(int(wk.sum()) * int(wk1.sum()), "ratio cross products")
-    cosets.require_int64((n - 1) * int(Dk.sum(axis=1).max(initial=0)),
-                         "coboundary entries")
     n_reps = n ** len(free_cols)
-    sub = np.asarray(sub).astype(np.min_scalar_type(n - 1))
+    dist = cosets.distance_table(sub_blocks, n, free_cols, wk)
+    norm = cosets.coboundary_norm_table(delta_matrix(X, k), n, free_cols, wk1)
 
     best_e = best_s = None
     best_index = None
     for start in range(0, n_reps, cosets.CHUNK):
-        count = min(cosets.CHUNK, n_reps - start)
-        F = cosets.lex_digits(start, count, n, free_cols, nk)
-        e = ((F.astype(np.int64) @ Dk.T) % n != 0) @ wk1
-        s = cosets.min_distance_rows(F, sub, wk)
+        e = norm[start:start + cosets.CHUNK].astype(np.int64)
+        s = dist[start:start + cosets.CHUNK].astype(np.int64)
         live = s > 0
         while True:
             if best_e is None:
@@ -345,24 +345,41 @@ def small_set_check(X, ring: Ring, epsilon: Fraction, mu: Fraction, cap=None):
 
     Scans all dimensions 0..d-1; returns (True, None) or the first
     counterexample in scan order (a locally minimal cochain with
-    ||delta f|| < epsilon * ||f||).
+    ||delta f|| < epsilon * ||f||). Per support, every nonzero value
+    assignment is screened at once against the expansion bound; only those
+    that fail it are tested for local minimality, in product order.
     """
     cap = candidate_cap(cap)
     if not ring.is_finite:
         raise IntegerRingRequiresBound("small-set check needs a finite ring")
-    nonzero = [v for v in ring.elements() if v]
+    n = ring.size
+    eps = Fraction(epsilon)
     for k in range(0, X.dim):
+        faces = X.faces(k)
+        col = {f: j for j, f in enumerate(faces)}
+        wk, den_k = cosets.face_weights(X, k)
+        wk1, den_k1 = cosets.face_weights(X, k + 1)
+        Dk = np.array(delta_matrix(X, k), dtype=np.int64)
         for support in _supports_up_to_norm(X, k, mu, cap):
-            if len(nonzero) ** len(support) > cap:
-                raise SearchSpaceTooLarge(
-                    f"{len(nonzero) ** len(support)} value assignments exceed cap {cap}"
-                )
-            for values in product(nonzero, repeat=len(support)):
-                f = Cochain(X, ring, k, dict(zip(support, values)))
-                if coboundary(f).norm() >= epsilon * f.norm():
-                    continue
-                if is_locally_minimal(f, cap=cap):
-                    return False, f
+            m = len(support)
+            count = (n - 1) ** m
+            if count > cap:
+                raise SearchSpaceTooLarge(f"{count} value assignments exceed cap {cap}")
+            cols = [col[f] for f in support]
+            # ||delta f|| < eps ||f|| <=> e * den_k * eps.den < eps.num * wt(f) * den_k1,
+            # i.e. e < bound for the integer numerator e of ||delta f||
+            scale = den_k * eps.denominator
+            bound = -(-eps.numerator * int(wk[cols].sum()) * den_k1 // scale)
+            bound = min(max(bound, 0), int(wk1.sum()) + 1)
+            M = Dk[:, cols].T
+            for start in range(0, count, cosets.CHUNK):
+                V = cosets.lex_digits(start, min(cosets.CHUNK, count - start), n - 1,
+                                      range(m), m).astype(np.int64) + 1
+                e = ((V @ M) % n != 0) @ wk1
+                for i in np.flatnonzero(e < bound):
+                    f = Cochain(X, ring, k, {faces[j]: int(v) for j, v in zip(cols, V[i])})
+                    if is_locally_minimal(f, cap=cap):
+                        return False, f
     return True, None
 
 

@@ -33,6 +33,7 @@ from .errors import (
     DimensionOutOfRange,
     NoFreePart,
     NotAGraph,
+    ParameterOutOfRange,
     PropertyViolation,
 )
 from .rings import INTEGERS
@@ -277,7 +278,13 @@ def _lattice_minimum(L: CohomologyLattice, coeff_bound, cap):
     single generator (any combination's support contains a whole generator
     support); otherwise an exhaustive mod-p scan over primitive coefficient
     vectors provides a floor that a matching bounded minimum certifies.
+    A coeff_bound below 1 leaves no nonzero combination and is refused.
     """
+    b = int(coeff_bound)
+    if b < 1:
+        raise ParameterOutOfRange(
+            f"coeff_bound {b} leaves no nonzero combination; the distance needs 1 or more"
+        )
     cap = candidate_cap(cap)
     X, k = L.complex, L.k
     gens = [list(cochain_vector(g)) for g in L.generators]
@@ -294,7 +301,6 @@ def _lattice_minimum(L: CohomologyLattice, coeff_bound, cap):
         num, vec = cosets.least_row([np.array(gens, dtype=np.int64)], zero, w)
         return Fraction(num, den), True, vec
 
-    b = int(coeff_bound)
     rows = cosets.combinations(zero, gens, range(-b, b + 1), cap, skip_zero=True)
     num, vec = cosets.least_row(rows, zero, w)
     best = Fraction(num, den)

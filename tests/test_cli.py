@@ -1,10 +1,13 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from hdx.cli import main, parse_fraction, resolve_complex
 from hdx.catalog import named_complex
+from hdx.cochains import COBOUNDARIES, coboundary, cochain_from_lines, distance
 from hdx.errors import PropertyViolation, UsageError
+from hdx.rings import modular_ring
 
 
 def run_cli(args, capsys):
@@ -167,6 +170,35 @@ def test_report_lattice(capsys):
     doc = json.loads(out)
     assert doc["dimension"] == 1
     assert doc["distance"] == {"num": 1, "den": 3}
+
+
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_report_lattice_refuses_coeff_bound_below_one(capsys, bound):
+    code, out, err = run_cli(
+        ["report", "lattice", "--k", "1", "--coeff-bound", bound, "hollow_triangle"],
+        capsys,
+    )
+    assert code == 1
+    assert out == ""
+    assert "ParameterOutOfRange" in err
+
+
+def test_report_expansion_z4_octahedron_k1(capsys):
+    # 4^12 cochains against |B^1| = 1024: a scan that ran for minutes before
+    # the distance table replaced the subgroup sweep
+    code, out, _ = run_cli(
+        ["report", "expansion", "--kind", "coboundary", "--ring", "Z/4", "--k", "1",
+         "octahedron"],
+        capsys,
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["certified"] is True
+    assert doc["extra"] == {"cosets_scanned": 4 ** 12}
+    X, ring = named_complex("octahedron"), modular_ring(4)
+    w = cochain_from_lines(X, ring, 1, doc["witness"])
+    eps = Fraction(doc["epsilon"]["num"], doc["epsilon"]["den"])
+    assert coboundary(w).norm() / distance(w, COBOUNDARIES)[0] == eps
 
 
 def test_usage_error_exit_code(capsys):

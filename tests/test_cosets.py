@@ -8,6 +8,7 @@ with zero coboundary), compares Fractions, and breaks ties on Python tuples.
 from fractions import Fraction
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -16,21 +17,31 @@ from hdx import cosets
 from hdx.cochains import (
     COBOUNDARIES,
     COCYCLES,
+    Cochain,
     _first_repair_step,
     coboundary,
     cochain_vector,
     distance,
+    is_locally_minimal,
     lift_from_link,
     localize,
     vector_cochain,
 )
 from hdx.complexes import build_complex
 from hdx.errors import SearchSpaceTooLarge
-from hdx.expansion import _generic_coset_scan
+from hdx.expansion import (
+    INFINITY,
+    _generic_coset_scan,
+    _supports_up_to_norm,
+    coboundary_epsilon,
+    cosystolic_pair,
+    small_set_check,
+)
 from hdx.lattice import _bounded_coset_minimum
 from hdx.rings import modular_ring, prime_field
 
 RINGS = [prime_field(2), prime_field(3), modular_ring(4), modular_ring(6)]
+FIELDS = [prime_field(2), prime_field(3), prime_field(5)]
 BUDGET = 1500  # largest brute-force enumeration one example may need
 SETTINGS = settings(
     max_examples=40,
@@ -182,3 +193,101 @@ def test_kernel_refuses_int64_overflow():
         _bounded_coset_minimum(X, 0, [big, 0, 0], [[big, big, 0]], 1, 1 << 24)
     with pytest.raises(SearchSpaceTooLarge):
         cosets.require_int64(cosets.INT64_MAX + 1, "test values")
+
+
+def pivot_columns(group):
+    """Columns where the projection of the group onto the prefix grows: the RREF pivots."""
+    return [j for j in range(len(next(iter(group))))
+            if len({g[:j + 1] for g in group}) > len({g[:j] for g in group})]
+
+
+@SETTINGS
+@given(complexes(), st.sampled_from(FIELDS), st.data())
+def test_field_scans_match_brute_force(X, ring, data):
+    """Ratio and lex-least witness among the representatives zero on the pivots."""
+    k = data.draw(st.integers(0, X.dim - 1))
+    nk = len(X.faces(k))
+    assume(ring.size ** nk <= 729)
+    cases = [(coboundary_epsilon, COBOUNDARIES), (cosystolic_pair, COCYCLES)]
+    for scan, target in cases:
+        group = brute_group(X, ring, k, target)
+        pivots = pivot_columns(group)
+        best = witness = None
+        for vec in product(range(ring.size), repeat=nk):
+            if any(vec[j] for j in pivots):
+                continue
+            s = brute_distance(X, k, vec, group)
+            if s == 0:
+                continue
+            ratio = coboundary(vector_cochain(X, ring, k, vec)).norm() / s
+            if best is None or ratio < best:
+                best, witness = ratio, vec
+        rep = scan(X, ring, k)
+        assert rep.certified
+        assert rep.extra["cosets_scanned"] == ring.size ** (nk - len(pivots))
+        if best is None:
+            assert (rep.epsilon, rep.witness) == (INFINITY, None)
+        else:
+            assert rep.epsilon == best
+            assert cochain_vector(rep.witness) == witness
+    # rep is now the cosystolic report: its mu is the least norm of Z^k outside B^k
+    cocycles, bounds = brute_group(X, ring, k, COCYCLES), brute_group(X, ring, k, COBOUNDARIES)
+    mu = min(((brute_distance(X, k, z, [(0,) * nk]), z) for z in cocycles - bounds),
+             default=None)
+    if mu is None:
+        assert (rep.mu, rep.mu_witness) == (INFINITY, None)
+    else:
+        assert (rep.mu, cochain_vector(rep.mu_witness)) == mu
+
+
+def test_distance_table_dtype_guard():
+    assert cosets.table_dtype(255) == np.uint8
+    assert cosets.table_dtype(256) == np.uint16
+    assert cosets.table_dtype((1 << 64) - 1) == np.uint64
+    with pytest.raises(SearchSpaceTooLarge):
+        cosets.table_dtype(1 << 64)
+    # distances up to 300 need uint16: a uint8 table would wrap them
+    w = np.array([200, 100], dtype=np.int64)
+    table = cosets.distance_table([np.zeros((1, 2), dtype=np.int64)], 2, [0, 1], w)
+    assert table.dtype == np.uint16
+    assert table.tolist() == [0, 100, 200, 300]
+    norms = cosets.coboundary_norm_table([[1, 1], [0, 1]], 2, [0, 1],
+                                         np.array([200, 100], dtype=np.int64))
+    assert norms.dtype == np.uint16
+    assert norms.tolist() == [0, 300, 200, 100]
+
+
+def small_set_oracle(X, ring, epsilon, mu, cap):
+    """The per-cochain loop: every nonzero assignment per support, in product order."""
+    nonzero = [v for v in ring.elements() if v]
+    for k in range(0, X.dim):
+        for support in _supports_up_to_norm(X, k, mu, cap):
+            if len(nonzero) ** len(support) > cap:
+                raise SearchSpaceTooLarge(
+                    f"{len(nonzero) ** len(support)} value assignments exceed cap {cap}"
+                )
+            for values in product(nonzero, repeat=len(support)):
+                f = Cochain(X, ring, k, dict(zip(support, values)))
+                if coboundary(f).norm() >= epsilon * f.norm():
+                    continue
+                if is_locally_minimal(f, cap=cap):
+                    return False, f
+    return True, None
+
+
+def outcome(check, *args):
+    try:
+        return check(*args)
+    except SearchSpaceTooLarge as exc:
+        return "raised", str(exc)
+
+
+@SETTINGS
+@given(complexes(), st.sampled_from([prime_field(2), prime_field(3), modular_ring(4)]),
+       st.fractions(0, 3, max_denominator=4),
+       st.fractions(Fraction(1, 6), 1, max_denominator=6),
+       st.sampled_from([2, 3, 4, 8, 9, 27, 1 << 12]))
+def test_small_set_check_matches_per_cochain_loop(X, ring, epsilon, mu, cap):
+    """Same verdict, same first counterexample, and the cap raises at the same support."""
+    args = (X, ring, epsilon, mu, cap)
+    assert outcome(small_set_check, *args) == outcome(small_set_oracle, *args)

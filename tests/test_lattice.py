@@ -6,7 +6,7 @@ import pytest
 from hdx import errors, intmat
 from hdx.building import build_building
 from hdx.catalog import named_complex
-from hdx.cochains import COBOUNDARIES, distance
+from hdx.cochains import COBOUNDARIES, Cochain, distance
 from hdx.complexes import build_complex
 from hdx.lattice import (
     build_lattice,
@@ -21,7 +21,7 @@ from hdx.lattice import (
     smith_profile,
     uct_check,
 )
-from hdx.rings import prime_field
+from hdx.rings import INTEGERS, prime_field
 
 F2 = prime_field(2)
 
@@ -168,6 +168,18 @@ def test_lattice_single_generator_distance():
     d, certified = lattice_distance(L, 2)
     assert d <= L.generators[0].norm()
     assert d == Fraction(1, 3) and certified
+
+
+def test_lattice_distance_refuses_coeff_bound_below_one():
+    # overlapping generators: the bounded scan, not the disjoint-support route
+    X = build_complex(["a b", "b c", "a c", "a d", "d c"])
+    ab = Cochain(X, INTEGERS, 1, {("a", "b"): 1})
+    ad = Cochain(X, INTEGERS, 1, {("a", "d"): 1})
+    L = build_lattice([ab, ab + ad])
+    assert lattice_distance(L, 1) == (Fraction(1, 5), True)
+    for bound in (0, -1):
+        with pytest.raises(errors.ParameterOutOfRange):
+            lattice_distance(L, coeff_bound=bound)
 
 
 def test_component_lattice_examples():
