@@ -24,6 +24,7 @@ from .cochains import (
     Cochain,
     boundary,
     coboundary,
+    delta_matrix,
     distance,
     evaluate,
     random_cochain,
@@ -238,18 +239,6 @@ def intersection_complex(B: SphericalBuilding, sigma, tau) -> Subcomplex:
     return sub
 
 
-def boundary_matrix(K: Subcomplex, i: int):
-    """Matrix of the augmented boundary C_{i+1}(K) -> C_i(K)."""
-    rows = {f: r for r, f in enumerate(K.faces(i))}
-    cols = K.faces(i + 1)
-    M = [[0] * len(cols) for _ in rows]
-    for c, face in enumerate(cols):
-        for j in range(len(face)):
-            sub = face[:j] + face[j + 1:]
-            M[rows[sub]][c] = -1 if j % 2 else 1
-    return M
-
-
 def solve_boundary(K: Subcomplex, ring: Ring, c: Chain) -> Chain:
     """A chain one dimension up whose boundary is c, inside K.
 
@@ -265,12 +254,13 @@ def solve_boundary(K: Subcomplex, ring: Ring, c: Chain) -> Chain:
             raise FaceNotInComplex(f"{f} is outside the subcomplex")
     rows = K.faces(i)
     cols = K.faces(i + 1)
-    M = boundary_matrix(K, i)
     b = [c.coeffs.get(f, 0) for f in rows]
     if not cols:
         if any(b):
             raise NoSolution("no faces one dimension up")
         return Chain(ring, i + 1, {})
+    # the augmented boundary C_{i+1}(K) -> C_i(K) is the transposed coboundary
+    M = intmat.transpose(delta_matrix(K, i))
     if ring.kind == "Z":
         x = intmat.solve_int(M, b)
     elif ring.is_field:

@@ -18,6 +18,8 @@ Distances to the coboundaries B^k and cocycles Z^k, and the repair steps of
 the locally-minimal procedure, are coset minima: finite rings scan the whole
 subgroup, cached on the complex as an int64 array, and the integers scan a
 bounded box of lattice combinations, both through the kernel in `cosets`.
+Every generating set of B^k or Z^k, over every ring, comes from
+`subgroup_generators`.
 """
 
 from __future__ import annotations
@@ -334,66 +336,80 @@ def norm_of_vector(X, k, vec) -> Fraction:
     return Fraction(num, X.weight_denominator(k)) if num else Fraction(0)
 
 
-# -- subgroup enumeration over finite rings --------------------------------------
+# -- subgroup generating sets and enumeration -------------------------------------
 
 
-def _span_vectors(basis, ring, cap, width):
-    """All R-linear combinations of the basis vectors, in order of first appearance."""
-    rows = cosets.span(basis, ring.size, width, cap).tolist()
-    return list(dict.fromkeys(map(tuple, rows)))
+def subgroup_generators(X, ring: Ring, k: int, target: str):
+    """Generating set of B^k or Z^k over the ring, as a cached list of vectors.
 
-
-def coboundary_group(X, ring: Ring, k: int, cap=None):
-    """All vectors of B^k(X; R) for a finite ring R (B^{-1} = {0})."""
-    cap = candidate_cap(cap)
-    key = ("B", ring, k)
-    if key in X.cache:
-        return X.cache[key]
-    gens = []
-    if k > -1:
-        gens = intmat.transpose(delta_matrix(X, k - 1))
-        if ring.is_field and gens:
-            gens, _ = intmat.rref_mod_p(gens, ring.size)
-    vecs = _span_vectors(gens, ring, cap, len(X.faces(k)))
-    X.cache[key] = vecs
-    return vecs
-
-
-def cocycle_group(X, ring: Ring, k: int, cap=None):
-    """All vectors of Z^k(X; R) for a finite ring R (Z^d = C^d)."""
-    cap = candidate_cap(cap)
-    key = ("Zc", ring, k)
-    if key in X.cache:
-        return X.cache[key]
+    The only place a coboundary matrix becomes a generating set:
+      * Z: a lattice basis, the image of delta_{k-1} or the kernel of delta_k
+        (every vector at the top dimension), from Smith normal form;
+      * F_p: an echelon basis of the rows of delta_{k-1}^T, or a kernel basis;
+      * Z/n, coboundaries: the integer image basis reduced mod n (the image
+        mod n is the reduction of the image over Z), zero rows dropped;
+      * Z/n, cocycles: column j of the Smith transform V scaled by
+        n / gcd(s_j, n), which generates the kernel mod n.
+    B^{-1} = {0} has no generators and Z^d = C^d.
+    """
+    if target not in (COBOUNDARIES, COCYCLES):
+        raise InputFormatError(f"unknown distance target {target!r}")
+    key = ("gens", target, ring, k)
+    gens = X.cache.get(key)
+    if gens is not None:
+        return gens
     nk = len(X.faces(k))
-    if k == X.dim:
+    if target == COBOUNDARIES:
+        if k <= -1:
+            gens = []
+        elif ring.is_field:
+            rows = intmat.transpose(delta_matrix(X, k - 1))
+            gens, _ = intmat.rref_mod_p(rows, ring.size)
+        else:
+            gens = intmat.image_basis_int(delta_matrix(X, k - 1))
+    elif k == X.dim:
         gens = intmat.identity(nk)
     elif ring.is_field:
         gens = intmat.kernel_mod_p(delta_matrix(X, k), ring.size)
+    elif not ring.is_finite:
+        gens = intmat.kernel_int(delta_matrix(X, k))
     else:
-        # column j of V scaled by n / gcd(s_j, n) generates the kernel mod n
         n = ring.size
         _, S, V = intmat.smith_normal_form(delta_matrix(X, k))
         r = len(intmat.snf_diagonal(S))
         scale = [n // gcd(S[j][j], n) if j < r else 1 for j in range(nk)]
-        gens = [[scale[j] * V[i][j] % n for i in range(nk)] for j in range(nk)]
-        gens = [g for g in gens if any(g)]
-    vecs = _span_vectors(gens, ring, cap, nk)
-    X.cache[key] = vecs
-    return vecs
+        gens = [[scale[j] * V[i][j] for i in range(nk)] for j in range(nk)]
+    if ring.is_finite and not ring.is_field:
+        gens = [g for g in ([v % ring.size for v in g] for g in gens) if any(g)]
+    X.cache[key] = gens
+    return gens
 
 
 def subgroup_array(X, ring: Ring, k: int, target: str, cap=None):
-    """B^k or Z^k of a finite ring as a cached int64 array, one row per element."""
+    """B^k or Z^k of a finite ring as a cached int64 array, one row per element.
+
+    Rows are the distinct combinations of the generators, in order of first
+    appearance; the array is the one stored copy of the subgroup.
+    """
     key = ("array", target, ring, k)
     G = X.cache.get(key)
     if G is None:
-        if target not in (COBOUNDARIES, COCYCLES):
-            raise InputFormatError(f"unknown distance target {target!r}")
-        group = coboundary_group if target == COBOUNDARIES else cocycle_group
-        G = np.array(group(X, ring, k, cap), dtype=np.int64)
+        gens = subgroup_generators(X, ring, k, target)
+        R = cosets.span(gens, ring.size, len(X.faces(k)), candidate_cap(cap))
+        _, first = np.unique(R, axis=0, return_index=True)
+        G = R[np.sort(first)]
         X.cache[key] = G
     return G
+
+
+def coboundary_group(X, ring: Ring, k: int, cap=None):
+    """All vectors of B^k(X; R) for a finite ring R (B^{-1} = {0}), as tuples."""
+    return list(map(tuple, subgroup_array(X, ring, k, COBOUNDARIES, cap).tolist()))
+
+
+def cocycle_group(X, ring: Ring, k: int, cap=None):
+    """All vectors of Z^k(X; R) for a finite ring R (Z^d = C^d), as tuples."""
+    return list(map(tuple, subgroup_array(X, ring, k, COCYCLES, cap).tolist()))
 
 
 def distance(f: Cochain, target: str = COBOUNDARIES, coeff_bound=None, cap=None):
@@ -421,17 +437,10 @@ def distance(f: Cochain, target: str = COBOUNDARIES, coeff_bound=None, cap=None)
             member = not any(fvec)
         else:
             member = intmat.solve_int(delta_matrix(X, k - 1), list(fvec)) is not None
-        gens = [] if k <= -1 else intmat.image_basis_int(delta_matrix(X, k - 1))
+    elif k == X.dim:
+        member = True
     else:
-        if k == X.dim:
-            member = True
-        else:
-            member = not any(intmat.mat_vec(delta_matrix(X, k), list(fvec)))
-        gens = (
-            [list(col) for col in intmat.identity(len(fvec))]
-            if k == X.dim
-            else intmat.kernel_int(delta_matrix(X, k))
-        )
+        member = not any(intmat.mat_vec(delta_matrix(X, k), list(fvec)))
     if member:
         return Fraction(0), True
     if coeff_bound is None:
@@ -440,6 +449,7 @@ def distance(f: Cochain, target: str = COBOUNDARIES, coeff_bound=None, cap=None)
         )
     # the coefficient box is symmetric, so f + c.gens and f - c.gens agree
     b = int(coeff_bound)
+    gens = subgroup_generators(X, ring, k, target)
     rows = cosets.combinations(fvec, gens, range(-b, b + 1), cap)
     zero = np.zeros(len(fvec), dtype=np.int64)
     return Fraction(cosets.min_distance(rows, zero, w), den), False

@@ -26,6 +26,7 @@ from .cochains import (
     distance,
     is_locally_minimal,
     subgroup_array,
+    subgroup_generators,
     vector_cochain,
 )
 from .complexes import SimplicialComplex
@@ -181,6 +182,15 @@ def _generic_coset_scan(X, ring, k, subgroup, cap):
     return _coset_scan(X, ring, k, range(nk), cosets.chunks(sub))
 
 
+def _subgroup_scan(X, ring, k, target, cap):
+    """(ratio, witness vector, cosets scanned) of the scan against B^k or Z^k."""
+    if ring.is_field:
+        gens = subgroup_generators(X, ring, k, target)
+        return _field_coset_scan(X, ring, k, gens, cap)
+    subgroup = subgroup_array(X, ring, k, target, cap)
+    return _generic_coset_scan(X, ring, k, subgroup, cap)
+
+
 def _coset_scan(X, ring, k, free_cols, sub_blocks):
     """Min of ||delta f|| / dist(f, sub) over f supported on free_cols, outside sub.
 
@@ -247,12 +257,7 @@ def coboundary_epsilon(X, ring: Ring, k: int, cap=None, coeff_bound=None) -> Exp
                 "coboundary expansion over Z needs coeff_bound"
             )
         return _integer_coboundary_scan(X, ring, k, coeff_bound, cap)
-    if ring.is_field:
-        gens = intmat.transpose(delta_matrix(X, k - 1))
-        eps, vec, n_reps = _field_coset_scan(X, ring, k, gens, cap)
-    else:
-        subgroup = subgroup_array(X, ring, k, COBOUNDARIES, cap)
-        eps, vec, n_reps = _generic_coset_scan(X, ring, k, subgroup, cap)
+    eps, vec, n_reps = _subgroup_scan(X, ring, k, COBOUNDARIES, cap)
     witness = vector_cochain(X, ring, k, vec) if vec is not None else None
     return ExpansionReport(
         "coboundary", k, ring, eps, witness=witness,
@@ -290,12 +295,7 @@ def cosystolic_pair(X, ring: Ring, k: int, cap=None) -> ExpansionReport:
         raise DimensionOutOfRange(f"dimension {k} not in 0..{X.dim - 1}")
     if not ring.is_finite:
         raise IntegerRingRequiresBound("cosystolic measurement needs a finite ring")
-    if ring.is_field:
-        kern = intmat.kernel_mod_p(delta_matrix(X, k), ring.size)
-        eps, vec, n_reps = _field_coset_scan(X, ring, k, kern, cap)
-    else:
-        subgroup = subgroup_array(X, ring, k, COCYCLES, cap)
-        eps, vec, n_reps = _generic_coset_scan(X, ring, k, subgroup, cap)
+    eps, vec, n_reps = _subgroup_scan(X, ring, k, COCYCLES, cap)
     witness = vector_cochain(X, ring, k, vec) if vec is not None else None
 
     cocycles = subgroup_array(X, ring, k, COCYCLES, cap)

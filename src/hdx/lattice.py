@@ -20,10 +20,12 @@ import numpy as np
 from . import cosets, intmat
 from .cochains import (
     COBOUNDARIES,
+    COCYCLES,
     Cochain,
     cochain_vector,
     delta_matrix,
     mod_p_distance_floor,
+    subgroup_generators,
     vector_cochain,
 )
 from .complexes import SimplicialComplex
@@ -40,20 +42,6 @@ from .rings import INTEGERS
 
 
 @dataclass
-class IntegerMatrix:
-    """A coboundary matrix with its face labels."""
-
-    rows: tuple  # (k+1)-faces
-    cols: tuple  # k-faces
-    entries: list
-
-
-def coboundary_matrix(X, k) -> IntegerMatrix:
-    """Matrix of the k-coboundary map; k = -1 is the augmentation column."""
-    return IntegerMatrix(X.faces(k + 1), X.faces(k), delta_matrix(X, k))
-
-
-@dataclass
 class SmithProfile:
     rank: int
     invariant_factors: tuple
@@ -64,11 +52,10 @@ class SmithProfile:
 
 def smith_profile(M) -> SmithProfile:
     """Smith normal form with the transforms, verified by multiplication."""
-    entries = M.entries if isinstance(M, IntegerMatrix) else M
-    if not entries or not entries[0]:
-        return SmithProfile(0, (), [], [list(r) for r in entries], [])
-    U, S, V = intmat.smith_normal_form(entries)
-    if intmat.mat_mul(intmat.mat_mul(U, entries), V) != S:
+    if not M or not M[0]:
+        return SmithProfile(0, (), [], [list(r) for r in M], [])
+    U, S, V = intmat.smith_normal_form(M)
+    if intmat.mat_mul(intmat.mat_mul(U, M), V) != S:
         raise PropertyViolation("smith transform verification failed")
     diag = intmat.snf_diagonal(S)
     return SmithProfile(len(diag), tuple(diag), U, S, V)
@@ -86,8 +73,8 @@ def integer_cohomology(X, k) -> CohomologyProfile:
     if not 0 <= k <= X.dim:
         raise DimensionOutOfRange(f"dimension {k} not in 0..{X.dim}")
     nk = len(X.faces(k))
-    rank_above = 0 if k == X.dim else smith_profile(coboundary_matrix(X, k)).rank
-    below = smith_profile(coboundary_matrix(X, k - 1))
+    rank_above = 0 if k == X.dim else smith_profile(delta_matrix(X, k)).rank
+    below = smith_profile(delta_matrix(X, k - 1))
     free_rank = nk - rank_above - below.rank
     torsion = tuple(v for v in below.invariant_factors if v > 1)
     return CohomologyProfile(k, free_rank, torsion)
@@ -154,18 +141,13 @@ class LatticeGenerator:
 def free_cocycle_generators(X, k):
     """Integer cocycle vectors projecting to a basis of the free part of H^k."""
     nk = len(X.faces(k))
-    if k == X.dim:
-        kernel = [list(col) for col in intmat.identity(nk)]
-    else:
-        kernel = intmat.kernel_int(delta_matrix(X, k))
+    kernel = subgroup_generators(X, INTEGERS, k, COCYCLES)
     if not kernel:
         return []
     K = [[kernel[j][i] for j in range(len(kernel))] for i in range(nk)]  # columns
-    D = delta_matrix(X, k - 1)
-    image_cols = intmat.image_basis_int(D)
     # write the image inside kernel coordinates: K @ Y = image columns
     Y = []
-    for col in image_cols:
+    for col in subgroup_generators(X, INTEGERS, k, COBOUNDARIES):
         y = intmat.solve_int(K, col)
         if y is None:
             raise PropertyViolation("coboundary outside the cocycle lattice")
@@ -210,8 +192,7 @@ def minimal_representatives(X, k, coeff_bound=3, cap=None):
     gens = free_cocycle_generators(X, k)
     if not gens:
         raise NoFreePart(f"H^{k} has no free part")
-    D = delta_matrix(X, k - 1)
-    bgens = intmat.image_basis_int(D)
+    bgens = subgroup_generators(X, INTEGERS, k, COBOUNDARIES)
     out = []
     for vec in gens:
         val, best_vec = _bounded_coset_minimum(X, k, vec, bgens, coeff_bound, cap)
@@ -256,8 +237,7 @@ def build_lattice(reps) -> CohomologyLattice:
     for g in gens:
         if D is not None and any(intmat.mat_vec(D, list(cochain_vector(g)))):
             raise DependentGenerators(f"generator {g} is not a cocycle")
-    bgens = intmat.image_basis_int(delta_matrix(X, k - 1))
-    stack = [list(b) for b in bgens]
+    stack = [list(b) for b in subgroup_generators(X, INTEGERS, k, COBOUNDARIES)]
     base_rank = intmat.rank_int([list(r) for r in zip(*stack)]) if stack else 0
     rank = base_rank
     for g in gens:

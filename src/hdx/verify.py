@@ -507,8 +507,8 @@ def check_matrix_complex_identity(seed):
     for name in MEDIUM:
         X = named_complex(name)
         for k in range(-1, X.dim - 1):
-            Dk = lattice_mod.coboundary_matrix(X, k).entries
-            Dk1 = lattice_mod.coboundary_matrix(X, k + 1).entries
+            Dk = cochains_mod.delta_matrix(X, k)
+            Dk1 = cochains_mod.delta_matrix(X, k + 1)
             if any(any(v for v in row) for row in intmat.mat_mul(Dk1, Dk)):
                 return False, f"{name} k={k}"
     return True, ""

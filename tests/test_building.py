@@ -388,7 +388,7 @@ def test_filling_property_whole_cycle_space(fano, b42):
     # intersection; by linearity it is enough to fill a kernel basis of the
     # boundary matrix at each level
     from hdx import intmat
-    from hdx.building import boundary_matrix
+    from hdx.cochains import delta_matrix
 
     def fill_all_cycles(B, K):
         for i in range(0, K.dim):
@@ -397,7 +397,8 @@ def test_filling_property_whole_cycle_space(fano, b42):
                 continue
             # cycles at level i = integer kernel of the boundary matrix
             # leaving level i (augmented at i = 0)
-            for vec in intmat.kernel_int(boundary_matrix(K, i - 1)):
+            boundary_matrix = intmat.transpose(delta_matrix(K, i - 1))
+            for vec in intmat.kernel_int(boundary_matrix):
                 cycle = Chain(INTEGERS, i, {f: v for f, v in zip(rows, vec) if v})
                 if cycle.is_zero():
                     continue

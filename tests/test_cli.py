@@ -226,6 +226,19 @@ def test_cap_override_env(tmp_path, monkeypatch, capsys):
     )
     assert code == 1
     assert "SearchSpaceTooLarge" in err
+    # a value that is not a positive integer is an input error, not a traceback
+    for value in ["abc", "0", "-5"]:
+        monkeypatch.setenv("HDX_CAP", value)
+        code, out, err = run_cli(
+            ["report", "expansion", "--kind", "coboundary", "--ring", "F2", "--k", "0",
+             "hollow_triangle"],
+            capsys,
+        )
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1, err
+        assert lines[0].startswith("error: InputFormatError:") and "HDX_CAP" in lines[0]
+        assert "Traceback" not in err
 
 
 def test_output_file(tmp_path, capsys):

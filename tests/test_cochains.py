@@ -4,7 +4,7 @@ from itertools import permutations, product
 
 import pytest
 
-from hdx import errors
+from hdx import errors, intmat
 from hdx.catalog import named_complex
 from hdx.cochains import (
     COBOUNDARIES,
@@ -14,6 +14,7 @@ from hdx.cochains import (
     boundary,
     coboundary,
     cochain_from_lines,
+    coboundary_group,
     cochain_vector,
     delta_matrix,
     distance,
@@ -380,10 +381,12 @@ def test_delta_matrix_shapes_and_signs():
     X = named_complex("hollow_triangle")
     D0 = delta_matrix(X, 0)
     assert len(D0) == 3 and len(D0[0]) == 3
+    assert len(D0) == len(X.faces(1)) and len(D0[0]) == len(X.faces(0))
     for row in D0:
         assert sorted(row) == [-1, 0, 1]
     Dm1 = delta_matrix(X, -1)
     assert Dm1 == [[1], [1], [1]]
+    assert len(Dm1) == len(X.faces(0)) and len(Dm1[0]) == len(X.faces(-1))
 
 
 def test_vector_views_roundtrip():
@@ -519,3 +522,19 @@ def test_cochain_rejects_wrong_dimension_values():
         Cochain(X, F2, 1, {("a",): 1})
     with pytest.raises(errors.FaceNotInComplex):
         Cochain(X, F2, 1, {("a", "z"): 1})
+
+
+def test_octahedron_z6_coboundaries_fit_the_default_cap(monkeypatch):
+    # B^2 has 6^7 elements, though delta_1 has 12 columns: a generating set
+    # with one generator per column would need 6^12 combinations
+    monkeypatch.delenv("HDX_CAP", raising=False)
+    X = named_complex("octahedron")
+    group = coboundary_group(X, Z6, 2)
+    assert len(group) == len(set(group)) == 6 ** 7
+    rng = random.Random(71)
+    D = delta_matrix(X, 1)
+    for row in rng.sample(group, 200):
+        assert intmat.solve_mod(D, list(row), 6) is not None
+    f = random_cochain(X, Z6, 2, rng)
+    d, certified = distance(f, COBOUNDARIES)
+    assert certified and 0 < d <= f.norm()

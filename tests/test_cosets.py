@@ -13,18 +13,22 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from hdx import cosets
+from hdx import cosets, intmat
 from hdx.cochains import (
     COBOUNDARIES,
     COCYCLES,
     Cochain,
     _first_repair_step,
     coboundary,
+    coboundary_group,
     cochain_vector,
+    cocycle_group,
+    delta_matrix,
     distance,
     is_locally_minimal,
     lift_from_link,
     localize,
+    subgroup_generators,
     vector_cochain,
 )
 from hdx.complexes import build_complex
@@ -38,7 +42,7 @@ from hdx.expansion import (
     small_set_check,
 )
 from hdx.lattice import _bounded_coset_minimum
-from hdx.rings import modular_ring, prime_field
+from hdx.rings import INTEGERS, modular_ring, prime_field
 
 RINGS = [prime_field(2), prime_field(3), modular_ring(4), modular_ring(6)]
 FIELDS = [prime_field(2), prime_field(3), prime_field(5)]
@@ -76,6 +80,46 @@ def brute_group(X, ring, k, target):
         if k == X.dim or coboundary(vector_cochain(X, ring, k, z)).is_zero():
             out.add(z)
     return out
+
+
+def delta_column_span(X, ring, k):
+    """B^k = im delta_{k-1}, as the span of every column of delta_{k-1}."""
+    nk = len(X.faces(k))
+    cols = intmat.transpose(delta_matrix(X, k - 1))
+    assume(ring.size ** len(cols) <= BUDGET)
+    return {
+        tuple(sum(c * col[i] for c, col in zip(coeffs, cols)) % ring.size
+              for i in range(nk))
+        for coeffs in product(range(ring.size), repeat=len(cols))
+    }
+
+
+@SETTINGS
+@given(complexes(), st.sampled_from(RINGS), st.data())
+def test_finite_subgroups_match_their_definitions(X, ring, data):
+    """B^k is the span of all delta columns, Z^k the brute-force kernel."""
+    k = data.draw(st.integers(0, X.dim))
+    for target in (COBOUNDARIES, COCYCLES):
+        for g in subgroup_generators(X, ring, k, target):
+            assert any(g) and all(0 <= v < ring.size for v in g)
+    bgroup, zgroup = coboundary_group(X, ring, k), cocycle_group(X, ring, k)
+    assert len(set(bgroup)) == len(bgroup) and len(set(zgroup)) == len(zgroup)
+    assert set(bgroup) == delta_column_span(X, ring, k)
+    assert set(zgroup) == brute_group(X, ring, k, COCYCLES)
+
+
+@SETTINGS
+@given(complexes(), st.data())
+def test_integer_generators_are_the_smith_bases(X, data):
+    """Over Z the bounded searches depend on exactly these lattice bases."""
+    k = data.draw(st.integers(-1, X.dim))
+    image = [] if k == -1 else intmat.image_basis_int(delta_matrix(X, k - 1))
+    if k == X.dim:
+        kernel = intmat.identity(len(X.faces(k)))
+    else:
+        kernel = intmat.kernel_int(delta_matrix(X, k))
+    assert subgroup_generators(X, INTEGERS, k, COBOUNDARIES) == image
+    assert subgroup_generators(X, INTEGERS, k, COCYCLES) == kernel
 
 
 def brute_distance(X, k, vec, group):

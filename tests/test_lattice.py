@@ -6,11 +6,10 @@ import pytest
 from hdx import errors, intmat
 from hdx.building import build_building
 from hdx.catalog import named_complex
-from hdx.cochains import COBOUNDARIES, Cochain, distance
+from hdx.cochains import COBOUNDARIES, Cochain, delta_matrix, distance
 from hdx.complexes import build_complex
 from hdx.lattice import (
     build_lattice,
-    coboundary_matrix,
     component_lattice,
     fp_cohomology_dimension,
     free_cocycle_generators,
@@ -26,37 +25,31 @@ from hdx.rings import INTEGERS, prime_field
 F2 = prime_field(2)
 
 
-def test_coboundary_matrix_hollow_triangle():
-    X = named_complex("hollow_triangle")
-    M = coboundary_matrix(X, 0)
-    assert len(M.rows) == 3 and len(M.cols) == 3
-    for row in M.entries:
-        assert sorted(row) == [-1, 0, 1]
-    aug = coboundary_matrix(X, -1)
-    assert aug.entries == [[1], [1], [1]]
-
-
 def test_matrix_composition_zero():
     for name in ["full_triangle", "tetrahedron", "octahedron", "rp2"]:
         X = named_complex(name)
         for k in range(-1, X.dim - 1):
-            D0 = coboundary_matrix(X, k).entries
-            D1 = coboundary_matrix(X, k + 1).entries
+            D0 = delta_matrix(X, k)
+            D1 = delta_matrix(X, k + 1)
             prod = intmat.mat_mul(D1, D0)
             assert all(all(v == 0 for v in row) for row in prod)
 
 
 def test_transpose_duality_with_boundary():
-    # the transpose of delta_k matches the boundary matrix one level up
-    from hdx.building import boundary_matrix as bmat
+    # the transpose of delta_k is the boundary matrix one level up, and a
+    # Subcomplex holding every face of X orders the faces as X does
     from hdx.building import Subcomplex
+    from hdx.cochains import Chain, boundary
 
     X = named_complex("tetrahedron")
     K = Subcomplex([f for k in range(0, X.dim + 1) for f in X.faces(k)])
     for k in range(-1, X.dim):
-        D = coboundary_matrix(X, k).entries
-        B = bmat(K, k)
-        assert intmat.transpose(D) == B
+        assert K.faces(k) == X.faces(k) and K.faces(k + 1) == X.faces(k + 1)
+        D = delta_matrix(K, k)
+        assert D == delta_matrix(X, k)
+        for tau, row in zip(K.faces(k + 1), D):
+            bd = boundary(Chain(INTEGERS, k + 1, {tau: 1}))
+            assert row == [bd.coeffs.get(f, 0) for f in K.faces(k)]
 
 
 def test_smith_profile_examples():

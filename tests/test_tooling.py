@@ -21,3 +21,54 @@ def test_library_checks_survive_optimised_mode():
             elif isinstance(node, ast.Assert):
                 offenders.append(f"{path.name}:{node.lineno} assert")
     assert offenders == []
+
+
+# subgroup generating sets come from cochains.subgroup_generators alone
+GENERATOR_CALLS = {"image_basis_int", "kernel_int", "kernel_mod_p"}
+GENERATOR_HOMES = {"cochains.py", "intmat.py"}
+# the boundary solve's system matrix is the transposed coboundary, not a
+# generating set of a subgroup
+TRANSPOSED_DELTA_ALLOWED = {("building.py", "solve_boundary")}
+
+
+def _callee(call):
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+class _Calls(ast.NodeVisitor):
+    """Every call of a module with the name of its enclosing function."""
+
+    def __init__(self):
+        self.scope = ["<module>"]
+        self.calls = []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_Call(self, node):
+        self.calls.append((self.scope[-1], node))
+        self.generic_visit(node)
+
+
+def test_subgroup_generating_sets_have_one_home():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in GENERATOR_HOMES:
+            continue
+        visitor = _Calls()
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        for scope, call in visitor.calls:
+            name = _callee(call)
+            transposed_delta = (
+                name == "transpose" and call.args
+                and isinstance(call.args[0], ast.Call)
+                and _callee(call.args[0]) == "delta_matrix"
+            )
+            if name in GENERATOR_CALLS or (
+                transposed_delta and (path.name, scope) not in TRANSPOSED_DELTA_ALLOWED
+            ):
+                offenders.append(f"{path.name}:{call.lineno} {name} in {scope}")
+    assert offenders == []
