@@ -25,6 +25,17 @@ from hdx.rings import INTEGERS, prime_field
 F2 = prime_field(2)
 
 
+def test_coboundary_matrix_hollow_triangle():
+    X = named_complex("hollow_triangle")
+    M = delta_matrix(X, 0)
+    assert len(M) == len(X.faces(1)) == 3 and len(M[0]) == len(X.faces(0)) == 3
+    for row in M:
+        assert sorted(row) == [-1, 0, 1]
+    aug = delta_matrix(X, -1)
+    assert len(aug[0]) == len(X.faces(-1))
+    assert aug == [[1], [1], [1]]
+
+
 def test_matrix_composition_zero():
     for name in ["full_triangle", "tetrahedron", "octahedron", "rp2"]:
         X = named_complex(name)
