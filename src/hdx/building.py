@@ -202,6 +202,23 @@ def apartments(B: SphericalBuilding) -> list:
     return list(B.apartments)
 
 
+def _apartment_bits(B: SphericalBuilding) -> dict:
+    """Face -> int bitset of the apartments containing it (bit i: B.apartments[i]).
+
+    The empty face lies in every apartment. Built once per building and kept
+    in B.cache; every apartment-membership question goes through it.
+    """
+    bits = B.cache.get("apartment_bits")
+    if bits is None:
+        bits = {(): (1 << len(B.apartments)) - 1}
+        for i, apt in enumerate(B.apartments):
+            bit = 1 << i
+            for f in apt.all_faces():
+                bits[f] = bits.get(f, 0) | bit
+        B.cache["apartment_bits"] = bits
+    return bits
+
+
 def verify_building_axioms(B: SphericalBuilding):
     """Every pair of faces shares an apartment; apartment sizes all agree."""
     X = B.complex
@@ -209,11 +226,12 @@ def verify_building_axioms(B: SphericalBuilding):
     for apt in B.apartments:
         if apt.face_count() != B.theta:
             raise PropertyViolation("apartment sizes differ")
+    bits = _apartment_bits(B)
     for f in faces:
-        if not any(a.has_face(f) for a in B.apartments):
+        if not bits.get(f, 0):
             raise PropertyViolation(f"face {f} lies in no apartment")
     for f, g in combinations(faces, 2):
-        if not any(a.has_face(f) and a.has_face(g) for a in B.apartments):
+        if not bits[f] & bits[g]:
             raise PropertyViolation(f"faces {f} and {g} share no apartment")
     return True
 
@@ -228,13 +246,13 @@ def intersection_complex(B: SphericalBuilding, sigma, tau) -> Subcomplex:
     key = ("A", sigma, tau)
     if key in B.cache:
         return B.cache[key]
-    hits = [a for a in B.apartments if a.has_face(sigma) and (tau == () or a.has_face(tau))]
+    bits = _apartment_bits(B)
+    hits = bits.get(sigma, 0) & bits.get(tau, 0)
     if not hits:
         raise PropertyViolation(f"no apartment contains both {sigma} and {tau}")
-    common = set(hits[0].all_faces())
-    for a in hits[1:]:
-        common &= set(a.all_faces())
-    sub = Subcomplex(common)
+    # the common faces are those of any one hit apartment lying in every hit
+    first = B.apartments[(hits & -hits).bit_length() - 1]
+    sub = Subcomplex(f for f in first.all_faces() if bits[f] & hits == hits)
     B.cache[key] = sub
     return sub
 

@@ -83,12 +83,20 @@ def smith_normal_form(M):
 
     t = 0
     while t < min(m, n):
-        # move the smallest nonzero entry of the trailing block to (t, t)
+        # move the smallest nonzero entry of the trailing block to (t, t); the
+        # first entry of absolute value 1 is that row-major-first minimum
         pivot = None
+        best = 0
         for i in range(t, m):
+            Ai = A[i]
             for j in range(t, n):
-                if A[i][j] and (pivot is None or abs(A[i][j]) < abs(A[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
+                a = abs(Ai[j])
+                if a and (pivot is None or a < best):
+                    pivot, best = (i, j), a
+                    if a == 1:
+                        break
+            if best == 1:
+                break
         if pivot is None:
             break
         swap_rows(t, pivot[0])
@@ -111,17 +119,19 @@ def smith_normal_form(M):
                         dirty = True
             if not dirty:
                 break
-        # enforce divisibility of the remaining block by the pivot
+        # enforce divisibility of the remaining block by the pivot; a unit
+        # pivot divides everything
         p = A[t][t]
         fixed = True
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if A[i][j] % p:
-                    add_row(i, t, 1)
-                    fixed = False
+        if abs(p) != 1:
+            for i in range(t + 1, m):
+                for j in range(t + 1, n):
+                    if A[i][j] % p:
+                        add_row(i, t, 1)
+                        fixed = False
+                        break
+                if not fixed:
                     break
-            if not fixed:
-                break
         if fixed:
             t += 1
 
@@ -277,10 +287,10 @@ def image_basis_int(M):
     n = len(M[0]) if m else 0
     if m == 0 or n == 0:
         return []
-    U, S, _ = smith_normal_form(M)
-    diag = snf_diagonal(S)
-    Uinv = invert_unimodular(U)
-    return [[Uinv[i][j] * diag[j] for i in range(m)] for j in range(len(diag))]
+    _, S, V = smith_normal_form(M)
+    # M V = U^-1 S, so its first r columns are the columns of U^-1 times d_j
+    MV = mat_mul(M, V)
+    return [[MV[i][j] for i in range(m)] for j in range(len(snf_diagonal(S)))]
 
 
 def invert_unimodular(U):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import product
@@ -128,6 +129,47 @@ def test_intersection_contains_sigma_and_monotone(fano):
             A1 = intersection_complex(fano, sigma, tau)
             assert set(A0.all_faces()) <= set(A1.all_faces())
             assert A1.has_face(tau)
+
+
+def scanned_intersection(B, sigma, tau):
+    """Intersection of the apartments containing sigma and tau, found by asking
+    every apartment; the reference for the bitset route of intersection_complex."""
+    hits = [a for a in B.apartments if a.has_face(sigma) and (tau == () or a.has_face(tau))]
+    common = set(hits[0].all_faces())
+    for a in hits[1:]:
+        common &= set(a.all_faces())
+    return Subcomplex(common)
+
+
+def assert_same_intersection(B, sigma, tau):
+    got = intersection_complex(B, sigma, tau)
+    want = scanned_intersection(B, sigma, tau)
+    assert got == want
+    for k in range(-1, B.complex.dim + 1):
+        assert got.faces(k) == want.faces(k)
+
+
+def test_intersection_matches_apartment_scan_everywhere(fano):
+    X = fano.complex
+    for sigma in X.top_faces:
+        for k in range(-1, X.dim + 1):
+            for tau in X.faces(k):
+                assert_same_intersection(fano, sigma, tau)
+
+
+def test_intersection_matches_apartment_scan_sampled(b42):
+    rng = random.Random(31)
+    for B, pairs in ((build_building(3, 3), 200), (b42, 100)):
+        X = B.complex
+        faces = [()] + [f for k in range(0, X.dim + 1) for f in X.faces(k)]
+        for _ in range(pairs):
+            assert_same_intersection(B, rng.choice(X.top_faces), rng.choice(faces))
+
+
+def test_axioms_fail_with_too_few_apartments(fano):
+    B = dataclasses.replace(fano, apartments=fano.apartments[:1], cache={})
+    with pytest.raises(errors.PropertyViolation):
+        verify_building_axioms(B)
 
 
 def test_solve_boundary_zero_and_single_face(fano):

@@ -1,6 +1,10 @@
 import random
 
-from hdx import intmat
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hdx import catalog, intmat
+from hdx.cochains import delta_matrix
 
 
 def mul(A, B):
@@ -86,3 +90,134 @@ def test_image_basis_int():
     # the image is generated by (2, 0, 1) up to sign
     g = basis[0]
     assert g in ([2, 0, 1], [-2, 0, -1])
+
+
+# -- the Smith fast path against the full-scan algorithm ------------------------------
+
+
+def smith_normal_form_full_scan(M):
+    """Smith normal form with the full pivot scan and the divisibility sweep
+    after every pivot, as before the unit-pivot shortcuts; the reference for
+    `intmat.smith_normal_form`, which must return the same (U, S, V)."""
+    m = len(M)
+    n = len(M[0]) if m else 0
+    A = [list(row) for row in M]
+    U = intmat.identity(m)
+    V = intmat.identity(n)
+
+    def swap_rows(i, j):
+        A[i], A[j] = A[j], A[i]
+        U[i], U[j] = U[j], U[i]
+
+    def swap_cols(i, j):
+        for row in A:
+            row[i], row[j] = row[j], row[i]
+        for row in V:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(src, dst, c):
+        A[dst] = [x + c * y for x, y in zip(A[dst], A[src])]
+        U[dst] = [x + c * y for x, y in zip(U[dst], U[src])]
+
+    def add_col(src, dst, c):
+        for row in A:
+            row[dst] += c * row[src]
+        for row in V:
+            row[dst] += c * row[src]
+
+    t = 0
+    while t < min(m, n):
+        pivot = None
+        for i in range(t, m):
+            for j in range(t, n):
+                if A[i][j] and (pivot is None or abs(A[i][j]) < abs(A[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
+        while True:
+            dirty = False
+            for i in range(t + 1, m):
+                if A[i][t]:
+                    q = A[i][t] // A[t][t]
+                    add_row(t, i, -q)
+                    if A[i][t]:
+                        swap_rows(t, i)
+                        dirty = True
+            for j in range(t + 1, n):
+                if A[t][j]:
+                    q = A[t][j] // A[t][t]
+                    add_col(t, j, -q)
+                    if A[t][j]:
+                        swap_cols(t, j)
+                        dirty = True
+            if not dirty:
+                break
+        p = A[t][t]
+        fixed = True
+        for i in range(t + 1, m):
+            for j in range(t + 1, n):
+                if A[i][j] % p:
+                    add_row(i, t, 1)
+                    fixed = False
+                    break
+            if not fixed:
+                break
+        if fixed:
+            t += 1
+
+    for i in range(min(m, n)):
+        if A[i][i] < 0:
+            for row in A:
+                row[i] = -row[i]
+            for row in V:
+                row[i] = -row[i]
+    return U, A, V
+
+
+def matrices(entries, max_side):
+    shapes = st.tuples(st.integers(1, max_side), st.integers(1, max_side))
+    return shapes.flatmap(lambda mn: st.lists(
+        st.lists(st.sampled_from(entries), min_size=mn[1], max_size=mn[1]),
+        min_size=mn[0], max_size=mn[0],
+    ))
+
+
+# larger sides or entries can send the elimination into runaway entry growth
+SNF_MATRICES = matrices((-1, 0, 1), 8) | matrices(tuple(range(-2, 4)), 5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SNF_MATRICES)
+def test_smith_fast_path_matches_full_scan(M):
+    U, S, V = intmat.smith_normal_form(M)
+    assert (U, S, V) == smith_normal_form_full_scan(M)
+    assert mul(mul(U, M), V) == S
+    diag = intmat.snf_diagonal(S)
+    for a, b in zip(diag, diag[1:]):
+        assert b % a == 0
+
+
+# -- image bases against the route through the inverse of U ---------------------------
+
+
+def image_basis_via_inverse(M):
+    """Columns of U^-1 scaled by the Smith diagonal, U inverted in Fractions."""
+    U, S, _ = intmat.smith_normal_form(M)
+    diag = intmat.snf_diagonal(S)
+    Uinv = intmat.invert_unimodular(U)
+    return [[Uinv[i][j] * diag[j] for i in range(len(M))] for j in range(len(diag))]
+
+
+def test_image_basis_matches_inverse_route():
+    rng = random.Random(2)
+    matrices = []
+    for _ in range(150):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        matrices.append([[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)])
+    for name in catalog.names():
+        X = catalog.named_complex(name)
+        matrices.extend(delta_matrix(X, k) for k in range(-1, X.dim))
+    for M in matrices:
+        assert intmat.image_basis_int(M) == image_basis_via_inverse(M)

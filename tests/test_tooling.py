@@ -72,3 +72,67 @@ def test_subgroup_generating_sets_have_one_home():
             ):
                 offenders.append(f"{path.name}:{call.lineno} {name} in {scope}")
     assert offenders == []
+
+
+
+# apartment membership is answered by building._apartment_bits alone
+class _ApartmentScans(_Calls):
+    """has_face calls inside a loop or comprehension over an `apartments` attribute."""
+
+    def __init__(self):
+        super().__init__()
+        self.open_scans = 0
+        self.hits = []
+
+    def _loop(self, node, iterables):
+        over = any(
+            isinstance(n, ast.Attribute) and n.attr == "apartments"
+            for it in iterables for n in ast.walk(it)
+        )
+        self.open_scans += over
+        self.generic_visit(node)
+        self.open_scans -= over
+
+    def visit_For(self, node):
+        self._loop(node, [node.iter])
+
+    def visit_ListComp(self, node):
+        self._loop(node, [gen.iter for gen in node.generators])
+
+    visit_SetComp = visit_GeneratorExp = visit_DictComp = visit_ListComp
+
+    def visit_Call(self, node):
+        if self.open_scans and _callee(node) == "has_face":
+            self.hits.append(self.scope[-1])
+        super().visit_Call(node)
+
+
+def _apartment_scans(source):
+    visitor = _ApartmentScans()
+    visitor.visit(ast.parse(source))
+    return visitor.hits
+
+
+def test_apartment_scan_finder_flags_per_apartment_questions():
+    source = """
+def verify_building_axioms(B, faces):
+    for f in faces:
+        if not any(a.has_face(f) for a in B.apartments):
+            raise ValueError(f)
+
+
+def intersection_complex(B, sigma, tau):
+    hits = []
+    for a in B.apartments:
+        if a.has_face(sigma) and a.has_face(tau):
+            hits.append(a)
+    return hits
+"""
+    assert _apartment_scans(source) == [
+        "verify_building_axioms", "intersection_complex", "intersection_complex",
+    ]
+
+
+def test_apartment_membership_has_one_home():
+    source = (SRC / "building.py").read_text(encoding="utf-8")
+    assert _apartment_scans(source) == []
