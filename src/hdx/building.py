@@ -27,6 +27,7 @@ from .cochains import (
     delta_matrix,
     distance,
     evaluate,
+    perm_sign,
     random_cochain,
 )
 from .complexes import SimplicialComplex
@@ -109,22 +110,25 @@ class SphericalBuilding:
         return self.n - 2
 
 
-def _model_apartment_size(n: int) -> int:
-    """Nonempty chains of proper nonempty subsets of an n-set."""
+def _subset_chains(n: int) -> list:
+    """Nonempty chains of proper nonempty subsets of range(n), strictly increasing.
+
+    These are the faces of the model apartment; every frame maps them to its
+    apartment through its span tokens, so the list is built once per n.
+    """
     subsets = [s for r in range(1, n) for s in combinations(range(n), r)]
-    count = 0
+    out = []
 
-    def extend(last_idx):
-        nonlocal count
-        for j in range(len(subsets)):
-            if set(subsets[last_idx]) < set(subsets[j]):
-                count += 1
-                extend(j)
+    def extend(chain):
+        out.append(chain)
+        last = set(chain[-1])
+        for s in subsets:
+            if len(s) > len(chain[-1]) and last < set(s):
+                extend(chain + (s,))
 
-    for i in range(len(subsets)):
-        count += 1
-        extend(i)
-    return count
+    for s in subsets:
+        extend((s,))
+    return out
 
 
 def build_building(n: int, q: int, face_cap=None) -> SphericalBuilding:
@@ -165,7 +169,8 @@ def build_building(n: int, q: int, face_cap=None) -> SphericalBuilding:
     token_basis = {tokens[s]: s for r in by_rank for s in by_rank[r]}
     frames = []
     apartments = []
-    model_theta = _model_apartment_size(n)
+    model_chains = _subset_chains(n)
+    model_theta = len(model_chains)
     for combo in combinations(lines, n):
         stacked = [row for basis in combo for row in basis]
         if len(rref(gf, stacked)) != n:
@@ -175,19 +180,10 @@ def build_building(n: int, q: int, face_cap=None) -> SphericalBuilding:
         for r in range(1, n):
             for subset in combinations(range(n), r):
                 basis = span_of_union(gf, [combo[i] for i in subset])
-                span_token[subset] = tokens.get(basis, subspace_token(basis))
-        faces = set()
-
-        def chains(prefix, last):
-            face = tuple(sorted(span_token[s] for s in prefix))
-            faces.add(face)
-            for nxt in span_token:
-                if len(nxt) > len(last) and set(last) < set(nxt):
-                    chains(prefix + [nxt], nxt)
-
-        for s in span_token:
-            chains([s], s)
-        apt = Subcomplex(faces)
+                span_token[subset] = tokens[basis]
+        apt = Subcomplex(
+            tuple(sorted(span_token[s] for s in chain)) for chain in model_chains
+        )
         if apt.face_count() != model_theta:
             raise PropertyViolation(
                 f"apartment has {apt.face_count()} faces, expected {model_theta}"
@@ -317,18 +313,34 @@ def _family_identity_target(fam_entries, ring, sigma, tau) -> Chain:
 def chain_family(B: SphericalBuilding, ring: Ring, tops=None) -> ChainFamily:
     """The inductive family of filling chains, in the requested ring.
 
-    Built once over the integers (base point: the lexicographically least
-    vertex of the apartment intersection at the empty face) and reduced; the
-    defining identity is re-verified for every entry after reduction.
-    Entries for distinct top faces are independent, so `tops` can restrict
-    the family to a subset of the top faces (default: all of them).
+    Solved once, transported: the integer family is solved at the chamber
+    sigma_0 = X.top_faces[0] (base point: the least vertex of A_{sigma_0,()})
+    and moved to every other chamber sigma = g(sigma_0) along the Schreier
+    tree of `chamber_transport`, as
+
+        c_{sigma, sort(g tau)} = sign(g tau) * g c_{sigma_0, tau},
+
+    with every transported support checked against its apartment
+    intersection. Entries are reduced to the requested ring and the defining
+    identity is re-verified for every entry. `tops` restricts the family to
+    a subset of the top faces (default: all of them).
     """
     X = B.complex
     tops = tuple(tops) if tops is not None else X.top_faces
     store = B.cache.setdefault("zfamily", {})
-    for sigma in tops:
-        if sigma not in store:
-            store[sigma] = _integer_family_at(B, sigma)
+    if any(sigma not in store for sigma in tops):
+        sigma0 = X.top_faces[0]
+        if sigma0 not in store:
+            store[sigma0] = _integer_family_at(B, sigma0)
+        transport = chamber_transport(B)
+        for sigma in tops:
+            if sigma in store:
+                continue
+            if sigma not in transport:
+                raise FaceNotInComplex(f"{sigma} is not a top face")
+            store[sigma] = _transported_family(
+                B, store[sigma0], sigma, transport[sigma]
+            )
     entries = {}
     for sigma in tops:
         for key, ch in store[sigma].items():
@@ -337,6 +349,10 @@ def chain_family(B: SphericalBuilding, ring: Ring, tops=None) -> ChainFamily:
     for sigma in tops:
         for k in range(-1, X.dim):
             for tau in X.faces(k):
+                if (sigma, tau) not in entries:
+                    raise PropertyViolation(
+                        f"chain family has no entry at {(sigma, tau)}"
+                    )
                 got = boundary(fam[(sigma, tau)])
                 want = (
                     Chain(ring, -1, {(): 1})
@@ -348,6 +364,41 @@ def chain_family(B: SphericalBuilding, ring: Ring, tops=None) -> ChainFamily:
                         f"chain family identity failed at {(sigma, tau)} over {ring}"
                     )
     return fam
+
+
+def _transported_family(B: SphericalBuilding, family0: dict, sigma, g) -> dict:
+    """The integer family at sigma_0 moved by the vertex permutation g to sigma.
+
+    g acts on an oriented face f as g[f] = perm_sign(g f) [sort(g f)]; each
+    moved support face must lie in every apartment containing sigma and the
+    moved tau, which the apartment bitsets answer without building A_{sigma,tau}.
+    """
+    bits = _apartment_bits(B)
+    moved = {}
+
+    def move(face):
+        hit = moved.get(face)
+        if hit is None:
+            image = tuple(g[v] for v in face)
+            hit = moved[face] = (tuple(sorted(image)), perm_sign(image))
+        return hit
+
+    out = {}
+    for (_, tau), ch in family0.items():
+        gtau, sign = move(tau)
+        hits = bits.get(sigma, 0) & bits.get(gtau, 0)
+        if not hits:
+            raise PropertyViolation(f"no apartment contains both {sigma} and {gtau}")
+        coeffs = {}
+        for f, v in ch.coeffs.items():
+            gface, s = move(f)
+            if bits.get(gface, 0) & hits != hits:
+                raise PropertyViolation(
+                    f"transported chain for {(sigma, gtau)} leaves its domain"
+                )
+            coeffs[gface] = sign * s * v
+        out[(sigma, gtau)] = Chain(INTEGERS, ch.dim, coeffs)
+    return out
 
 
 def _integer_family_at(B: SphericalBuilding, sigma) -> dict:
@@ -381,6 +432,8 @@ def contraction(B: SphericalBuilding, ring: Ring, fam: ChainFamily, sigma, f: Co
         raise DimensionOutOfRange(f"contraction needs 0 <= k <= {X.dim}")
     if len(sigma) - 1 != X.dim or not X.has_face(sigma):
         raise FaceNotInComplex(f"{sigma} is not a top face")
+    if (sigma, ()) not in fam.entries:
+        raise FaceNotInComplex(f"the chain family has no entries at {sigma}")
     sign = (-1) ** k
     vals = {}
     for tau in X.faces(k - 1):
@@ -434,6 +487,61 @@ def all_vectors(gf: GF, n: int):
     from itertools import product
 
     return [list(v) for v in product(range(gf.q), repeat=n)]
+
+
+def _transvections(gf: GF, n: int, scalars) -> list:
+    """The elementary matrices E_ij(a) = I + a e_ij for i != j, a in scalars."""
+    out = []
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            for a in scalars:
+                M = [[int(r == c) for c in range(n)] for r in range(n)]
+                M[i][j] = a
+                out.append(tuple(tuple(row) for row in M))
+    return out
+
+
+def generator_actions(B: SphericalBuilding) -> list:
+    """Vertex permutations of the transvections E_ij(a), in a fixed order.
+
+    a runs over every nonzero element of GF(q), so they generate SL(n, q),
+    which is transitive on chambers; E_ij(1) alone generates only SL(n, p)
+    when q = p^m with m > 1.
+    """
+    return [_vertex_action(B, M) for M in _transvections(B.gf, B.n, range(1, B.q))]
+
+
+def chamber_transport(B: SphericalBuilding) -> dict:
+    """Chamber sigma -> vertex permutation g_sigma with g_sigma(sigma_0) = sigma.
+
+    A breadth-first Schreier tree over the chambers from sigma_0 =
+    X.top_faces[0], trying the `generator_actions` in their order; g_sigma
+    is the product of the generators along the tree path. Kept in B.cache.
+    Raises PropertyViolation when the generators miss a chamber.
+    """
+    tree = B.cache.get("schreier")
+    if tree is not None:
+        return tree
+    gens = generator_actions(B)
+    X = B.complex
+    sigma0 = X.top_faces[0]
+    tree = {sigma0: {v: v for v in B.subspace_of}}
+    queue = [sigma0]
+    for sigma in queue:
+        g = tree[sigma]
+        for s in gens:
+            image = tuple(sorted(s[v] for v in sigma))
+            if image not in tree:
+                tree[image] = {v: s[w] for v, w in g.items()}
+                queue.append(image)
+    if set(tree) != set(X.top_faces):
+        raise PropertyViolation(
+            f"the generators reach {len(tree)} of {len(X.top_faces)} chambers"
+        )
+    B.cache["schreier"] = tree
+    return tree
 
 
 def _vertex_action(B: SphericalBuilding, M):

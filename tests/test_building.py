@@ -1,18 +1,25 @@
 import dataclasses
 import random
+import re
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
-from hdx import errors
+from hdx import building, errors
 from hdx.building import (
     Subcomplex,
+    _integer_family_at,
+    _pgl_elements,
+    _transvections,
+    _vertex_action,
     apartments,
     build_building,
     building_expansion_audit,
     chain_family,
+    chamber_transport,
     contraction,
+    generator_actions,
     intersection_complex,
     solve_boundary,
     symmetry_checks,
@@ -27,7 +34,7 @@ from hdx.cochains import (
     distance,
     random_cochain,
 )
-from hdx.gf import GF, all_subspaces, rref, subspace_token, token_subspace
+from hdx.gf import GF, all_subspaces, rref, span_of_union, subspace_token, token_subspace
 from hdx.rings import INTEGERS, prime_field
 
 F2 = prime_field(2)
@@ -115,6 +122,60 @@ def test_apartments_are_hexagons(fano):
 
 def test_building_axioms(fano):
     assert verify_building_axioms(fano)
+
+
+def model_apartment_size(n):
+    """Nonempty chains of proper nonempty subsets of an n-set, counted by recursion."""
+    subsets = [s for r in range(1, n) for s in combinations(range(n), r)]
+    count = 0
+
+    def extend(last_idx):
+        nonlocal count
+        for j in range(len(subsets)):
+            if set(subsets[last_idx]) < set(subsets[j]):
+                count += 1
+                extend(j)
+
+    for i in range(len(subsets)):
+        count += 1
+        extend(i)
+    return count
+
+
+def recursive_apartments(B):
+    """Each frame's apartment rebuilt by recursing over chains of its span tokens;
+    the reference for build_building's one shared list of index-subset chains."""
+    n, gf = B.n, B.gf
+    out = []
+    for frame in B.frames:
+        combo = [B.subspace_of[t] for t in frame]
+        span_token = {}
+        for r in range(1, n):
+            for subset in combinations(range(n), r):
+                basis = span_of_union(gf, [combo[i] for i in subset])
+                span_token[subset] = subspace_token(basis)
+        faces = set()
+
+        def chains(prefix, last):
+            faces.add(tuple(sorted(span_token[s] for s in prefix)))
+            for nxt in span_token:
+                if len(nxt) > len(last) and set(last) < set(nxt):
+                    chains(prefix + [nxt], nxt)
+
+        for s in span_token:
+            chains([s], s)
+        out.append(Subcomplex(faces))
+    return out
+
+
+def test_apartments_match_per_frame_recursion(fano, b42):
+    for B in (fano, build_building(3, 3), b42):
+        assert B.theta == model_apartment_size(B.n)
+        want = recursive_apartments(B)
+        assert B.apartments == want
+        for got, ref in zip(B.apartments, want):
+            for k in range(-1, B.complex.dim + 1):
+                assert got.faces(k) == ref.faces(k)
 
 
 # -- intersections and filling ----------------------------------------------------------
@@ -231,13 +292,19 @@ def test_no_solution_without_higher_faces():
 def test_chain_family_base_case(fano):
     fam = chain_family(fano, INTEGERS)
     X = fano.complex
+    transport = chamber_transport(fano)
+    sigma0 = X.top_faces[0]
+    # sigma_0's base point is the least vertex of its intersection, sigma_0 itself
+    v0 = sigma0[0]
+    assert intersection_complex(fano, sigma0, ()).faces(0)[0] == (v0,)
     for sigma in X.top_faces:
         c = fam[(sigma, ())]
         assert boundary(c).coeffs == {(): 1}
         assert len(c.coeffs) == 1
-        # the chosen base point is the least vertex of the intersection
-        K = intersection_complex(fano, sigma, ())
-        assert list(c.coeffs) == [K.faces(0)[0]]
+        # every other base point is v0 moved along the Schreier tree
+        base = transport[sigma][v0]
+        assert base in sigma
+        assert list(c.coeffs) == [(base,)]
 
 
 @pytest.mark.parametrize("ringname", ["Z", "F2", "F3", "Z/6"])
@@ -263,6 +330,19 @@ def test_chain_family_supports_in_intersections(fano):
             K = intersection_complex(fano, sigma, tau)
             for face in fam[(sigma, tau)].support:
                 assert K.has_face(face)
+
+
+def test_chain_family_rejects_non_chambers(fano):
+    with pytest.raises(errors.FaceNotInComplex):
+        chain_family(dataclasses.replace(fano, cache={}), INTEGERS, tops=[("x", "y")])
+
+
+def test_contraction_needs_entries_at_sigma(fano):
+    X = fano.complex
+    fam = chain_family(fano, F2, tops=[X.top_faces[0]])
+    f = random_cochain(X, F2, 1, random.Random(5))
+    with pytest.raises(errors.FaceNotInComplex, match=re.escape(str(X.top_faces[1]))):
+        contraction(fano, F2, fam, X.top_faces[1], f)
 
 
 def test_contraction_zero(fano):
@@ -312,6 +392,134 @@ def test_contraction_bounds_distance(fano):
 
 
 # -- symmetry and audit ------------------------------------------------------------------
+
+
+def permutation_closure(B, gens):
+    """Every product of the generating vertex permutations, as value tuples."""
+    order = sorted(B.subspace_of)
+    index = {v: i for i, v in enumerate(order)}
+    steps = [tuple(index[g[v]] for v in order) for g in gens]
+    start = tuple(range(len(order)))
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for s in steps:
+                image = tuple(s[i] for i in p)
+                if image not in seen:
+                    seen.add(image)
+                    nxt.append(image)
+        frontier = nxt
+    return {tuple(order[i] for i in p) for p in seen}
+
+
+def test_generator_closure_is_the_group_on_fano(fano):
+    order = sorted(fano.subspace_of)
+    pgl = {
+        tuple(act[v] for v in order)
+        for act in (_vertex_action(fano, M) for M in _pgl_elements(fano, 1000))
+    }
+    assert len(pgl) == 168
+    assert permutation_closure(fano, generator_actions(fano)) == pgl
+
+
+def test_generator_closure_order_3_3():
+    # |PGL(3,3)| = (3^3-1)(3^3-3)(3^3-9)/(3-1); gcd(3, 3-1) = 1, so the
+    # transvections' SL(3,3) maps onto all of it
+    B = build_building(3, 3)
+    q, n = 3, 3
+    order = 1
+    for i in range(n):
+        order *= q ** n - q ** i
+    assert order // (q - 1) == 5616
+    assert len(permutation_closure(B, generator_actions(B))) == 5616
+
+
+def test_schreier_tree_covers_every_chamber(fano, b42):
+    for B in (fano, build_building(3, 3), b42):
+        X = B.complex
+        tree = chamber_transport(B)
+        assert set(tree) == set(X.top_faces)
+        for sigma, g in tree.items():
+            assert tuple(sorted(g[v] for v in X.top_faces[0])) == sigma
+            assert sorted(g.values()) == sorted(B.subspace_of)
+
+
+def test_schreier_tree_needs_every_scalar(monkeypatch):
+    # over GF(4) the E_ij(1) generate only SL(3,2), which misses chambers
+    B = build_building(3, 4)
+    assert len(chamber_transport(B)) == len(B.complex.top_faces)
+    ones = [_vertex_action(B, M) for M in _transvections(B.gf, B.n, [1])]
+    monkeypatch.setattr(building, "generator_actions", lambda B: ones)
+    with pytest.raises(errors.PropertyViolation):
+        chamber_transport(dataclasses.replace(B, cache={}))
+
+
+def assert_filling_family(B, fam, sigma):
+    """The boundary identity and the domain A_{sigma,tau} of every entry at sigma."""
+    X = B.complex
+    for k in range(-1, X.dim):
+        for tau in X.faces(k):
+            c = fam[(sigma, tau)]
+            want = Chain(INTEGERS, k, {tau: (-1) ** (k + 1)})
+            for i in range(len(tau)):
+                want = want + fam[(sigma, tau[:i] + tau[i + 1:])].scaled((-1) ** i)
+            assert boundary(c) == (Chain(INTEGERS, -1, {(): 1}) if tau == () else want)
+            K = intersection_complex(B, sigma, tau)
+            assert all(K.has_face(f) for f in c.support)
+
+
+def test_transported_family_every_3_3_top():
+    B = build_building(3, 3)
+    fam = chain_family(B, INTEGERS)
+    for sigma in B.complex.top_faces:
+        assert_filling_family(B, fam, sigma)
+    sigma0 = B.complex.top_faces[0]
+    at_sigma0 = {key: c for key, c in fam.entries.items() if key[0] == sigma0}
+    assert at_sigma0 == _integer_family_at(dataclasses.replace(B, cache={}), sigma0)
+
+
+def test_transported_family_sampled_4_2_tops(b42):
+    B = dataclasses.replace(b42, cache={})
+    X = B.complex
+    tops = random.Random(41).sample(X.top_faces, 16)
+    fam = chain_family(B, INTEGERS, tops=tops)
+    for sigma in tops:
+        assert_filling_family(B, fam, sigma)
+    sigma0 = X.top_faces[0]
+    fam0 = chain_family(B, INTEGERS, tops=[sigma0])
+    assert fam0.entries == _integer_family_at(dataclasses.replace(b42, cache={}), sigma0)
+
+
+def test_family_solves_only_at_one_chamber(b42, monkeypatch):
+    B = dataclasses.replace(b42, cache={})
+    X = B.complex
+    calls = []
+    solve = building.solve_boundary
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(building, "solve_boundary", counting)
+    tops = [X.top_faces[i] for i in sorted(random.Random(43).sample(range(315), 16))]
+    chain_family(B, INTEGERS, tops=tops)
+    assert len(calls) <= len(X.faces(0)) + len(X.faces(1)) == 380
+
+
+def test_missing_transported_entry_is_a_property_violation(fano, monkeypatch):
+    B = dataclasses.replace(fano, cache={})
+    move = building._transported_family
+
+    def lossy(*args):
+        out = move(*args)
+        out.pop(next(iter(out)))
+        return out
+
+    monkeypatch.setattr(building, "_transported_family", lossy)
+    with pytest.raises(errors.PropertyViolation):
+        chain_family(B, INTEGERS)
 
 
 def test_symmetry_checks(fano):
