@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 from . import intmat
 from .cochains import (
@@ -31,12 +31,11 @@ from .cochains import (
     random_cochain,
 )
 from .complexes import SimplicialComplex
-from .config import DEFAULT_BUILDING_FACE_CAP, DEFAULT_GROUP_CAP
+from .config import DEFAULT_BUILDING_FACE_CAP
 from .errors import (
     CycleConditionViolated,
     DimensionOutOfRange,
     FaceNotInComplex,
-    GroupTooLarge,
     NoSolution,
     PropertyViolation,
     TooLarge,
@@ -44,7 +43,6 @@ from .errors import (
 from .gf import (
     GF,
     all_subspaces,
-    row_space_contains,
     rref,
     span_of_union,
     subspace_le,
@@ -194,10 +192,6 @@ def build_building(n: int, q: int, face_cap=None) -> SphericalBuilding:
     )
 
 
-def apartments(B: SphericalBuilding) -> list:
-    return list(B.apartments)
-
-
 def _apartment_bits(B: SphericalBuilding) -> dict:
     """Face -> int bitset of the apartments containing it (bit i: B.apartments[i]).
 
@@ -321,29 +315,29 @@ def chain_family(B: SphericalBuilding, ring: Ring, tops=None) -> ChainFamily:
         c_{sigma, sort(g tau)} = sign(g tau) * g c_{sigma_0, tau},
 
     with every transported support checked against its apartment
-    intersection. Entries are reduced to the requested ring and the defining
-    identity is re-verified for every entry. `tops` restricts the family to
-    a subset of the top faces (default: all of them).
+    intersection. Only sigma_0's family is kept in B.cache, next to the
+    Schreier tree; the requested chambers are transported on every call.
+    Entries are reduced to the requested ring and the defining identity is
+    re-verified for every entry. `tops` restricts the family to a subset of
+    the top faces (default: all of them).
     """
     X = B.complex
     tops = tuple(tops) if tops is not None else X.top_faces
-    store = B.cache.setdefault("zfamily", {})
-    if any(sigma not in store for sigma in tops):
-        sigma0 = X.top_faces[0]
-        if sigma0 not in store:
-            store[sigma0] = _integer_family_at(B, sigma0)
-        transport = chamber_transport(B)
-        for sigma in tops:
-            if sigma in store:
-                continue
-            if sigma not in transport:
-                raise FaceNotInComplex(f"{sigma} is not a top face")
-            store[sigma] = _transported_family(
-                B, store[sigma0], sigma, transport[sigma]
-            )
+    transport = chamber_transport(B)
+    for sigma in tops:
+        if sigma not in transport:
+            raise FaceNotInComplex(f"{sigma} is not a top face")
+    sigma0 = X.top_faces[0]
+    family0 = B.cache.get("family0")
+    if family0 is None:
+        family0 = B.cache["family0"] = _integer_family_at(B, sigma0)
     entries = {}
     for sigma in tops:
-        for key, ch in store[sigma].items():
+        moved = (
+            family0 if sigma == sigma0
+            else _transported_family(B, family0, sigma, transport[sigma])
+        )
+        for key, ch in moved.items():
             entries[key] = ch if ring.kind == "Z" else ch.reduced(ring)
     fam = ChainFamily(ring, entries)
     for sigma in tops:
@@ -446,49 +440,6 @@ def contraction(B: SphericalBuilding, ring: Ring, fam: ChainFamily, sigma, f: Co
 # -- symmetry ------------------------------------------------------------------------
 
 
-def _pgl_elements(B: SphericalBuilding, cap):
-    """All invertible n x n matrices over GF(q), one per scalar class."""
-    gf, n = B.gf, B.n
-
-    def mat_canonical(M):
-        for row in M:
-            for x in row:
-                if x:
-                    inv = gf.inv(x)
-                    return tuple(
-                        tuple(gf.mul(inv, y) for y in r) for r in M
-                    )
-        raise ValueError("zero matrix")
-
-    vectors = [tuple(v) for v in all_vectors(gf, n) if any(v)]
-    seen = set()
-    out = []
-
-    def extend(rows):
-        if len(rows) == n:
-            M = mat_canonical(tuple(rows))
-            if M not in seen:
-                seen.add(M)
-                out.append(M)
-                if len(out) > cap:
-                    raise GroupTooLarge(f"group exceeds cap {cap}")
-            return
-        basis = rref(gf, rows) if rows else ()
-        for v in vectors:
-            if rows and row_space_contains(gf, basis, v):
-                continue
-            extend(rows + [list(v)])
-
-    extend([])
-    return out
-
-
-def all_vectors(gf: GF, n: int):
-    from itertools import product
-
-    return [list(v) for v in product(range(gf.q), repeat=n)]
-
-
 def _transvections(gf: GF, n: int, scalars) -> list:
     """The elementary matrices E_ij(a) = I + a e_ij for i != j, a in scalars."""
     out = []
@@ -503,14 +454,40 @@ def _transvections(gf: GF, n: int, scalars) -> list:
     return out
 
 
-def generator_actions(B: SphericalBuilding) -> list:
-    """Vertex permutations of the transvections E_ij(a), in a fixed order.
+def _primitive_element(gf: GF) -> int:
+    """The least generator of the multiplicative group GF(q)^x, for q > 2."""
+    for a in range(2, gf.q):
+        x, order = a, 1
+        while x != 1:
+            x, order = gf.mul(x, a), order + 1
+        if order == gf.q - 1:
+            return a
 
-    a runs over every nonzero element of GF(q), so they generate SL(n, q),
-    which is transitive on chambers; E_ij(1) alone generates only SL(n, p)
-    when q = p^m with m > 1.
+
+def _pgl_order(n: int, q: int) -> int:
+    """|PGL(n, q)| = prod_{i<n} (q^n - q^i) / (q - 1)."""
+    return prod(q ** n - q ** i for i in range(n)) // (q - 1)
+
+
+def generator_actions(B: SphericalBuilding) -> list:
+    """Vertex permutations generating G = PGL(n, q), in a fixed order.
+
+    First the transvections E_ij(a), a over every nonzero element of GF(q):
+    they generate SL(n, q), which is transitive on chambers (E_ij(1) alone
+    generates only SL(n, p) when q = p^m with m > 1). Then, when q > 2,
+    diag(w, 1, ..., 1) with w a generator of GF(q)^x, which supplies every
+    determinant, so the list generates GL(n, q) and hence PGL(n, q).
     """
-    return [_vertex_action(B, M) for M in _transvections(B.gf, B.n, range(1, B.q))]
+    mats = _transvections(B.gf, B.n, range(1, B.q))
+    if B.q > 2:
+        D = [[int(r == c) for c in range(B.n)] for r in range(B.n)]
+        D[0][0] = _primitive_element(B.gf)
+        mats.append(tuple(tuple(row) for row in D))
+    return [_vertex_action(B, M) for M in mats]
+
+
+def _face_image(act, face):
+    return tuple(sorted(act[v] for v in face))
 
 
 def chamber_transport(B: SphericalBuilding) -> dict:
@@ -532,7 +509,7 @@ def chamber_transport(B: SphericalBuilding) -> dict:
     for sigma in queue:
         g = tree[sigma]
         for s in gens:
-            image = tuple(sorted(s[v] for v in sigma))
+            image = _face_image(s, sigma)
             if image not in tree:
                 tree[image] = {v: s[w] for v, w in g.items()}
                 queue.append(image)
@@ -578,54 +555,74 @@ class SymmetryReport:
     details: dict = field(default_factory=dict)
 
 
-def symmetry_checks(B: SphericalBuilding, group_cap=None, seed=0) -> SymmetryReport:
+def _face_orbits(X: SimplicialComplex, gens) -> dict:
+    """Dimension -> the orbits of its faces under the group the gens generate.
+
+    Each orbit is closed under the generators breadth-first: faces x
+    generators work, never |G|. Images off the complex are not followed; a
+    permutation making them is no automorphism, which the equivariance
+    sample of `symmetry_checks` reports.
+    """
+    out = {}
+    for k in range(0, X.dim + 1):
+        unseen = set(X.faces(k))
+        out[k] = []
+        for f in X.faces(k):
+            if f in unseen:
+                unseen.discard(f)
+                orbit = [f]
+                for g in orbit:
+                    for image in sorted({_face_image(s, g) for s in gens} & unseen):
+                        unseen.discard(image)
+                        orbit.append(image)
+                out[k].append(orbit)
+    return out
+
+
+def symmetry_checks(B: SphericalBuilding, seed=0) -> SymmetryReport:
     """Orbits, the stabilizer bound, and the apartment-counting bound.
 
-    The group is the projective linear group acting on subspaces. Reports
-    the orbit count per dimension (duality is not included, so vertex types
-    are separate orbits), requires transitivity on the top faces, and checks
-    for every face r and every -1 <= k <= d-1:
+    G = PGL(n, q) acts on subspaces through `generator_actions`. Orbits come
+    from closing each face under the generators, |G| from the closed formula
+    prod (q^n - q^i) / (q - 1), and stabilizer orders by orbit-stabilizer,
+    |G_r| = |G| / |orbit(r)|; an orbit size that does not divide |G| raises
+    PropertyViolation. Reports the orbit count per dimension (duality is not
+    included, so vertex types are separate orbits), requires transitivity on
+    the top faces, and checks for every face r and every -1 <= k <= d-1:
 
-        |G| * deg_top(r) >= |X(d)| * |G_r|              (stabilizer bound)
+        deg_top(r) * |orbit(r)| >= |X(d)|         (stabilizer bound)
         sum over pairs with r in A_{sigma,tau} of ||tau|| <= theta * deg_top(r)
+
+    the first being |G| deg_top(r) >= |X(d)| |G_r|. The summed bound runs over
+    every pair (sigma, tau). Apartment equivariance, g A_{sigma,tau} =
+    A_{g sigma, g tau}, is checked on 20 seeded random words g in the
+    generators.
     """
-    cap = group_cap if group_cap is not None else DEFAULT_GROUP_CAP
     X = B.complex
-    group = _pgl_elements(B, cap)
-    actions = [_vertex_action(B, M) for M in group]
-
-    def face_image(act, face):
-        return tuple(sorted(act[v] for v in face))
-
-    faces = [f for k in range(0, X.dim + 1) for f in X.faces(k)]
-    orbit_counts = {}
-    for k in range(0, X.dim + 1):
-        pool = set(X.faces(k))
-        orbits = 0
-        while pool:
-            f = min(pool)
-            orbit = {face_image(act, f) for act in actions}
-            pool -= orbit
-            orbits += 1
-        orbit_counts[k] = orbits
+    gens = generator_actions(B)
+    order = _pgl_order(B.n, B.q)
+    orbits = _face_orbits(X, gens)
+    orbit_counts = {k: len(v) for k, v in orbits.items()}
     transitive_top = orbit_counts[X.dim] == 1
 
+    orbit_size = {f: len(o) for per_dim in orbits.values() for o in per_dim for f in o}
+    orbit_size[()] = 1
+    faces = [f for k in range(0, X.dim + 1) for f in X.faces(k)]
     nd = len(X.top_faces)
     stab_ok = True
     stab_detail = {}
     for rho in faces + [()]:
-        if rho == ():
-            stab = len(group)
-            degr = nd
-        else:
-            stab = sum(1 for act in actions if face_image(act, rho) == rho)
-            degr = X.deg_top(rho)
-        stab_detail[rho] = stab
-        if len(group) * degr < nd * stab:
+        size = orbit_size[rho]
+        if order % size:
+            raise PropertyViolation(
+                f"the orbit of {rho} has {size} faces, which does not divide |G| = {order}"
+            )
+        stab_detail[rho] = order // size
+        degr = nd if rho == () else X.deg_top(rho)
+        if degr * size < nd:
             stab_ok = False
 
     summed_ok = True
-    worst = {}
     for k in range(-1, X.dim):
         acc = {rho: Fraction(0) for rho in faces + [()]}
         for sigma in X.top_faces:
@@ -639,22 +636,26 @@ def symmetry_checks(B: SphericalBuilding, group_cap=None, seed=0) -> SymmetryRep
             degr = nd if rho == () else X.deg_top(rho)
             if total > B.theta * degr:
                 summed_ok = False
-            worst[(k, rho)] = total
+
     rng = random.Random(seed)
     equiv_ok = True
     for _ in range(20):
-        gi = rng.randrange(len(group))
-        act = actions[gi]
+        act = {v: v for v in B.subspace_of}
+        for s in rng.choices(gens, k=len(gens)):
+            act = {v: s[w] for v, w in act.items()}
         sigma = rng.choice(X.top_faces)
         k = rng.randrange(-1, X.dim)
         tau = () if k == -1 else rng.choice(X.faces(k))
+        g_sigma, g_tau = _face_image(act, sigma), _face_image(act, tau)
+        if not X.has_face(g_sigma) or (g_tau and not X.has_face(g_tau)):
+            equiv_ok = False
+            continue
         A = intersection_complex(B, sigma, tau)
-        gA = intersection_complex(B, face_image(act, sigma), face_image(act, tau))
-        mapped = {face_image(act, f) for f in A.all_faces()}
-        if mapped != set(gA.all_faces()):
+        gA = intersection_complex(B, g_sigma, g_tau)
+        if {_face_image(act, f) for f in A.all_faces()} != set(gA.all_faces()):
             equiv_ok = False
     return SymmetryReport(
-        len(group), orbit_counts, transitive_top, stab_ok, summed_ok, equiv_ok,
+        order, orbit_counts, transitive_top, stab_ok, summed_ok, equiv_ok,
         details={"stabilizers": stab_detail},
     )
 

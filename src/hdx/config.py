@@ -12,7 +12,6 @@ from .errors import InputFormatError
 
 DEFAULT_CANDIDATE_CAP = 1 << 24
 DEFAULT_SKELETON_VERTEX_CAP = 22
-DEFAULT_GROUP_CAP = 1000
 DEFAULT_BUILDING_FACE_CAP = 400
 
 

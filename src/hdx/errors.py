@@ -121,10 +121,6 @@ class CycleConditionViolated(HdxError):
     pass
 
 
-class GroupTooLarge(HdxError):
-    pass
-
-
 # -- lattices -------------------------------------------------------------------
 
 class NoFreePart(HdxError):

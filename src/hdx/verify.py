@@ -41,7 +41,7 @@ class CheckResult:
     detail: str = ""
 
 
-def _all_vectors(X, ring, k):
+def _all_cochains(X, ring, k):
     faces = X.faces(k)
     for vec in product(range(ring.size), repeat=len(faces)):
         yield cochains_mod.vector_cochain(X, ring, k, vec)
@@ -87,7 +87,7 @@ def check_link_conditional_law(seed):
 
 
 def check_delta_delta_zero(seed):
-    for f in _all_vectors(named_complex("full_triangle"), F2, 0):
+    for f in _all_cochains(named_complex("full_triangle"), F2, 0):
         if not cochains_mod.coboundary(cochains_mod.coboundary(f)).is_zero():
             return False, f"exhaustive F2 {f.values}"
     rng = random.Random(seed)
@@ -147,7 +147,7 @@ def _small_minimality_instances():
 
 def check_minimal_implies_locally_minimal(seed):
     for name, X, k in _small_minimality_instances():
-        for f in _all_vectors(X, F2, k):
+        for f in _all_cochains(X, F2, k):
             if cochains_mod.is_minimal(f) and not cochains_mod.is_locally_minimal(f):
                 return False, f"{name} k={k} {sorted(f.support)}"
     return True, ""
@@ -160,7 +160,7 @@ def check_minimal_closed_under_inclusion(seed):
             for k in range(0, X.dim + 1):
                 if len(X.faces(k)) > 6:
                     continue
-                for f in _all_vectors(X, ring, k):
+                for f in _all_cochains(X, ring, k):
                     if not cochains_mod.is_minimal(f):
                         continue
                     supp = sorted(f.support)
@@ -215,7 +215,7 @@ def check_coset_invariance(seed):
         X = named_complex(name)
         for k in range(0, X.dim):
             group = cochains_mod.coboundary_group(X, F2, k)
-            for f in _all_vectors(X, F2, k):
+            for f in _all_cochains(X, F2, k):
                 d0, _ = cochains_mod.distance(f, COBOUNDARIES)
                 n0 = cochains_mod.coboundary(f).norm()
                 for b in group:
@@ -259,7 +259,7 @@ def check_small_set_implications(seed):
                 if z not in B and cochains_mod.norm_of_vector(X, k, z) < mu:
                     return False, f"{name} small cocycle at k={k}"
         for k in range(0, X.dim - 1):
-            for f in _all_vectors(X, F2, k):
+            for f in _all_cochains(X, F2, k):
                 d, _ = cochains_mod.distance(f, COCYCLES)
                 if d == 0:
                     continue

@@ -9,11 +9,10 @@ import pytest
 from hdx import building, errors
 from hdx.building import (
     Subcomplex,
+    _face_orbits,
     _integer_family_at,
-    _pgl_elements,
     _transvections,
     _vertex_action,
-    apartments,
     build_building,
     building_expansion_audit,
     chain_family,
@@ -34,7 +33,15 @@ from hdx.cochains import (
     distance,
     random_cochain,
 )
-from hdx.gf import GF, all_subspaces, rref, span_of_union, subspace_token, token_subspace
+from hdx.gf import (
+    GF,
+    all_subspaces,
+    row_space_contains,
+    rref,
+    span_of_union,
+    subspace_token,
+    token_subspace,
+)
 from hdx.rings import INTEGERS, prime_field
 
 F2 = prime_field(2)
@@ -114,7 +121,7 @@ def test_too_large_building_rejected():
 
 
 def test_apartments_are_hexagons(fano):
-    for apt in apartments(fano):
+    for apt in fano.apartments:
         assert len(apt.faces(0)) == 6
         assert len(apt.faces(1)) == 6
         assert apt.face_count() == 12
@@ -414,12 +421,42 @@ def permutation_closure(B, gens):
     return {tuple(order[i] for i in p) for p in seen}
 
 
-def test_generator_closure_is_the_group_on_fano(fano):
+def pgl_elements(B):
+    """Every invertible n x n matrix over GF(q), one per scalar class, listed by
+    a depth-first search over rows outside the span of the rows so far; the
+    enumeration oracle for the generators."""
+    gf, n = B.gf, B.n
+    vectors = [list(v) for v in product(range(gf.q), repeat=n) if any(v)]
+    seen = set()
+
+    def canonical(rows):
+        lead = next(x for row in rows for x in row if x)
+        inv = gf.inv(lead)
+        return tuple(tuple(gf.mul(inv, y) for y in row) for row in rows)
+
+    def extend(rows):
+        if len(rows) == n:
+            seen.add(canonical(rows))
+            return
+        basis = rref(gf, rows) if rows else ()
+        for v in vectors:
+            if not rows or not row_space_contains(gf, basis, v):
+                extend(rows + [v])
+
+    extend([])
+    return sorted(seen)
+
+
+def fano_group(fano):
     order = sorted(fano.subspace_of)
-    pgl = {
+    return {
         tuple(act[v] for v in order)
-        for act in (_vertex_action(fano, M) for M in _pgl_elements(fano, 1000))
+        for act in (_vertex_action(fano, M) for M in pgl_elements(fano))
     }
+
+
+def test_generator_closure_is_the_group_on_fano(fano):
+    pgl = fano_group(fano)
     assert len(pgl) == 168
     assert permutation_closure(fano, generator_actions(fano)) == pgl
 
@@ -508,6 +545,18 @@ def test_family_solves_only_at_one_chamber(b42, monkeypatch):
     assert len(calls) <= len(X.faces(0)) + len(X.faces(1)) == 380
 
 
+def test_repeated_family_calls_agree_on_shared_tops(fano):
+    B = dataclasses.replace(fano, cache={})
+    tops = B.complex.top_faces
+    first = chain_family(B, INTEGERS, tops=tops[:12])
+    second = chain_family(B, INTEGERS, tops=tops[6:])
+    shared = first.entries.keys() & second.entries.keys()
+    assert {sigma for sigma, _ in shared} == set(tops[6:12])
+    assert all(first[key] == second[key] for key in shared)
+    # only sigma_0's solved family is kept; other chambers are moved per call
+    assert {sigma for sigma, _ in B.cache["family0"]} == {tops[0]}
+
+
 def test_missing_transported_entry_is_a_property_violation(fano, monkeypatch):
     B = dataclasses.replace(fano, cache={})
     move = building._transported_family
@@ -534,9 +583,102 @@ def test_symmetry_checks(fano):
     assert rep.apartment_equivariance_ok
 
 
-def test_group_cap(fano):
-    with pytest.raises(errors.GroupTooLarge):
-        symmetry_checks(fano, group_cap=100)
+def test_symmetry_checks_3_3_at_default_settings():
+    rep = symmetry_checks(build_building(3, 3))
+    assert rep.group_order == 5616
+    assert rep.orbit_counts == {0: 2, 1: 1}
+    assert rep.transitive_on_top
+    assert rep.stabilizer_bound_ok
+    assert rep.summed_bound_ok
+    assert rep.apartment_equivariance_ok
+
+
+def counted_symmetry(B, perms):
+    """Orbit counts and stabilizer orders counted over every listed group element."""
+    X = B.complex
+
+    def image(p, f):
+        return tuple(sorted(p[v] for v in f))
+
+    counts, stabs = {}, {(): len(perms)}
+    for k in range(0, X.dim + 1):
+        pool = set(X.faces(k))
+        counts[k] = 0
+        while pool:
+            pool -= {image(p, min(pool)) for p in perms}
+            counts[k] += 1
+        for f in X.faces(k):
+            stabs[f] = sum(1 for p in perms if image(p, f) == f)
+    return counts, stabs
+
+
+def test_orbit_stabilizer_matches_enumeration(fano):
+    B33 = build_building(3, 3)
+    for B, group in (
+        (fano, fano_group(fano)),
+        (B33, permutation_closure(B33, generator_actions(B33))),
+    ):
+        keys = sorted(B.subspace_of)
+        perms = [dict(zip(keys, p)) for p in group]
+        counts, stabs = counted_symmetry(B, perms)
+        rep = symmetry_checks(B)
+        assert rep.group_order == len(perms)
+        assert rep.orbit_counts == counts
+        assert rep.details["stabilizers"] == stabs
+
+
+def frame_orbit(B, gens):
+    """Orbit of the ordered projective frame (e_1, ..., e_n, e_1 + ... + e_n)."""
+    n = B.n
+    rows = [[int(i == j) for j in range(n)] for i in range(n)] + [[1] * n]
+    start = tuple(subspace_token(rref(B.gf, [r])) for r in rows)
+    seen = {start}
+    frontier = [start]
+    for frame in frontier:
+        for s in gens:
+            image = tuple(s[v] for v in frame)
+            if image not in seen:
+                seen.add(image)
+                frontier.append(image)
+    return seen
+
+
+def test_generators_are_simply_transitive_on_frames_3_4():
+    # PGL(n, q) acts simply transitively on ordered projective frames, so the
+    # frame orbit under the generators has |G| elements; the transvections
+    # alone reach only PSL(3, 4), of index gcd(3, 4 - 1) = 3
+    B = build_building(3, 4)
+    rep = symmetry_checks(B)
+    assert rep.group_order == 60480
+    assert len(frame_orbit(B, generator_actions(B))) == 60480
+    transvections = [_vertex_action(B, M) for M in _transvections(B.gf, 3, range(1, 4))]
+    assert len(frame_orbit(B, transvections)) == 20160
+
+
+def test_orbits_of_4_2(b42):
+    orbits = _face_orbits(b42.complex, generator_actions(b42))
+    assert {k: len(v) for k, v in orbits.items()} == {0: 3, 1: 3, 2: 1}
+    assert all(20160 % len(o) == 0 for per_dim in orbits.values() for o in per_dim)
+
+
+def test_orbit_size_must_divide_the_group_order(fano, monkeypatch):
+    monkeypatch.setattr(building, "_pgl_order", lambda n, q: 167)
+    with pytest.raises(errors.PropertyViolation):
+        symmetry_checks(fano)
+
+
+def test_equivariance_sample_catches_a_non_automorphism(fano, monkeypatch):
+    # swapping two lines and fixing everything else moves flags off the complex
+    gens = generator_actions(fano)
+    lines = sorted(t for t, basis in fano.subspace_of.items() if len(basis) == 1)
+    swap = {v: v for v in fano.subspace_of}
+    swap[lines[0]], swap[lines[1]] = lines[1], lines[0]
+    monkeypatch.setattr(building, "generator_actions", lambda B: gens + [swap])
+    rep = symmetry_checks(dataclasses.replace(fano, cache={}))
+    assert rep.transitive_on_top
+    assert rep.stabilizer_bound_ok
+    assert rep.summed_bound_ok
+    assert not rep.apartment_equivariance_ok
 
 
 def test_building_audit(fano):

@@ -136,3 +136,53 @@ def intersection_complex(B, sigma, tau):
 def test_apartment_membership_has_one_home():
     source = (SRC / "building.py").read_text(encoding="utf-8")
     assert _apartment_scans(source) == []
+
+
+# every default knob and every error type is read somewhere in the library
+def _declared(path):
+    """DEFAULT_* assignments of config.py, or the error classes of errors.py."""
+    out = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign):
+            out += [t.id for t in node.targets
+                    if isinstance(t, ast.Name) and t.id.startswith("DEFAULT_")]
+        elif isinstance(node, ast.ClassDef) and node.name != "HdxError":
+            out.append(node.name)
+    return out
+
+
+def _unread(declared, sources):
+    """The declared names no source reads, as a bare name or an attribute."""
+    read = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [name for name in declared if name not in read]
+
+
+def test_unread_finder_flags_dead_knobs():
+    source = """
+from .config import DEFAULT_USED, DEFAULT_DEAD
+from . import errors
+
+DEFAULT_SHADOW = 1
+
+
+def f(cap=None):
+    if cap is None:
+        raise errors.Refused(DEFAULT_USED)
+"""
+    declared = ["DEFAULT_USED", "DEFAULT_DEAD", "DEFAULT_SHADOW", "Refused", "Dead"]
+    assert _unread(declared, [source]) == ["DEFAULT_DEAD", "DEFAULT_SHADOW", "Dead"]
+
+
+def test_every_default_and_error_type_is_read():
+    # config.candidate_cap reads DEFAULT_CANDIDATE_CAP for every search, so a
+    # read inside the declaring module counts; the declaration itself does not
+    sources = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))]
+    declared = _declared(SRC / "config.py") + _declared(SRC / "errors.py")
+    assert len(declared) > 10
+    assert _unread(declared, sources) == []
