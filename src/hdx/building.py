@@ -327,17 +327,12 @@ def chain_family(B: SphericalBuilding, ring: Ring, tops=None) -> ChainFamily:
     for sigma in tops:
         if sigma not in transport:
             raise FaceNotInComplex(f"{sigma} is not a top face")
-    sigma0 = X.top_faces[0]
     family0 = B.cache.get("family0")
     if family0 is None:
-        family0 = B.cache["family0"] = _integer_family_at(B, sigma0)
+        family0 = B.cache["family0"] = _integer_family_at(B, X.top_faces[0])
     entries = {}
     for sigma in tops:
-        moved = (
-            family0 if sigma == sigma0
-            else _transported_family(B, family0, sigma, transport[sigma])
-        )
-        for key, ch in moved.items():
+        for key, ch in _transported_family(B, family0, sigma, transport[sigma]).items():
             entries[key] = ch if ring.kind == "Z" else ch.reduced(ring)
     fam = ChainFamily(ring, entries)
     for sigma in tops:

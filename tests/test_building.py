@@ -438,9 +438,9 @@ def pgl_elements(B):
         if len(rows) == n:
             seen.add(canonical(rows))
             return
-        basis = rref(gf, rows) if rows else ()
+        basis = rref(gf, rows)
         for v in vectors:
-            if not rows or not row_space_contains(gf, basis, v):
+            if not row_space_contains(gf, basis, v):
                 extend(rows + [v])
 
     extend([])
