@@ -59,7 +59,7 @@ class Subcomplex:
     face lists per dimension, which is exactly what lives here.
     """
 
-    __slots__ = ("_faces", "_face_sets", "dim")
+    __slots__ = ("_faces", "_face_sets", "_all", "dim")
 
     def __init__(self, faces):
         by_dim = {}
@@ -68,6 +68,7 @@ class Subcomplex:
         by_dim.setdefault(-1, set()).add(())
         self._faces = {k: tuple(sorted(v)) for k, v in by_dim.items()}
         self._face_sets = {k: frozenset(v) for k, v in self._faces.items()}
+        self._all = tuple(f for k, v in sorted(self._faces.items()) if k >= 0 for f in v)
         self.dim = max(self._faces)
 
     def faces(self, k):
@@ -78,10 +79,10 @@ class Subcomplex:
 
     def face_count(self) -> int:
         """Number of nonempty faces."""
-        return sum(len(v) for k, v in self._faces.items() if k >= 0)
+        return len(self._all)
 
     def all_faces(self):
-        return [f for k in sorted(self._faces) if k >= 0 for f in self._faces[k]]
+        return self._all
 
     def __eq__(self, other):
         return isinstance(other, Subcomplex) and self._faces == other._faces
@@ -209,6 +210,21 @@ def _apartment_bits(B: SphericalBuilding) -> dict:
     return bits
 
 
+def _common_faces(B: SphericalBuilding, sigma, tau) -> list:
+    """The nonempty faces of A_{sigma,tau}, read off the apartment bitsets.
+
+    They are the faces of the lowest apartment containing sigma and tau whose
+    bitsets contain the hit set. Raises PropertyViolation when no apartment
+    contains both.
+    """
+    bits = _apartment_bits(B)
+    hits = bits.get(sigma, 0) & bits.get(tau, 0)
+    if not hits:
+        raise PropertyViolation(f"no apartment contains both {sigma} and {tau}")
+    first = B.apartments[(hits & -hits).bit_length() - 1]
+    return [f for f in first.all_faces() if bits[f] & hits == hits]
+
+
 def verify_building_axioms(B: SphericalBuilding):
     """Every pair of faces shares an apartment; apartment sizes all agree."""
     X = B.complex
@@ -233,18 +249,7 @@ def intersection_complex(B: SphericalBuilding, sigma, tau) -> Subcomplex:
         raise FaceNotInComplex(f"{sigma} is not a top face")
     if tau != () and not X.has_face(tau):
         raise FaceNotInComplex(f"{tau} is not a face")
-    key = ("A", sigma, tau)
-    if key in B.cache:
-        return B.cache[key]
-    bits = _apartment_bits(B)
-    hits = bits.get(sigma, 0) & bits.get(tau, 0)
-    if not hits:
-        raise PropertyViolation(f"no apartment contains both {sigma} and {tau}")
-    # the common faces are those of any one hit apartment lying in every hit
-    first = B.apartments[(hits & -hits).bit_length() - 1]
-    sub = Subcomplex(f for f in first.all_faces() if bits[f] & hits == hits)
-    B.cache[key] = sub
-    return sub
+    return Subcomplex(_common_faces(B, sigma, tau))
 
 
 def solve_boundary(K: Subcomplex, ring: Ring, c: Chain) -> Chain:
@@ -574,6 +579,23 @@ def _face_orbits(X: SimplicialComplex, gens) -> dict:
     return out
 
 
+def _summed_totals(B: SphericalBuilding, k: int) -> dict:
+    """Face r -> sum of ||tau|| over the pairs (sigma, tau) with r in A_{sigma,tau}.
+
+    sigma runs over the chambers and tau over the k-faces; each sum is kept
+    as its numerator over weight_denominator(k).
+    """
+    X = B.complex
+    acc = {rho: 0 for j in range(-1, X.dim + 1) for rho in X.faces(j)}
+    for sigma in X.top_faces:
+        for tau in X.faces(k):
+            wt = X.deg_top(tau)
+            for rho in _common_faces(B, sigma, tau):
+                acc[rho] += wt
+            acc[()] += wt
+    return acc
+
+
 def symmetry_checks(B: SphericalBuilding, seed=0) -> SymmetryReport:
     """Orbits, the stabilizer bound, and the apartment-counting bound.
 
@@ -589,9 +611,9 @@ def symmetry_checks(B: SphericalBuilding, seed=0) -> SymmetryReport:
         sum over pairs with r in A_{sigma,tau} of ||tau|| <= theta * deg_top(r)
 
     the first being |G| deg_top(r) >= |X(d)| |G_r|. The summed bound runs over
-    every pair (sigma, tau). Apartment equivariance, g A_{sigma,tau} =
-    A_{g sigma, g tau}, is checked on 20 seeded random words g in the
-    generators.
+    every pair (sigma, tau), in numerators over weight_denominator(k). Apartment
+    equivariance, g A_{sigma,tau} = A_{g sigma, g tau}, is checked on 20
+    seeded random words g in the generators.
     """
     X = B.complex
     gens = generator_actions(B)
@@ -602,34 +624,23 @@ def symmetry_checks(B: SphericalBuilding, seed=0) -> SymmetryReport:
 
     orbit_size = {f: len(o) for per_dim in orbits.values() for o in per_dim for f in o}
     orbit_size[()] = 1
-    faces = [f for k in range(0, X.dim + 1) for f in X.faces(k)]
     nd = len(X.top_faces)
     stab_ok = True
     stab_detail = {}
-    for rho in faces + [()]:
-        size = orbit_size[rho]
+    for rho, size in orbit_size.items():
         if order % size:
             raise PropertyViolation(
                 f"the orbit of {rho} has {size} faces, which does not divide |G| = {order}"
             )
         stab_detail[rho] = order // size
-        degr = nd if rho == () else X.deg_top(rho)
-        if degr * size < nd:
+        if X.deg_top(rho) * size < nd:
             stab_ok = False
 
     summed_ok = True
     for k in range(-1, X.dim):
-        acc = {rho: Fraction(0) for rho in faces + [()]}
-        for sigma in X.top_faces:
-            for tau in X.faces(k):
-                A = intersection_complex(B, sigma, tau)
-                wt = X.weight(tau)
-                for rho in A.all_faces():
-                    acc[rho] += wt
-                acc[()] += wt
-        for rho, total in acc.items():
-            degr = nd if rho == () else X.deg_top(rho)
-            if total > B.theta * degr:
+        den = X.weight_denominator(k)
+        for rho, total in _summed_totals(B, k).items():
+            if total > B.theta * X.deg_top(rho) * den:
                 summed_ok = False
 
     rng = random.Random(seed)
@@ -645,9 +656,9 @@ def symmetry_checks(B: SphericalBuilding, seed=0) -> SymmetryReport:
         if not X.has_face(g_sigma) or (g_tau and not X.has_face(g_tau)):
             equiv_ok = False
             continue
-        A = intersection_complex(B, sigma, tau)
-        gA = intersection_complex(B, g_sigma, g_tau)
-        if {_face_image(act, f) for f in A.all_faces()} != set(gA.all_faces()):
+        A = _common_faces(B, sigma, tau)
+        gA = _common_faces(B, g_sigma, g_tau)
+        if {_face_image(act, f) for f in A} != set(gA):
             equiv_ok = False
     return SymmetryReport(
         order, orbit_counts, transitive_top, stab_ok, summed_ok, equiv_ok,
@@ -758,16 +769,14 @@ def building_expansion_audit(
             for sigma in X.top_faces[:3]:
                 bound = Fraction(0)
                 for tau in X.faces(k):
-                    A = intersection_complex(B, sigma, tau)
-                    overlap = sum(1 for r in df_supp if A.has_face(r))
+                    overlap = len(df_supp.intersection(_common_faces(B, sigma, tau)))
                     bound += X.weight(tau) * overlap
                 if dist > bound:
                     homological_ok = False
 
     cohom_ok = all(
-        integer_cohomology(X, k).free_rank == 0
-        and not integer_cohomology(X, k).torsion
-        for k in range(0, d)
+        H.free_rank == 0 and not H.torsion
+        for H in (integer_cohomology(X, k) for k in range(0, d))
     )
     return BuildingAuditReport(
         B.n, B.q, B.theta, beta_theorem, beta_proof, eps, eps_ok,

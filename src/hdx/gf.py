@@ -143,15 +143,7 @@ class GF:
         return range(self.q)
 
 
-# -- vectors and echelon forms over GF(q) -----------------------------------------
-
-
-def vec_add(gf, u, v):
-    return tuple(gf.add(a, b) for a, b in zip(u, v))
-
-
-def vec_scale(gf, c, u):
-    return tuple(gf.mul(c, a) for a in u)
+# -- echelon forms and subspaces over GF(q) ---------------------------------------
 
 
 def rref(gf: GF, rows):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .errors import NoSolution, PropertyViolation
+from .errors import PropertyViolation
 
 
 def zeros(m, n):
@@ -315,9 +315,3 @@ def invert_unimodular(U):
     if any(v.denominator != 1 for row in out for v in row):
         raise PropertyViolation("inverse of a unimodular matrix is not integral")
     return [[int(v) for v in row] for row in out]
-
-
-def require_solution(x, what):
-    if x is None:
-        raise NoSolution(f"no solution while {what}")
-    return x

@@ -11,6 +11,7 @@ from hdx.building import (
     Subcomplex,
     _face_orbits,
     _integer_family_at,
+    _summed_totals,
     _transvections,
     _vertex_action,
     build_building,
@@ -584,13 +585,81 @@ def test_symmetry_checks(fano):
 
 
 def test_symmetry_checks_3_3_at_default_settings():
-    rep = symmetry_checks(build_building(3, 3))
+    B = build_building(3, 3)
+    rep = symmetry_checks(B)
     assert rep.group_order == 5616
     assert rep.orbit_counts == {0: 2, 1: 1}
     assert rep.transitive_on_top
     assert rep.stabilizer_bound_ok
     assert rep.summed_bound_ok
     assert rep.apartment_equivariance_ok
+    # intersections are read off the bitsets, never cached per (sigma, tau)
+    assert len(B.cache) <= 2
+    assert not any(isinstance(key, tuple) for key in B.cache)
+
+
+def test_symmetry_checks_4_2_at_default_settings(b42):
+    rep = symmetry_checks(b42)
+    assert rep.group_order == 20160
+    assert rep.orbit_counts == {0: 3, 1: 3, 2: 1}
+    assert rep.transitive_on_top
+    assert rep.stabilizer_bound_ok
+    assert rep.summed_bound_ok
+    assert rep.apartment_equivariance_ok
+
+
+def fraction_totals(B, k):
+    """Per face r, sum of ||tau|| over the pairs (sigma, tau), tau a k-face, with
+    r in A_{sigma,tau}, added in Fractions over built intersections; the
+    reference for the integer numerators of _summed_totals."""
+    X = B.complex
+    acc = {rho: Fraction(0) for j in range(-1, X.dim + 1) for rho in X.faces(j)}
+    for sigma in X.top_faces:
+        for tau in X.faces(k):
+            A = intersection_complex(B, sigma, tau)
+            wt = X.weight(tau)
+            for rho in A.all_faces():
+                acc[rho] += wt
+            acc[()] += wt
+    return acc
+
+
+@pytest.mark.parametrize("n,q", [(3, 2), (3, 3), (3, 4)])
+def test_summed_totals_match_the_fraction_loop(n, q):
+    B = build_building(n, q)
+    X = B.complex
+    for k in range(-1, X.dim):
+        den = X.weight_denominator(k)
+        got = _summed_totals(B, k)
+        want = fraction_totals(B, k)
+        assert got.keys() == want.keys()
+        assert all(Fraction(got[rho], den) == want[rho] for rho in want)
+
+
+def test_summed_bound_is_sharp_on_fano(fano):
+    X = fano.complex
+    worst = max(
+        total / X.deg_top(rho)
+        for k in range(-1, X.dim)
+        for rho, total in fraction_totals(fano, k).items()
+    )
+    assert worst == Fraction(17, 7)
+    assert symmetry_checks(dataclasses.replace(fano, theta=3, cache={})).summed_bound_ok
+    rep = symmetry_checks(dataclasses.replace(fano, theta=2, cache={}))
+    assert not rep.summed_bound_ok
+    assert rep.transitive_on_top
+    assert rep.stabilizer_bound_ok
+    assert rep.apartment_equivariance_ok
+
+
+def test_intersection_questions_refuse_pairs_outside_every_apartment(fano):
+    # with one apartment left some pairs share none; the lowest set bit of an
+    # empty hit set would index the last apartment, so each route must refuse
+    B = dataclasses.replace(fano, apartments=fano.apartments[:1], cache={})
+    with pytest.raises(errors.PropertyViolation):
+        symmetry_checks(B)
+    with pytest.raises(errors.PropertyViolation):
+        building_expansion_audit(dataclasses.replace(B, cache={}), INTEGERS, samples=1)
 
 
 def counted_symmetry(B, perms):

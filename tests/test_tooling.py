@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hdx"
+TESTS = Path(__file__).resolve().parent
 
 
 def test_library_checks_survive_optimised_mode():
@@ -152,14 +153,18 @@ def _declared(path):
 
 
 def _unread(declared, sources):
-    """The declared names no source reads, as a bare name or an attribute."""
-    read = set()
+    """The declared names no source reads, as a bare name, an attribute or
+    the alias of a `from ... import name as alias`."""
+    read, aliases = set(), set()
     for source in sources:
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                aliases.update((a.asname, a.name) for a in node.names if a.asname)
+    read.update(name for alias, name in aliases if alias in read)
     return [name for name in declared if name not in read]
 
 
@@ -186,3 +191,46 @@ def test_every_default_and_error_type_is_read():
     declared = _declared(SRC / "config.py") + _declared(SRC / "errors.py")
     assert len(declared) > 10
     assert _unread(declared, sources) == []
+
+
+# every top-level function and class of the library is read somewhere
+def _definitions(path):
+    return [node.name for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+
+
+def test_unread_finder_flags_dead_helpers():
+    source = """
+from .gf import GF, rref, span_of_union as span, subspace_le as le
+
+
+class Report:
+    pass
+
+
+def used(x):
+    return helper(rref(x))
+
+
+def helper(x):
+    return span(x)
+
+
+def dead(x):
+    return used(x)
+"""
+    declared = ["rref", "span_of_union", "subspace_le", "GF", "Report", "used",
+                "helper", "dead"]
+    assert _unread(declared, [source]) == ["subspace_le", "GF", "Report", "dead"]
+
+
+def test_every_library_definition_is_read():
+    # a read inside the declaring module counts: private helpers and the
+    # verify checks are read only where they are defined
+    sources = [p.read_text(encoding="utf-8")
+               for p in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))]
+    declared = [(p.stem, name) for p in sorted(SRC.glob("*.py"))
+                for name in _definitions(p)]
+    assert len(declared) > 200
+    unread = set(_unread([name for _, name in declared], sources))
+    assert [f"{stem}.{name}" for stem, name in declared if name in unread] == []
