@@ -4,6 +4,13 @@ Each check replays one documented invariant over the built-in example
 complexes: exhaustively where the space is small, with seeded draws where it
 is not. Checks call through the module objects rather than imported names,
 so a deliberately broken operator (mutation testing) is caught.
+
+The two minimality lemmas (minimal implies locally minimal, and minimality
+is closed under restriction) read which cochains are minimal off one
+distance table per (complex, ring, k), `_minimal_table`. Each table is
+cross-checked against `cochains.is_minimal` on a seeded sample of SAMPLE
+rows, half marked minimal and half not, so a broken `is_minimal` or a
+broken table still fails the check.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from math import comb
 
 from . import building as building_mod
 from . import cochains as cochains_mod
+from . import cosets
 from . import expansion as expansion_mod
 from . import fatfaces as fatfaces_mod
 from . import intmat
@@ -32,6 +40,7 @@ Z6 = modular_ring(6)
 
 SMALL = ["hollow_triangle", "full_triangle", "two_triangles", "two_edges", "k4"]
 MEDIUM = SMALL + ["tetrahedron", "octahedron", "rp2", "three_squares"]
+SAMPLE = 8  # rows per minimality table cross-checked against cochains.is_minimal
 
 
 @dataclass
@@ -137,38 +146,102 @@ def check_antisymmetry(seed):
     return True, ""
 
 
-def _small_minimality_instances():
+def _minimal_table(X, ring, k):
+    """Every k-cochain mod n as a row, in lex_digits order, and which are minimal.
+
+    A row is minimal when its norm (F != 0) @ w equals its distance to B^k,
+    and one distance_table with every column free holds that distance for
+    all n^m rows at once, in place of one subgroup scan per cochain.
+    """
+    n, m = ring.size, len(X.faces(k))
+    w, _ = cosets.face_weights(X, k)
+    G = cochains_mod.subgroup_array(X, ring, k, COBOUNDARIES)
+    D = cosets.distance_table(cosets.chunks(G), n, range(m), w)
+    F = cosets.lex_digits(0, n ** m, n, range(m), m)
+    return F, D == (F != 0) @ w
+
+
+def _table_agrees(X, ring, k, F, mask, rng):
+    """Whether cochains.is_minimal agrees with the mask on a seeded sample of rows.
+
+    The sample takes up to SAMPLE // 2 rows the mask marks minimal and as many
+    it marks not minimal, so an operator that gives one answer for every
+    cochain, or a table that does, disagrees on some instance.
+    """
+    for rows in (mask.nonzero()[0], (~mask).nonzero()[0]):
+        for i in rng.sample(range(len(rows)), min(SAMPLE // 2, len(rows))):
+            f = cochains_mod.vector_cochain(X, ring, k, F[rows[i]].tolist())
+            if cochains_mod.is_minimal(f) != bool(mask[rows[i]]):
+                return False
+    return True
+
+
+def _local_minimality_instances():
     for name in MEDIUM:
         X = named_complex(name)
         for k in range(0, X.dim + 1):
             if len(X.faces(k)) <= 12:
-                yield name, X, k
+                yield name, X, F2, k
 
 
-def check_minimal_implies_locally_minimal(seed):
-    for name, X, k in _small_minimality_instances():
-        for f in _all_cochains(X, F2, k):
-            if cochains_mod.is_minimal(f) and not cochains_mod.is_locally_minimal(f):
-                return False, f"{name} k={k} {sorted(f.support)}"
-    return True, ""
-
-
-def check_minimal_closed_under_inclusion(seed):
+def _inclusion_instances():
     for name in SMALL + ["tetrahedron"]:
         X = named_complex(name)
         for ring in [F2, F3]:
             for k in range(0, X.dim + 1):
-                if len(X.faces(k)) > 6:
-                    continue
-                for f in _all_cochains(X, ring, k):
-                    if not cochains_mod.is_minimal(f):
-                        continue
-                    supp = sorted(f.support)
-                    for r in range(len(supp)):
-                        for sub in combinations(supp, r):
-                            g = Cochain(X, ring, k, {s: f.values[s] for s in sub})
-                            if not cochains_mod.is_minimal(g):
-                                return False, f"{name} {ring} k={k}"
+                if len(X.faces(k)) <= 6:
+                    yield name, X, ring, k
+
+
+def check_minimal_implies_locally_minimal(seed):
+    """Every minimal F2 cochain is locally minimal (at most 12 faces, exhaustive).
+
+    The minimal rows come from _minimal_table, cross-checked on a seeded
+    sample against cochains.is_minimal; is_locally_minimal runs on each.
+    """
+    rng = random.Random(seed)
+    for name, X, ring, k in _local_minimality_instances():
+        F, mask = _minimal_table(X, ring, k)
+        if not _table_agrees(X, ring, k, F, mask, rng):
+            return False, f"{name} k={k} table disagrees with is_minimal"
+        for row in F[mask]:
+            f = cochains_mod.vector_cochain(X, ring, k, row.tolist())
+            if not cochains_mod.is_locally_minimal(f):
+                return False, f"{name} k={k} {sorted(f.support)}"
+    return True, ""
+
+
+def _closed_under_zeroing(F, mask, n):
+    """Whether every row the mask marks keeps its mark with any one face zeroed.
+
+    F holds the lex_digits rows of all n^m vectors. By induction on the
+    support this holds exactly when every restriction of a marked row is
+    marked. One vectorised pass per face: zeroing digit j of row i lands on
+    row i - F[i, j] * n^(m-1-j), computed in the index dtype because F's
+    digits are as narrow as n allows.
+    """
+    m = F.shape[1]
+    marked = mask.nonzero()[0]
+    for j in range(m):
+        rows = marked[F[marked, j] != 0]
+        if not mask[rows - F[rows, j].astype(rows.dtype) * n ** (m - 1 - j)].all():
+            return False
+    return True
+
+
+def check_minimal_closed_under_inclusion(seed):
+    """Every restriction of a minimal F2 or F3 cochain is minimal (at most 6 faces).
+
+    Read off _minimal_table, cross-checked on a seeded sample against
+    cochains.is_minimal, by _closed_under_zeroing.
+    """
+    rng = random.Random(seed)
+    for name, X, ring, k in _inclusion_instances():
+        F, mask = _minimal_table(X, ring, k)
+        if not _table_agrees(X, ring, k, F, mask, rng):
+            return False, f"{name} {ring} k={k} table disagrees with is_minimal"
+        if not _closed_under_zeroing(F, mask, ring.size):
+            return False, f"{name} {ring} k={k}"
     return True, ""
 
 

@@ -876,3 +876,13 @@ def test_filling_property_whole_cycle_space(fano, b42):
     sigma = Y.top_faces[0]
     for tau in [(), Y.faces(0)[0], Y.faces(1)[0]]:
         fill_all_cycles(b42, intersection_complex(b42, sigma, tau))
+
+
+def test_seed_keyword_call_forms_keep_every_flag_true(fano):
+    # the benchmark's building workload passes seed= to both calls
+    sym = symmetry_checks(fano, seed=3)
+    assert (sym.transitive_on_top and sym.stabilizer_bound_ok and sym.summed_bound_ok
+            and sym.apartment_equivariance_ok)
+    audit = building_expansion_audit(fano, INTEGERS, seed=3)
+    assert (audit.epsilon_ok and audit.homotopy_ok and audit.chain_family_ok
+            and audit.homological_ok and audit.cohomology_trivial_below_top)

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -319,3 +320,10 @@ def test_verify_deterministic_across_runs():
     a = run_verify(seed=3, names_filter=subset)
     b = run_verify(seed=3, names_filter=subset)
     assert [(r.name, r.ok, r.detail) for r in a] == [(r.name, r.ok, r.detail) for r in b]
+
+
+def test_verify_seed_zero_transcript_matches_golden_byte_for_byte(capsys):
+    golden = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
+    code, out, _ = run_cli(["verify", "--seed", "0"], capsys)
+    assert code == int((golden / "8.code").read_text())
+    assert out.encode("utf-8") == (golden / "8.out").read_bytes()

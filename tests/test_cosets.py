@@ -28,6 +28,7 @@ from hdx.cochains import (
     is_locally_minimal,
     lift_from_link,
     localize,
+    subgroup_array,
     subgroup_generators,
     vector_cochain,
 )
@@ -335,3 +336,18 @@ def test_small_set_check_matches_per_cochain_loop(X, ring, epsilon, mu, cap):
     """Same verdict, same first counterexample, and the cap raises at the same support."""
     args = (X, ring, epsilon, mu, cap)
     assert outcome(small_set_check, *args) == outcome(small_set_oracle, *args)
+
+
+@SETTINGS
+@given(complexes(), st.sampled_from([prime_field(2), prime_field(3), modular_ring(4)]),
+       st.data())
+def test_distance_table_with_every_column_free_matches_min_distance(X, ring, data):
+    """With no fixed column the table holds the distance of every cochain mod n."""
+    k = data.draw(st.integers(0, X.dim))
+    n, m = ring.size, len(X.faces(k))
+    assume(n ** m <= BUDGET)
+    w, _ = cosets.face_weights(X, k)
+    G = subgroup_array(X, ring, k, COBOUNDARIES)
+    table = cosets.distance_table(cosets.chunks(G), n, range(m), w)
+    rows = cosets.lex_digits(0, n ** m, n, range(m), m)
+    assert table.tolist() == [cosets.min_distance(cosets.chunks(G), v, w) for v in rows]
