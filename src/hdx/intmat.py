@@ -1,17 +1,17 @@
-"""Exact integer and modular linear algebra on small dense matrices.
+"""Exact integer and modular linear algebra on sparse integer matrices.
 
 Matrices are lists of lists of Python ints, so everything is arbitrary
 precision. Provides Smith normal form with unimodular transforms, integer
 and mod-n linear solves, integer kernel bases, and reduced row echelon form
-over a prime field. Sizes here are tiny (at most a few hundred rows), so the
-classical algorithms are the right tool.
+over a prime field. The Smith normal form is the classical elimination run on
+sparse rows: each operation touches only nonzero entries, and the transforms
+it returns are those of the dense algorithm. Matrix products read only the
+nonzeros of their factors.
 """
 
 from __future__ import annotations
 
 from math import gcd
-
-from .errors import PropertyViolation
 
 
 def zeros(m, n):
@@ -26,122 +26,183 @@ def identity(n):
 
 
 def mat_mul(A, B):
-    m, n = len(A), len(B[0])
-    inner = len(B)
-    out = zeros(m, n)
-    for i in range(m):
-        Ai = A[i]
-        Oi = out[i]
-        for k in range(inner):
-            a = Ai[k]
+    """A @ B, summing over the nonzeros of both factors."""
+    n = len(B[0])
+    B_nz = [[(j, b) for j, b in enumerate(row) if b] for row in B]
+    out = []
+    for Ai in A:
+        Oi = [0] * n
+        for k, a in enumerate(Ai):
             if a:
-                Bk = B[k]
-                for j in range(n):
-                    Oi[j] += a * Bk[j]
+                for j, b in B_nz[k]:
+                    Oi[j] += a * b
+        out.append(Oi)
     return out
 
 
 def mat_vec(A, v):
-    return [sum(a * x for a, x in zip(row, v)) for row in A]
+    """A @ v, reading only the nonzeros of v."""
+    v_nz = [(k, x) for k, x in enumerate(v) if x]
+    return [sum(row[k] * x for k, x in v_nz) for row in A]
 
 
 def transpose(A):
     return [list(col) for col in zip(*A)]
 
 
-def smith_normal_form(M):
+def _add_to(dst, src, c):
+    """dst += c * src on {index: value} dicts, c nonzero; cancelled entries
+    leave dst, so every stored value is nonzero."""
+    get = dst.get
+    for k, v in src.items():
+        x = get(k, 0) + c * v
+        if x:
+            dst[k] = x
+        else:
+            del dst[k]
+
+
+def smith_normal_form(M, *, inverse=False):
     """Return (U, S, V) with U @ M @ V == S diagonal, d_1 | d_2 | ...
 
-    U and V are unimodular; diagonal entries are nonnegative.
+    U and V are unimodular; diagonal entries are nonnegative. With
+    inverse=True, also return U^-1, taken from the same row operations.
+
+    The elimination runs on sparse rows: A and U are lists of {column: value}
+    rows, V and U^-1 lists of {row: value} columns, and an operation touches
+    only the nonzeros it reads.
     """
     m = len(M)
     n = len(M[0]) if m else 0
-    A = [list(row) for row in M]
-    U = identity(m)
-    V = identity(n)
+    A = [{j: v for j, v in enumerate(row) if v} for row in M]
+    U = [{i: 1} for i in range(m)]
+    V = [{j: 1} for j in range(n)]
+    Uinv = [{i: 1} for i in range(m)] if inverse else None
 
     def swap_rows(i, j):
         A[i], A[j] = A[j], A[i]
         U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
+        if inverse:
+            Uinv[i], Uinv[j] = Uinv[j], Uinv[i]
 
     def add_row(src, dst, c):
-        # row dst += c * row src
-        A[dst] = [x + c * y for x, y in zip(A[dst], A[src])]
-        U[dst] = [x + c * y for x, y in zip(U[dst], U[src])]
+        # row dst += c * row src; on U^-1, column src -= c * column dst
+        _add_to(A[dst], A[src], c)
+        _add_to(U[dst], U[src], c)
+        if inverse:
+            _add_to(Uinv[src], Uinv[dst], -c)
 
-    def add_col(src, dst, c):
-        for row in A:
-            row[dst] += c * row[src]
-        for row in V:
-            row[dst] += c * row[src]
+    def swap_cols(t, j):
+        # rows above t are zero in both columns; returns the rows that are
+        # nonzero in the new column t
+        V[t], V[j] = V[j], V[t]
+        rows = []
+        for r in range(t, m):
+            row = A[r]
+            x = row.pop(t, 0)
+            y = row.pop(j, 0)
+            if y:
+                row[t] = y
+                rows.append(r)
+            if x:
+                row[j] = x
+        return rows
 
     t = 0
     while t < min(m, n):
         # move the smallest nonzero entry of the trailing block to (t, t); the
-        # first entry of absolute value 1 is that row-major-first minimum
+        # first entry of absolute value 1 is that row-major-first minimum.
+        # Rows from t on are zero left of column t.
         pivot = None
         best = 0
         for i in range(t, m):
-            Ai = A[i]
-            for j in range(t, n):
-                a = abs(Ai[j])
-                if a and (pivot is None or a < best):
-                    pivot, best = (i, j), a
+            row = A[i]
+            if row:
+                a = min(map(abs, row.values()))
+                if pivot is None or a < best:
+                    pivot = (i, min(j for j, v in row.items() if abs(v) == a))
+                    best = a
                     if a == 1:
                         break
-            if best == 1:
-                break
         if pivot is None:
             break
         swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
+        if pivot[1] != t:
+            swap_cols(t, pivot[1])
         while True:
             dirty = False
-            for i in range(t + 1, m):
-                if A[i][t]:
-                    q = A[i][t] // A[t][t]
+            # an operation on row i leaves the rows below it alone
+            for i in [i for i in range(t + 1, m) if t in A[i]]:
+                q = A[i][t] // A[t][t]
+                if q:
                     add_row(t, i, -q)
-                    if A[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, n):
-                if A[t][j]:
-                    q = A[t][j] // A[t][t]
-                    add_col(t, j, -q)
-                    if A[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
+                if t in A[i]:
+                    swap_rows(t, i)
+                    dirty = True
+            # an operation on column j leaves the columns right of it alone;
+            # only the rows nonzero in column t take part in column t's
+            # operations, and a swap changes which rows those are
+            cols = sorted(j for j in A[t] if j > t)
+            rows = [r for r in range(t, m) if t in A[r]] if cols else []
+            for j in cols:
+                a = A[t].get(j)
+                if not a:
+                    continue
+                q = a // A[t][t]
+                if q:
+                    for r in rows:
+                        row = A[r]
+                        x = row.get(j, 0) - q * row[t]
+                        if x:
+                            row[j] = x
+                        else:
+                            del row[j]
+                    _add_to(V[j], V[t], -q)
+                if j in A[t]:
+                    rows = swap_cols(t, j)
+                    dirty = True
             if not dirty:
                 break
         # enforce divisibility of the remaining block by the pivot; a unit
-        # pivot divides everything
+        # pivot divides everything. Rows below t are zero up to column t.
         p = A[t][t]
         fixed = True
         if abs(p) != 1:
             for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if A[i][j] % p:
-                        add_row(i, t, 1)
-                        fixed = False
-                        break
-                if not fixed:
+                if any(v % p for v in A[i].values()):
+                    add_row(i, t, 1)
+                    fixed = False
                     break
         if fixed:
             t += 1
 
+    # A is diagonal now
     for i in range(min(m, n)):
-        if A[i][i] < 0:
-            for row in A:
-                row[i] = -row[i]
-            for row in V:
-                row[i] = -row[i]
-    return U, A, V
+        if A[i].get(i, 0) < 0:
+            A[i][i] = -A[i][i]
+            V[i] = {r: -v for r, v in V[i].items()}
+    U, S, V = _dense_rows(U, m), _dense_rows(A, n), _dense_cols(V, n)
+    if inverse:
+        return U, S, V, _dense_cols(Uinv, m)
+    return U, S, V
+
+
+def _dense_rows(rows, n):
+    out = []
+    for row in rows:
+        dense = [0] * n
+        for j, v in row.items():
+            dense[j] = v
+        out.append(dense)
+    return out
+
+
+def _dense_cols(cols, m):
+    out = [[0] * len(cols) for _ in range(m)]
+    for j, col in enumerate(cols):
+        for i, v in col.items():
+            out[i][j] = v
+    return out
 
 
 def snf_diagonal(S):
@@ -291,27 +352,3 @@ def image_basis_int(M):
     # M V = U^-1 S, so its first r columns are the columns of U^-1 times d_j
     MV = mat_mul(M, V)
     return [[MV[i][j] for i in range(m)] for j in range(len(snf_diagonal(S)))]
-
-
-def invert_unimodular(U):
-    """Exact inverse of a unimodular integer matrix."""
-    from fractions import Fraction
-
-    n = len(U)
-    A = [
-        [Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(U)
-    ]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if A[i][col])
-        A[col], A[piv] = A[piv], A[col]
-        inv = 1 / A[col][col]
-        A[col] = [v * inv for v in A[col]]
-        for i in range(n):
-            if i != col and A[i][col]:
-                c = A[i][col]
-                A[i] = [a - c * b for a, b in zip(A[i], A[col])]
-    out = [[v for v in row[n:]] for row in A]
-    if any(v.denominator != 1 for row in out for v in row):
-        raise PropertyViolation("inverse of a unimodular matrix is not integral")
-    return [[int(v) for v in row] for row in out]

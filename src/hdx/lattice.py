@@ -155,9 +155,8 @@ def free_cocycle_generators(X, k):
     m = len(kernel)
     if Y:
         Ymat = [[Y[j][i] for j in range(len(Y))] for i in range(m)]
-        U, S, _ = intmat.smith_normal_form(Ymat)
+        _, S, _, Uinv = intmat.smith_normal_form(Ymat, inverse=True)
         r = len(intmat.snf_diagonal(S))
-        Uinv = intmat.invert_unimodular(U)
         free_cols = [[Uinv[i][j] for i in range(m)] for j in range(r, m)]
     else:
         free_cols = [list(col) for col in intmat.identity(m)]

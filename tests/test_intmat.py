@@ -1,9 +1,10 @@
 import random
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdx import catalog, intmat
+from hdx import building, catalog, intmat
 from hdx.cochains import delta_matrix
 
 
@@ -38,7 +39,7 @@ def test_snf_random_transform_verification():
                 if i != j:
                     assert S[i][j] == 0
         # unimodularity
-        Ui = intmat.invert_unimodular(U)
+        Ui = invert_unimodular(U)
         assert mul(U, Ui) == intmat.identity(m)
 
 
@@ -90,6 +91,119 @@ def test_image_basis_int():
     # the image is generated by (2, 0, 1) up to sign
     g = basis[0]
     assert g in ([2, 0, 1], [-2, 0, -1])
+
+
+# -- oracles: the dense Smith elimination and a Fraction inverse ---------------------
+
+
+def smith_normal_form_dense(M):
+    """The Smith elimination on dense rows: every operation updates whole rows
+    and columns. `intmat.smith_normal_form` runs the same operations on sparse
+    rows and must return the same (U, S, V)."""
+    m = len(M)
+    n = len(M[0]) if m else 0
+    A = [list(row) for row in M]
+    U = intmat.identity(m)
+    V = intmat.identity(n)
+
+    def swap_rows(i, j):
+        A[i], A[j] = A[j], A[i]
+        U[i], U[j] = U[j], U[i]
+
+    def swap_cols(i, j):
+        for row in A:
+            row[i], row[j] = row[j], row[i]
+        for row in V:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(src, dst, c):
+        A[dst] = [x + c * y for x, y in zip(A[dst], A[src])]
+        U[dst] = [x + c * y for x, y in zip(U[dst], U[src])]
+
+    def add_col(src, dst, c):
+        for row in A:
+            row[dst] += c * row[src]
+        for row in V:
+            row[dst] += c * row[src]
+
+    t = 0
+    while t < min(m, n):
+        pivot = None
+        best = 0
+        for i in range(t, m):
+            Ai = A[i]
+            for j in range(t, n):
+                a = abs(Ai[j])
+                if a and (pivot is None or a < best):
+                    pivot, best = (i, j), a
+                    if a == 1:
+                        break
+            if best == 1:
+                break
+        if pivot is None:
+            break
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
+        while True:
+            dirty = False
+            for i in range(t + 1, m):
+                if A[i][t]:
+                    q = A[i][t] // A[t][t]
+                    add_row(t, i, -q)
+                    if A[i][t]:
+                        swap_rows(t, i)
+                        dirty = True
+            for j in range(t + 1, n):
+                if A[t][j]:
+                    q = A[t][j] // A[t][t]
+                    add_col(t, j, -q)
+                    if A[t][j]:
+                        swap_cols(t, j)
+                        dirty = True
+            if not dirty:
+                break
+        p = A[t][t]
+        fixed = True
+        if abs(p) != 1:
+            for i in range(t + 1, m):
+                for j in range(t + 1, n):
+                    if A[i][j] % p:
+                        add_row(i, t, 1)
+                        fixed = False
+                        break
+                if not fixed:
+                    break
+        if fixed:
+            t += 1
+
+    for i in range(min(m, n)):
+        if A[i][i] < 0:
+            for row in A:
+                row[i] = -row[i]
+            for row in V:
+                row[i] = -row[i]
+    return U, A, V
+
+
+def invert_unimodular(U):
+    """Exact inverse of a unimodular integer matrix by Gauss-Jordan in Fractions."""
+    n = len(U)
+    A = [
+        [Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(U)
+    ]
+    for col in range(n):
+        piv = next(i for i in range(col, n) if A[i][col])
+        A[col], A[piv] = A[piv], A[col]
+        inv = 1 / A[col][col]
+        A[col] = [v * inv for v in A[col]]
+        for i in range(n):
+            if i != col and A[i][col]:
+                c = A[i][col]
+                A[i] = [a - c * b for a, b in zip(A[i], A[col])]
+    out = [row[n:] for row in A]
+    assert all(v.denominator == 1 for row in out for v in row)
+    return [[int(v) for v in row] for row in out]
 
 
 # -- the Smith fast path against the full-scan algorithm ------------------------------
@@ -188,12 +302,25 @@ def matrices(entries, max_side):
 SNF_MATRICES = matrices((-1, 0, 1), 8) | matrices(tuple(range(-2, 4)), 5)
 
 
+def assert_matches_dense(M):
+    U, S, V = intmat.smith_normal_form(M)
+    assert (U, S, V) == smith_normal_form_dense(M)
+    if M and M[0]:
+        assert mul(mul(U, M), V) == S
+    U2, S2, V2, Uinv = intmat.smith_normal_form(M, inverse=True)
+    assert (U2, S2, V2) == (U, S, V)
+    if M:
+        assert mul(U, Uinv) == intmat.identity(len(M))
+    else:
+        assert Uinv == []
+
+
 @settings(max_examples=300, deadline=None)
 @given(SNF_MATRICES)
 def test_smith_fast_path_matches_full_scan(M):
     U, S, V = intmat.smith_normal_form(M)
     assert (U, S, V) == smith_normal_form_full_scan(M)
-    assert mul(mul(U, M), V) == S
+    assert_matches_dense(M)
     diag = intmat.snf_diagonal(S)
     for a, b in zip(diag, diag[1:]):
         assert b % a == 0
@@ -206,7 +333,7 @@ def image_basis_via_inverse(M):
     """Columns of U^-1 scaled by the Smith diagonal, U inverted in Fractions."""
     U, S, _ = intmat.smith_normal_form(M)
     diag = intmat.snf_diagonal(S)
-    Uinv = intmat.invert_unimodular(U)
+    Uinv = invert_unimodular(U)
     return [[Uinv[i][j] * diag[j] for i in range(len(M))] for j in range(len(diag))]
 
 
@@ -221,3 +348,74 @@ def test_image_basis_matches_inverse_route():
         matrices.extend(delta_matrix(X, k) for k in range(-1, X.dim))
     for M in matrices:
         assert intmat.image_basis_int(M) == image_basis_via_inverse(M)
+
+
+# -- the sparse elimination against the dense one -------------------------------------
+
+
+# mostly zeros up to 12x12: short sparse rows, and 2s that leave non-unit pivots
+MOSTLY_ZERO = matrices((0,) * 8 + (-1, 1, 2), 12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(MOSTLY_ZERO)
+def test_sparse_smith_matches_dense_on_mostly_zero_matrices(M):
+    assert_matches_dense(M)
+
+
+def test_sparse_smith_edge_shapes():
+    for M in ([], [[]], [[], []], [[0]], [[0, 0, 0]], [[0], [0]],
+              [[0, 0], [0, 0]], [[0, 2], [0, 0], [0, 4]], [[0, 0, 0], [3, 0, 6]]):
+        assert_matches_dense(M)
+    # an empty matrix keeps its row count in U and S
+    assert intmat.smith_normal_form([[], []]) == ([[1, 0], [0, 1]], [[], []], [])
+
+
+def test_sparse_smith_matches_dense_on_coboundaries():
+    complexes = [catalog.named_complex(name) for name in catalog.names()]
+    complexes += [building.build_building(n, q).complex for n, q in ((3, 2), (3, 3), (4, 2))]
+    for X in complexes:
+        for k in range(-1, X.dim):
+            M = delta_matrix(X, k)
+            U, S, V = intmat.smith_normal_form(M)
+            assert (U, S, V) == smith_normal_form_dense(M)
+            assert mul(mul(U, M), V) == S
+
+
+def test_smith_inverse_is_the_inverse_of_u():
+    rng = random.Random(4)
+    for _ in range(60):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        M = [[rng.choice((0, 0, -1, 1, 2)) for _ in range(n)] for _ in range(m)]
+        U, _, _, Uinv = intmat.smith_normal_form(M, inverse=True)
+        assert Uinv == invert_unimodular(U)
+
+
+def shaped(m, n, entries):
+    return st.lists(st.lists(st.sampled_from(entries), min_size=n, max_size=n),
+                    min_size=m, max_size=m)
+
+
+SIDES = st.integers(1, 6)
+FACTORS = st.tuples(SIDES, SIDES, SIDES).flatmap(lambda mkn: st.tuples(
+    shaped(mkn[0], mkn[1], (0, 0, -2, 1, 3)), shaped(mkn[1], mkn[2], (0, 0, -1, 2, 5))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(FACTORS)
+def test_mat_mul_matches_naive_loops(AB):
+    A, B = AB
+    assert intmat.mat_mul(A, B) == [
+        [sum(A[i][k] * B[k][j] for k in range(len(B))) for j in range(len(B[0]))]
+        for i in range(len(A))
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(FACTORS)
+def test_mat_vec_matches_naive_loops(AB):
+    A, B = AB
+    v = [row[0] for row in B]
+    assert intmat.mat_vec(A, v) == [
+        sum(A[i][k] * v[k] for k in range(len(v))) for i in range(len(A))
+    ]

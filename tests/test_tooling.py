@@ -1,6 +1,7 @@
 """Source-level checks on the library itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hdx"
@@ -74,6 +75,48 @@ def test_subgroup_generating_sets_have_one_home():
                 offenders.append(f"{path.name}:{call.lineno} {name} in {scope}")
     assert offenders == []
 
+
+
+# intmat computes in exact Python ints: it imports the standard library and
+# hdx.errors only, never numpy or another hdx layer
+def _foreign_imports(source):
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out += [a.name for a in node.names
+                    if a.name.split(".")[0] not in sys.stdlib_module_names]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                if node.module != "errors":
+                    out.append("." * node.level + (node.module or ""))
+            elif node.module.split(".")[0] not in sys.stdlib_module_names:
+                out.append(node.module)
+    return out
+
+
+def test_foreign_import_finder_flags_numpy_and_other_layers():
+    source = """
+from __future__ import annotations
+import math
+from fractions import Fraction
+from .errors import PropertyViolation
+import numpy as np
+from numpy.linalg import det
+from .cochains import delta_matrix
+from . import gf
+import hdx.rings
+
+
+def f():
+    import scipy
+"""
+    assert _foreign_imports(source) == [
+        "numpy", "numpy.linalg", ".cochains", ".", "hdx.rings", "scipy",
+    ]
+
+
+def test_intmat_imports_only_the_standard_library_and_errors():
+    assert _foreign_imports((SRC / "intmat.py").read_text(encoding="utf-8")) == []
 
 
 # apartment membership is answered by building._apartment_bits alone
