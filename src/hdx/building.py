@@ -55,11 +55,12 @@ class Subcomplex:
     """A downward-closed family of faces of an ambient complex.
 
     Intersections of apartments need not be pure, so they do not qualify as
-    SimplicialComplex instances; chains and boundary solves only need the
-    face lists per dimension, which is exactly what lives here.
+    SimplicialComplex instances; `solve_boundary` needs only the sorted face
+    list per dimension and face membership, which is exactly what lives here.
+    Apartments themselves are plain tuples of faces and never become one.
     """
 
-    __slots__ = ("_faces", "_face_sets", "_all", "dim")
+    __slots__ = ("_faces", "_face_sets", "dim")
 
     def __init__(self, faces):
         by_dim = {}
@@ -68,7 +69,6 @@ class Subcomplex:
         by_dim.setdefault(-1, set()).add(())
         self._faces = {k: tuple(sorted(v)) for k, v in by_dim.items()}
         self._face_sets = {k: frozenset(v) for k, v in self._faces.items()}
-        self._all = tuple(f for k, v in sorted(self._faces.items()) if k >= 0 for f in v)
         self.dim = max(self._faces)
 
     def faces(self, k):
@@ -76,13 +76,6 @@ class Subcomplex:
 
     def has_face(self, f):
         return f in self._face_sets.get(len(f) - 1, frozenset())
-
-    def face_count(self) -> int:
-        """Number of nonempty faces."""
-        return len(self._all)
-
-    def all_faces(self):
-        return self._all
 
     def __eq__(self, other):
         return isinstance(other, Subcomplex) and self._faces == other._faces
@@ -100,7 +93,7 @@ class SphericalBuilding:
     complex: SimplicialComplex
     subspace_of: dict          # vertex token -> RREF basis tuple
     frames: list               # each an n-tuple of line tokens
-    apartments: list           # Subcomplex per frame, same order
+    apartments: list           # per frame, same order: tuple of its nonempty faces
     theta: int                 # nonempty faces of one apartment
     cache: dict = field(default_factory=dict)
 
@@ -180,12 +173,10 @@ def build_building(n: int, q: int, face_cap=None) -> SphericalBuilding:
             for subset in combinations(range(n), r):
                 basis = span_of_union(gf, [combo[i] for i in subset])
                 span_token[subset] = tokens[basis]
-        apt = Subcomplex(
-            tuple(sorted(span_token[s] for s in chain)) for chain in model_chains
-        )
-        if apt.face_count() != model_theta:
+        apt = tuple(tuple(sorted(span_token[s] for s in chain)) for chain in model_chains)
+        if len(set(apt)) != model_theta:
             raise PropertyViolation(
-                f"apartment has {apt.face_count()} faces, expected {model_theta}"
+                f"apartment has {len(set(apt))} distinct faces, expected {model_theta}"
             )
         apartments.append(apt)
     return SphericalBuilding(
@@ -204,7 +195,7 @@ def _apartment_bits(B: SphericalBuilding) -> dict:
         bits = {(): (1 << len(B.apartments)) - 1}
         for i, apt in enumerate(B.apartments):
             bit = 1 << i
-            for f in apt.all_faces():
+            for f in apt:
                 bits[f] = bits.get(f, 0) | bit
         B.cache["apartment_bits"] = bits
     return bits
@@ -222,15 +213,15 @@ def _common_faces(B: SphericalBuilding, sigma, tau) -> list:
     if not hits:
         raise PropertyViolation(f"no apartment contains both {sigma} and {tau}")
     first = B.apartments[(hits & -hits).bit_length() - 1]
-    return [f for f in first.all_faces() if bits[f] & hits == hits]
+    return [f for f in first if bits[f] & hits == hits]
 
 
 def verify_building_axioms(B: SphericalBuilding):
-    """Every pair of faces shares an apartment; apartment sizes all agree."""
+    """Every pair of faces shares an apartment; each apartment has theta distinct faces."""
     X = B.complex
     faces = [f for k in range(0, X.dim + 1) for f in X.faces(k)]
     for apt in B.apartments:
-        if apt.face_count() != B.theta:
+        if len(set(apt)) != B.theta:
             raise PropertyViolation("apartment sizes differ")
     bits = _apartment_bits(B)
     for f in faces:

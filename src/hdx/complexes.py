@@ -106,9 +106,6 @@ class SimplicialComplex:
         """Sorted tuple of the k-faces (empty tuple when out of range)."""
         return self._faces.get(k, ())
 
-    def face_set(self, k) -> frozenset:
-        return self._face_sets.get(k, frozenset())
-
     def has_face(self, sigma) -> bool:
         return sigma in self._face_sets.get(len(sigma) - 1, frozenset())
 

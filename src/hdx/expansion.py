@@ -153,42 +153,27 @@ def skeleton_alpha(X: SimplicialComplex, max_vertices=None):
 # -- coset scan engine ------------------------------------------------------------------
 
 
-def _field_coset_scan(X, ring, k, subgroup_basis, cap):
-    """Min of ||delta f|| / dist(f, span(basis)) over f outside the span.
+def _subgroup_scan(X, ring, k, target, cap):
+    """(ratio, witness vector, cosets scanned) of the scan against B^k or Z^k.
 
-    Representatives pin the pivot coordinates of the span to zero and are
-    scanned in lexicographic order, so the reported witness is the least
-    canonical representative attaining the minimum.
+    Over a field the candidates pin the pivot coordinates of the subgroup's
+    echelon form to zero, one canonical representative per coset; over Z/n
+    there are no pivots and every cochain is a candidate. The subgroup rows
+    stream as the combinations of its generators: the distance table's
+    minimum ignores their order and repeats, so nothing is stored.
     """
-    p = ring.size
+    n = ring.size
     nk = len(X.faces(k))
-    basis_rows, pivots = intmat.rref_mod_p(subgroup_basis, p)
+    gens = subgroup_generators(X, ring, k, target)
+    pivots = intmat.rref_mod_p(gens, n)[1] if ring.is_field else []
     free_cols = [j for j in range(nk) if j not in pivots]
-    n_reps, n_sub = p ** len(free_cols), p ** len(basis_rows)
+    n_reps, n_sub = n ** len(free_cols), n ** len(gens)
     if n_reps > cap or n_sub > cap:
         raise SearchSpaceTooLarge(
             f"{n_reps} representatives / {n_sub} subgroup elements exceed cap {cap}"
         )
-    span = cosets.combinations([0] * nk, basis_rows, range(p), cap)
-    return _coset_scan(X, ring, k, free_cols, (R % p for R in span))
-
-
-def _generic_coset_scan(X, ring, k, subgroup, cap):
-    """The scan for non-field finite rings: every cochain, in product order."""
-    nk = len(X.faces(k))
-    if ring.size ** nk > cap:
-        raise SearchSpaceTooLarge(f"{ring.size ** nk} cochains exceed cap {cap}")
-    sub = np.asarray(subgroup, dtype=np.int64)
-    return _coset_scan(X, ring, k, range(nk), cosets.chunks(sub))
-
-
-def _subgroup_scan(X, ring, k, target, cap):
-    """(ratio, witness vector, cosets scanned) of the scan against B^k or Z^k."""
-    if ring.is_field:
-        gens = subgroup_generators(X, ring, k, target)
-        return _field_coset_scan(X, ring, k, gens, cap)
-    subgroup = subgroup_array(X, ring, k, target, cap)
-    return _generic_coset_scan(X, ring, k, subgroup, cap)
+    rows = cosets.combinations([0] * nk, gens, range(n), cap)
+    return _coset_scan(X, ring, k, free_cols, (R % n for R in rows))
 
 
 def _coset_scan(X, ring, k, free_cols, sub_blocks):

@@ -123,9 +123,35 @@ def test_too_large_building_rejected():
 
 def test_apartments_are_hexagons(fano):
     for apt in fano.apartments:
-        assert len(apt.faces(0)) == 6
-        assert len(apt.faces(1)) == 6
-        assert apt.face_count() == 12
+        assert sum(1 for f in apt if len(f) == 1) == 6
+        assert sum(1 for f in apt if len(f) == 2) == 6
+        assert len(apt) == 12
+
+
+def test_apartments_are_tuples_of_theta_distinct_faces(fano, b42):
+    for B in (fano, build_building(3, 3), b42):
+        faces = {f for k in range(0, B.complex.dim + 1) for f in B.complex.faces(k)}
+        for apt in B.apartments:
+            assert type(apt) is tuple
+            assert len(apt) == len(set(apt)) == B.theta
+            assert set(apt) <= faces
+
+
+def test_build_refuses_an_apartment_with_a_repeated_face(monkeypatch):
+    # a model list naming one chain twice gives each apartment theta entries
+    # but one face fewer
+    chains = building._subset_chains
+    monkeypatch.setattr(building, "_subset_chains", lambda n: chains(n) + chains(n)[:1])
+    with pytest.raises(errors.PropertyViolation):
+        build_building(3, 2)
+
+
+def test_axioms_fail_on_an_apartment_with_a_repeated_face(fano):
+    # same length as every other apartment, one face fewer
+    apt, *rest = fano.apartments
+    B = dataclasses.replace(fano, apartments=[apt[:-1] + apt[:1], *rest], cache={})
+    with pytest.raises(errors.PropertyViolation):
+        verify_building_axioms(B)
 
 
 def test_building_axioms(fano):
@@ -151,8 +177,9 @@ def model_apartment_size(n):
 
 
 def recursive_apartments(B):
-    """Each frame's apartment rebuilt by recursing over chains of its span tokens;
-    the reference for build_building's one shared list of index-subset chains."""
+    """Each frame's apartment, as the set of its faces, rebuilt by recursing over
+    chains of its span tokens; the reference for build_building's one shared
+    list of index-subset chains."""
     n, gf = B.n, B.gf
     out = []
     for frame in B.frames:
@@ -172,18 +199,14 @@ def recursive_apartments(B):
 
         for s in span_token:
             chains([s], s)
-        out.append(Subcomplex(faces))
+        out.append(faces)
     return out
 
 
 def test_apartments_match_per_frame_recursion(fano, b42):
     for B in (fano, build_building(3, 3), b42):
         assert B.theta == model_apartment_size(B.n)
-        want = recursive_apartments(B)
-        assert B.apartments == want
-        for got, ref in zip(B.apartments, want):
-            for k in range(-1, B.complex.dim + 1):
-                assert got.faces(k) == ref.faces(k)
+        assert [set(apt) for apt in B.apartments] == recursive_apartments(B)
 
 
 # -- intersections and filling ----------------------------------------------------------
@@ -196,17 +219,17 @@ def test_intersection_contains_sigma_and_monotone(fano):
         assert A0.has_face(sigma)
         for tau in X.faces(0):
             A1 = intersection_complex(fano, sigma, tau)
-            assert set(A0.all_faces()) <= set(A1.all_faces())
+            assert all(A1.has_face(f) for k in range(0, X.dim + 1) for f in A0.faces(k))
             assert A1.has_face(tau)
 
 
 def scanned_intersection(B, sigma, tau):
     """Intersection of the apartments containing sigma and tau, found by asking
     every apartment; the reference for the bitset route of intersection_complex."""
-    hits = [a for a in B.apartments if a.has_face(sigma) and (tau == () or a.has_face(tau))]
-    common = set(hits[0].all_faces())
+    hits = [a for a in B.apartments if sigma in a and (tau == () or tau in a)]
+    common = set(hits[0])
     for a in hits[1:]:
-        common &= set(a.all_faces())
+        common &= set(a)
     return Subcomplex(common)
 
 
@@ -618,8 +641,9 @@ def fraction_totals(B, k):
         for tau in X.faces(k):
             A = intersection_complex(B, sigma, tau)
             wt = X.weight(tau)
-            for rho in A.all_faces():
-                acc[rho] += wt
+            for j in range(0, X.dim + 1):
+                for rho in A.faces(j):
+                    acc[rho] += wt
             acc[()] += wt
     return acc
 
@@ -803,7 +827,7 @@ def test_42_sampled_axioms(b42):
     faces = [f for k in range(0, 3) for f in X.faces(k)]
     for _ in range(200):
         f, g = rng.choice(faces), rng.choice(faces)
-        assert any(a.has_face(f) and a.has_face(g) for a in b42.apartments)
+        assert any(f in a and g in a for a in b42.apartments)
 
 
 @pytest.mark.parametrize("ringname", ["Z", "F3", "Z/6"])

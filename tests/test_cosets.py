@@ -36,7 +36,6 @@ from hdx.complexes import build_complex
 from hdx.errors import SearchSpaceTooLarge
 from hdx.expansion import (
     INFINITY,
-    _generic_coset_scan,
     _supports_up_to_norm,
     coboundary_epsilon,
     cosystolic_pair,
@@ -47,6 +46,7 @@ from hdx.rings import INTEGERS, modular_ring, prime_field
 
 RINGS = [prime_field(2), prime_field(3), modular_ring(4), modular_ring(6)]
 FIELDS = [prime_field(2), prime_field(3), prime_field(5)]
+MODULAR = [modular_ring(4), modular_ring(6)]
 BUDGET = 1500  # largest brute-force enumeration one example may need
 SETTINGS = settings(
     max_examples=40,
@@ -195,18 +195,32 @@ def scan_oracle(X, ring, k, group):
 
 
 @SETTINGS
-@given(complexes(), st.sampled_from(RINGS), st.data())
+@given(complexes(), st.sampled_from(MODULAR), st.data())
 def test_generic_coset_scan_matches_brute_force(X, ring, data):
+    """Over Z/n every cochain is a candidate, in product order."""
     k = data.draw(st.integers(0, X.dim - 1))
-    target = data.draw(st.sampled_from([COBOUNDARIES, COCYCLES]))
     nk = len(X.faces(k))
     assume(ring.size ** nk <= 256)
-    group = brute_group(X, ring, k, target)
-    ratio, witness, total = _generic_coset_scan(X, ring, k, sorted(group), 1 << 24)
-    want_ratio, want_witness = scan_oracle(X, ring, k, group)
-    assert total == ring.size ** nk
-    assert (ratio, witness) == (want_ratio if want_ratio is not None else "infinity",
-                                want_witness)
+    for scan, target in [(coboundary_epsilon, COBOUNDARIES), (cosystolic_pair, COCYCLES)]:
+        want_ratio, want_witness = scan_oracle(X, ring, k, brute_group(X, ring, k, target))
+        rep = scan(X, ring, k)
+        assert rep.certified
+        assert rep.extra["cosets_scanned"] == ring.size ** nk
+        if want_ratio is None:
+            assert (rep.epsilon, rep.witness) == (INFINITY, None)
+        else:
+            assert rep.epsilon == want_ratio
+            assert cochain_vector(rep.witness) == want_witness
+
+
+@pytest.mark.parametrize("ring", [prime_field(3), modular_ring(6)], ids=str)
+def test_coboundary_scan_stores_no_subgroup(ring):
+    # the scan streams the generators' combinations; only distances and the
+    # cosystolic mu read the stored subgroup array
+    X = build_complex(["a b c", "a c d"])
+    for k in range(X.dim):
+        coboundary_epsilon(X, ring, k)
+        assert ("array", COBOUNDARIES, ring, k) not in X.cache
 
 
 @SETTINGS

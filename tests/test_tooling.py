@@ -121,7 +121,8 @@ def test_intmat_imports_only_the_standard_library_and_errors():
 
 # apartment membership is answered by building._apartment_bits alone
 class _ApartmentScans(_Calls):
-    """has_face calls inside a loop or comprehension over an `apartments` attribute."""
+    """has_face calls and `in` tests inside a loop or comprehension over an
+    `apartments` attribute."""
 
     def __init__(self):
         super().__init__()
@@ -150,6 +151,11 @@ class _ApartmentScans(_Calls):
             self.hits.append(self.scope[-1])
         super().visit_Call(node)
 
+    def visit_Compare(self, node):
+        if self.open_scans and any(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops):
+            self.hits.append(self.scope[-1])
+        self.generic_visit(node)
+
 
 def _apartment_scans(source):
     visitor = _ApartmentScans()
@@ -171,9 +177,14 @@ def intersection_complex(B, sigma, tau):
         if a.has_face(sigma) and a.has_face(tau):
             hits.append(a)
     return hits
+
+
+def common_faces(B, sigma, tau):
+    return [a for a in B.apartments if sigma in a]
 """
     assert _apartment_scans(source) == [
         "verify_building_axioms", "intersection_complex", "intersection_complex",
+        "common_faces",
     ]
 
 
@@ -236,10 +247,44 @@ def test_every_default_and_error_type_is_read():
     assert _unread(declared, sources) == []
 
 
-# every top-level function and class of the library is read somewhere
-def _definitions(path):
-    return [node.name for node in ast.parse(path.read_text(encoding="utf-8")).body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+# every top-level function and class of the library, and every method of its
+# classes other than the dunders, is read somewhere
+def _definitions(source):
+    """(qualified name, name) per top-level function or class and per
+    non-dunder method of a top-level class."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append((node.name, node.name))
+        if isinstance(node, ast.ClassDef):
+            out += [(f"{node.name}.{m.name}", m.name) for m in node.body
+                    if isinstance(m, ast.FunctionDef)
+                    and not (m.name.startswith("__") and m.name.endswith("__"))]
+    return out
+
+
+def test_definitions_include_methods_but_not_dunders():
+    source = """
+class Report:
+    def __init__(self):
+        self.x = 1
+
+    def to_json(self):
+        return self._fields()
+
+    def _fields(self):
+        return {}
+
+
+def helper():
+    class Inner:
+        def hidden(self):
+            pass
+"""
+    assert _definitions(source) == [
+        ("Report", "Report"), ("Report.to_json", "to_json"),
+        ("Report._fields", "_fields"), ("helper", "helper"),
+    ]
 
 
 def test_unread_finder_flags_dead_helpers():
@@ -272,8 +317,8 @@ def test_every_library_definition_is_read():
     # verify checks are read only where they are defined
     sources = [p.read_text(encoding="utf-8")
                for p in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))]
-    declared = [(p.stem, name) for p in sorted(SRC.glob("*.py"))
-                for name in _definitions(p)]
-    assert len(declared) > 200
+    declared = [(f"{p.stem}.{qualname}", name) for p in sorted(SRC.glob("*.py"))
+                for qualname, name in _definitions(p.read_text(encoding="utf-8"))]
+    assert len(declared) > 250
     unread = set(_unread([name for _, name in declared], sources))
-    assert [f"{stem}.{name}" for stem, name in declared if name in unread] == []
+    assert [where for where, name in declared if name in unread] == []
