@@ -44,7 +44,6 @@ from .gf import (
     GF,
     all_subspaces,
     rref,
-    span_of_union,
     subspace_le,
     subspace_token,
 )
@@ -124,7 +123,12 @@ def _subset_chains(n: int) -> list:
 
 
 def build_building(n: int, q: int, face_cap=None) -> SphericalBuilding:
-    """The flag complex of the proper nonzero subspaces of GF(q)^n."""
+    """The flag complex of the proper nonzero subspaces of GF(q)^n.
+
+    Spans of lines come from one memoised join per call, span(S) =
+    join(span(S minus its last line), that line), one echelon form per
+    distinct (basis, line); apartments share one tuple per face of X.
+    """
     if n < 3:
         raise DimensionOutOfRange("need n >= 3 for a building of dimension >= 1")
     gf = GF(q)
@@ -159,21 +163,39 @@ def build_building(n: int, q: int, face_cap=None) -> SphericalBuilding:
     # frames and apartments
     lines = by_rank[1]
     token_basis = {tokens[s]: s for r in by_rank for s in by_rank[r]}
-    frames = []
-    apartments = []
+    joins = {}
+
+    def join(basis, j):
+        out = joins.get((basis, j))
+        if out is None:
+            out = joins[basis, j] = rref(gf, basis + lines[j])
+        return out
+
     model_chains = _subset_chains(n)
     model_theta = len(model_chains)
-    for combo in combinations(lines, n):
-        stacked = [row for basis in combo for row in basis]
-        if len(rref(gf, stacked)) != n:
+    subsets = [s for r in range(2, n) for s in combinations(range(n), r)]
+    face_of = {}  # chain-order tokens -> the shared face
+    frames = []
+    apartments = []
+    for combo in combinations(range(len(lines)), n):
+        full = lines[combo[0]]
+        for j in combo[1:]:
+            full = join(full, j)
+        if len(full) != n:
             continue
-        frames.append(tuple(sorted(tokens[s] for s in combo)))
-        span_token = {}
-        for r in range(1, n):
-            for subset in combinations(range(n), r):
-                basis = span_of_union(gf, [combo[i] for i in subset])
-                span_token[subset] = tokens[basis]
-        apt = tuple(tuple(sorted(span_token[s] for s in chain)) for chain in model_chains)
+        frames.append(tuple(sorted(tokens[lines[j]] for j in combo)))
+        span = {(i,): lines[j] for i, j in enumerate(combo)}
+        for s in subsets:
+            span[s] = join(span[s[:-1]], combo[s[-1]])
+        token_of = {s: tokens[basis] for s, basis in span.items()}.__getitem__
+        apt = []
+        for chain in model_chains:
+            key = tuple(map(token_of, chain))
+            face = face_of.get(key)
+            if face is None:
+                face = face_of[key] = tuple(sorted(key))
+            apt.append(face)
+        apt = tuple(apt)
         if len(set(apt)) != model_theta:
             raise PropertyViolation(
                 f"apartment has {len(set(apt))} distinct faces, expected {model_theta}"
@@ -292,12 +314,12 @@ class ChainFamily:
 
 
 def _family_identity_target(fam_entries, ring, sigma, tau) -> Chain:
-    k = len(tau) - 1
-    target = Chain(ring, k, {tau: (-1) ** (k + 1)})
+    """(-1)^{k+1} tau + sum_i (-1)^i c_{sigma,tau_i}; the empty face when tau = ()."""
+    coeffs = {tau: (-1) ** len(tau)}
     for i in range(len(tau)):
-        sub = tau[:i] + tau[i + 1:]
-        target = target + fam_entries[(sigma, sub)].scaled((-1) ** i)
-    return target
+        for f, v in fam_entries[(sigma, tau[:i] + tau[i + 1:])].coeffs.items():
+            coeffs[f] = coeffs.get(f, 0) + (-v if i % 2 else v)
+    return Chain(ring, len(tau) - 1, coeffs)
 
 
 def chain_family(B: SphericalBuilding, ring: Ring, tops=None) -> ChainFamily:
@@ -314,7 +336,8 @@ def chain_family(B: SphericalBuilding, ring: Ring, tops=None) -> ChainFamily:
     intersection. Only sigma_0's family is kept in B.cache, next to the
     Schreier tree; the requested chambers are transported on every call.
     Entries are reduced to the requested ring and the defining identity is
-    re-verified for every entry. `tops` restricts the family to a subset of
+    re-verified for every entry: target minus boundary, summed over Z, must
+    reduce to zero in the ring. `tops` restricts the family to a subset of
     the top faces (default: all of them).
     """
     X = B.complex
@@ -330,7 +353,6 @@ def chain_family(B: SphericalBuilding, ring: Ring, tops=None) -> ChainFamily:
     for sigma in tops:
         for key, ch in _transported_family(B, family0, sigma, transport[sigma]).items():
             entries[key] = ch if ring.kind == "Z" else ch.reduced(ring)
-    fam = ChainFamily(ring, entries)
     for sigma in tops:
         for k in range(-1, X.dim):
             for tau in X.faces(k):
@@ -338,17 +360,16 @@ def chain_family(B: SphericalBuilding, ring: Ring, tops=None) -> ChainFamily:
                     raise PropertyViolation(
                         f"chain family has no entry at {(sigma, tau)}"
                     )
-                got = boundary(fam[(sigma, tau)])
-                want = (
-                    Chain(ring, -1, {(): 1})
-                    if tau == ()
-                    else _family_identity_target(fam.entries, ring, sigma, tau)
-                )
-                if got != want:
+                residual = dict(_family_identity_target(entries, INTEGERS, sigma, tau).coeffs)
+                for face, a in entries[(sigma, tau)].coeffs.items():
+                    for i in range(len(face)):
+                        sub = face[:i] + face[i + 1:]
+                        residual[sub] = residual.get(sub, 0) - (-a if i % 2 else a)
+                if any(ring.reduce(v) for v in residual.values()):
                     raise PropertyViolation(
                         f"chain family identity failed at {(sigma, tau)} over {ring}"
                     )
-    return fam
+    return ChainFamily(ring, entries)
 
 
 def _transported_family(B: SphericalBuilding, family0: dict, sigma, g) -> dict:

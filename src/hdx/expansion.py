@@ -170,7 +170,7 @@ def _subgroup_scan(X, ring, k, target, cap):
     n_reps, n_sub = n ** len(free_cols), n ** len(gens)
     if n_reps > cap or n_sub > cap:
         raise SearchSpaceTooLarge(
-            f"{n_reps} representatives / {n_sub} subgroup elements exceed cap {cap}"
+            f"{n_reps} representatives / {n_sub} generator combinations exceed cap {cap}"
         )
     rows = cosets.combinations([0] * nk, gens, range(n), cap)
     return _coset_scan(X, ring, k, free_cols, (R % n for R in rows))

@@ -7,6 +7,7 @@ from itertools import combinations, product
 import pytest
 
 from hdx import building, errors
+from hdx import gf as gf_module
 from hdx.building import (
     Subcomplex,
     _face_orbits,
@@ -40,6 +41,7 @@ from hdx.gf import (
     row_space_contains,
     rref,
     span_of_union,
+    subspace_le,
     subspace_token,
     token_subspace,
 )
@@ -207,6 +209,74 @@ def test_apartments_match_per_frame_recursion(fano, b42):
     for B in (fano, build_building(3, 3), b42):
         assert B.theta == model_apartment_size(B.n)
         assert [set(apt) for apt in B.apartments] == recursive_apartments(B)
+
+
+def per_subset_building(n, q):
+    """(frames, apartments, subspace_of, top_faces) by the direct construction:
+    one echelon form per n-set of lines for the frame test and one span_of_union
+    per index subset per frame; the reference for build_building's memoised
+    joins, order included."""
+    gf = GF(q)
+    by_rank = {r: all_subspaces(gf, n, r) for r in range(1, n)}
+    tokens = {s: subspace_token(s) for subs in by_rank.values() for s in subs}
+    flags = []
+
+    def extend(chain, r):
+        if r == n:
+            flags.append(tuple(tokens[s] for s in chain))
+            return
+        for s in by_rank[r]:
+            if subspace_le(gf, chain[-1], s):
+                extend(chain + [s], r + 1)
+
+    for s in by_rank[1]:
+        extend([s], 2)
+    top_faces = tuple(sorted(tuple(sorted(f)) for f in flags))
+    frames, apartments = [], []
+    model_chains = building._subset_chains(n)
+    for combo in combinations(by_rank[1], n):
+        if len(rref(gf, [row for basis in combo for row in basis])) != n:
+            continue
+        frames.append(tuple(sorted(tokens[s] for s in combo)))
+        span_token = {}
+        for r in range(1, n):
+            for subset in combinations(range(n), r):
+                span_token[subset] = tokens[span_of_union(gf, [combo[i] for i in subset])]
+        apartments.append(tuple(
+            tuple(sorted(span_token[s] for s in chain)) for chain in model_chains
+        ))
+    subspace_of = {t: s for s, t in tokens.items()}
+    return frames, apartments, subspace_of, top_faces
+
+
+@pytest.mark.parametrize("n,q", [(3, 2), (3, 3), (3, 4), (4, 2)])
+def test_build_matches_per_subset_spans_in_order(n, q):
+    B = build_building(n, q)
+    frames, apartments, subspace_of, top_faces = per_subset_building(n, q)
+    assert B.frames == frames
+    assert B.apartments == apartments
+    assert B.subspace_of == subspace_of
+    assert B.complex.top_faces == top_faces
+
+
+def test_build_makes_one_echelon_form_per_join_and_shares_faces(monkeypatch):
+    calls = []
+    echelon = building.rref
+
+    def counting(*args):
+        calls.append(1)
+        return echelon(*args)
+
+    monkeypatch.setattr(gf_module, "rref", counting)
+    monkeypatch.setattr(building, "rref", counting)
+    B = build_building(4, 2)
+    X = B.complex
+    # at most one echelon form per (vertex basis, line) pair
+    n_lines = len(all_subspaces(B.gf, 4, 1))
+    assert 0 < len(calls) <= len(X.faces(0)) * n_lines == 65 * 15
+    faces = [f for k in range(0, X.dim + 1) for f in X.faces(k)]
+    assert len({id(f) for apt in B.apartments for f in apt}) == len(faces) == 695
+    assert {f for apt in B.apartments for f in apt} == set(faces)
 
 
 # -- intersections and filling ----------------------------------------------------------
@@ -593,6 +663,36 @@ def test_missing_transported_entry_is_a_property_violation(fano, monkeypatch):
     monkeypatch.setattr(building, "_transported_family", lossy)
     with pytest.raises(errors.PropertyViolation):
         chain_family(B, INTEGERS)
+
+
+@pytest.mark.parametrize("ringname,delta,raises", [
+    ("Z", 1, True), ("F3", 3, False), ("F3", 1, True), ("Z/6", 6, False),
+])
+def test_tampered_family_coefficient(fano, monkeypatch, ringname, delta, raises):
+    # one coefficient of one entry at a vertex tau, at the first chamber moved
+    from hdx.rings import parse_ring
+
+    B = dataclasses.replace(fano, cache={})
+    move = building._transported_family
+    tampered = []
+
+    def tamper(*args):
+        out = move(*args)
+        if not tampered:
+            key = next(k for k, ch in out.items() if len(k[1]) == 1 and ch.coeffs)
+            ch = out[key]
+            face, v = next(iter(ch.coeffs.items()))
+            out[key] = Chain(INTEGERS, ch.dim, {**ch.coeffs, face: v + delta})
+            tampered.append(key)
+        return out
+
+    monkeypatch.setattr(building, "_transported_family", tamper)
+    if raises:
+        with pytest.raises(errors.PropertyViolation, match="identity failed"):
+            chain_family(B, parse_ring(ringname))
+    else:
+        chain_family(B, parse_ring(ringname))
+    assert tampered
 
 
 def test_symmetry_checks(fano):

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -7,10 +8,13 @@ from hdx import errors
 from hdx.catalog import named_complex
 from hdx.cochains import (
     COBOUNDARIES,
+    COCYCLES,
     coboundary,
     coboundary_group,
     distance,
     is_locally_minimal,
+    subgroup_array,
+    subgroup_generators,
     vector_cochain,
 )
 from hdx.complexes import build_complex
@@ -164,6 +168,19 @@ def test_search_cap_respected():
     X = named_complex("octahedron")
     with pytest.raises(errors.SearchSpaceTooLarge):
         coboundary_epsilon(X, F3, 1, cap=100)
+
+
+def test_cap_refusal_counts_generator_combinations():
+    # over Z/4 the cocycle generators of rp2 include vectors of additive order
+    # 2, so the scan's n^len(gens) rows outnumber the subgroup's elements
+    X = named_complex("rp2")
+    Z4 = modular_ring(4)
+    with pytest.raises(errors.SearchSpaceTooLarge) as info:
+        cosystolic_pair(X, Z4, 1, cap=10)
+    combos = 4 ** len(subgroup_generators(X, Z4, 1, COCYCLES))
+    found = re.search(r"(\d+) generator combinations exceed cap 10", str(info.value))
+    assert found and int(found.group(1)) == combos == 4096
+    assert len(subgroup_array(X, Z4, 1, COCYCLES)) == 2048
 
 
 # -- cosystolic ----------------------------------------------------------------------

@@ -193,6 +193,68 @@ def test_apartment_membership_has_one_home():
     assert _apartment_scans(source) == []
 
 
+# building.build_building takes every span from its memoised join: no echelon
+# form is computed per combination of lines or per frame
+ECHELON_CALLS = {"rref", "span_of_union"}
+
+
+class _EchelonsPerCombination(_Calls):
+    """rref and span_of_union calls inside the body of a `for` over
+    combinations(...)."""
+
+    def __init__(self):
+        super().__init__()
+        self.open_loops = 0
+        self.hits = []
+
+    def visit_For(self, node):
+        over = isinstance(node.iter, ast.Call) and _callee(node.iter) == "combinations"
+        self.visit(node.iter)
+        self.open_loops += over
+        for stmt in node.body + node.orelse:
+            self.visit(stmt)
+        self.open_loops -= over
+
+    def visit_Call(self, node):
+        if self.open_loops and _callee(node) in ECHELON_CALLS:
+            self.hits.append(f"{self.scope[-1]}:{_callee(node)}")
+        super().visit_Call(node)
+
+
+def _echelons_per_combination(source):
+    visitor = _EchelonsPerCombination()
+    visitor.visit(ast.parse(source))
+    return visitor.hits
+
+
+def test_echelon_finder_flags_the_per_subset_frame_loop():
+    source = """
+def build_building(n, gf, lines, tokens):
+    frames = []
+    for combo in combinations(lines, n):
+        stacked = [row for basis in combo for row in basis]
+        if len(rref(gf, stacked)) != n:
+            continue
+        frames.append(combo)
+        span_token = {}
+        for r in range(1, n):
+            for subset in combinations(range(n), r):
+                basis = span_of_union(gf, [combo[i] for i in subset])
+                span_token[subset] = tokens[basis]
+    for line in lines:
+        rref(gf, line)
+    return frames
+"""
+    assert _echelons_per_combination(source) == [
+        "build_building:rref", "build_building:span_of_union",
+    ]
+
+
+def test_building_spans_come_from_the_memoised_join():
+    source = (SRC / "building.py").read_text(encoding="utf-8")
+    assert _echelons_per_combination(source) == []
+
+
 # every default knob and every error type is read somewhere in the library
 def _declared(path):
     """DEFAULT_* assignments of config.py, or the error classes of errors.py."""
