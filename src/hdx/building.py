@@ -37,6 +37,7 @@ from .errors import (
     DimensionOutOfRange,
     FaceNotInComplex,
     NoSolution,
+    ParameterOutOfRange,
     PropertyViolation,
     TooLarge,
 )
@@ -572,8 +573,8 @@ def _face_orbits(X: SimplicialComplex, gens) -> dict:
 
     Each orbit is closed under the generators breadth-first: faces x
     generators work, never |G|. Images off the complex are not followed; a
-    permutation making them is no automorphism, which the equivariance
-    sample of `symmetry_checks` reports.
+    permutation making them is no automorphism, which check (a) of
+    `symmetry_checks` reports.
     """
     out = {}
     for k in range(0, X.dim + 1):
@@ -591,21 +592,26 @@ def _face_orbits(X: SimplicialComplex, gens) -> dict:
     return out
 
 
-def _summed_totals(B: SphericalBuilding, k: int) -> dict:
+def _summed_totals(B: SphericalBuilding, k: int, orbits: dict) -> dict:
     """Face r -> sum of ||tau|| over the pairs (sigma, tau) with r in A_{sigma,tau}.
 
     sigma runs over the chambers and tau over the k-faces; each sum is kept
-    as its numerator over weight_denominator(k).
+    as its numerator over weight_denominator(k), averaged over `_face_orbits`
+    from the sums T_0 at sigma_0 = X.top_faces[0] (see `symmetry_checks`).
+    An orbit whose division is not exact raises PropertyViolation.
     """
     X = B.complex
-    acc = {rho: 0 for j in range(-1, X.dim + 1) for rho in X.faces(j)}
-    for sigma in X.top_faces:
-        for tau in X.faces(k):
-            wt = X.deg_top(tau)
-            for rho in _common_faces(B, sigma, tau):
-                acc[rho] += wt
-            acc[()] += wt
-    return acc
+    t0 = {rho: 0 for j in range(-1, X.dim + 1) for rho in X.faces(j)}
+    for tau in X.faces(k):
+        for rho in [()] + _common_faces(B, X.top_faces[0], tau):
+            t0[rho] += X.deg_top(tau)
+    totals = {}
+    for orbit in [o for per_dim in orbits.values() for o in per_dim] + [[()]]:
+        total, rem = divmod(len(X.top_faces) * sum(t0[rho] for rho in orbit), len(orbit))
+        if rem:
+            raise PropertyViolation(f"the totals over the orbit of {orbit[0]} do not divide")
+        totals.update(dict.fromkeys(orbit, total))
+    return totals
 
 
 def symmetry_checks(B: SphericalBuilding, seed=0) -> SymmetryReport:
@@ -622,10 +628,13 @@ def symmetry_checks(B: SphericalBuilding, seed=0) -> SymmetryReport:
         deg_top(r) * |orbit(r)| >= |X(d)|         (stabilizer bound)
         sum over pairs with r in A_{sigma,tau} of ||tau|| <= theta * deg_top(r)
 
-    the first being |G| deg_top(r) >= |X(d)| |G_r|. The summed bound runs over
-    every pair (sigma, tau), in numerators over weight_denominator(k). Apartment
-    equivariance, g A_{sigma,tau} = A_{g sigma, g tau}, is checked on 20
-    seeded random words g in the generators.
+    the first being |G| deg_top(r) >= |X(d)| |G_r|. Each generator s is proved
+    to (a) map X(d) onto X(d), so s is an automorphism and deg_top and the
+    weights are s-invariant, and (b) map each apartment's chambers onto some
+    apartment's chambers, so s permutes the apartments (each the closure of
+    its chambers) and g A_{sigma,tau} = A_{g sigma, g tau} for g in G. Double
+    counting over the orbit O of r, by transitivity on chambers, then gives
+    |O| total(r) = |X(d)| sum_{r' in O} T_0(r'); else the summed bound is false.
     """
     X = B.complex
     gens = generator_actions(B)
@@ -636,7 +645,6 @@ def symmetry_checks(B: SphericalBuilding, seed=0) -> SymmetryReport:
 
     orbit_size = {f: len(o) for per_dim in orbits.values() for o in per_dim for f in o}
     orbit_size[()] = 1
-    nd = len(X.top_faces)
     stab_ok = True
     stab_detail = {}
     for rho, size in orbit_size.items():
@@ -645,33 +653,23 @@ def symmetry_checks(B: SphericalBuilding, seed=0) -> SymmetryReport:
                 f"the orbit of {rho} has {size} faces, which does not divide |G| = {order}"
             )
         stab_detail[rho] = order // size
-        if X.deg_top(rho) * size < nd:
+        if X.deg_top(rho) * size < len(X.top_faces):
             stab_ok = False
 
-    summed_ok = True
-    for k in range(-1, X.dim):
-        den = X.weight_denominator(k)
-        for rho, total in _summed_totals(B, k).items():
-            if total > B.theta * X.deg_top(rho) * den:
-                summed_ok = False
+    known = {frozenset(f for f in apt if len(f) == B.n - 1) for apt in B.apartments}
+    images = [{c: _face_image(s, c) for c in X.top_faces} for s in gens]
+    equiv_ok = all(
+        set(image.values()) == set(X.top_faces)  # (a)
+        and all(frozenset(map(image.__getitem__, A)) in known for A in known)  # (b)
+        for image in images
+    )
 
-    rng = random.Random(seed)
-    equiv_ok = True
-    for _ in range(20):
-        act = {v: v for v in B.subspace_of}
-        for s in rng.choices(gens, k=len(gens)):
-            act = {v: s[w] for v, w in act.items()}
-        sigma = rng.choice(X.top_faces)
-        k = rng.randrange(-1, X.dim)
-        tau = () if k == -1 else rng.choice(X.faces(k))
-        g_sigma, g_tau = _face_image(act, sigma), _face_image(act, tau)
-        if not X.has_face(g_sigma) or (g_tau and not X.has_face(g_tau)):
-            equiv_ok = False
-            continue
-        A = _common_faces(B, sigma, tau)
-        gA = _common_faces(B, g_sigma, g_tau)
-        if {_face_image(act, f) for f in A} != set(gA):
-            equiv_ok = False
+    summed_ok = transitive_top and equiv_ok
+    if transitive_top:
+        for k in range(-1, X.dim):
+            for rho, total in _summed_totals(B, k, orbits).items():
+                if total > B.theta * X.deg_top(rho) * X.weight_denominator(k):
+                    summed_ok = False
     return SymmetryReport(
         order, orbit_counts, transitive_top, stab_ok, summed_ok, equiv_ok,
         details={"stabilizers": stab_detail},
@@ -739,6 +737,8 @@ def building_expansion_audit(
     from .expansion import coboundary_epsilon
     from .lattice import integer_cohomology
 
+    if samples < 1:
+        raise ParameterOutOfRange(f"need samples >= 1 cochains per dimension, got {samples}")
     X = B.complex
     d = X.dim
     rng = random.Random(seed)

@@ -21,7 +21,7 @@ from . import fatfaces as fatfaces_mod
 from . import lattice as lattice_mod
 from .catalog import named_complex, names
 from .complexes import load_complex
-from .errors import HdxError, PropertyViolation, UsageError
+from .errors import HdxError, ParameterOutOfRange, PropertyViolation, UsageError
 from .rings import parse_ring
 
 PROPERTY_FAILURE = 2
@@ -142,6 +142,8 @@ def report_fatfaces(args) -> int:
             tuple(sorted(part.split())) for part in args.support.split(",")
         )
         fams = [fatfaces_mod.fat_family(X, support, eta, k=args.k)]
+    elif args.draws < 1:
+        raise ParameterOutOfRange(f"need --draws >= 1 without --support, got {args.draws}")
     else:
         rng = random.Random(args.seed)
         fams = []

@@ -731,6 +731,21 @@ def test_symmetry_checks_4_2_at_default_settings(b42):
     assert rep.apartment_equivariance_ok
 
 
+def pair_loop_totals(B, k):
+    """Per face r, the integer numerator over weight_denominator(k) of the sum
+    of ||tau|| over every pair (sigma, tau), tau a k-face, with r in
+    A_{sigma,tau}; the brute-force reference for the orbit average."""
+    X = B.complex
+    acc = {rho: 0 for j in range(-1, X.dim + 1) for rho in X.faces(j)}
+    for sigma in X.top_faces:
+        for tau in X.faces(k):
+            wt = X.deg_top(tau)
+            for rho in building._common_faces(B, sigma, tau):
+                acc[rho] += wt
+            acc[()] += wt
+    return acc
+
+
 def fraction_totals(B, k):
     """Per face r, sum of ||tau|| over the pairs (sigma, tau), tau a k-face, with
     r in A_{sigma,tau}, added in Fractions over built intersections; the
@@ -752,9 +767,11 @@ def fraction_totals(B, k):
 def test_summed_totals_match_the_fraction_loop(n, q):
     B = build_building(n, q)
     X = B.complex
+    orbits = _face_orbits(X, generator_actions(B))
     for k in range(-1, X.dim):
         den = X.weight_denominator(k)
-        got = _summed_totals(B, k)
+        got = _summed_totals(B, k, orbits)
+        assert got == pair_loop_totals(B, k)
         want = fraction_totals(B, k)
         assert got.keys() == want.keys()
         assert all(Fraction(got[rho], den) == want[rho] for rho in want)
@@ -866,12 +883,44 @@ def test_equivariance_sample_catches_a_non_automorphism(fano, monkeypatch):
     lines = sorted(t for t, basis in fano.subspace_of.items() if len(basis) == 1)
     swap = {v: v for v in fano.subspace_of}
     swap[lines[0]], swap[lines[1]] = lines[1], lines[0]
+    assert {building._face_image(swap, c) for c in fano.complex.top_faces} != set(
+        fano.complex.top_faces
+    )
     monkeypatch.setattr(building, "generator_actions", lambda B: gens + [swap])
     rep = symmetry_checks(dataclasses.replace(fano, cache={}))
     assert rep.transitive_on_top
     assert rep.stabilizer_bound_ok
-    assert rep.summed_bound_ok
+    # check (a) fails, so the orbit average's premise fails with it
     assert not rep.apartment_equivariance_ok
+    assert not rep.summed_bound_ok
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_equivariance_check_catches_a_missing_apartment(fano, seed):
+    # every generator is still an automorphism, so only check (b) can fail:
+    # some generator maps an apartment onto the one that was dropped
+    B = dataclasses.replace(fano, apartments=fano.apartments[:-1], cache={})
+    rep = symmetry_checks(B, seed=seed)
+    assert rep.transitive_on_top
+    assert not rep.apartment_equivariance_ok
+    assert not rep.summed_bound_ok
+
+
+@pytest.mark.parametrize("n,q", [(3, 3), (4, 2)])
+def test_symmetry_checks_intersect_at_one_chamber_only(n, q, monkeypatch):
+    B = build_building(n, q)
+    X = B.complex
+    calls = []
+    common = building._common_faces
+
+    def counted(*args):
+        calls.append(args)
+        return common(*args)
+
+    monkeypatch.setattr(building, "_common_faces", counted)
+    rep = symmetry_checks(B)
+    assert rep.summed_bound_ok and rep.apartment_equivariance_ok
+    assert 0 < len(calls) <= sum(len(X.faces(k)) for k in range(-1, X.dim))
 
 
 def test_building_audit(fano):

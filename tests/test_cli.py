@@ -115,6 +115,18 @@ def test_report_fatfaces_random_draws(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("draws", ["0", "-3"])
+def test_report_fatfaces_refuses_draws_below_one(capsys, draws):
+    # with no draws no family is audited, and fat_bound_ok would hold vacuously
+    code, out, err = run_cli(
+        ["report", "fatfaces", "--k", "0", "--eta", "1/2", "--draws", draws, "octahedron"],
+        capsys,
+    )
+    assert code == 1
+    assert out == ""
+    assert "ParameterOutOfRange" in err
+
+
 def test_report_building_audit(capsys):
     code, out, _ = run_cli(
         ["report", "building-audit", "--n", "3", "--q", "2", "--ring", "Z",
@@ -127,6 +139,18 @@ def test_report_building_audit(capsys):
     assert doc["beta_theorem"] == {"num": 1, "den": 24}
     assert doc["epsilon_ok"] and doc["homotopy_ok"]
     assert doc["symmetry"]["group_order"] == 168
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_report_building_audit_refuses_samples_below_one(capsys, samples):
+    # with no sampled cochain the homotopy and homological flags hold vacuously
+    code, out, err = run_cli(
+        ["report", "building-audit", "--n", "3", "--q", "2", "--samples", samples],
+        capsys,
+    )
+    assert code == 1
+    assert out == ""
+    assert "ParameterOutOfRange" in err
 
 
 def test_property_violation_exits_2(capsys, monkeypatch):
