@@ -893,6 +893,13 @@ def test_equivariance_sample_catches_a_non_automorphism(fano, monkeypatch):
     # check (a) fails, so the orbit average's premise fails with it
     assert not rep.apartment_equivariance_ok
     assert not rep.summed_bound_ok
+    # with the swap acting alone on the apartments it fixes, check (b) holds
+    # and check (a) alone reports it
+    fixed = [a for a in fano.apartments if all(building._face_image(swap, f) == f for f in a)]
+    monkeypatch.setattr(building, "generator_actions", lambda B: [swap])
+    rep = symmetry_checks(dataclasses.replace(fano, apartments=fixed, cache={}))
+    assert len(fixed) == 8
+    assert not rep.apartment_equivariance_ok
 
 
 @pytest.mark.parametrize("seed", range(5))
