@@ -123,7 +123,7 @@ def _subset_chains(n: int) -> list:
     return out
 
 
-def build_building(n: int, q: int, face_cap=None) -> SphericalBuilding:
+def build_building(n: int, q: int) -> SphericalBuilding:
     """The flag complex of the proper nonzero subspaces of GF(q)^n.
 
     Spans of lines come from one memoised join per call, span(S) =
@@ -133,7 +133,6 @@ def build_building(n: int, q: int, face_cap=None) -> SphericalBuilding:
     if n < 3:
         raise DimensionOutOfRange("need n >= 3 for a building of dimension >= 1")
     gf = GF(q)
-    cap = face_cap if face_cap is not None else DEFAULT_BUILDING_FACE_CAP
     by_rank = {r: all_subspaces(gf, n, r) for r in range(1, n)}
     tokens = {}
     for r, subs in by_rank.items():
@@ -154,10 +153,10 @@ def build_building(n: int, q: int, face_cap=None) -> SphericalBuilding:
 
     for s in by_rank[1]:
         extend([s], 2)
-    if n_vertices + len(flags) > cap:
+    if n_vertices + len(flags) > DEFAULT_BUILDING_FACE_CAP:
         raise TooLarge(
             f"building ({n},{q}) has {n_vertices} vertices and {len(flags)} "
-            f"maximal flags, over the cap {cap}"
+            f"maximal flags, over the cap {DEFAULT_BUILDING_FACE_CAP}"
         )
     X = SimplicialComplex.from_top_faces(flags)
 
@@ -635,6 +634,8 @@ def symmetry_checks(B: SphericalBuilding, seed=0) -> SymmetryReport:
     its chambers) and g A_{sigma,tau} = A_{g sigma, g tau} for g in G. Double
     counting over the orbit O of r, by transitivity on chambers, then gives
     |O| total(r) = |X(d)| sum_{r' in O} T_0(r'); else the summed bound is false.
+    Nothing is sampled: seed is accepted and unused, because the CLI and the
+    perfbench workloads pass it.
     """
     X = B.complex
     gens = generator_actions(B)
@@ -724,7 +725,6 @@ def building_expansion_audit(
     seed=0,
     samples=50,
     eps_rings=None,
-    cap=None,
 ) -> BuildingAuditReport:
     """Measure coboundary expansion and verify the structural identities.
 
@@ -750,7 +750,7 @@ def building_expansion_audit(
     eps_ok = True
     for r in eps_rings:
         for k in range(0, d):
-            rep = coboundary_epsilon(X, r, k, cap=cap)
+            rep = coboundary_epsilon(X, r, k)
             eps[(str(r), k)] = rep.epsilon
             if rep.epsilon < max(beta_theorem, beta_proof[k]):
                 eps_ok = False
@@ -775,9 +775,9 @@ def building_expansion_audit(
             f = random_cochain(X, ring, k, rng)
             df_supp = coboundary(f).support
             if ring.is_finite:
-                dist, _ = distance(f, COBOUNDARIES, cap=cap)
+                dist, _ = distance(f, COBOUNDARIES)
             else:
-                dist, _ = distance(f, COBOUNDARIES, coeff_bound=2, cap=cap)
+                dist, _ = distance(f, COBOUNDARIES, coeff_bound=2)
             for sigma in X.top_faces[:3]:
                 bound = Fraction(0)
                 for tau in X.faces(k):

@@ -52,8 +52,11 @@ def resolve_complex(source: str):
             params[key.strip()] = val.strip()
         if set(params) != {"n", "q"}:
             raise UsageError(f"building spec needs exactly n and q, got {source!r}")
-        B = building_mod.build_building(int(params["n"]), int(params["q"]))
-        return B.complex
+        try:
+            n, q = int(params["n"]), int(params["q"])
+        except ValueError:
+            raise UsageError(f"building spec needs integer n and q, got {source!r}") from None
+        return building_mod.build_building(n, q).complex
     try:
         return named_complex(source)
     except KeyError:
@@ -152,6 +155,10 @@ def report_fatfaces(args) -> int:
             A = frozenset(f for f in faces if rng.random() < 0.35)
             if A:
                 fams.append(fatfaces_mod.fat_family(X, A, eta, k=args.k))
+        if not fams:
+            raise ParameterOutOfRange(
+                f"all {args.draws} draws of {args.k}-faces came out empty; no family to audit"
+            )
     alpha_max = expansion_mod.skeleton_alpha(X)[0]
     for kk in range(0, X.dim + 1):
         for s in X.faces(kk):

@@ -32,7 +32,6 @@ import numpy as np
 
 from . import cosets, intmat
 from .complexes import SimplicialComplex
-from .config import candidate_cap
 from .errors import (
     DimensionMismatch,
     DimensionOutOfRange,
@@ -50,6 +49,9 @@ from .rings import Ring, prime_field
 
 COBOUNDARIES = "coboundaries"
 COCYCLES = "cocycles"
+MINIMALITY_COEFF_BOUND = 2  # bounded search of is_minimal over the integers
+REPAIR_STEPS = 100000  # repair steps make_locally_minimal takes before giving up
+RANDOM_INT_RANGE = (-9, 9)  # inclusive range of random_cochain's integer values
 
 
 def perm_sign(seq) -> int:
@@ -385,7 +387,7 @@ def subgroup_generators(X, ring: Ring, k: int, target: str):
     return gens
 
 
-def subgroup_array(X, ring: Ring, k: int, target: str, cap=None):
+def subgroup_array(X, ring: Ring, k: int, target: str):
     """B^k or Z^k of a finite ring as a cached int64 array, one row per element.
 
     Rows are the distinct combinations of the generators, in order of first
@@ -395,24 +397,24 @@ def subgroup_array(X, ring: Ring, k: int, target: str, cap=None):
     G = X.cache.get(key)
     if G is None:
         gens = subgroup_generators(X, ring, k, target)
-        R = cosets.span(gens, ring.size, len(X.faces(k)), candidate_cap(cap))
+        R = cosets.span(gens, ring.size, len(X.faces(k)))
         _, first = np.unique(R, axis=0, return_index=True)
         G = R[np.sort(first)]
         X.cache[key] = G
     return G
 
 
-def coboundary_group(X, ring: Ring, k: int, cap=None):
+def coboundary_group(X, ring: Ring, k: int):
     """All vectors of B^k(X; R) for a finite ring R (B^{-1} = {0}), as tuples."""
-    return list(map(tuple, subgroup_array(X, ring, k, COBOUNDARIES, cap).tolist()))
+    return list(map(tuple, subgroup_array(X, ring, k, COBOUNDARIES).tolist()))
 
 
-def cocycle_group(X, ring: Ring, k: int, cap=None):
+def cocycle_group(X, ring: Ring, k: int):
     """All vectors of Z^k(X; R) for a finite ring R (Z^d = C^d), as tuples."""
-    return list(map(tuple, subgroup_array(X, ring, k, COCYCLES, cap).tolist()))
+    return list(map(tuple, subgroup_array(X, ring, k, COCYCLES).tolist()))
 
 
-def distance(f: Cochain, target: str = COBOUNDARIES, coeff_bound=None, cap=None):
+def distance(f: Cochain, target: str = COBOUNDARIES, coeff_bound=None):
     """Distance of f from the coboundaries or the cocycles.
 
     Finite rings scan the whole subgroup with the coset kernel, so the value
@@ -422,12 +424,11 @@ def distance(f: Cochain, target: str = COBOUNDARIES, coeff_bound=None, cap=None)
     uncertified.
     """
     X, k, ring = f.complex, f.dim, f.ring
-    cap = candidate_cap(cap)
     fvec = cochain_vector(f)
     w, den = cosets.face_weights(X, k)
 
     if ring.is_finite:
-        G = subgroup_array(X, ring, k, target, cap)
+        G = subgroup_array(X, ring, k, target)
         v = np.array(fvec, dtype=np.int64)
         return Fraction(cosets.min_distance(cosets.chunks(G), v, w), den), True
 
@@ -450,29 +451,29 @@ def distance(f: Cochain, target: str = COBOUNDARIES, coeff_bound=None, cap=None)
     # the coefficient box is symmetric, so f + c.gens and f - c.gens agree
     b = int(coeff_bound)
     gens = subgroup_generators(X, ring, k, target)
-    rows = cosets.combinations(fvec, gens, range(-b, b + 1), cap)
+    rows = cosets.combinations(fvec, gens, range(-b, b + 1))
     zero = np.zeros(len(fvec), dtype=np.int64)
     return Fraction(cosets.min_distance(rows, zero, w), den), False
 
 
-def mod_p_distance_floor(f: Cochain, target: str, cap) -> Fraction:
+def mod_p_distance_floor(f: Cochain, target: str) -> Fraction:
     """Largest distance of a reduction of f mod p; a lower bound for the Z distance."""
     return cosets.mod_p_floor(
         lambda p: distance(
-            Cochain(f.complex, prime_field(p), f.dim, dict(f.values)), target, cap=cap
+            Cochain(f.complex, prime_field(p), f.dim, dict(f.values)), target
         )[0]
     )
 
 
-def is_minimal(f: Cochain, coeff_bound=2, cap=None) -> bool:
+def is_minimal(f: Cochain) -> bool:
     """Whether the norm of f equals its distance from the coboundaries."""
     if f.ring.is_finite:
-        d, _ = distance(f, COBOUNDARIES, cap=cap)
+        d, _ = distance(f, COBOUNDARIES)
         return d == f.norm()
-    upper, certified = distance(f, COBOUNDARIES, coeff_bound=coeff_bound, cap=cap)
+    upper, certified = distance(f, COBOUNDARIES, coeff_bound=MINIMALITY_COEFF_BOUND)
     if certified or upper < f.norm():
         return upper == f.norm()
-    if mod_p_distance_floor(f, COBOUNDARIES, cap) == f.norm():
+    if mod_p_distance_floor(f, COBOUNDARIES) == f.norm():
         return True
     raise Uncertified("bounded integer search could not certify minimality")
 
@@ -484,7 +485,7 @@ def _faces_below_support(f: Cochain):
     return sorted(faces, key=lambda s: (len(s), s))
 
 
-def is_locally_minimal(f: Cochain, coeff_bound=2, cap=None) -> bool:
+def is_locally_minimal(f: Cochain) -> bool:
     """Whether every localization of f to a link is minimal there.
 
     Localizations to faces of k+1 vertices are (-1)-cochains, which are
@@ -495,12 +496,12 @@ def is_locally_minimal(f: Cochain, coeff_bound=2, cap=None) -> bool:
         h = localize(f, sigma)
         if h.is_zero():
             continue
-        if not is_minimal(h, coeff_bound=coeff_bound, cap=cap):
+        if not is_minimal(h):
             return False
     return True
 
 
-def make_locally_minimal(f: Cochain, cap=None, max_steps=100000):
+def make_locally_minimal(f: Cochain):
     """Repair f to a locally minimal cochain by subtracting a coboundary.
 
     Returns (g, f2) with f2 = f - coboundary(g), f2 locally minimal and
@@ -512,11 +513,10 @@ def make_locally_minimal(f: Cochain, cap=None, max_steps=100000):
     if not f.ring.is_finite:
         raise Uncertified("local minimality repair needs a finite ring")
     X, ring, k = f.complex, f.ring, f.dim
-    cap = candidate_cap(cap)
     g_acc = Cochain.zero(X, ring, k - 1)
     cur = f
-    for _ in range(max_steps):
-        step = _first_repair_step(cur, cap)
+    for _ in range(REPAIR_STEPS):
+        step = _first_repair_step(cur)
         if step is None:
             return g_acc, cur
         g_acc = g_acc + step
@@ -524,7 +524,7 @@ def make_locally_minimal(f: Cochain, cap=None, max_steps=100000):
     raise NonTerminatingSearch("local minimality repair did not converge")
 
 
-def _first_repair_step(f: Cochain, cap):
+def _first_repair_step(f: Cochain):
     """The lift of the best improving link coboundary at the first bad face."""
     X, ring = f.complex, f.ring
     for sigma in _faces_below_support(f):
@@ -534,22 +534,22 @@ def _first_repair_step(f: Cochain, cap):
         L = h.complex
         w, _ = cosets.face_weights(L, h.dim)
         hvec = np.array(cochain_vector(h), dtype=np.int64)
-        group = subgroup_array(L, ring, h.dim, COBOUNDARIES, cap)
+        group = subgroup_array(L, ring, h.dim, COBOUNDARIES)
         d, b = cosets.least_row(cosets.chunks(group), hvec, w)
         if d >= int(w[hvec != 0].sum()):
             continue
         target = tuple(ring.reduce(v if len(sigma) % 2 == 0 else -v) for v in b)
-        h_pre = _lex_least_preimage(L, ring, h.dim - 1, target, cap)
+        h_pre = _lex_least_preimage(L, ring, h.dim - 1, target)
         return lift_from_link(h_pre, sigma, X)
     return None
 
 
-def _lex_least_preimage(L, ring, j, target_vec, cap):
+def _lex_least_preimage(L, ring, j, target_vec):
     """Lexicographically least h in C^j(L) with delta(h) equal to the target."""
     n, nj = ring.size, len(L.faces(j))
     D = np.array(delta_matrix(L, j), dtype=np.int64)
     # the combinations of the unit vectors, in product order, are C^j in lex order
-    for H in cosets.combinations([0] * nj, np.eye(nj, dtype=np.int64), range(n), cap):
+    for H in cosets.combinations([0] * nj, np.eye(nj, dtype=np.int64), range(n)):
         hit = np.flatnonzero(((H @ D.T) % n == np.array(target_vec)).all(axis=1))
         if hit.size:
             return vector_cochain(L, ring, j, H[hit[0]].tolist())
@@ -559,12 +559,12 @@ def _lex_least_preimage(L, ring, j, target_vec, cap):
     )
 
 
-def random_cochain(X, ring, k, rng, int_low=-9, int_high=9) -> Cochain:
+def random_cochain(X, ring, k, rng) -> Cochain:
     """Seeded random k-cochain; integer values are uniform on a small range."""
     vals = {}
     for face in X.faces(k):
         if ring.is_finite:
             vals[face] = rng.randrange(ring.size)
         else:
-            vals[face] = rng.randint(int_low, int_high)
+            vals[face] = rng.randint(*RANDOM_INT_RANGE)
     return Cochain(X, ring, k, vals)

@@ -1,9 +1,10 @@
 """Search caps for the exhaustive enumerations.
 
-Every exhaustive search takes an optional cap argument; `None` means "use the
-default", which can be overridden globally through the HDX_CAP environment
-variable (a positive integer). Exceeding a cap raises SearchSpaceTooLarge
-instead of silently sampling.
+The candidate cap has one setting, the HDX_CAP environment variable (a
+positive integer), else DEFAULT_CANDIDATE_CAP. `candidate_cap` reads it
+where a search compares its size against it: `cosets.combinations` and four
+scans in `expansion`. Exceeding the cap raises SearchSpaceTooLarge instead
+of silently sampling. The skeleton and building caps are constants.
 """
 
 import os
@@ -15,10 +16,8 @@ DEFAULT_SKELETON_VERTEX_CAP = 22
 DEFAULT_BUILDING_FACE_CAP = 400
 
 
-def candidate_cap(cap=None):
-    """Resolve an explicit cap, the HDX_CAP override, or the default."""
-    if cap is not None:
-        return int(cap)
+def candidate_cap():
+    """The HDX_CAP override, or the default."""
     env = os.environ.get("HDX_CAP")
     if env is None:
         return DEFAULT_CANDIDATE_CAP

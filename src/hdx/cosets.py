@@ -19,6 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .config import candidate_cap
 from .errors import ParameterOutOfRange, SearchSpaceTooLarge
 
 CHUNK = 1 << 12
@@ -64,17 +65,19 @@ def chunks(G):
     return (G[i:i + CHUNK] for i in range(0, len(G), CHUNK))
 
 
-def combinations(base, gens, coeffs, cap, skip_zero=False):
+def combinations(base, gens, coeffs, skip_zero=False):
     """Blocks of the rows base + c @ gens for c in coeffs^len(gens), product order.
 
     coeffs is a range such as range(-b, b + 1), refused when empty (b < 0);
     skip_zero leaves out c = 0. Raises SearchSpaceTooLarge when there are
-    more than cap combinations or when an entry could overflow int64.
+    more than `candidate_cap()` combinations or when an entry could overflow
+    int64.
     """
     m, n, width = len(gens), len(coeffs), len(base)
     if not n:
         raise ParameterOutOfRange(f"empty coefficient range {coeffs}")
     total = n ** m
+    cap = candidate_cap()
     if total > cap:
         raise SearchSpaceTooLarge(f"{total} combinations exceed cap {cap}")
     cmax = max(abs(coeffs[0]), abs(coeffs[-1]))
@@ -95,9 +98,9 @@ def combinations(base, gens, coeffs, cap, skip_zero=False):
         yield R
 
 
-def span(basis, n, width, cap):
+def span(basis, n, width):
     """Every combination c @ basis mod n, c in range(n)^len(basis), product order."""
-    return np.concatenate(list(combinations([0] * width, basis, range(n), cap))) % n
+    return np.concatenate(list(combinations([0] * width, basis, range(n)))) % n
 
 
 def min_distance(blocks, v, w):

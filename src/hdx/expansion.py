@@ -95,17 +95,18 @@ class ExpansionReport:
 # -- skeleton expansion ------------------------------------------------------------
 
 
-def skeleton_alpha(X: SimplicialComplex, max_vertices=None):
+def skeleton_alpha(X: SimplicialComplex):
     """Least alpha with ||E(S)|| <= ||S||^2 + alpha * ||S|| for all nonempty S.
 
     Exhausts every vertex subset; the returned witness attains the maximum of
     (||E(S)|| - ||S||^2) / ||S|| (alpha clamps that maximum at zero).
     """
-    cap = max_vertices if max_vertices is not None else DEFAULT_SKELETON_VERTEX_CAP
     verts = [f[0] for f in X.faces(0)]
     n = len(verts)
-    if n > cap:
-        raise TooManyVertices(f"{n} vertices exceed the exhaustive cap {cap}")
+    if n > DEFAULT_SKELETON_VERTEX_CAP:
+        raise TooManyVertices(
+            f"{n} vertices exceed the exhaustive cap {DEFAULT_SKELETON_VERTEX_CAP}"
+        )
     if n == 0:
         return Fraction(0), ()
     wv = [X.deg_top((v,)) for v in verts]
@@ -153,7 +154,7 @@ def skeleton_alpha(X: SimplicialComplex, max_vertices=None):
 # -- coset scan engine ------------------------------------------------------------------
 
 
-def _subgroup_scan(X, ring, k, target, cap):
+def _subgroup_scan(X, ring, k, target):
     """(ratio, witness vector, cosets scanned) of the scan against B^k or Z^k.
 
     Over a field the candidates pin the pivot coordinates of the subgroup's
@@ -168,11 +169,12 @@ def _subgroup_scan(X, ring, k, target, cap):
     pivots = intmat.rref_mod_p(gens, n)[1] if ring.is_field else []
     free_cols = [j for j in range(nk) if j not in pivots]
     n_reps, n_sub = n ** len(free_cols), n ** len(gens)
+    cap = candidate_cap()
     if n_reps > cap or n_sub > cap:
         raise SearchSpaceTooLarge(
             f"{n_reps} representatives / {n_sub} generator combinations exceed cap {cap}"
         )
-    rows = cosets.combinations([0] * nk, gens, range(n), cap)
+    rows = cosets.combinations([0] * nk, gens, range(n))
     return _coset_scan(X, ring, k, free_cols, (R % n for R in rows))
 
 
@@ -219,7 +221,7 @@ def _coset_scan(X, ring, k, free_cols, sub_blocks):
     return Fraction(best_e * den_k, best_s * den_k1), tuple(witness), n_reps
 
 
-def coboundary_epsilon(X, ring: Ring, k: int, cap=None, coeff_bound=None) -> ExpansionReport:
+def coboundary_epsilon(X, ring: Ring, k: int, coeff_bound=None) -> ExpansionReport:
     """Least ||delta f|| / dist(f, B^k) over the k-cochains outside B^k.
 
     Finite rings are exhaustive and certified. Over the integers only a
@@ -228,7 +230,6 @@ def coboundary_epsilon(X, ring: Ring, k: int, cap=None, coeff_bound=None) -> Exp
     (-1)-cochain has norm 1 and its coboundary covers every vertex, so the
     ratio is exactly 1.
     """
-    cap = candidate_cap(cap)
     if not -1 <= k <= X.dim - 1:
         raise DimensionOutOfRange(f"dimension {k} not in -1..{X.dim - 1}")
     if k == -1:
@@ -241,8 +242,8 @@ def coboundary_epsilon(X, ring: Ring, k: int, cap=None, coeff_bound=None) -> Exp
             raise IntegerRingRequiresBound(
                 "coboundary expansion over Z needs coeff_bound"
             )
-        return _integer_coboundary_scan(X, ring, k, coeff_bound, cap)
-    eps, vec, n_reps = _subgroup_scan(X, ring, k, COBOUNDARIES, cap)
+        return _integer_coboundary_scan(X, ring, k, coeff_bound)
+    eps, vec, n_reps = _subgroup_scan(X, ring, k, COBOUNDARIES)
     witness = vector_cochain(X, ring, k, vec) if vec is not None else None
     return ExpansionReport(
         "coboundary", k, ring, eps, witness=witness,
@@ -250,10 +251,11 @@ def coboundary_epsilon(X, ring: Ring, k: int, cap=None, coeff_bound=None) -> Exp
     )
 
 
-def _integer_coboundary_scan(X, ring, k, coeff_bound, cap):
+def _integer_coboundary_scan(X, ring, k, coeff_bound):
     b = int(coeff_bound)
     nk = len(X.faces(k))
     total = (2 * b + 1) ** nk
+    cap = candidate_cap()
     if total > cap:
         raise SearchSpaceTooLarge(f"{total} integer cochains exceed cap {cap}")
     best = None
@@ -262,7 +264,7 @@ def _integer_coboundary_scan(X, ring, k, coeff_bound, cap):
         f = vector_cochain(X, ring, k, vec)
         if f.is_zero():
             continue
-        d, _ = distance(f, COBOUNDARIES, coeff_bound=b, cap=cap)
+        d, _ = distance(f, COBOUNDARIES, coeff_bound=b)
         if d == 0:
             continue
         ratio = coboundary(f).norm() / d
@@ -273,18 +275,17 @@ def _integer_coboundary_scan(X, ring, k, coeff_bound, cap):
     return ExpansionReport("coboundary", k, ring, best, witness=witness, certified=False)
 
 
-def cosystolic_pair(X, ring: Ring, k: int, cap=None) -> ExpansionReport:
+def cosystolic_pair(X, ring: Ring, k: int) -> ExpansionReport:
     """(epsilon, mu): cocycle-relative expansion and least nontrivial cocycle norm."""
-    cap = candidate_cap(cap)
     if not 0 <= k <= X.dim - 1:
         raise DimensionOutOfRange(f"dimension {k} not in 0..{X.dim - 1}")
     if not ring.is_finite:
         raise IntegerRingRequiresBound("cosystolic measurement needs a finite ring")
-    eps, vec, n_reps = _subgroup_scan(X, ring, k, COCYCLES, cap)
+    eps, vec, n_reps = _subgroup_scan(X, ring, k, COCYCLES)
     witness = vector_cochain(X, ring, k, vec) if vec is not None else None
 
-    cocycles = subgroup_array(X, ring, k, COCYCLES, cap)
-    bset = set(coboundary_group(X, ring, k, cap))
+    cocycles = subgroup_array(X, ring, k, COCYCLES)
+    bset = set(coboundary_group(X, ring, k))
     outside = cocycles[np.array([z not in bset for z in map(tuple, cocycles.tolist())])]
     w, den = cosets.face_weights(X, k)
     least = cosets.least_row(cosets.chunks(outside), np.zeros(len(w), dtype=np.int64), w)
@@ -299,8 +300,9 @@ def cosystolic_pair(X, ring: Ring, k: int, cap=None) -> ExpansionReport:
 # -- small-set expansion ---------------------------------------------------------------
 
 
-def _supports_up_to_norm(X, k, mu, cap):
+def _supports_up_to_norm(X, k, mu):
     """All face subsets of X(k) with norm at most mu, by pruned DFS (lex order)."""
+    cap = candidate_cap()
     faces = X.faces(k)
     wnum = [X.deg_top(f) for f in faces]
     den = X.weight_denominator(k)
@@ -325,7 +327,7 @@ def _supports_up_to_norm(X, k, mu, cap):
     return [tuple(faces[i] for i in idx) for idx in sorted(out)]
 
 
-def small_set_check(X, ring: Ring, epsilon: Fraction, mu: Fraction, cap=None):
+def small_set_check(X, ring: Ring, epsilon: Fraction, mu: Fraction):
     """Verify that every locally minimal f with ||f|| <= mu expands by epsilon.
 
     Scans all dimensions 0..d-1; returns (True, None) or the first
@@ -334,7 +336,7 @@ def small_set_check(X, ring: Ring, epsilon: Fraction, mu: Fraction, cap=None):
     assignment is screened at once against the expansion bound; only those
     that fail it are tested for local minimality, in product order.
     """
-    cap = candidate_cap(cap)
+    cap = candidate_cap()
     if not ring.is_finite:
         raise IntegerRingRequiresBound("small-set check needs a finite ring")
     n = ring.size
@@ -345,7 +347,7 @@ def small_set_check(X, ring: Ring, epsilon: Fraction, mu: Fraction, cap=None):
         wk, den_k = cosets.face_weights(X, k)
         wk1, den_k1 = cosets.face_weights(X, k + 1)
         Dk = np.array(delta_matrix(X, k), dtype=np.int64)
-        for support in _supports_up_to_norm(X, k, mu, cap):
+        for support in _supports_up_to_norm(X, k, mu):
             m = len(support)
             count = (n - 1) ** m
             if count > cap:
@@ -363,7 +365,7 @@ def small_set_check(X, ring: Ring, epsilon: Fraction, mu: Fraction, cap=None):
                 e = ((V @ M) % n != 0) @ wk1
                 for i in np.flatnonzero(e < bound):
                     f = Cochain(X, ring, k, {faces[j]: int(v) for j, v in zip(cols, V[i])})
-                    if is_locally_minimal(f, cap=cap):
+                    if is_locally_minimal(f):
                         return False, f
     return True, None
 
@@ -371,7 +373,7 @@ def small_set_check(X, ring: Ring, epsilon: Fraction, mu: Fraction, cap=None):
 # -- link profiles and the good-links constants ---------------------------------------
 
 
-def link_profile(X, ring: Ring, k: int, cap=None) -> dict:
+def link_beta(X, ring: Ring, k: int, i: int):
     """beta_i = min over the i-faces of the link coboundary expansion at k-i-1.
 
     At i = k the link cochains sit in dimension -1 where the ratio is 1 by
@@ -379,18 +381,20 @@ def link_profile(X, ring: Ring, k: int, cap=None) -> dict:
     impose no constraint and are skipped; an unconstrained level reports
     the INFINITY sentinel.
     """
-    out = {}
-    for i in range(0, k + 1):
-        j = k - i - 1
-        best = INFINITY
-        for sigma in X.faces(i):
-            rep = coboundary_epsilon(X.link(sigma), ring, j, cap=cap)
-            if rep.epsilon == INFINITY:
-                continue
-            if best == INFINITY or rep.epsilon < best:
-                best = rep.epsilon
-        out[i] = best
-    return out
+    faces = X.faces(i)
+    if i == k:
+        return Fraction(1) if faces else INFINITY
+    best = INFINITY
+    for sigma in faces:
+        eps = coboundary_epsilon(X.link(sigma), ring, k - i - 1).epsilon
+        if eps != INFINITY and (best == INFINITY or eps < best):
+            best = eps
+    return best
+
+
+def link_profile(X, ring: Ring, k: int) -> dict:
+    """Level i -> link_beta(X, ring, k, i), for 0 <= i <= k."""
+    return {i: link_beta(X, ring, k, i) for i in range(0, k + 1)}
 
 
 @dataclass

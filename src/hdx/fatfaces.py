@@ -243,7 +243,7 @@ def good_dimension_witness(X, ring, f: Cochain, c: dict, alpha: Fraction):
     (k+1-i)(i+1) c_{i-1} - eta (k+1)(k+2) 2^{k+2}) ||f|| with
     eta = alpha^(2^-d), and returns (i, bound).
     """
-    from .expansion import INFINITY, coboundary_epsilon
+    from .expansion import INFINITY, link_beta
 
     alpha = Fraction(alpha)
     k, d = f.dim, X.dim
@@ -277,21 +277,9 @@ def good_dimension_witness(X, ring, f: Cochain, c: dict, alpha: Fraction):
     failing = [j for j in range(0, k) if probs[j] < c[j] * norm]
     i = (max(failing) + 1) if failing else 0
 
-    j = k - i - 1
-    if j == -1:
-        beta_i = Fraction(1)
-    else:
-        beta_i = None
-        for sigma in X.faces(i):
-            rep = coboundary_epsilon(X.link(sigma), ring, j)
-            if rep.epsilon == INFINITY:
-                continue
-            if beta_i is None or rep.epsilon < beta_i:
-                beta_i = rep.epsilon
-        if beta_i is None:
-            raise PropertyViolation(
-                f"every link at level {i} is unconstrained; no finite beta"
-            )
+    beta_i = link_beta(X, ring, k, i)
+    if beta_i == INFINITY:
+        raise PropertyViolation(f"every link at level {i} is unconstrained; no finite beta")
     bound = (
         beta_i * c[i]
         - (k + 1 - i) * (i + 1) * c[i - 1]

@@ -29,7 +29,6 @@ from .cochains import (
     vector_cochain,
 )
 from .complexes import SimplicialComplex
-from .config import candidate_cap
 from .errors import (
     DependentGenerators,
     DimensionOutOfRange,
@@ -167,19 +166,19 @@ def free_cocycle_generators(X, k):
     return gens
 
 
-def _bounded_coset_minimum(X, k, base_vec, gens, coeff_bound, cap):
+def _bounded_coset_minimum(X, k, base_vec, gens, coeff_bound):
     """Min norm over base + integer combinations of gens with small coefficients.
 
     Ties resolve to the lexicographically least signed vector.
     """
     b = int(coeff_bound)
     w, den = cosets.face_weights(X, k)
-    rows = cosets.combinations(base_vec, gens, range(-b, b + 1), cap)
+    rows = cosets.combinations(base_vec, gens, range(-b, b + 1))
     num, vec = cosets.least_row(rows, np.zeros(len(base_vec), dtype=np.int64), w)
     return Fraction(num, den), list(vec)
 
 
-def minimal_representatives(X, k, coeff_bound=3, cap=None):
+def minimal_representatives(X, k, coeff_bound=3):
     """A minimal-norm integer representative per free generator of H^k.
 
     The coset search is bounded, so each representative carries a
@@ -187,21 +186,15 @@ def minimal_representatives(X, k, coeff_bound=3, cap=None):
     exhaustive mod-p lower bound for the coset (reduction mod p only shrinks
     supports, so the mod-p distance is a true floor for the integer one).
     """
-    cap = candidate_cap(cap)
     gens = free_cocycle_generators(X, k)
     if not gens:
         raise NoFreePart(f"H^{k} has no free part")
     bgens = subgroup_generators(X, INTEGERS, k, COBOUNDARIES)
     out = []
     for vec in gens:
-        val, best_vec = _bounded_coset_minimum(X, k, vec, bgens, coeff_bound, cap)
-        floor = mod_p_distance_floor(
-            vector_cochain(X, INTEGERS, k, best_vec), COBOUNDARIES, cap
-        )
-        certified = val == floor
-        out.append(
-            LatticeGenerator(vector_cochain(X, INTEGERS, k, best_vec), certified)
-        )
+        val, best_vec = _bounded_coset_minimum(X, k, vec, bgens, coeff_bound)
+        best = vector_cochain(X, INTEGERS, k, best_vec)
+        out.append(LatticeGenerator(best, val == mod_p_distance_floor(best, COBOUNDARIES)))
     return out
 
 
@@ -250,7 +243,7 @@ def build_lattice(reps) -> CohomologyLattice:
     return CohomologyLattice(X, k, tuple(gens), flags)
 
 
-def _lattice_minimum(L: CohomologyLattice, coeff_bound, cap):
+def _lattice_minimum(L: CohomologyLattice, coeff_bound):
     """(distance, certified, witness) over bounded nonzero combinations.
 
     Certification routes: pairwise disjoint supports make the minimum a
@@ -264,7 +257,6 @@ def _lattice_minimum(L: CohomologyLattice, coeff_bound, cap):
         raise ParameterOutOfRange(
             f"coeff_bound {b} leaves no nonzero combination; the distance needs 1 or more"
         )
-    cap = candidate_cap(cap)
     X, k = L.complex, L.k
     gens = [list(cochain_vector(g)) for g in L.generators]
     w, den = cosets.face_weights(X, k)
@@ -280,23 +272,23 @@ def _lattice_minimum(L: CohomologyLattice, coeff_bound, cap):
         num, vec = cosets.least_row([np.array(gens, dtype=np.int64)], zero, w)
         return Fraction(num, den), True, vec
 
-    rows = cosets.combinations(zero, gens, range(-b, b + 1), cap, skip_zero=True)
+    rows = cosets.combinations(zero, gens, range(-b, b + 1), skip_zero=True)
     num, vec = cosets.least_row(rows, zero, w)
     best = Fraction(num, den)
     # mod-p floor over primitive coefficient vectors: any nonzero integer
     # combination divided by its content has the same support and a nonzero
     # reduction mod p, so the mod-p minimum bounds the true distance below
     def minimum_mod(p):
-        rows = cosets.combinations(zero, gens, range(p), cap, skip_zero=True)
+        rows = cosets.combinations(zero, gens, range(p), skip_zero=True)
         return Fraction(cosets.min_distance((R % p for R in rows), zero, w), den)
 
     floor = cosets.mod_p_floor(minimum_mod)
     return best, best == floor, vec
 
 
-def lattice_distance(L: CohomologyLattice, coeff_bound=3, cap=None):
+def lattice_distance(L: CohomologyLattice, coeff_bound=3):
     """Least norm of a nonzero bounded integer combination of the generators."""
-    dist, certified, _ = _lattice_minimum(L, coeff_bound, cap)
+    dist, certified, _ = _lattice_minimum(L, coeff_bound)
     return dist, certified
 
 
@@ -329,11 +321,11 @@ def component_lattice(X) -> CohomologyLattice:
     return CohomologyLattice(X, 0, gens, tuple(True for _ in gens))
 
 
-def lattice_report(X, k, coeff_bound=3, cap=None) -> dict:
+def lattice_report(X, k, coeff_bound=3) -> dict:
     """JSON document for a lattice built from minimal representatives."""
-    reps = minimal_representatives(X, k, coeff_bound, cap)
+    reps = minimal_representatives(X, k, coeff_bound)
     L = build_lattice(reps)
-    dist, certified, witness = _lattice_minimum(L, coeff_bound, cap)
+    dist, certified, witness = _lattice_minimum(L, coeff_bound)
     profile = integer_cohomology(X, k)
     return {
         "k": k,

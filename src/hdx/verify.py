@@ -344,7 +344,7 @@ def check_small_set_implications(seed):
 def _best_small_set_epsilon(X, mu):
     best = None
     for k in range(0, X.dim):
-        for support in expansion_mod._supports_up_to_norm(X, k, mu, 1 << 20):
+        for support in expansion_mod._supports_up_to_norm(X, k, mu):
             f = Cochain(X, F2, k, {s: 1 for s in support})
             if not cochains_mod.is_locally_minimal(f):
                 continue

@@ -259,7 +259,7 @@ def test_acceptance_08_cosystolic_implications():
         best = None
         degenerate = False
         for k in range(0, X.dim):
-            for support in _supports_up_to_norm(X, k, mu, 1 << 20):
+            for support in _supports_up_to_norm(X, k, mu):
                 f = Cochain(X, F2, k, {s: 1 for s in support})
                 if not is_locally_minimal(f):
                     continue

@@ -127,6 +127,20 @@ def test_report_fatfaces_refuses_draws_below_one(capsys, draws):
     assert "ParameterOutOfRange" in err
 
 
+@pytest.mark.parametrize("args", [
+    ["--k", "0", "--seed", "0", "hollow_triangle"],
+    ["--k", "5", "--seed", "0", "octahedron"],
+])
+def test_report_fatfaces_refuses_when_every_draw_is_empty(capsys, args):
+    # seed 0 draws no vertex of the triangle, and the octahedron has no 5-faces
+    code, out, err = run_cli(
+        ["report", "fatfaces", "--eta", "1/2", "--draws", "1"] + args, capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert "ParameterOutOfRange" in err and "no family to audit" in err
+
+
 def test_report_building_audit(capsys):
     code, out, _ = run_cli(
         ["report", "building-audit", "--n", "3", "--q", "2", "--ring", "Z",
@@ -313,6 +327,14 @@ def test_report_expansion_on_building_source(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["epsilon"] == {"num": 2, "den": 3}
+
+
+@pytest.mark.parametrize("spec", ["building:n=a,q=2", "building:n=3,q=2.5"])
+def test_building_source_with_a_non_integer_parameter_is_a_usage_error(capsys, spec):
+    code, out, err = run_cli(["report", "expansion", "--kind", "skeleton", spec], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error: ") and "Traceback" not in err
 
 
 def test_report_cohomology_on_building_source(capsys):

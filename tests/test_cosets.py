@@ -5,8 +5,10 @@ subgroup straight from the definition (every coboundary, or every cochain
 with zero coboundary), compares Fractions, and breaks ties on Python tuples.
 """
 
+import os
 from fractions import Fraction
 from itertools import combinations, product
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -178,7 +180,7 @@ def test_first_repair_step_matches_brute_force(X, ring, data):
     nk = len(X.faces(k))
     vec = data.draw(st.lists(st.integers(0, ring.size - 1), min_size=nk, max_size=nk))
     f = vector_cochain(X, ring, k, vec)
-    assert _first_repair_step(f, 1 << 24) == repair_oracle(f)
+    assert _first_repair_step(f) == repair_oracle(f)
 
 
 def scan_oracle(X, ring, k, group):
@@ -241,7 +243,7 @@ def test_bounded_coset_minimum_matches_brute_force(X, data):
         key = (Fraction(sum(w for w, v in zip(wnum, vec) if v), den), vec)
         if best is None or key < best:
             best = key
-    val, vec = _bounded_coset_minimum(X, k, base, gens, b, 1 << 24)
+    val, vec = _bounded_coset_minimum(X, k, base, gens, b)
     assert (val, tuple(vec)) == best
 
 
@@ -249,7 +251,7 @@ def test_kernel_refuses_int64_overflow():
     X = build_complex(["a b", "b c"])
     big = 1 << 62
     with pytest.raises(SearchSpaceTooLarge):
-        _bounded_coset_minimum(X, 0, [big, 0, 0], [[big, big, 0]], 1, 1 << 24)
+        _bounded_coset_minimum(X, 0, [big, 0, 0], [[big, big, 0]], 1)
     with pytest.raises(SearchSpaceTooLarge):
         cosets.require_int64(cosets.INT64_MAX + 1, "test values")
 
@@ -320,7 +322,7 @@ def small_set_oracle(X, ring, epsilon, mu, cap):
     """The per-cochain loop: every nonzero assignment per support, in product order."""
     nonzero = [v for v in ring.elements() if v]
     for k in range(0, X.dim):
-        for support in _supports_up_to_norm(X, k, mu, cap):
+        for support in _supports_up_to_norm(X, k, mu):
             if len(nonzero) ** len(support) > cap:
                 raise SearchSpaceTooLarge(
                     f"{len(nonzero) ** len(support)} value assignments exceed cap {cap}"
@@ -329,7 +331,7 @@ def small_set_oracle(X, ring, epsilon, mu, cap):
                 f = Cochain(X, ring, k, dict(zip(support, values)))
                 if coboundary(f).norm() >= epsilon * f.norm():
                     continue
-                if is_locally_minimal(f, cap=cap):
+                if is_locally_minimal(f):
                     return False, f
     return True, None
 
@@ -348,8 +350,9 @@ def outcome(check, *args):
        st.sampled_from([2, 3, 4, 8, 9, 27, 1 << 12]))
 def test_small_set_check_matches_per_cochain_loop(X, ring, epsilon, mu, cap):
     """Same verdict, same first counterexample, and the cap raises at the same support."""
-    args = (X, ring, epsilon, mu, cap)
-    assert outcome(small_set_check, *args) == outcome(small_set_oracle, *args)
+    with patch.dict(os.environ, {"HDX_CAP": str(cap)}):
+        assert (outcome(small_set_check, X, ring, epsilon, mu)
+                == outcome(small_set_oracle, X, ring, epsilon, mu, cap))
 
 
 @SETTINGS

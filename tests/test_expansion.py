@@ -97,9 +97,10 @@ def test_skeleton_deterministic():
 
 
 def test_skeleton_vertex_cap():
-    X = named_complex("octahedron")
-    with pytest.raises(errors.TooManyVertices):
-        skeleton_alpha(X, max_vertices=3)
+    # a path of 22 edges has 23 vertices, one over the cap of 22
+    X = build_complex([f"v{i} v{i + 1}" for i in range(22)])
+    with pytest.raises(errors.TooManyVertices, match="23 vertices exceed .* cap 22"):
+        skeleton_alpha(X)
 
 
 def test_skeleton_zero_dimensional():
@@ -164,19 +165,21 @@ def test_coboundary_epsilon_integer_requires_bound():
     assert not rep.certified
 
 
-def test_search_cap_respected():
+def test_search_cap_respected(monkeypatch):
+    monkeypatch.setenv("HDX_CAP", "100")
     X = named_complex("octahedron")
     with pytest.raises(errors.SearchSpaceTooLarge):
-        coboundary_epsilon(X, F3, 1, cap=100)
+        coboundary_epsilon(X, F3, 1)
 
 
-def test_cap_refusal_counts_generator_combinations():
+def test_cap_refusal_counts_generator_combinations(monkeypatch):
     # over Z/4 the cocycle generators of rp2 include vectors of additive order
     # 2, so the scan's n^len(gens) rows outnumber the subgroup's elements
     X = named_complex("rp2")
     Z4 = modular_ring(4)
-    with pytest.raises(errors.SearchSpaceTooLarge) as info:
-        cosystolic_pair(X, Z4, 1, cap=10)
+    with monkeypatch.context() as m, pytest.raises(errors.SearchSpaceTooLarge) as info:
+        m.setenv("HDX_CAP", "10")
+        cosystolic_pair(X, Z4, 1)
     combos = 4 ** len(subgroup_generators(X, Z4, 1, COCYCLES))
     found = re.search(r"(\d+) generator combinations exceed cap 10", str(info.value))
     assert found and int(found.group(1)) == combos == 4096
@@ -345,10 +348,11 @@ def test_witness_is_lex_least_pinned_representative():
     assert cochain_vector(rep.witness) == min(attaining)
 
 
-def test_small_set_value_cap():
+def test_small_set_value_cap(monkeypatch):
+    monkeypatch.setenv("HDX_CAP", "2")
     X = named_complex("octahedron")
     with pytest.raises(errors.SearchSpaceTooLarge):
-        small_set_check(X, F3, Fraction(1), Fraction(1, 4), cap=2)
+        small_set_check(X, F3, Fraction(1), Fraction(1, 4))
 
 
 def test_skeleton_alpha_fano_building_frozen():

@@ -77,6 +77,72 @@ def test_subgroup_generating_sets_have_one_home():
 
 
 
+# the candidate cap has one setting, HDX_CAP: no function takes a cap or one of
+# the retired search knobs, and config.candidate_cap is read only where a search
+# compares a size against it, once per search
+RETIRED_KNOBS = {"cap", "face_cap", "max_vertices", "max_steps", "int_low", "int_high"}
+CAP_SITES = [
+    "cosets.combinations",
+    "expansion._integer_coboundary_scan",
+    "expansion._subgroup_scan",
+    "expansion._supports_up_to_norm",
+    "expansion.small_set_check",
+]
+
+
+def _knob_parameters(source):
+    """name(parameter) per def, nested ones too, with a parameter in RETIRED_KNOBS."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+            out += [f"{node.name}({p.arg})" for p in params if p.arg in RETIRED_KNOBS]
+    return out
+
+
+def _cap_reads(stem, source):
+    """module.function per candidate_cap call, named by the innermost def."""
+    visitor = _Calls()
+    visitor.visit(ast.parse(source))
+    return [f"{stem}.{scope}" for scope, call in visitor.calls
+            if _callee(call) == "candidate_cap"]
+
+
+def test_knob_and_cap_read_finders():
+    source = """
+from . import config
+
+
+def scan(X, cap=None):
+    return config.candidate_cap(cap)
+
+
+def build(n, *, face_cap=400):
+    def rec(i, max_steps):
+        return config.candidate_cap() > i
+    return rec(n, 1)
+
+
+def walk(f, steps, **int_high):
+    return f
+"""
+    assert _knob_parameters(source) == [
+        "scan(cap)", "build(face_cap)", "walk(int_high)", "rec(max_steps)",
+    ]
+    assert _cap_reads("m", source) == ["m.scan", "m.rec"]
+
+
+def test_the_cap_is_read_only_where_a_search_is_sized():
+    knobs, reads = [], []
+    for path in sorted(SRC.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        knobs += [f"{path.stem}.{k}" for k in _knob_parameters(source)]
+        reads += _cap_reads(path.stem, source)
+    assert knobs == []
+    assert sorted(reads) == CAP_SITES
+
+
 # intmat computes in exact Python ints: it imports the standard library and
 # hdx.errors only, never numpy or another hdx layer
 def _foreign_imports(source):
