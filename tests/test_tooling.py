@@ -96,7 +96,8 @@ def _knob_parameters(source):
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             a = node.args
-            params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+            params = a.posonlyargs + a.args + a.kwonlyargs
+            params += [p for p in (a.vararg, a.kwarg) if p]
             out += [f"{node.name}({p.arg})" for p in params if p.arg in RETIRED_KNOBS]
     return out
 
