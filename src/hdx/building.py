@@ -30,7 +30,7 @@ from .cochains import (
     perm_sign,
     random_cochain,
 )
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, frac_json
 from .config import DEFAULT_BUILDING_FACE_CAP
 from .errors import (
     CycleConditionViolated,
@@ -133,12 +133,22 @@ def build_building(n: int, q: int) -> SphericalBuilding:
     if n < 3:
         raise DimensionOutOfRange("need n >= 3 for a building of dimension >= 1")
     gf = GF(q)
+    # [n, r]_q subspaces of rank r, and [n]_q! = prod (q^i - 1) / (q - 1) maximal flags
+    n_vertices = sum(
+        prod(q ** (n - i) - 1 for i in range(r)) // prod(q ** (i + 1) - 1 for i in range(r))
+        for r in range(1, n)
+    )
+    n_flags = prod(q ** i - 1 for i in range(1, n + 1)) // (q - 1) ** n
+    if n_vertices + n_flags > DEFAULT_BUILDING_FACE_CAP:
+        raise TooLarge(
+            f"building ({n},{q}) has {n_vertices} vertices and {n_flags} "
+            f"maximal flags, over the cap {DEFAULT_BUILDING_FACE_CAP}"
+        )
     by_rank = {r: all_subspaces(gf, n, r) for r in range(1, n)}
     tokens = {}
     for r, subs in by_rank.items():
         for s in subs:
             tokens[s] = subspace_token(s)
-    n_vertices = sum(len(v) for v in by_rank.values())
 
     # maximal flags, one subspace per rank
     flags = []
@@ -153,11 +163,6 @@ def build_building(n: int, q: int) -> SphericalBuilding:
 
     for s in by_rank[1]:
         extend([s], 2)
-    if n_vertices + len(flags) > DEFAULT_BUILDING_FACE_CAP:
-        raise TooLarge(
-            f"building ({n},{q}) has {n_vertices} vertices and {len(flags)} "
-            f"maximal flags, over the cap {DEFAULT_BUILDING_FACE_CAP}"
-        )
     X = SimplicialComplex.from_top_faces(flags)
 
     # frames and apartments
@@ -265,12 +270,11 @@ def intersection_complex(B: SphericalBuilding, sigma, tau) -> Subcomplex:
     return Subcomplex(_common_faces(B, sigma, tau))
 
 
-def solve_boundary(K: Subcomplex, ring: Ring, c: Chain) -> Chain:
-    """A chain one dimension up whose boundary is c, inside K.
+def solve_boundary(K: Subcomplex, c: Chain) -> Chain:
+    """An integer chain one dimension up whose boundary is c, inside K.
 
-    Integer targets go through Smith normal form; prime-modulus rings use
-    modular elimination and other moduli a Smith-form solve mod n, so no
-    integer lift of the target is ever required.
+    Solved through Smith normal form. The family over any other ring is the
+    reduction of the integer family, so no other ring is ever solved in.
     """
     i = c.dim
     if i >= 0 and not boundary(c).is_zero():
@@ -284,18 +288,12 @@ def solve_boundary(K: Subcomplex, ring: Ring, c: Chain) -> Chain:
     if not cols:
         if any(b):
             raise NoSolution("no faces one dimension up")
-        return Chain(ring, i + 1, {})
+        return Chain(INTEGERS, i + 1, {})
     # the augmented boundary C_{i+1}(K) -> C_i(K) is the transposed coboundary
-    M = intmat.transpose(delta_matrix(K, i))
-    if ring.kind == "Z":
-        x = intmat.solve_int(M, b)
-    elif ring.is_field:
-        x = intmat.solve_mod_p(M, b, ring.size)
-    else:
-        x = intmat.solve_mod(M, b, ring.size)
+    x = intmat.solve_int(intmat.transpose(delta_matrix(K, i)), b)
     if x is None:
         raise NoSolution(f"boundary equation unsolvable at dimension {i}")
-    return Chain(ring, i + 1, {f: v for f, v in zip(cols, x)})
+    return Chain(INTEGERS, i + 1, {f: v for f, v in zip(cols, x)})
 
 
 @dataclass
@@ -426,7 +424,7 @@ def _integer_family_at(B: SphericalBuilding, sigma) -> dict:
                 raise PropertyViolation(
                     f"family target for {(sigma, tau)} is not a cycle"
                 )
-            entries[(sigma, tau)] = solve_boundary(K, INTEGERS, target)
+            entries[(sigma, tau)] = solve_boundary(K, target)
     return entries
 
 
@@ -447,6 +445,16 @@ def contraction(B: SphericalBuilding, ring: Ring, fam: ChainFamily, sigma, f: Co
         if v:
             vals[tau] = sign * v
     return Cochain(X, ring, k - 1, vals)
+
+
+def homotopy_failure(B: SphericalBuilding, fam: ChainFamily, f: Cochain):
+    """The first chamber sigma with delta iota_sigma f + iota_sigma delta f != f, else None."""
+    ring, df = f.ring, coboundary(f)
+    for sigma in B.complex.top_faces:
+        up = coboundary(contraction(B, ring, fam, sigma, f))
+        if up + contraction(B, ring, fam, sigma, df) != f:
+            return sigma
+    return None
 
 
 # -- symmetry ------------------------------------------------------------------------
@@ -565,6 +573,25 @@ class SymmetryReport:
     summed_bound_ok: bool
     apartment_equivariance_ok: bool
     details: dict = field(default_factory=dict)
+
+    @property
+    def ok(self) -> bool:
+        return (
+            self.transitive_on_top
+            and self.stabilizer_bound_ok
+            and self.summed_bound_ok
+            and self.apartment_equivariance_ok
+        )
+
+    def to_json(self):
+        return {
+            "group_order": self.group_order,
+            "orbit_counts": {str(k): v for k, v in self.orbit_counts.items()},
+            "transitive_on_top": self.transitive_on_top,
+            "stabilizer_bound_ok": self.stabilizer_bound_ok,
+            "summed_bound_ok": self.summed_bound_ok,
+            "apartment_equivariance_ok": self.apartment_equivariance_ok,
+        }
 
 
 def _face_orbits(X: SimplicialComplex, gens) -> dict:
@@ -694,22 +721,25 @@ class BuildingAuditReport:
     homological_ok: bool
     cohomology_trivial_below_top: bool
 
+    @property
+    def ok(self) -> bool:
+        return (
+            self.epsilon_ok
+            and self.homotopy_ok
+            and self.chain_family_ok
+            and self.homological_ok
+            and self.cohomology_trivial_below_top
+        )
+
     def to_json(self):
         return {
             "n": self.n,
             "q": self.q,
             "theta": self.theta,
-            "beta_theorem": {
-                "num": self.beta_theorem.numerator,
-                "den": self.beta_theorem.denominator,
-            },
-            "beta_proof": {
-                str(k): {"num": v.numerator, "den": v.denominator}
-                for k, v in self.beta_proof.items()
-            },
+            "beta_theorem": frac_json(self.beta_theorem),
+            "beta_proof": {str(k): frac_json(v) for k, v in self.beta_proof.items()},
             "epsilon": {
-                f"{ring}:k={k}": {"num": v.numerator, "den": v.denominator}
-                for (ring, k), v in self.epsilon.items()
+                f"{ring}:k={k}": frac_json(v) for (ring, k), v in self.epsilon.items()
             },
             "epsilon_ok": self.epsilon_ok,
             "homotopy_ok": self.homotopy_ok,
@@ -717,6 +747,14 @@ class BuildingAuditReport:
             "homological_ok": self.homological_ok,
             "cohomology_trivial_below_top": self.cohomology_trivial_below_top,
         }
+
+
+def beta_constants(B: SphericalBuilding):
+    """The theorem's 1/(2^d theta) and the proof's {k: 1/(theta C(d+1, k+2))}, k < d."""
+    d = B.dim
+    return Fraction(1, 2 ** d * B.theta), {
+        k: Fraction(1, B.theta * comb(d + 1, k + 2)) for k in range(0, d)
+    }
 
 
 def building_expansion_audit(
@@ -744,8 +782,7 @@ def building_expansion_audit(
     rng = random.Random(seed)
     if eps_rings is None:
         eps_rings = (prime_field(2),)
-    beta_theorem = Fraction(1, 2 ** d * B.theta)
-    beta_proof = {k: Fraction(1, B.theta * comb(d + 1, k + 2)) for k in range(0, d)}
+    beta_theorem, beta_proof = beta_constants(B)
     eps = {}
     eps_ok = True
     for r in eps_rings:
@@ -758,16 +795,10 @@ def building_expansion_audit(
     fam = chain_family(B, ring)  # verifies its identity on construction
     chain_ok = True
 
-    homotopy_ok = True
-    for k in range(0, d):
-        for _ in range(samples):
-            f = random_cochain(X, ring, k, rng)
-            for sigma in X.top_faces:
-                lhs = coboundary(contraction(B, ring, fam, sigma, f)) + contraction(
-                    B, ring, fam, sigma, coboundary(f)
-                )
-                if lhs != f:
-                    homotopy_ok = False
+    # every cochain is drawn before any is checked: the homological check
+    # below reads rng after these draws
+    drawn = [random_cochain(X, ring, k, rng) for k in range(0, d) for _ in range(samples)]
+    homotopy_ok = all(homotopy_failure(B, fam, f) is None for f in drawn)
 
     homological_ok = True
     for k in range(0, d):

@@ -20,7 +20,7 @@ from . import expansion as expansion_mod
 from . import fatfaces as fatfaces_mod
 from . import lattice as lattice_mod
 from .catalog import named_complex, names
-from .complexes import load_complex
+from .complexes import frac_json, load_complex
 from .errors import HdxError, ParameterOutOfRange, PropertyViolation, UsageError
 from .rings import parse_ring
 
@@ -37,8 +37,12 @@ def parse_fraction(text: str) -> Fraction:
         raise UsageError(f"bad rational {text!r}; use forms like 2 or 1/3") from None
 
 
-def frac_json(x: Fraction) -> dict:
-    return {"num": x.numerator, "den": x.denominator}
+def _items(text: str, flag: str) -> list:
+    """The comma-separated items of an argument; an empty one is a usage error."""
+    parts = text.split(",")
+    if not all(part.strip() for part in parts):
+        raise UsageError(f"{flag} has an empty item in {text!r}")
+    return parts
 
 
 def resolve_complex(source: str):
@@ -124,7 +128,7 @@ def report_cohomology(args) -> int:
         "k": args.k,
         "free_rank": profile.free_rank,
         "torsion": list(profile.torsion),
-        "f2_dimension": lattice_mod.fp_cohomology_dimension(X, args.k, 2),
+        "f2_dimension": uct.fp_dimension,
         "f3_dimension": lattice_mod.fp_cohomology_dimension(X, args.k, 3),
         "uct": {
             "free_rank": uct.free_rank,
@@ -140,9 +144,9 @@ def report_cohomology(args) -> int:
 def report_fatfaces(args) -> int:
     X = resolve_complex(args.complex)
     eta = parse_fraction(args.eta)
-    if args.support:
+    if args.support is not None:
         support = frozenset(
-            tuple(sorted(part.split())) for part in args.support.split(",")
+            tuple(sorted(part.split())) for part in _items(args.support, "--support")
         )
         fams = [fatfaces_mod.fat_family(X, support, eta, k=args.k)]
     elif args.draws < 1:
@@ -159,24 +163,10 @@ def report_fatfaces(args) -> int:
             raise ParameterOutOfRange(
                 f"all {args.draws} draws of {args.k}-faces came out empty; no family to audit"
             )
-    alpha_max = expansion_mod.skeleton_alpha(X)[0]
-    for kk in range(0, X.dim + 1):
-        for s in X.faces(kk):
-            alpha_max = max(alpha_max, expansion_mod.skeleton_alpha(X.link(s))[0])
-    hypothesis = alpha_max <= eta ** (2 ** (X.dim - 1))
-    fat_ok = True
-    bad_ok = True
-    for fam in fams:
-        nA = X.norm(fam.levels[fam.k])
-        for i in range(-1, fam.k + 1):
-            lvl = fam.levels[i]
-            nAi = X.norm(lvl) if lvl else Fraction(0)
-            if nAi > eta ** (1 - 2 ** (fam.k - i)) * nA:
-                fat_ok = False
-        ups = fatfaces_mod.bad_faces(X, fam)
-        bad_norm = X.norm(ups) if ups else Fraction(0)
-        if hypothesis and bad_norm > eta * (fam.k + 1) * (fam.k + 2) * 2 ** (fam.k + 2) * nA:
-            bad_ok = False
+    alpha_max = fatfaces_mod.max_link_alpha(X)
+    hypothesis = fatfaces_mod.bad_face_hypothesis(X, alpha_max, eta)
+    fat_ok = all(fatfaces_mod.fat_bound_failure(X, fam) is None for fam in fams)
+    bad_ok = all(fatfaces_mod.bad_bound_holds(X, fam) for fam in fams) if hypothesis else None
     doc = {
         "k": args.k,
         "eta": frac_json(eta),
@@ -184,43 +174,25 @@ def report_fatfaces(args) -> int:
         "max_link_skeleton_alpha": frac_json(alpha_max),
         "bad_face_hypothesis": hypothesis,
         "fat_bound_ok": fat_ok,
-        "bad_bound_ok": bad_ok if hypothesis else None,
-        "family": fams[0].to_json() if args.support and fams else None,
+        "bad_bound_ok": bad_ok,
+        "family": fams[0].to_json() if args.support is not None else None,
     }
     _emit(doc, args)
-    return 0 if fat_ok and (bad_ok or not hypothesis) else PROPERTY_FAILURE
+    return 0 if fat_ok and bad_ok is not False else PROPERTY_FAILURE
 
 
 def report_building_audit(args) -> int:
     ring = parse_ring(args.ring)
     B = building_mod.build_building(args.n, args.q)
-    eps_rings = [parse_ring(r) for r in args.eps_rings.split(",")] if args.eps_rings else None
+    eps_rings = None
+    if args.eps_rings is not None:
+        eps_rings = [parse_ring(r) for r in _items(args.eps_rings, "--eps-rings")]
     audit = building_mod.building_expansion_audit(
         B, ring, seed=args.seed, samples=args.samples, eps_rings=eps_rings
     )
     sym = building_mod.symmetry_checks(B, seed=args.seed)
-    doc = audit.to_json()
-    doc["symmetry"] = {
-        "group_order": sym.group_order,
-        "orbit_counts": {str(k): v for k, v in sym.orbit_counts.items()},
-        "transitive_on_top": sym.transitive_on_top,
-        "stabilizer_bound_ok": sym.stabilizer_bound_ok,
-        "summed_bound_ok": sym.summed_bound_ok,
-        "apartment_equivariance_ok": sym.apartment_equivariance_ok,
-    }
-    _emit(doc, args)
-    ok = (
-        audit.epsilon_ok
-        and audit.homotopy_ok
-        and audit.chain_family_ok
-        and audit.homological_ok
-        and audit.cohomology_trivial_below_top
-        and sym.transitive_on_top
-        and sym.stabilizer_bound_ok
-        and sym.summed_bound_ok
-        and sym.apartment_equivariance_ok
-    )
-    return 0 if ok else PROPERTY_FAILURE
+    _emit({**audit.to_json(), "symmetry": sym.to_json()}, args)
+    return 0 if audit.ok and sym.ok else PROPERTY_FAILURE
 
 
 def report_lattice(args) -> int:

@@ -252,6 +252,11 @@ def set_norm(X, faces) -> Fraction:
     return X.norm(faces)
 
 
+def frac_json(x: Fraction) -> dict:
+    """A rational as the JSON object {num, den}, in lowest terms."""
+    return {"num": x.numerator, "den": x.denominator}
+
+
 def link(X, sigma) -> SimplicialComplex:
     return X.link(sigma)
 

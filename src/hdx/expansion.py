@@ -29,7 +29,7 @@ from .cochains import (
     subgroup_generators,
     vector_cochain,
 )
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, frac_json
 from .config import DEFAULT_SKELETON_VERTEX_CAP, candidate_cap
 from .errors import (
     ConstantExceedsOne,
@@ -60,11 +60,7 @@ class ExpansionReport:
 
     def to_json(self) -> dict:
         def frac(x):
-            if x is None:
-                return None
-            if x == INFINITY:
-                return INFINITY
-            return {"num": x.numerator, "den": x.denominator}
+            return x if x is None or x == INFINITY else frac_json(x)
 
         def wit(w):
             if w is None:

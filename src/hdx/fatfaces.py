@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, isqrt
 
-from .cochains import Cochain, coboundary, localize
-from .complexes import SimplicialComplex
+from .cochains import Cochain, coboundary, is_locally_minimal, localize
+from .complexes import SimplicialComplex, frac_json
 from .errors import (
     BadEta,
     EmptyFatLevel,
@@ -24,6 +24,7 @@ from .errors import (
     PreconditionViolated,
     PropertyViolation,
 )
+from .expansion import INFINITY, link_beta, skeleton_alpha
 
 
 @dataclass
@@ -81,7 +82,7 @@ class FatFamily:
     def to_json(self) -> dict:
         return {
             "k": self.k,
-            "eta": {"num": self.eta.numerator, "den": self.eta.denominator},
+            "eta": frac_json(self.eta),
             "levels": [
                 [list(face) for face in sorted(self.levels[i])]
                 for i in range(-1, self.k + 1)
@@ -128,6 +129,40 @@ def ladder_restrict(X, fam: FatFamily, sigma) -> frozenset:
     if i > fam.k:
         raise ParameterOutOfRange(f"{sigma} sits above dimension {fam.k}")
     return fam.down_maps()[i][sigma]
+
+
+def fat_bound_failure(X, fam: FatFamily):
+    """The first level -1 <= i <= k with ||A_i|| > eta^(1 - 2^(k-i)) ||A||, else None."""
+    nA = X.norm(fam.levels[fam.k])
+    for i in range(-1, fam.k + 1):
+        if X.norm(fam.levels[i]) > fam.eta ** (1 - 2 ** (fam.k - i)) * nA:
+            return i
+    return None
+
+
+def max_link_alpha(X) -> Fraction:
+    """The largest skeleton alpha over X and the links of its nonempty faces."""
+    alpha = skeleton_alpha(X)[0]
+    for k in range(0, X.dim + 1):
+        for s in X.faces(k):
+            alpha = max(alpha, skeleton_alpha(X.link(s))[0])
+    return alpha
+
+
+def bad_face_hypothesis(X, alpha: Fraction, eta: Fraction) -> bool:
+    """The bad-face bound's premise alpha <= eta^(2^(d-1)), alpha from max_link_alpha."""
+    return alpha <= eta ** (2 ** (X.dim - 1))
+
+
+def bad_face_factor(k: int, eta: Fraction) -> Fraction:
+    """eta (k+1)(k+2) 2^(k+2): the bad faces' norm over the support's, at most."""
+    return eta * (k + 1) * (k + 2) * 2 ** (k + 2)
+
+
+def bad_bound_holds(X, fam: FatFamily) -> bool:
+    """||bad faces|| <= bad_face_factor(k, eta) ||A||, proved under bad_face_hypothesis."""
+    bound = bad_face_factor(fam.k, fam.eta) * X.norm(fam.levels[fam.k])
+    return X.norm(bad_faces(X, fam)) <= bound
 
 
 def bad_faces(X, fam: FatFamily) -> frozenset:
@@ -203,8 +238,7 @@ def links_inequality_check(X, ring, f: Cochain, fam: FatFamily, i: int) -> Links
         min_ratio = Fraction(0)
     prob_i = fam.level_probability(i)
     prob_below = fam.level_probability(i - 1)
-    bad_set = bad_faces(X, fam)
-    bad = X.norm(bad_set) if bad_set else Fraction(0)
+    bad = X.norm(bad_faces(X, fam))
     term1 = min_ratio * prob_i
     rhs = term1 - (k + 1 - i) * (i + 1) * prob_below - bad
     sharper = term1 - prob_below - bad
@@ -215,23 +249,14 @@ def links_inequality_check(X, ring, f: Cochain, fam: FatFamily, i: int) -> Links
     )
 
 
-def _exact_root(x: Fraction, m: int):
-    """The m-th root of x when exact, else None (integer Newton iteration)."""
-    def iroot(n):
-        if n < 2:
-            return n if n ** m == n or n < 2 else None
-        r = 1 << ((n.bit_length() + m - 1) // m)  # upper start for Newton
-        while True:
-            nxt = ((m - 1) * r + n // r ** (m - 1)) // m
-            if nxt >= r:
-                break
-            r = nxt
-        return r if r ** m == n else None
-
-    a, b = iroot(x.numerator), iroot(x.denominator)
-    if a is None or b is None:
-        return None
-    return Fraction(a, b)
+def _exact_root(x: Fraction, d: int):
+    """The 2^d-th root of x >= 0 when exact, else None: d exact square roots."""
+    for _ in range(d):
+        a, b = isqrt(x.numerator), isqrt(x.denominator)
+        if a * a != x.numerator or b * b != x.denominator:
+            return None
+        x = Fraction(a, b)
+    return x
 
 
 def good_dimension_witness(X, ring, f: Cochain, c: dict, alpha: Fraction):
@@ -243,8 +268,6 @@ def good_dimension_witness(X, ring, f: Cochain, c: dict, alpha: Fraction):
     (k+1-i)(i+1) c_{i-1} - eta (k+1)(k+2) 2^{k+2}) ||f|| with
     eta = alpha^(2^-d), and returns (i, bound).
     """
-    from .expansion import INFINITY, link_beta
-
     alpha = Fraction(alpha)
     k, d = f.dim, X.dim
     if f.is_zero():
@@ -258,11 +281,9 @@ def good_dimension_witness(X, ring, f: Cochain, c: dict, alpha: Fraction):
         raise PreconditionViolated("constants must start at 0 and end at most 1")
     if f.norm() > alpha:
         raise PreconditionViolated(f"||f|| = {f.norm()} exceeds alpha = {alpha}")
-    from .cochains import is_locally_minimal
-
     if not is_locally_minimal(f):
         raise PreconditionViolated("f is not locally minimal")
-    eta = _exact_root(alpha, 2 ** d)
+    eta = _exact_root(alpha, d)
     if eta is None:
         raise ParameterOutOfRange(
             f"alpha = {alpha} has no exact 2^{d}-th root; pass an exact power"
@@ -283,7 +304,7 @@ def good_dimension_witness(X, ring, f: Cochain, c: dict, alpha: Fraction):
     bound = (
         beta_i * c[i]
         - (k + 1 - i) * (i + 1) * c[i - 1]
-        - eta * (k + 1) * (k + 2) * 2 ** (k + 2)
+        - bad_face_factor(k, eta)
     ) * norm
     if coboundary(f).norm() < bound:
         raise PropertyViolation(

@@ -328,20 +328,6 @@ def kernel_mod_p(M, p):
     return out
 
 
-def solve_mod_p(M, b, p):
-    """One solution of M x = b (mod p) over the prime field, or None."""
-    m = len(M)
-    n = len(M[0]) if m else 0
-    aug = [[M[i][j] % p for j in range(n)] + [b[i] % p] for i in range(m)]
-    basis, pivots = rref_mod_p(aug, p)
-    x = [0] * n
-    for row, pc in zip(basis, pivots):
-        if pc == n:
-            return None
-        x[pc] = row[n]
-    return x
-
-
 def image_basis_int(M):
     """Integer lattice basis of the column space of M (list of columns)."""
     m = len(M)

@@ -28,7 +28,7 @@ from .cochains import (
     subgroup_generators,
     vector_cochain,
 )
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, frac_json
 from .errors import (
     DependentGenerators,
     DimensionOutOfRange,
@@ -333,7 +333,7 @@ def lattice_report(X, k, coeff_bound=3) -> dict:
         "torsion": list(profile.torsion),
         "generators": [g.to_lines() for g in L.generators],
         "generators_certified": list(L.certified),
-        "distance": {"num": dist.numerator, "den": dist.denominator},
+        "distance": frac_json(dist),
         "distance_support_count": sum(1 for v in witness if v),
         "certified": certified,
     }

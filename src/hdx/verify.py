@@ -3,7 +3,8 @@
 Each check replays one documented invariant over the built-in example
 complexes: exhaustively where the space is small, with seeded draws where it
 is not. Checks call through the module objects rather than imported names,
-so a deliberately broken operator (mutation testing) is caught.
+so a deliberately broken operator (mutation testing) is caught. A bound
+the library states is read from the predicate of the module that owns it.
 
 The two minimality lemmas (minimal implies locally minimal, and minimality
 is closed under restriction) read which cochains are minimal off one
@@ -318,14 +319,11 @@ def check_small_set_implications(seed):
     mu = Fraction(1, 4)
     for name in ["octahedron", "tetrahedron"]:
         X = named_complex(name)
-        eps = _best_small_set_epsilon(X, mu)
-        if eps is None or eps == 0:
+        eps, holds, bound = _corollary_hypothesis(X, mu)
+        if not eps:
             continue
-        ok, ce = expansion_mod.small_set_check(X, F2, eps, mu)
-        if not ok:
+        if not holds:
             return False, f"{name} fails at its own epsilon"
-        Q = X.degree_bound()
-        bound = min(mu, Fraction(1, Q * Q))
         for k in range(0, X.dim):
             B = set(cochains_mod.coboundary_group(X, F2, k))
             for z in cochains_mod.cocycle_group(X, F2, k):
@@ -341,17 +339,25 @@ def check_small_set_implications(seed):
     return True, ""
 
 
-def _best_small_set_epsilon(X, mu):
-    best = None
+def _corollary_hypothesis(X, mu):
+    """(eps, holds, bound) for the corollary's small-set premise on X over F2.
+
+    eps is the least expansion ratio of a locally minimal F2 cochain of norm
+    at most mu (falsy when none is positive), holds whether small_set_check
+    passes at (eps, mu), and bound = min(mu, Q^-2) is the promised expansion.
+    """
+    eps = None
     for k in range(0, X.dim):
         for support in expansion_mod._supports_up_to_norm(X, k, mu):
             f = Cochain(X, F2, k, {s: 1 for s in support})
-            if not cochains_mod.is_locally_minimal(f):
-                continue
-            ratio = cochains_mod.coboundary(f).norm() / f.norm()
-            if best is None or ratio < best:
-                best = ratio
-    return best
+            if cochains_mod.is_locally_minimal(f):
+                ratio = cochains_mod.coboundary(f).norm() / f.norm()
+                eps = ratio if eps is None else min(eps, ratio)
+    if not eps:
+        return eps, False, None
+    holds, _ = expansion_mod.small_set_check(X, F2, eps, mu)
+    Q = X.degree_bound()
+    return eps, holds, min(mu, Fraction(1, Q * Q))
 
 
 def check_corollary_chain(seed):
@@ -360,14 +366,11 @@ def check_corollary_chain(seed):
     mu = Fraction(1, 4)
     for name in ["octahedron", "tetrahedron"]:
         X = named_complex(name)
-        eps = _best_small_set_epsilon(X, mu)
+        eps, holds, bound = _corollary_hypothesis(X, mu)
         if not eps:
             continue
-        ok, _ = expansion_mod.small_set_check(X, F2, eps, mu)
-        if not ok:
+        if not holds:
             return False, f"{name} fails its own epsilon"
-        Q = X.degree_bound()
-        bound = min(mu, Fraction(1, Q * Q))
         Y = X.skeleton(X.dim - 1)
         for k in range(0, Y.dim):
             rep = expansion_mod.cosystolic_pair(Y, F2, k)
@@ -411,12 +414,9 @@ def check_fat_face_bound(seed):
             continue
         eta = rng.choice([Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)])
         fam = fatfaces_mod.fat_family(X, A, eta)
-        nA = X.norm(A)
-        for i in range(-1, k + 1):
-            lvl = fam.levels[i]
-            nAi = X.norm(lvl) if lvl else Fraction(0)
-            if nAi > eta ** (1 - 2 ** (k - i)) * nA:
-                return False, f"k={k} i={i} eta={eta}"
+        i = fatfaces_mod.fat_bound_failure(X, fam)
+        if i is not None:
+            return False, f"k={k} i={i} eta={eta}"
     return True, ""
 
 
@@ -439,23 +439,18 @@ def check_ladder_monotonicity(seed):
 
 def check_bad_face_bound(seed):
     X = named_complex("octahedron")
-    amax = expansion_mod.skeleton_alpha(X)[0]
-    for kk in range(0, X.dim + 1):
-        for s in X.faces(kk):
-            amax = max(amax, expansion_mod.skeleton_alpha(X.link(s))[0])
+    amax = fatfaces_mod.max_link_alpha(X)
     rng = random.Random(seed)
     for _ in range(150):
         k = rng.choice([0, 1])
         eta = rng.choice([Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)])
-        if amax > eta ** (2 ** (X.dim - 1)):
+        if not fatfaces_mod.bad_face_hypothesis(X, amax, eta):
             continue
         A = frozenset(f for f in X.faces(k) if rng.random() < 0.3)
         if not A:
             continue
         fam = fatfaces_mod.fat_family(X, A, eta, k=k)
-        ups = fatfaces_mod.bad_faces(X, fam)
-        lhs = X.norm(ups) if ups else Fraction(0)
-        if lhs > eta * (k + 1) * (k + 2) * 2 ** (k + 2) * X.norm(A):
+        if not fatfaces_mod.bad_bound_holds(X, fam):
             return False, f"k={k} eta={eta}"
     return True, ""
 
@@ -520,14 +515,9 @@ def check_homotopy_identity(seed):
         fam = building_mod.chain_family(B, ring)
         for _ in range(8):
             f = cochains_mod.random_cochain(X, ring, 0, rng)
-            for sigma in X.top_faces:
-                lhs = cochains_mod.coboundary(
-                    building_mod.contraction(B, ring, fam, sigma, f)
-                ) + building_mod.contraction(
-                    B, ring, fam, sigma, cochains_mod.coboundary(f)
-                )
-                if lhs != f:
-                    return False, f"{ring} {sigma}"
+            sigma = building_mod.homotopy_failure(B, fam, f)
+            if sigma is not None:
+                return False, f"{ring} {sigma}"
     return True, ""
 
 
@@ -550,22 +540,14 @@ def check_contraction_distance_bound(seed):
 
 def check_symmetry_bounds(seed):
     rep = building_mod.symmetry_checks(_building32(), seed=seed)
-    ok = (
-        rep.group_order == 168
-        and rep.transitive_on_top
-        and rep.stabilizer_bound_ok
-        and rep.summed_bound_ok
-        and rep.apartment_equivariance_ok
-    )
-    return ok, f"orbits {rep.orbit_counts}"
+    return rep.group_order == 168 and rep.ok, f"orbits {rep.orbit_counts}"
 
 
 def check_building_epsilon(seed):
     B = _building32()
     rep = expansion_mod.coboundary_epsilon(B.complex, F2, 0)
-    beta = Fraction(1, 2 * B.theta)
-    sharper = Fraction(1, B.theta * comb(2, 2))
-    if rep.epsilon < beta or rep.epsilon < sharper:
+    beta, sharper = building_mod.beta_constants(B)
+    if rep.epsilon < beta or rep.epsilon < sharper[0]:
         return False, f"epsilon {rep.epsilon}"
     return True, f"epsilon {rep.epsilon}"
 

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import re
+import time
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -9,18 +10,21 @@ import pytest
 from hdx import building, errors
 from hdx import gf as gf_module
 from hdx.building import (
+    ChainFamily,
     Subcomplex,
     _face_orbits,
     _integer_family_at,
     _summed_totals,
     _transvections,
     _vertex_action,
+    beta_constants,
     build_building,
     building_expansion_audit,
     chain_family,
     chamber_transport,
     contraction,
     generator_actions,
+    homotopy_failure,
     intersection_complex,
     solve_boundary,
     symmetry_checks,
@@ -121,6 +125,27 @@ def test_maximal_flag_length(fano):
 def test_too_large_building_rejected():
     with pytest.raises(errors.TooLarge):
         build_building(4, 3)
+
+
+@pytest.mark.parametrize("n,q,message", [
+    (5, 2, "building (5,2) has 372 vertices and 9765 maximal flags, over the cap 400"),
+    (4, 3, "building (4,3) has 210 vertices and 2080 maximal flags, over the cap 400"),
+    (6, 2, "building (6,2) has 2823 vertices and 615195 maximal flags, over the cap 400"),
+    (4, 5, "building (4,5) has 1118 vertices and 29016 maximal flags, over the cap 400"),
+])
+def test_building_cap_refuses_before_enumerating(n, q, message):
+    # the counts are Gaussian binomials and the q-factorial, taken before any
+    # subspace or flag is listed, so a refusal costs a few integer products
+    start = time.perf_counter()
+    with pytest.raises(errors.TooLarge) as refused:
+        build_building(n, q)
+    assert time.perf_counter() - start < 0.1
+    assert str(refused.value) == message
+
+
+def test_building_cap_comes_after_the_field():
+    with pytest.raises(errors.NotPrimePower):
+        build_building(3, 6)
 
 
 def test_apartments_are_hexagons(fano):
@@ -339,10 +364,10 @@ def test_solve_boundary_zero_and_single_face(fano):
     sigma = X.top_faces[0]
     K = intersection_complex(fano, sigma, sigma[:1])
     z = Chain(INTEGERS, 0, {})
-    assert solve_boundary(K, INTEGERS, z).is_zero()
+    assert solve_boundary(K, z).is_zero()
     face = K.faces(1)[0]
     c = boundary(Chain(INTEGERS, 1, {face: 1}))
-    c2 = solve_boundary(K, INTEGERS, c)
+    c2 = solve_boundary(K, c)
     assert boundary(c2) == c
 
 
@@ -359,7 +384,7 @@ def test_solve_boundary_random_cycles(fano):
         coeffs = {e: rng.randint(-3, 3) for e in edges}
         cycle = boundary(Chain(INTEGERS, 1, coeffs))
         # boundary of a chain is a cycle; refill it inside K
-        filled = solve_boundary(K, INTEGERS, cycle)
+        filled = solve_boundary(K, cycle)
         assert boundary(filled) == cycle
 
 
@@ -370,12 +395,12 @@ def test_solve_boundary_rejects_non_cycle(fano):
     v = K.faces(0)[0]
     # a single vertex has augmentation 1, so it is not a cycle
     with pytest.raises(errors.CycleConditionViolated):
-        solve_boundary(K, INTEGERS, Chain(INTEGERS, 0, {v: 1}))
+        solve_boundary(K, Chain(INTEGERS, 0, {v: 1}))
     # the difference of two vertices is a cycle and fills inside K
     if len(K.faces(0)) >= 2:
         u, w = K.faces(0)[0], K.faces(0)[1]
         c = Chain(INTEGERS, 0, {u: 1, w: -1})
-        filled = solve_boundary(K, INTEGERS, c)
+        filled = solve_boundary(K, c)
         assert boundary(filled) == c
 
 
@@ -384,7 +409,7 @@ def test_no_solution_without_higher_faces():
     cycle = Chain(INTEGERS, 1, {("a", "b"): 1, ("b", "c"): 1, ("a", "c"): -1})
     assert boundary(cycle).is_zero()
     with pytest.raises(errors.NoSolution):
-        solve_boundary(K, INTEGERS, cycle)
+        solve_boundary(K, cycle)
 
 
 # -- chain family and contraction ----------------------------------------------------------
@@ -468,6 +493,60 @@ def test_homotopy_identity(fano, ringname):
                 fano, ring, fam, sigma, coboundary(f)
             )
             assert lhs == f
+
+
+def restated_homotopy_failure(B, fam, f):
+    ring = f.ring
+    for sigma in B.complex.top_faces:
+        down = contraction(B, ring, fam, sigma, f)
+        up = contraction(B, ring, fam, sigma, coboundary(f))
+        faces = B.complex.faces(f.dim)
+        if any(ring.reduce(coboundary(down)(t) + up(t) - f(t)) for t in faces):
+            return sigma
+    return None
+
+
+@pytest.mark.parametrize("ringname", ["Z", "F2", "F3"])
+def test_homotopy_failure_matches_restatement(fano, ringname):
+    from hdx.rings import parse_ring
+
+    ring = parse_ring(ringname)
+    fam = chain_family(fano, ring)
+    rng = random.Random(17)
+    for _ in range(6):
+        f = random_cochain(fano.complex, ring, 0, rng)
+        assert homotopy_failure(fano, fam, f) is None
+        assert restated_homotopy_failure(fano, fam, f) is None
+
+
+@pytest.mark.parametrize("ringname", ["Z", "F3"])
+def test_homotopy_failure_names_the_chamber_of_a_tampered_coefficient(fano, ringname):
+    # one more edge e in c_{sigma, tau} for a vertex tau moves
+    # (iota_sigma delta f)(tau) by delta f(e) = 1 when f is the indicator of e's
+    # last vertex; every other chamber keeps its identity
+    from hdx.rings import parse_ring
+
+    ring = parse_ring(ringname)
+    X = fano.complex
+    fam = chain_family(fano, ring)
+    sigma, tau, e = X.top_faces[5], X.faces(0)[3], X.faces(1)[0]
+    ch = fam[(sigma, tau)]
+    tampered = ChainFamily(ring, {
+        **fam.entries,
+        (sigma, tau): Chain(ring, 1, {**ch.coeffs, e: ch.coeffs.get(e, 0) + 1}),
+    })
+    f = Cochain(X, ring, 0, {(e[1],): 1})
+    assert restated_homotopy_failure(fano, tampered, f) == sigma
+    assert homotopy_failure(fano, tampered, f) == sigma
+    assert homotopy_failure(fano, fam, f) is None
+
+
+def test_beta_constants(fano, b42):
+    # 1 / (2^d theta) and 1 / (theta C(d+1, k+2)): theta is 12 on (3,2), 74 on (4,2)
+    assert beta_constants(fano) == (Fraction(1, 24), {0: Fraction(1, 12)})
+    assert beta_constants(b42) == (
+        Fraction(1, 296), {0: Fraction(1, 222), 1: Fraction(1, 74)}
+    )
 
 
 def test_contraction_defined_at_top_dimension(fano):
@@ -731,6 +810,34 @@ def test_symmetry_checks_4_2_at_default_settings(b42):
     assert rep.apartment_equivariance_ok
 
 
+SYMMETRY_FLAGS = [
+    "transitive_on_top", "stabilizer_bound_ok", "summed_bound_ok", "apartment_equivariance_ok",
+]
+AUDIT_FLAGS = [
+    "epsilon_ok", "homotopy_ok", "chain_family_ok", "homological_ok",
+    "cohomology_trivial_below_top",
+]
+
+
+def test_symmetry_report_ok_and_json(fano):
+    rep = symmetry_checks(fano)
+    assert rep.ok is all(getattr(rep, flag) for flag in SYMMETRY_FLAGS) is True
+    for flag in SYMMETRY_FLAGS:
+        assert dataclasses.replace(rep, **{flag: False}).ok is False
+    assert rep.to_json() == {
+        "group_order": 168,
+        "orbit_counts": {"0": 2, "1": 1},
+        **{flag: True for flag in SYMMETRY_FLAGS},
+    }
+
+
+def test_audit_report_ok(fano):
+    audit = building_expansion_audit(fano, F3, samples=2)
+    assert audit.ok is all(getattr(audit, flag) for flag in AUDIT_FLAGS) is True
+    for flag in AUDIT_FLAGS:
+        assert dataclasses.replace(audit, **{flag: False}).ok is False
+
+
 def pair_loop_totals(B, k):
     """Per face r, the integer numerator over weight_denominator(k) of the sum
     of ||tau|| over every pair (sigma, tau), tau a k-face, with r in
@@ -943,6 +1050,14 @@ def test_building_audit(fano):
     assert audit.cohomology_trivial_below_top
 
 
+def test_building_audit_over_f2(fano):
+    audit = building_expansion_audit(fano, F2, seed=3, samples=4)
+    assert audit.epsilon == {("F2", 0): audit.epsilon[("F2", 0)]}
+    assert audit.epsilon[("F2", 0)] >= Fraction(1, 12)
+    assert all(getattr(audit, flag) for flag in AUDIT_FLAGS)
+    assert audit.ok
+
+
 def test_homological_bound_explicitly(fano):
     # dist(f, B^k) <= sum over tau of ||tau|| * |supp(delta f) inside A_{s,tau}|
     X = fano.complex
@@ -1043,7 +1158,7 @@ def test_filling_property_whole_cycle_space(fano, b42):
                 cycle = Chain(INTEGERS, i, {f: v for f, v in zip(rows, vec) if v})
                 if cycle.is_zero():
                     continue
-                filled = solve_boundary(K, INTEGERS, cycle)
+                filled = solve_boundary(K, cycle)
                 assert boundary(filled) == cycle
 
     X = fano.complex

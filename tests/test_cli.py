@@ -141,6 +141,41 @@ def test_report_fatfaces_refuses_when_every_draw_is_empty(capsys, args):
     assert "ParameterOutOfRange" in err and "no family to audit" in err
 
 
+@pytest.mark.parametrize("args,flag", [
+    (["fatfaces", "--k", "1", "--eta", "1/2", "--support", "", "octahedron"], "--support"),
+    (["fatfaces", "--k", "1", "--eta", "1/2", "--support", "", "--draws", "0", "octahedron"],
+     "--support"),
+    (["fatfaces", "--k", "1", "--eta", "1/2", "--support", "1 2, ", "octahedron"], "--support"),
+    (["building-audit", "--n", "3", "--q", "2", "--samples", "1", "--eps-rings", ""],
+     "--eps-rings"),
+    (["building-audit", "--n", "3", "--q", "2", "--samples", "1", "--eps-rings", "F2,,F3"],
+     "--eps-rings"),
+])
+def test_empty_list_arguments_are_usage_errors(capsys, args, flag):
+    # an empty argument is given, not absent: it must not fall back to the
+    # random draws or to the default ring
+    code, out, err = run_cli(["report"] + args, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error:") and flag in err
+
+
+def test_report_expansion_skeleton(capsys):
+    from hdx.expansion import skeleton_alpha
+
+    code, out, _ = run_cli(["report", "expansion", "--kind", "skeleton", "two_edges"], capsys)
+    assert code == 0
+    alpha, witness = skeleton_alpha(named_complex("two_edges"))
+    assert json.loads(out) == {
+        "kind": "skeleton",
+        "ring": None,
+        "epsilon": {"num": alpha.numerator, "den": alpha.denominator},
+        "witness": list(witness),
+        "certified": True,
+    }
+    assert alpha == Fraction(1, 2)
+
+
 def test_report_building_audit(capsys):
     code, out, _ = run_cli(
         ["report", "building-audit", "--n", "3", "--q", "2", "--ring", "Z",

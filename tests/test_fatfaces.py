@@ -10,11 +10,17 @@ from hdx.cochains import Cochain, coboundary, is_locally_minimal
 from hdx.expansion import good_links_constants, link_profile, skeleton_alpha
 from hdx.fatfaces import (
     FatFamily,
+    _exact_root,
+    bad_bound_holds,
+    bad_face_factor,
+    bad_face_hypothesis,
     bad_faces,
+    fat_bound_failure,
     fat_family,
     good_dimension_witness,
     ladder_restrict,
     links_inequality_check,
+    max_link_alpha,
 )
 from hdx.rings import prime_field
 
@@ -252,3 +258,105 @@ def test_good_dimension_exhaustive_with_theorem_constants():
                 if f.norm() <= alpha_big:
                     i, bound = good_dimension_witness(X, F2, f, g.c, alpha_big)
                     assert coboundary(f).norm() >= bound
+
+# -- the bound predicates, each against a restatement from the definitions ---------------
+
+
+def weight_sum(X, faces):
+    return sum((X.weight(f) for f in faces), Fraction(0))
+
+
+def restated_fat_failure(X, fam):
+    """The first level whose weight sum exceeds eta^(1 - 2^(k-i)) times the support's."""
+    top = weight_sum(X, fam.levels[fam.k])
+    for i in range(-1, fam.k + 1):
+        if weight_sum(X, fam.levels[i]) > fam.eta ** (1 - 2 ** (fam.k - i)) * top:
+            return i
+    return None
+
+
+def restated_bad_bound(X, fam):
+    """(k+1)-faces holding two fat i-faces that share i vertices outside level i-1,
+    weighed against eta (k+1)(k+2) 2^(k+2) times the support."""
+    k, eta = fam.k, fam.eta
+    bad = set()
+    for tau in X.faces(k + 1):
+        for i in range(0, k + 1):
+            fat = [s for s in combinations(tau, i + 1) if s in fam.levels[i]]
+            for s1, s2 in combinations(fat, 2):
+                meet = tuple(sorted(set(s1) & set(s2)))
+                if len(meet) == i and meet not in fam.levels[i - 1]:
+                    bad.add(tau)
+    return weight_sum(X, bad) <= eta * (k + 1) * (k + 2) * 2 ** (k + 2) * weight_sum(X, fam.levels[k])
+
+
+def drawn_families(X, seed, draws):
+    rng = random.Random(seed)
+    for _ in range(draws):
+        k = rng.choice(range(0, X.dim))
+        A = frozenset(f for f in X.faces(k) if rng.random() < 0.35)
+        if A:
+            yield fat_family(X, A, rng.choice(ETAS), k=k)
+
+
+@pytest.mark.parametrize("name", ["octahedron", "rp2"])
+def test_fat_bound_failure_matches_restatement(name):
+    X = named_complex(name)
+    for fam in drawn_families(X, 5, 40):
+        assert fat_bound_failure(X, fam) is None
+        assert restated_fat_failure(X, fam) is None
+
+
+@pytest.mark.parametrize("level", [-1, 0])
+def test_fat_bound_failure_names_an_inflated_level(level):
+    # one edge of the octahedron has no fat vertex and no fat empty face at
+    # eta = 1/2; filling one level past its bound must be reported at that level
+    X = named_complex("octahedron")
+    fam = fat_family(X, frozenset(X.faces(1)[:1]), Fraction(1, 2))
+    assert fam.levels[0] == fam.levels[-1] == frozenset()
+    inflated = FatFamily(X, 1, fam.eta, {**fam.levels, level: frozenset(X.faces(level))})
+    assert restated_fat_failure(X, inflated) == level
+    assert fat_bound_failure(X, inflated) == level
+
+
+@pytest.mark.parametrize("name", ["octahedron", "rp2"])
+def test_bad_bound_holds_matches_restatement(name):
+    X = named_complex(name)
+    alpha = max_link_alpha(X)
+    for fam in drawn_families(X, 7, 40):
+        assert bad_bound_holds(X, fam) == restated_bad_bound(X, fam)
+        if bad_face_hypothesis(X, alpha, fam.eta):
+            assert bad_bound_holds(X, fam)
+
+
+def test_bad_bound_fails_when_bad_faces_exceed_the_factor():
+    # every vertex fat and the empty face not: every edge is bad, norm 1,
+    # against the factor 8 eta = 4/5 times the support's norm 1
+    X = named_complex("octahedron")
+    eta = Fraction(1, 10)
+    fam = FatFamily(X, 0, eta, {0: frozenset(X.faces(0)), -1: frozenset()})
+    assert bad_faces(X, fam) == frozenset(X.faces(1))
+    assert bad_face_factor(0, eta) == Fraction(4, 5)
+    assert restated_bad_bound(X, fam) is False
+    assert bad_bound_holds(X, fam) is False
+
+
+def test_max_link_alpha_and_the_bad_face_hypothesis():
+    rp2 = named_complex("rp2")
+    alphas = [skeleton_alpha(rp2)[0]] + [
+        skeleton_alpha(rp2.link(s))[0] for k in range(0, 3) for s in rp2.faces(k)
+    ]
+    assert max_link_alpha(rp2) == max(alphas) == Fraction(1, 10)
+    assert max_link_alpha(named_complex("octahedron")) == 0
+    # alpha <= eta^(2^(d-1)) = eta^2 on a 2-complex
+    assert bad_face_hypothesis(rp2, Fraction(1, 10), Fraction(1, 3))
+    assert not bad_face_hypothesis(rp2, Fraction(1, 10), Fraction(1, 5))
+    assert bad_face_hypothesis(rp2, Fraction(1, 9), Fraction(1, 3))
+
+
+def test_exact_root_takes_d_square_roots():
+    for d, root in [(0, Fraction(7, 3)), (1, Fraction(2, 3)), (2, Fraction(2, 3)), (3, Fraction(5, 2))]:
+        assert _exact_root(root ** (2 ** d), d) == root
+    assert _exact_root(Fraction(1, 7), 2) is None
+    assert _exact_root(Fraction(4, 9), 2) is None  # a square, not a fourth power
+    assert _exact_root(Fraction(0), 2) == 0

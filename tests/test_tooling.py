@@ -451,3 +451,93 @@ def test_every_library_definition_is_read():
     assert len(declared) > 250
     unread = set(_unread([name for _, name in declared], sources))
     assert [where for where, name in declared if name in unread] == []
+
+
+# each checked bound has one home: the {num, den} form is written only by
+# complexes.frac_json; bad faces are read and the contraction homotopy and the
+# link alpha sweep restated only in the modules that own them; and the CLI
+# takes each report's verdict from its `ok`, never flag by flag
+BOUND_HOMES = {
+    ("bad_faces", None): "fatfaces.py",
+    ("coboundary", "contraction"): "building.py",
+    ("skeleton_alpha", "link"): "fatfaces.py",
+}
+
+
+class _Restatements(_Calls):
+    """{num, den} dict literals with their enclosing function, and every
+    attribute read whose name ends in `_ok`."""
+
+    def __init__(self):
+        super().__init__()
+        self.fracs = []
+        self.flags = []
+
+    def visit_Dict(self, node):
+        if {k.value for k in node.keys if isinstance(k, ast.Constant)} == {"num", "den"}:
+            self.fracs.append((self.scope[-1], node.lineno))
+        self.generic_visit(node)
+
+    def visit_Attribute(self, node):
+        if node.attr.endswith("_ok"):
+            self.flags.append((node.attr, node.lineno))
+        self.generic_visit(node)
+
+
+def _restatements(filename, source):
+    visitor = _Restatements()
+    visitor.visit(ast.parse(source))
+    out = [f"{filename}:{line} {{num, den}} in {scope}" for scope, line in visitor.fracs
+           if (filename, scope) != ("complexes.py", "frac_json")]
+    for scope, call in visitor.calls:
+        inner = call.args[0] if call.args else None
+        for (outer_name, inner_name), home in BOUND_HOMES.items():
+            if _callee(call) == outer_name and filename != home and (
+                inner_name is None
+                or isinstance(inner, ast.Call) and _callee(inner) == inner_name
+            ):
+                out.append(f"{filename}:{call.lineno} {outer_name} in {scope}")
+    if filename == "cli.py":
+        out += [f"cli.py:{line} .{attr}" for attr, line in visitor.flags]
+    return out
+
+
+def test_restatement_finder_flags_each_restated_bound():
+    source = """
+def frac_json(x):
+    return {"num": x.numerator, "den": x.denominator}
+
+
+def report(X, B, fam, f, sigma, audit, sym):
+    doc = {"eta": {"num": 1, "den": 2}, "k": {"num": 1}}
+    ups = fatfaces_mod.bad_faces(X, fam)
+    lhs = coboundary(contraction(B, fam, sigma, f)) + contraction(B, fam, sigma, f)
+    alpha = max(skeleton_alpha(X)[0], expansion.skeleton_alpha(X.link(sigma))[0])
+    return audit.homotopy_ok and sym.ok and audit.ok
+"""
+    assert _restatements("complexes.py", source) == [
+        "complexes.py:7 {num, den} in report",
+        "complexes.py:8 bad_faces in report",
+        "complexes.py:9 coboundary in report",
+        "complexes.py:10 skeleton_alpha in report",
+    ]
+    assert _restatements("cli.py", source) == [
+        "cli.py:3 {num, den} in frac_json",
+        "cli.py:7 {num, den} in report",
+        "cli.py:8 bad_faces in report",
+        "cli.py:9 coboundary in report",
+        "cli.py:10 skeleton_alpha in report",
+        "cli.py:11 .homotopy_ok",
+    ]
+    assert _restatements("fatfaces.py", source) == [
+        "fatfaces.py:3 {num, den} in frac_json",
+        "fatfaces.py:7 {num, den} in report",
+        "fatfaces.py:9 coboundary in report",
+    ]
+
+
+def test_each_checked_bound_is_stated_in_one_module():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        offenders += _restatements(path.name, path.read_text(encoding="utf-8"))
+    assert offenders == []
