@@ -244,12 +244,21 @@ def _common_faces(B: SphericalBuilding, sigma, tau) -> list:
 
 
 def verify_building_axioms(B: SphericalBuilding):
-    """Every pair of faces shares an apartment; each apartment has theta distinct faces."""
+    """Every pair of faces shares an apartment; each apartment has theta
+    distinct faces and is the closure of its chambers."""
     X = B.complex
     faces = [f for k in range(0, X.dim + 1) for f in X.faces(k)]
+    top = X.dim + 1
     for apt in B.apartments:
-        if len(set(apt)) != B.theta:
+        own = set(apt)
+        if len(own) != B.theta:
             raise PropertyViolation("apartment sizes differ")
+        closure = {
+            f for c in apt if len(c) == top
+            for r in range(1, top + 1) for f in combinations(c, r)
+        }
+        if closure != own:
+            raise PropertyViolation("apartment is not the closure of its chambers")
     bits = _apartment_bits(B)
     for f in faces:
         if not bits.get(f, 0):

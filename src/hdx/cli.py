@@ -122,12 +122,11 @@ def report_expansion(args) -> int:
 
 def report_cohomology(args) -> int:
     X = resolve_complex(args.complex)
-    profile = lattice_mod.integer_cohomology(X, args.k)
     uct = lattice_mod.uct_check(X, args.k)
     doc = {
         "k": args.k,
-        "free_rank": profile.free_rank,
-        "torsion": list(profile.torsion),
+        "free_rank": uct.free_rank,
+        "torsion": list(uct.torsion),
         "f2_dimension": uct.fp_dimension,
         "f3_dimension": lattice_mod.fp_cohomology_dimension(X, args.k, 3),
         "uct": {

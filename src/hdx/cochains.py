@@ -377,10 +377,9 @@ def subgroup_generators(X, ring: Ring, k: int, target: str):
         gens = intmat.kernel_int(delta_matrix(X, k))
     else:
         n = ring.size
-        _, S, V = intmat.smith_normal_form(delta_matrix(X, k))
-        r = len(intmat.snf_diagonal(S))
-        scale = [n // gcd(S[j][j], n) if j < r else 1 for j in range(nk)]
-        gens = [[scale[j] * V[i][j] for i in range(nk)] for j in range(nk)]
+        _, d, V = intmat.smith_normal_form(delta_matrix(X, k))
+        scale = [n // gcd(s, n) for s in d] + [1] * (nk - len(d))
+        gens = [[c * v for v in col] for c, col in zip(scale, intmat.transpose(V))]
     if ring.is_finite and not ring.is_field:
         gens = [g for g in ([v % ring.size for v in g] for g in gens) if any(g)]
     X.cache[key] = gens

@@ -214,19 +214,7 @@ def all_subspaces(gf: GF, n: int, r: int):
     return out
 
 
-def span_of_union(gf: GF, bases):
-    """Canonical RREF basis of the span of several subspace bases."""
-    rows = [row for b in bases for row in b]
-    return rref(gf, rows)
-
-
 def subspace_token(basis) -> str:
     """Serialize an RREF basis as S[row;row;...] with hex digits per entry."""
     return "S[" + ";".join("".join(format(x, "x") for x in row) for row in basis) + "]"
 
-
-def token_subspace(token: str):
-    if not token.startswith("S[") or not token.endswith("]"):
-        raise ValueError(f"bad subspace token {token!r}")
-    body = token[2:-1]
-    return tuple(tuple(int(c, 16) for c in row) for row in body.split(";"))

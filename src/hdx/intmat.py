@@ -2,16 +2,16 @@
 
 Matrices are lists of lists of Python ints, so everything is arbitrary
 precision. Provides Smith normal form with unimodular transforms, integer
-and mod-n linear solves, integer kernel bases, and reduced row echelon form
+linear solves, integer kernel and image bases, and reduced row echelon form
 over a prime field. The Smith normal form is the classical elimination run on
 sparse rows: each operation touches only nonzero entries, and the transforms
-it returns are those of the dense algorithm. Matrix products read only the
+it returns are those of the dense algorithm. It returns (U, d, V): the
+transforms and the nonzero invariant factors d, whose length is the rank;
+every caller reads the Smith form through d. Matrix products read only the
 nonzeros of their factors.
 """
 
 from __future__ import annotations
-
-from math import gcd
 
 
 def zeros(m, n):
@@ -63,10 +63,12 @@ def _add_to(dst, src, c):
 
 
 def smith_normal_form(M, *, inverse=False):
-    """Return (U, S, V) with U @ M @ V == S diagonal, d_1 | d_2 | ...
+    """Return (U, d, V): U @ M @ V is zero but for its diagonal, which
+    starts with the invariant factors d = [d_1, ..., d_r], d_1 | d_2 | ...
 
-    U and V are unimodular; diagonal entries are nonnegative. With
-    inverse=True, also return U^-1, taken from the same row operations.
+    U and V are unimodular, every d_i is positive and r = len(d) is the rank
+    of M. With inverse=True, also return U^-1, taken from the same row
+    operations.
 
     The elimination runs on sparse rows: A and U are lists of {column: value}
     rows, V and U^-1 lists of {row: value} columns, and an operation touches
@@ -176,15 +178,17 @@ def smith_normal_form(M, *, inverse=False):
         if fixed:
             t += 1
 
-    # A is diagonal now
-    for i in range(min(m, n)):
-        if A[i].get(i, 0) < 0:
-            A[i][i] = -A[i][i]
+    # A is diagonal now, its nonzero entries first
+    d = []
+    for i in range(t):
+        a = A[i][i]
+        if a < 0:
             V[i] = {r: -v for r, v in V[i].items()}
-    U, S, V = _dense_rows(U, m), _dense_rows(A, n), _dense_cols(V, n)
+        d.append(abs(a))
+    U, V = _dense_rows(U, m), _dense_cols(V, n)
     if inverse:
-        return U, S, V, _dense_cols(Uinv, m)
-    return U, S, V
+        return U, d, V, _dense_cols(Uinv, m)
+    return U, d, V
 
 
 def _dense_rows(rows, n):
@@ -205,19 +209,10 @@ def _dense_cols(cols, m):
     return out
 
 
-def snf_diagonal(S):
-    out = []
-    for i in range(min(len(S), len(S[0]) if S else 0)):
-        if S[i][i]:
-            out.append(S[i][i])
-    return out
-
-
 def rank_int(M):
     if not M or not M[0]:
         return 0
-    _, S, _ = smith_normal_form(M)
-    return len(snf_diagonal(S))
+    return len(smith_normal_form(M)[1])
 
 
 def solve_int(M, b):
@@ -226,18 +221,11 @@ def solve_int(M, b):
     n = len(M[0]) if m else 0
     if m == 0:
         return [0] * n
-    U, S, V = smith_normal_form(M)
+    U, d, V = smith_normal_form(M)
     c = mat_vec(U, b)
-    y = [0] * n
-    r = len(snf_diagonal(S))
-    for i in range(m):
-        si = S[i][i] if i < min(m, n) else 0
-        if i < r:
-            if c[i] % si:
-                return None
-            y[i] = c[i] // si
-        elif c[i]:
-            return None
+    if any(c[len(d):]) or any(ci % di for ci, di in zip(c, d)):
+        return None
+    y = [ci // di for ci, di in zip(c, d)] + [0] * (n - len(d))
     return mat_vec(V, y)
 
 
@@ -249,34 +237,8 @@ def kernel_int(M):
         return []
     if m == 0:
         return [col for col in identity(n)]
-    _, S, V = smith_normal_form(M)
-    r = len(snf_diagonal(S))
-    return [[V[i][j] for i in range(n)] for j in range(r, n)]
-
-
-def solve_mod(M, b, n_mod):
-    """One solution x of M x = b (mod n_mod), or None when unsolvable."""
-    m = len(M)
-    n = len(M[0]) if m else 0
-    if m == 0:
-        return [0] * n
-    U, S, V = smith_normal_form(M)
-    c = [v % n_mod for v in mat_vec(U, b)]
-    y = [0] * n
-    for i in range(m):
-        si = S[i][i] if i < min(m, n) else 0
-        ci = c[i]
-        if si == 0:
-            if ci % n_mod:
-                return None
-            continue
-        g = gcd(si, n_mod)
-        if ci % g:
-            return None
-        ni = n_mod // g
-        inv = pow((si // g) % ni, -1, ni) if ni > 1 else 0
-        y[i] = ((ci // g) * inv) % n_mod if ni > 1 else 0
-    return [v % n_mod for v in mat_vec(V, y)]
+    _, d, V = smith_normal_form(M)
+    return transpose(V)[len(d):]
 
 
 def rref_mod_p(rows, p):
@@ -334,7 +296,6 @@ def image_basis_int(M):
     n = len(M[0]) if m else 0
     if m == 0 or n == 0:
         return []
-    _, S, V = smith_normal_form(M)
-    # M V = U^-1 S, so its first r columns are the columns of U^-1 times d_j
-    MV = mat_mul(M, V)
-    return [[MV[i][j] for i in range(m)] for j in range(len(snf_diagonal(S)))]
+    _, d, V = smith_normal_form(M)
+    # M V = U^-1 diag(d), so its first r columns are those of U^-1 times d_j
+    return transpose(mat_mul(M, V))[: len(d)]

@@ -40,24 +40,17 @@ from .errors import (
 from .rings import INTEGERS
 
 
-@dataclass
-class SmithProfile:
-    rank: int
-    invariant_factors: tuple
-    U: list
-    S: list
-    V: list
-
-
-def smith_profile(M) -> SmithProfile:
-    """Smith normal form with the transforms, verified by multiplication."""
+def smith_profile(M) -> tuple:
+    """The invariant factors of M, with U @ M @ V verified against them."""
     if not M or not M[0]:
-        return SmithProfile(0, (), [], [list(r) for r in M], [])
-    U, S, V = intmat.smith_normal_form(M)
+        return ()
+    U, d, V = intmat.smith_normal_form(M)
+    S = intmat.zeros(len(M), len(M[0]))
+    for i, v in enumerate(d):
+        S[i][i] = v
     if intmat.mat_mul(intmat.mat_mul(U, M), V) != S:
         raise PropertyViolation("smith transform verification failed")
-    diag = intmat.snf_diagonal(S)
-    return SmithProfile(len(diag), tuple(diag), U, S, V)
+    return tuple(d)
 
 
 @dataclass
@@ -67,16 +60,21 @@ class CohomologyProfile:
     torsion: tuple  # invariant factors above 1
 
 
-def integer_cohomology(X, k) -> CohomologyProfile:
-    """H^k(X; Z) with the augmented convention (reduced cohomology at k = 0)."""
+def _cohomology(X, k):
+    """H^k(X; Z) and the invariant factors of delta_k, from one Smith form of
+    delta_{k-1} and one of delta_k (the zero map at the top dimension)."""
     if not 0 <= k <= X.dim:
         raise DimensionOutOfRange(f"dimension {k} not in 0..{X.dim}")
-    nk = len(X.faces(k))
-    rank_above = 0 if k == X.dim else smith_profile(delta_matrix(X, k)).rank
+    above = () if k == X.dim else smith_profile(delta_matrix(X, k))
     below = smith_profile(delta_matrix(X, k - 1))
-    free_rank = nk - rank_above - below.rank
-    torsion = tuple(v for v in below.invariant_factors if v > 1)
-    return CohomologyProfile(k, free_rank, torsion)
+    free_rank = len(X.faces(k)) - len(above) - len(below)
+    torsion = tuple(v for v in below if v > 1)
+    return CohomologyProfile(k, free_rank, torsion), above
+
+
+def integer_cohomology(X, k) -> CohomologyProfile:
+    """H^k(X; Z) with the augmented convention (reduced cohomology at k = 0)."""
+    return _cohomology(X, k)[0]
 
 
 def fp_cohomology_dimension(X, k, p) -> int:
@@ -100,8 +98,12 @@ class UctReport:
     k: int
     fp_dimension: int
     free_rank: int
-    even_torsion_here: int
+    torsion: tuple  # of H^k
     even_torsion_above: int
+
+    @property
+    def even_torsion_here(self) -> int:
+        return sum(1 for t in self.torsion if t % 2 == 0)
 
     @property
     def ok(self) -> bool:
@@ -112,19 +114,18 @@ class UctReport:
 
 
 def uct_check(X, k) -> UctReport:
-    """dim_F2 H^k = free rank + 2-torsion of H^k + 2-torsion of H^{k+1}."""
-    here = integer_cohomology(X, k)
-    above_torsion = 0
-    if k + 1 <= X.dim:
-        above_torsion = sum(
-            1 for t in integer_cohomology(X, k + 1).torsion if t % 2 == 0
-        )
+    """dim_F2 H^k = free rank + 2-torsion of H^k + 2-torsion of H^{k+1}.
+
+    The torsion of H^{k+1} is read off the invariant factors of delta_k that
+    H^k already took, so delta_{k+1} is never reduced.
+    """
+    here, above = _cohomology(X, k)
     return UctReport(
         k,
         fp_cohomology_dimension(X, k, 2),
         here.free_rank,
-        sum(1 for t in here.torsion if t % 2 == 0),
-        above_torsion,
+        here.torsion,
+        sum(1 for t in above if t % 2 == 0),
     )
 
 
@@ -139,11 +140,10 @@ class LatticeGenerator:
 
 def free_cocycle_generators(X, k):
     """Integer cocycle vectors projecting to a basis of the free part of H^k."""
-    nk = len(X.faces(k))
     kernel = subgroup_generators(X, INTEGERS, k, COCYCLES)
     if not kernel:
         return []
-    K = [[kernel[j][i] for j in range(len(kernel))] for i in range(nk)]  # columns
+    K = intmat.transpose(kernel)  # columns
     # write the image inside kernel coordinates: K @ Y = image columns
     Y = []
     for col in subgroup_generators(X, INTEGERS, k, COBOUNDARIES):
@@ -151,19 +151,12 @@ def free_cocycle_generators(X, k):
         if y is None:
             raise PropertyViolation("coboundary outside the cocycle lattice")
         Y.append(y)
-    m = len(kernel)
     if Y:
-        Ymat = [[Y[j][i] for j in range(len(Y))] for i in range(m)]
-        _, S, _, Uinv = intmat.smith_normal_form(Ymat, inverse=True)
-        r = len(intmat.snf_diagonal(S))
-        free_cols = [[Uinv[i][j] for i in range(m)] for j in range(r, m)]
+        _, d, _, Uinv = intmat.smith_normal_form(intmat.transpose(Y), inverse=True)
+        free_cols = intmat.transpose(Uinv)[len(d):]
     else:
-        free_cols = [list(col) for col in intmat.identity(m)]
-    gens = []
-    for y in free_cols:
-        vec = [sum(K[i][j] * y[j] for j in range(m)) for i in range(nk)]
-        gens.append(vec)
-    return gens
+        free_cols = intmat.identity(len(kernel))
+    return [intmat.mat_vec(K, y) for y in free_cols]
 
 
 def _bounded_coset_minimum(X, k, base_vec, gens, coeff_bound):
@@ -230,11 +223,11 @@ def build_lattice(reps) -> CohomologyLattice:
         if D is not None and any(intmat.mat_vec(D, list(cochain_vector(g)))):
             raise DependentGenerators(f"generator {g} is not a cocycle")
     stack = [list(b) for b in subgroup_generators(X, INTEGERS, k, COBOUNDARIES)]
-    base_rank = intmat.rank_int([list(r) for r in zip(*stack)]) if stack else 0
+    base_rank = intmat.rank_int(intmat.transpose(stack)) if stack else 0
     rank = base_rank
     for g in gens:
         stack.append(list(cochain_vector(g)))
-        new_rank = intmat.rank_int([list(r) for r in zip(*stack)])
+        new_rank = intmat.rank_int(intmat.transpose(stack))
         if new_rank != rank + 1:
             raise DependentGenerators(
                 "generators are dependent modulo the coboundaries"

@@ -574,8 +574,8 @@ def check_snf_transforms(seed):
     for _ in range(15):
         m, n = rng.randint(1, 6), rng.randint(1, 6)
         M = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
-        prof = lattice_mod.smith_profile(M)  # verifies internally
-        for a, b in zip(prof.invariant_factors, prof.invariant_factors[1:]):
+        d = lattice_mod.smith_profile(M)  # verifies internally
+        for a, b in zip(d, d[1:]):
             if b % a:
                 return False, "divisibility"
     return True, ""
@@ -636,10 +636,10 @@ def check_component_lattice(seed):
     comp_vecs = [list(cochains_mod.cochain_vector(g)) for g in CL.generators]
     ones = [[1] * len(T.faces(0))]
     span = comp_vecs + ones
-    base = intmat.rank_int([list(r) for r in zip(*span)])
+    base = intmat.rank_int(intmat.transpose(span))
     for rep in reps:
         stacked = span + [list(cochains_mod.cochain_vector(rep.cochain))]
-        if intmat.rank_int([list(r) for r in zip(*stacked)]) != base:
+        if intmat.rank_int(intmat.transpose(stacked)) != base:
             return False, "rep outside component span"
     return True, ""
 

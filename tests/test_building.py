@@ -44,10 +44,8 @@ from hdx.gf import (
     all_subspaces,
     row_space_contains,
     rref,
-    span_of_union,
     subspace_le,
     subspace_token,
-    token_subspace,
 )
 from hdx.rings import INTEGERS, prime_field
 
@@ -90,6 +88,18 @@ def test_subspace_counts_by_direct_enumeration():
     assert len(all_subspaces(g3, 3, 2)) == 13
     g2 = GF(2)
     assert len(all_subspaces(g2, 4, 2)) == 35
+
+
+def span_of_union(gf, bases):
+    """Canonical RREF basis of the span of several subspace bases; the
+    reference for build_building's memoised joins."""
+    return rref(gf, [row for b in bases for row in b])
+
+
+def token_subspace(token):
+    """The RREF basis serialized by subspace_token."""
+    assert token.startswith("S[") and token.endswith("]")
+    return tuple(tuple(int(c, 16) for c in row) for row in token[2:-1].split(";"))
 
 
 def test_subspace_token_roundtrip():
@@ -178,6 +188,19 @@ def test_axioms_fail_on_an_apartment_with_a_repeated_face(fano):
     apt, *rest = fano.apartments
     B = dataclasses.replace(fano, apartments=[apt[:-1] + apt[:1], *rest], cache={})
     with pytest.raises(errors.PropertyViolation):
+        verify_building_axioms(B)
+
+
+def test_axioms_fail_on_an_apartment_that_is_not_its_chambers_closure(fano):
+    # swap one vertex of apartment 0 for a vertex outside it: theta distinct
+    # faces still, and every pair of faces still shares an apartment
+    apt, *rest = fano.apartments
+    i = next(i for i, f in enumerate(apt) if len(f) == 1)
+    outside = next(v for v in fano.complex.faces(0) if v not in apt)
+    B = dataclasses.replace(
+        fano, apartments=[apt[:i] + (outside,) + apt[i + 1:], *rest], cache={}
+    )
+    with pytest.raises(errors.PropertyViolation, match="closure of its chambers"):
         verify_building_axioms(B)
 
 

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from hdx import intmat
 from hdx.cli import main, parse_fraction, resolve_complex
 from hdx.catalog import named_complex
 from hdx.cochains import COBOUNDARIES, coboundary, cochain_from_lines, distance
@@ -91,6 +92,21 @@ def test_report_cohomology(capsys):
     assert doc["torsion"] == [2]
     assert doc["f2_dimension"] == 1
     assert doc["uct"]["ok"] is True
+
+
+@pytest.mark.parametrize(
+    "k,name,calls", [(1, "rp2", 2), (2, "rp2", 1), (0, "hollow_triangle", 2)]
+)
+def test_report_cohomology_takes_each_smith_form_once(
+    capsys, monkeypatch, k, name, calls
+):
+    # delta_{k-1} and delta_k, each reduced once; none past the top dimension
+    seen = []
+    snf = intmat.smith_normal_form
+    monkeypatch.setattr(intmat, "smith_normal_form", lambda M: seen.append(M) or snf(M))
+    code, _, _ = run_cli(["report", "cohomology", "--k", str(k), name], capsys)
+    assert code == 0
+    assert len(seen) == calls
 
 
 def test_report_fatfaces_with_support(capsys):

@@ -12,15 +12,30 @@ def mul(A, B):
     return intmat.mat_mul(A, B)
 
 
+def diagonal(d, m, n):
+    """The m x n matrix whose diagonal starts with d and is zero elsewhere."""
+    S = intmat.zeros(m, n)
+    for i, v in enumerate(d):
+        S[i][i] = v
+    return S
+
+
+def smith_as_dense(M):
+    """`intmat.smith_normal_form`'s (U, d, V) as the (U, S, V) of the dense
+    oracles below, S the diagonal matrix of d."""
+    U, d, V = intmat.smith_normal_form(M)
+    return U, diagonal(d, len(M), len(M[0]) if M else 0), V
+
+
 def test_snf_identity():
-    U, S, V = intmat.smith_normal_form(intmat.identity(3))
-    assert intmat.snf_diagonal(S) == [1, 1, 1]
+    U, d, V = intmat.smith_normal_form(intmat.identity(3))
+    assert d == [1, 1, 1]
 
 
 def test_snf_simple_diagonal():
     M = [[2, 0], [0, 0]]
-    U, S, V = intmat.smith_normal_form(M)
-    assert intmat.snf_diagonal(S) == [2]
+    U, d, V = intmat.smith_normal_form(M)
+    assert d == [2]
 
 
 def test_snf_random_transform_verification():
@@ -28,16 +43,12 @@ def test_snf_random_transform_verification():
     for _ in range(25):
         m, n = rng.randint(1, 6), rng.randint(1, 6)
         M = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
-        U, S, V = intmat.smith_normal_form(M)
-        assert mul(mul(U, M), V) == S
-        diag = intmat.snf_diagonal(S)
-        for a, b in zip(diag, diag[1:]):
+        U, d, V = intmat.smith_normal_form(M)
+        # off-diagonal entries vanish and the diagonal starts with d
+        assert mul(mul(U, M), V) == diagonal(d, m, n)
+        assert all(a > 0 for a in d)
+        for a, b in zip(d, d[1:]):
             assert b % a == 0
-        # off-diagonal entries vanish
-        for i in range(m):
-            for j in range(n):
-                if i != j:
-                    assert S[i][j] == 0
         # unimodularity
         Ui = invert_unimodular(U)
         assert mul(U, Ui) == intmat.identity(m)
@@ -66,14 +77,6 @@ def test_kernel_int():
         assert intmat.mat_vec(M, v) == [0, 0]
 
 
-def test_solve_mod():
-    M = [[2, 0], [0, 2]]
-    x = intmat.solve_mod(M, [2, 0], 4)
-    assert x is not None
-    assert [v % 4 for v in intmat.mat_vec(M, x)] == [2, 0]
-    assert intmat.solve_mod(M, [1, 0], 4) is None
-
-
 def test_rref_and_kernel_mod_p():
     M = [[1, 2, 0], [2, 4, 1]]
     basis, pivots = intmat.rref_mod_p(M, 5)
@@ -99,7 +102,8 @@ def test_image_basis_int():
 def smith_normal_form_dense(M):
     """The Smith elimination on dense rows: every operation updates whole rows
     and columns. `intmat.smith_normal_form` runs the same operations on sparse
-    rows and must return the same (U, S, V)."""
+    rows and must return the same U and V, and S the diagonal matrix of its
+    invariant factors."""
     m = len(M)
     n = len(M[0]) if m else 0
     A = [list(row) for row in M]
@@ -212,7 +216,8 @@ def invert_unimodular(U):
 def smith_normal_form_full_scan(M):
     """Smith normal form with the full pivot scan and the divisibility sweep
     after every pivot, as before the unit-pivot shortcuts; the reference for
-    `intmat.smith_normal_form`, which must return the same (U, S, V)."""
+    `intmat.smith_normal_form`, which must return the same U and V, and S the
+    diagonal matrix of its invariant factors."""
     m = len(M)
     n = len(M[0]) if m else 0
     A = [list(row) for row in M]
@@ -303,12 +308,12 @@ SNF_MATRICES = matrices((-1, 0, 1), 8) | matrices(tuple(range(-2, 4)), 5)
 
 
 def assert_matches_dense(M):
-    U, S, V = intmat.smith_normal_form(M)
+    U, S, V = smith_as_dense(M)
     assert (U, S, V) == smith_normal_form_dense(M)
     if M and M[0]:
         assert mul(mul(U, M), V) == S
-    U2, S2, V2, Uinv = intmat.smith_normal_form(M, inverse=True)
-    assert (U2, S2, V2) == (U, S, V)
+    U2, d2, V2, Uinv = intmat.smith_normal_form(M, inverse=True)
+    assert (U2, d2, V2) == intmat.smith_normal_form(M)
     if M:
         assert mul(U, Uinv) == intmat.identity(len(M))
     else:
@@ -318,11 +323,10 @@ def assert_matches_dense(M):
 @settings(max_examples=300, deadline=None)
 @given(SNF_MATRICES)
 def test_smith_fast_path_matches_full_scan(M):
-    U, S, V = intmat.smith_normal_form(M)
-    assert (U, S, V) == smith_normal_form_full_scan(M)
+    assert smith_as_dense(M) == smith_normal_form_full_scan(M)
     assert_matches_dense(M)
-    diag = intmat.snf_diagonal(S)
-    for a, b in zip(diag, diag[1:]):
+    _, d, _ = intmat.smith_normal_form(M)
+    for a, b in zip(d, d[1:]):
         assert b % a == 0
 
 
@@ -331,10 +335,9 @@ def test_smith_fast_path_matches_full_scan(M):
 
 def image_basis_via_inverse(M):
     """Columns of U^-1 scaled by the Smith diagonal, U inverted in Fractions."""
-    U, S, _ = intmat.smith_normal_form(M)
-    diag = intmat.snf_diagonal(S)
+    U, d, _ = intmat.smith_normal_form(M)
     Uinv = invert_unimodular(U)
-    return [[Uinv[i][j] * diag[j] for i in range(len(M))] for j in range(len(diag))]
+    return [[Uinv[i][j] * d[j] for i in range(len(M))] for j in range(len(d))]
 
 
 def test_image_basis_matches_inverse_route():
@@ -367,8 +370,8 @@ def test_sparse_smith_edge_shapes():
     for M in ([], [[]], [[], []], [[0]], [[0, 0, 0]], [[0], [0]],
               [[0, 0], [0, 0]], [[0, 2], [0, 0], [0, 4]], [[0, 0, 0], [3, 0, 6]]):
         assert_matches_dense(M)
-    # an empty matrix keeps its row count in U and S
-    assert intmat.smith_normal_form([[], []]) == ([[1, 0], [0, 1]], [[], []], [])
+    # an empty matrix keeps its row count in U
+    assert intmat.smith_normal_form([[], []]) == ([[1, 0], [0, 1]], [], [])
 
 
 def test_sparse_smith_matches_dense_on_coboundaries():
@@ -377,7 +380,7 @@ def test_sparse_smith_matches_dense_on_coboundaries():
     for X in complexes:
         for k in range(-1, X.dim):
             M = delta_matrix(X, k)
-            U, S, V = intmat.smith_normal_form(M)
+            U, S, V = smith_as_dense(M)
             assert (U, S, V) == smith_normal_form_dense(M)
             assert mul(mul(U, M), V) == S
 

@@ -63,16 +63,43 @@ def test_transpose_duality_with_boundary():
             assert row == [bd.coeffs.get(f, 0) for f in K.faces(k)]
 
 
+def diagonal(d, m, n):
+    S = intmat.zeros(m, n)
+    for i, v in enumerate(d):
+        S[i][i] = v
+    return S
+
+
 def test_smith_profile_examples():
-    assert smith_profile([[1, 0], [0, 1]]).invariant_factors == (1, 1)
-    prof = smith_profile([[2, 0], [0, 0]])
-    assert prof.rank == 1 and prof.invariant_factors == (2,)
+    assert smith_profile([[1, 0], [0, 1]]) == (1, 1)
+    assert smith_profile([[2, 0], [0, 0]]) == (2,)
     rng = random.Random(3)
     for _ in range(15):
         M = [[rng.randint(-6, 6) for _ in range(6)] for _ in range(6)]
-        prof = smith_profile(M)
-        left = intmat.mat_mul(intmat.mat_mul(prof.U, M), prof.V)
-        assert left == prof.S
+        d = smith_profile(M)
+        U, d2, V = intmat.smith_normal_form(M)
+        assert d == tuple(d2)
+        assert intmat.mat_mul(intmat.mat_mul(U, M), V) == diagonal(d, 6, 6)
+
+
+def _one_off_diagonal(U, d, V):
+    # column 1 += column 0 on V puts d_1 at (0, 1) of U M V
+    V = [row[:1] + [row[0] + row[1]] + row[2:] for row in V]
+    return U, d, V
+
+
+def _wrong_factor(U, d, V):
+    return U, d[:-1] + [2 * d[-1]], V
+
+
+@pytest.mark.parametrize("tamper", [_one_off_diagonal, _wrong_factor])
+def test_smith_profile_rejects_a_wrong_smith_form(monkeypatch, tamper):
+    M = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]
+    assert smith_profile(M) == (2, 6, 12)
+    snf = intmat.smith_normal_form
+    monkeypatch.setattr(intmat, "smith_normal_form", lambda M: tamper(*snf(M)))
+    with pytest.raises(errors.PropertyViolation):
+        smith_profile(M)
 
 
 @pytest.mark.parametrize(
