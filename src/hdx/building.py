@@ -16,8 +16,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import comb, prod
+from typing import NamedTuple
 
-from . import intmat
+import numpy as np
+
+from . import cosets, intmat
 from .cochains import (
     COBOUNDARIES,
     Chain,
@@ -27,7 +30,6 @@ from .cochains import (
     delta_matrix,
     distance,
     evaluate,
-    perm_sign,
     random_cochain,
 )
 from .complexes import SimplicialComplex, frac_json
@@ -39,6 +41,7 @@ from .errors import (
     NoSolution,
     ParameterOutOfRange,
     PropertyViolation,
+    RingMismatch,
     TooLarge,
 )
 from .gf import (
@@ -243,6 +246,51 @@ def _common_faces(B: SphericalBuilding, sigma, tau) -> list:
     return [f for f in first if bits[f] & hits == hits]
 
 
+class _Level(NamedTuple):
+    """The k-faces of a building over vertex indices; see `_face_index`."""
+
+    faces: tuple            # X.faces(k)
+    pos: dict               # face -> its index in faces
+    rows: np.ndarray        # (n, k+1) increasing vertex indices per face
+    radix: np.ndarray       # (k+1,) place values of the mixed-radix keys
+    keys: np.ndarray        # (n,) sorted keys of the rows
+    sub: np.ndarray         # (n, k+1) index at level k-1 of the face minus vertex i
+    bits: np.ndarray        # (n, words) apartment bitsets packed into uint64 words
+
+
+def _face_index(B: SphericalBuilding) -> dict:
+    """k -> _Level of the k-faces for k = -1..d, built once and kept in B.cache.
+
+    Vertices are numbered in X.vertices() order, so every face is an
+    increasing row of vertex indices and the rows' mixed-radix keys sort as
+    X.faces(k): np.searchsorted finds a face from its vertices.
+    """
+    index = B.cache.get("face_index")
+    if index is None:
+        X = B.complex
+        pos = {v: i for i, v in enumerate(X.vertices())}
+        cosets.require_int64(len(pos) ** (X.dim + 1), "face keys")
+        bits = _apartment_bits(B)
+        width = 8 * -(-len(B.apartments) // 64)
+        index = {}
+        for k in range(-1, X.dim + 1):
+            faces = X.faces(k)
+            rows = np.array([[pos[v] for v in f] for f in faces], dtype=np.int64)
+            rows = rows.reshape(len(faces), k + 1)
+            radix = len(pos) ** np.arange(k, -1, -1, dtype=np.int64)
+            sub = np.array([
+                np.searchsorted(index[k - 1].keys, np.delete(rows, i, axis=1) @ radix[1:])
+                for i in range(k + 1)
+            ], dtype=np.int64).reshape(k + 1, len(faces)).T
+            packed = np.frombuffer(
+                b"".join(bits.get(f, 0).to_bytes(width, "little") for f in faces), dtype="<u8"
+            )
+            index[k] = _Level(faces, {f: i for i, f in enumerate(faces)}, rows, radix,
+                              rows @ radix, sub, packed.reshape(len(faces), -1))
+        B.cache["face_index"] = index
+    return index
+
+
 def verify_building_axioms(B: SphericalBuilding):
     """Every pair of faces shares an apartment; each apartment has theta
     distinct faces and is the closure of its chambers."""
@@ -311,10 +359,15 @@ class ChainFamily:
 
     Each entry satisfies, exactly and per ring,
         boundary(c_{sigma,tau}) = (-1)^{k+1} tau + sum_i (-1)^i c_{sigma,tau_i}.
+
+    `homotopy_failure` reads the entries as int64 (chamber, tau, face, coeff)
+    arrays over the face index, built from `entries` on first use and kept
+    in `_arrays` with the largest coefficient sum of an entry.
     """
 
     ring: Ring
     entries: dict  # (sigma, tau) -> Chain
+    _arrays: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __getitem__(self, key):
         return self.entries[key]
@@ -337,15 +390,17 @@ def chain_family(B: SphericalBuilding, ring: Ring, tops=None) -> ChainFamily:
     and moved to every other chamber sigma = g(sigma_0) along the Schreier
     tree of `chamber_transport`, as
 
-        c_{sigma, sort(g tau)} = sign(g tau) * g c_{sigma_0, tau},
+        c_{sigma, sort(g tau)} = sign(g tau) * g c_{sigma_0, tau}.
 
-    with every transported support checked against its apartment
-    intersection. Only sigma_0's family is kept in B.cache, next to the
-    Schreier tree; the requested chambers are transported on every call.
-    Entries are reduced to the requested ring and the defining identity is
-    re-verified for every entry: target minus boundary, summed over Z, must
-    reduce to zero in the ring. `tops` restricts the family to a subset of
-    the top faces (default: all of them).
+    The move and its checks run on int64 arrays over the face index, for all
+    requested chambers at once: `_transport` permutes sigma_0's (tau, face,
+    coeff) triplets by each chamber's signed face permutation and checks
+    every moved support against its apartment intersection; then every
+    entry must be present, and the identity's residual, summed over Z per
+    (sigma, tau) by `_identity_failure`, must reduce to zero in the ring.
+    Only sigma_0's family is kept in B.cache, next to the Schreier tree.
+    Entries are Chains reduced to the requested ring; `tops` restricts the
+    family to a subset of the top faces (default: all of them).
     """
     X = B.complex
     tops = tuple(tops) if tops is not None else X.top_faces
@@ -356,62 +411,139 @@ def chain_family(B: SphericalBuilding, ring: Ring, tops=None) -> ChainFamily:
     family0 = B.cache.get("family0")
     if family0 is None:
         family0 = B.cache["family0"] = _integer_family_at(B, X.top_faces[0])
+    # a residual value sums tau, k + 1 subface entries and at most `most` boundary terms
+    big = max((abs(v) for ch in family0.values() for v in ch.coeffs.values()), default=0)
+    most = max(len(ch.coeffs) for ch in family0.values())
+    cosets.require_int64(big * (X.dim + 1 + most), "chain family residuals")
+    index = _face_index(B)
+    vertex = index[0].pos
+    G = np.array([[vertex[(transport[s][v],)] for (v,) in index[0].faces] for s in tops],
+                 dtype=np.int64).reshape(len(tops), -1)
+    moved = _transport(B, _triplets(index, family0, X.top_faces[:1], X.dim), G)
+    for k, (taus, *_) in moved.items():
+        gap = np.sort(taus, axis=1) != np.arange(len(index[k].faces))  # first gap: least missing
+        if gap.any():
+            c, t = np.argwhere(gap)[0]
+            raise PropertyViolation(f"chain family has no entry at {(tops[c], index[k].faces[t])}")
+    failures = [(bad[0], k, bad[1]) for k in moved
+                if (bad := _identity_failure(index, moved, k, ring)) is not None]
+    if failures:
+        c, k, t = min(failures)
+        raise PropertyViolation(
+            f"chain family identity failed at {(tops[c], index[k].faces[t])} over {ring}"
+        )
     entries = {}
-    for sigma in tops:
-        for key, ch in _transported_family(B, family0, sigma, transport[sigma]).items():
-            entries[key] = ch if ring.kind == "Z" else ch.reduced(ring)
-    for sigma in tops:
-        for k in range(-1, X.dim):
-            for tau in X.faces(k):
-                if (sigma, tau) not in entries:
-                    raise PropertyViolation(
-                        f"chain family has no entry at {(sigma, tau)}"
-                    )
-                residual = dict(_family_identity_target(entries, INTEGERS, sigma, tau).coeffs)
-                for face, a in entries[(sigma, tau)].coeffs.items():
-                    for i in range(len(face)):
-                        sub = face[:i] + face[i + 1:]
-                        residual[sub] = residual.get(sub, 0) - (-a if i % 2 else a)
-                if any(ring.reduce(v) for v in residual.values()):
-                    raise PropertyViolation(
-                        f"chain family identity failed at {(sigma, tau)} over {ring}"
-                    )
+    for c, sigma in enumerate(tops):
+        for k, (taus, tau, face, coeff) in moved.items():
+            coeffs = {t: {} for t in taus[c].tolist()}
+            for t, f, v in zip(tau[c].tolist(), face[c].tolist(), coeff[c].tolist()):
+                coeffs[t][index[k + 1].faces[f]] = v
+            for t, ch in coeffs.items():
+                entries[(sigma, index[k].faces[t])] = Chain(ring, k + 1, ch)
     return ChainFamily(ring, entries)
 
 
-def _transported_family(B: SphericalBuilding, family0: dict, sigma, g) -> dict:
-    """The integer family at sigma_0 moved by the vertex permutation g to sigma.
-
-    g acts on an oriented face f as g[f] = perm_sign(g f) [sort(g f)]; each
-    moved support face must lie in every apartment containing sigma and the
-    moved tau, which the apartment bitsets answer without building A_{sigma,tau}.
-    """
-    bits = _apartment_bits(B)
-    moved = {}
-
-    def move(face):
-        hit = moved.get(face)
-        if hit is None:
-            image = tuple(g[v] for v in face)
-            hit = moved[face] = (tuple(sorted(image)), perm_sign(image))
-        return hit
-
+def _triplets(index: dict, entries: dict, chambers, d: int) -> dict:
+    """k -> int64 (chamber, tau, face, coeff) arrays of the entries at the
+    chambers, tau over X.faces(k) for k = -1..d-1: chamber is a position in
+    `chambers`, tau and face are indices at levels k and k+1 of the index."""
     out = {}
-    for (_, tau), ch in family0.items():
-        gtau, sign = move(tau)
-        hits = bits.get(sigma, 0) & bits.get(gtau, 0)
-        if not hits:
-            raise PropertyViolation(f"no apartment contains both {sigma} and {gtau}")
-        coeffs = {}
-        for f, v in ch.coeffs.items():
-            gface, s = move(f)
-            if bits.get(gface, 0) & hits != hits:
-                raise PropertyViolation(
-                    f"transported chain for {(sigma, gtau)} leaves its domain"
-                )
-            coeffs[gface] = sign * s * v
-        out[(sigma, gtau)] = Chain(INTEGERS, ch.dim, coeffs)
+    for k in range(-1, d):
+        pos = index[k + 1].pos
+        rows = [(c, t, pos[f], v) for c, sigma in enumerate(chambers)
+                for t, tau in enumerate(index[k].faces)
+                for f, v in entries[(sigma, tau)].coeffs.items()]
+        out[k] = np.array(rows, dtype=np.int64).reshape(len(rows), 4).T
     return out
+
+
+def _transport(B: SphericalBuilding, family0: dict, G) -> dict:
+    """sigma_0's integer family, as `_triplets` arrays, moved by each vertex
+    permutation g in G.
+
+    k -> (taus, tau, face, coeff), one row per g: taus[c, t] indexes
+    sort(g_c tau_t) in X.faces(k), and the triplets (tau, face, coeff) carry
+    g's image of each support face f of c_{sigma_0,tau} with coefficient
+    perm_sign(g tau) perm_sign(g f) v, the sign being the parity of the
+    inversions of g's vertex indices, in sigma_0's triplet order. A
+    moved face that is not a face raises PropertyViolation, and so does one
+    outside an apartment containing sigma = g sigma_0 and g tau: its packed
+    apartment bits must contain hits(sigma, g tau), word by word.
+    """
+    X = B.complex
+    index = _face_index(B)
+    moved = {}
+    for k in range(-1, X.dim + 1):
+        level = index[k]
+        img = G[:, level.rows]
+        keys = np.sort(img, axis=2) @ level.radix
+        at = np.minimum(np.searchsorted(level.keys, keys), len(level.keys) - 1)
+        if (level.keys[at] != keys).any():
+            raise PropertyViolation(f"a chamber's vertex permutation moves a {k}-face off X")
+        odd = np.triu(img[..., :, None] > img[..., None, :], 1).sum(axis=(2, 3))
+        moved[k] = (at, 1 - 2 * (odd % 2))
+    chambers = moved[X.dim][0][:, 0]
+    words = index[X.dim].bits[chambers]
+    out = {}
+    for k, (_, t, f, v) in family0.items():
+        (taus, tsign), (faces, fsign) = moved[k], moved[k + 1]
+        tau, face, coeff = taus[:, t], faces[:, f], tsign[:, t] * fsign[:, f] * v
+        meets = np.zeros(taus.shape, dtype=bool)
+        inside = np.ones(tau.shape, dtype=bool)
+        for w in range(words.shape[1]):
+            hits = words[:, w, None] & index[k].bits[taus, w]
+            meets |= hits != 0
+            inside &= index[k + 1].bits[face, w] & hits[:, t] == hits[:, t]
+        if not meets.all():
+            c, j = np.argwhere(~meets)[0]
+            raise PropertyViolation(f"no apartment contains both "
+                                    f"{X.top_faces[chambers[c]]} and {index[k].faces[taus[c, j]]}")
+        if not inside.all():
+            c, j = np.argwhere(~inside)[0]
+            key = (X.top_faces[chambers[c]], index[k].faces[tau[c, j]])
+            raise PropertyViolation(f"transported chain for {key} leaves its domain")
+        out[k] = (taus, tau, face, coeff)
+    return out
+
+
+def _identity_failure(index: dict, moved: dict, k: int, ring: Ring):
+    """(chamber, tau) of the least entry at dimension k whose residual
+
+        (-1)^{k+1} tau + sum_i (-1)^i c_{sigma,tau_i} - boundary(c_{sigma,tau})
+
+    is nonzero in the ring, else None. The residual's terms are keyed by
+    (chamber, tau, face) and summed by sort and np.add.reduceat.
+    """
+    taus, tau, face, coeff = moved[k]
+    chamber, n = np.arange(len(taus))[:, None], taus.shape[1]
+    terms = [(chamber, taus, taus, np.full(taus.shape, (-1) ** (k + 1)))]
+    terms += [(chamber, tau, index[k + 1].sub[face, i], -(-1) ** i * coeff) for i in range(k + 2)]
+    if k >= 0:
+        # c_{sigma,rho} enters at each coface tau of rho = tau minus vertex i
+        _, rho, face, coeff = moved[k - 1]
+        order = np.argsort(index[k].sub, axis=None, kind="stable")
+        start = np.searchsorted(index[k].sub.ravel()[order], np.arange(len(index[k - 1].faces) + 1))
+        count = (start[1:] - start[:-1])[rho].ravel()
+        rep = np.repeat(np.arange(rho.size), count)
+        at = order[start[rho.ravel()[rep]] + np.arange(rep.size)
+                   - np.repeat(np.cumsum(count) - count, count)]
+        terms.append((rep // rho.shape[1], at // (k + 1), face.ravel()[rep],
+                      coeff.ravel()[rep] * (1 - 2 * (at % (k + 1)))))
+    key = np.concatenate([((c * n + t) * n + f).ravel() for c, t, f, _ in terms])
+    val = np.concatenate([v.ravel() for *_, v in terms])
+    del terms  # before the sort makes its copies
+    order = np.argsort(key, kind="stable")  # merges the runs the parts come in
+    key, val = key[order], val[order]
+    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    bad = starts[_nonzero_in(ring, np.add.reduceat(val, starts))]
+    return divmod(int(key[bad[0]]) // n, n) if bad.size else None
+
+
+def _nonzero_in(ring: Ring, values):
+    """values != 0 in the ring, for int64 values."""
+    if ring.is_finite and ring.modulus <= cosets.INT64_MAX:
+        values = values % ring.modulus
+    return values != 0
 
 
 def _integer_family_at(B: SphericalBuilding, sigma) -> dict:
@@ -457,13 +589,43 @@ def contraction(B: SphericalBuilding, ring: Ring, fam: ChainFamily, sigma, f: Co
 
 
 def homotopy_failure(B: SphericalBuilding, fam: ChainFamily, f: Cochain):
-    """The first chamber sigma with delta iota_sigma f + iota_sigma delta f != f, else None."""
-    ring, df = f.ring, coboundary(f)
-    for sigma in B.complex.top_faces:
-        up = coboundary(contraction(B, ring, fam, sigma, f))
-        if up + contraction(B, ring, fam, sigma, df) != f:
-            return sigma
-    return None
+    """The first chamber sigma with delta iota_sigma f + iota_sigma delta f != f, else None.
+
+    Every chamber at once, as `contraction` with (iota_sigma f)(rho) =
+    (-1)^k <f, c_{sigma,rho}> summed from fam's int64 (chamber, tau, face,
+    coeff) arrays, which are built from fam.entries once per ChainFamily.
+    """
+    X, ring, k = B.complex, f.ring, f.dim
+    if ring != fam.ring:
+        raise RingMismatch(f"{ring} vs {fam.ring}")
+    if not 0 <= k < X.dim:
+        raise DimensionOutOfRange(f"the homotopy identity needs 0 <= k < {X.dim}")
+    index = _face_index(B)
+    if fam._arrays is None:
+        for sigma in X.top_faces:
+            if (sigma, ()) not in fam.entries:
+                raise FaceNotInComplex(f"the chain family has no entries at {sigma}")
+        norm = max(sum(map(abs, ch.coeffs.values())) for ch in fam.entries.values())
+        cosets.require_int64(norm, "chain family coefficients")
+        fam._arrays = (norm, _triplets(index, fam.entries, X.top_faces, X.dim))
+    norm, triplets = fam._arrays
+    # |f| <= big bounds delta f by (k+2) big, iota f by norm big and the sum below
+    big = max(map(abs, f.values.values()), default=0)
+    cosets.require_int64(big * (1 + (2 * k + 3) * norm), "homotopy sums")
+    fv = np.zeros(len(index[k].faces), dtype=np.int64)
+    fv[[index[k].pos[t] for t in f.values]] = list(f.values.values())
+    df = fv[index[k + 1].sub] @ np.resize([1, -1], k + 2)
+    C, below, n = len(X.top_faces), len(index[k - 1].faces), len(fv)
+    c, t, face, v = triplets[k - 1]
+    down = np.zeros(C * below, dtype=np.int64)
+    np.add.at(down, c * below + t, v * fv[face])
+    c, t, face, v = triplets[k]
+    up = np.zeros(C * n, dtype=np.int64)
+    np.add.at(up, c * n + t, v * df[face])
+    delta_down = down.reshape(C, below)[:, index[k].sub] @ np.resize([1, -1], k + 1)
+    lhs = (-1) ** k * (delta_down - up.reshape(C, n)) - fv
+    bad = _nonzero_in(ring, lhs).any(axis=1)
+    return X.top_faces[int(bad.argmax())] if bad.any() else None
 
 
 # -- symmetry ------------------------------------------------------------------------
@@ -780,12 +942,16 @@ def building_expansion_audit(
     identity, the chain-family identity and the homological distance bound
     run over the requested ring, which may be Z; over Z the distance bound
     check uses the bounded-search upper estimate, which only strengthens it.
+    The building axioms are verified first, so an apartment that is not the
+    closure of its chambers raises PropertyViolation before anything is
+    measured.
     """
     from .expansion import coboundary_epsilon
     from .lattice import integer_cohomology
 
     if samples < 1:
         raise ParameterOutOfRange(f"need samples >= 1 cochains per dimension, got {samples}")
+    verify_building_axioms(B)
     X = B.complex
     d = X.dim
     rng = random.Random(seed)
@@ -811,6 +977,8 @@ def building_expansion_audit(
 
     homological_ok = True
     for k in range(0, d):
+        weighted = [[(X.weight(tau), _common_faces(B, sigma, tau)) for tau in X.faces(k)]
+                    for sigma in X.top_faces[:3]]
         for _ in range(min(samples, 20)):
             f = random_cochain(X, ring, k, rng)
             df_supp = coboundary(f).support
@@ -818,11 +986,8 @@ def building_expansion_audit(
                 dist, _ = distance(f, COBOUNDARIES)
             else:
                 dist, _ = distance(f, COBOUNDARIES, coeff_bound=2)
-            for sigma in X.top_faces[:3]:
-                bound = Fraction(0)
-                for tau in X.faces(k):
-                    overlap = len(df_supp.intersection(_common_faces(B, sigma, tau)))
-                    bound += X.weight(tau) * overlap
+            for pairs in weighted:
+                bound = sum((w * len(df_supp.intersection(A)) for w, A in pairs), Fraction(0))
                 if dist > bound:
                     homological_ok = False
 

@@ -211,9 +211,6 @@ class Chain:
     def scaled(self, a: int):
         return Chain(self.ring, self.dim, {f: a * v for f, v in self.coeffs.items()})
 
-    def reduced(self, ring: Ring) -> "Chain":
-        return Chain(ring, self.dim, dict(self.coeffs))
-
     def __eq__(self, other):
         return (
             isinstance(other, Chain)

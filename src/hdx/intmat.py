@@ -217,16 +217,23 @@ def rank_int(M):
 
 def solve_int(M, b):
     """One integer solution x of M x = b, or None when unsolvable."""
+    return solve_int_columns(M, [b])[0]
+
+
+def solve_int_columns(M, bs):
+    """solve_int(M, b) for every b in bs, all from one Smith form of M."""
     m = len(M)
     n = len(M[0]) if m else 0
     if m == 0:
-        return [0] * n
+        return [[0] * n for _ in bs]
     U, d, V = smith_normal_form(M)
-    c = mat_vec(U, b)
-    if any(c[len(d):]) or any(ci % di for ci, di in zip(c, d)):
-        return None
-    y = [ci // di for ci, di in zip(c, d)] + [0] * (n - len(d))
-    return mat_vec(V, y)
+    out = []
+    for b in bs:
+        c = mat_vec(U, b)
+        solvable = not any(c[len(d):]) and not any(ci % di for ci, di in zip(c, d))
+        y = [ci // di for ci, di in zip(c, d)] + [0] * (n - len(d))
+        out.append(mat_vec(V, y) if solvable else None)
+    return out
 
 
 def kernel_int(M):

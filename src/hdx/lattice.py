@@ -145,12 +145,9 @@ def free_cocycle_generators(X, k):
         return []
     K = intmat.transpose(kernel)  # columns
     # write the image inside kernel coordinates: K @ Y = image columns
-    Y = []
-    for col in subgroup_generators(X, INTEGERS, k, COBOUNDARIES):
-        y = intmat.solve_int(K, col)
-        if y is None:
-            raise PropertyViolation("coboundary outside the cocycle lattice")
-        Y.append(y)
+    Y = intmat.solve_int_columns(K, subgroup_generators(X, INTEGERS, k, COBOUNDARIES))
+    if None in Y:
+        raise PropertyViolation("coboundary outside the cocycle lattice")
     if Y:
         _, d, _, Uinv = intmat.smith_normal_form(intmat.transpose(Y), inverse=True)
         free_cols = intmat.transpose(Uinv)[len(d):]

@@ -37,6 +37,7 @@ from hdx.cochains import (
     boundary,
     coboundary,
     distance,
+    perm_sign,
     random_cochain,
 )
 from hdx.gf import (
@@ -564,6 +565,53 @@ def test_homotopy_failure_names_the_chamber_of_a_tampered_coefficient(fano, ring
     assert homotopy_failure(fano, fam, f) is None
 
 
+def tampered_entry(fam, sigma, tau, e):
+    """fam with one more edge e in c_{sigma,tau}."""
+    ch = fam[(sigma, tau)]
+    return ChainFamily(fam.ring, {
+        **fam.entries,
+        (sigma, tau): Chain(fam.ring, 1, {**ch.coeffs, e: ch.coeffs.get(e, 0) + 1}),
+    })
+
+
+@pytest.mark.parametrize("ringname", ["Z", "Z/4"])
+def test_homotopy_failure_matches_restatement_on_3_3(b33, ringname):
+    from hdx.rings import parse_ring
+
+    ring = parse_ring(ringname)
+    X = b33.complex
+    fam = chain_family(b33, ring)
+    rng = random.Random(47)
+    cochains = [random_cochain(X, ring, 0, rng) for _ in range(4)]
+    for f in cochains:
+        assert homotopy_failure(b33, fam, f) is None
+        assert restated_homotopy_failure(b33, fam, f) is None
+    e = X.faces(1)[2]
+    cochains.append(Cochain(X, ring, 0, {(e[1],): 1}))
+    for picks in ([30], [7, 30], [51, 9]):
+        tampered = fam
+        for i in picks:
+            tampered = tampered_entry(tampered, X.top_faces[i], X.faces(0)[5], e)
+        got = [homotopy_failure(b33, tampered, f) for f in cochains]
+        assert got == [restated_homotopy_failure(b33, tampered, f) for f in cochains]
+        assert got[-1] == X.top_faces[min(picks)]
+
+
+def test_homotopy_failure_refuses_sums_beyond_int64(fano):
+    fam = chain_family(fano, INTEGERS)
+    X = fano.complex
+    f = Cochain(X, INTEGERS, 0, {X.faces(0)[0]: 2 ** 62})
+    with pytest.raises(errors.SearchSpaceTooLarge, match="homotopy sums"):
+        homotopy_failure(fano, fam, f)
+    assert homotopy_failure(fano, fam, Cochain(X, INTEGERS, 0, {X.faces(0)[0]: 2 ** 40})) is None
+
+
+def test_homotopy_failure_refuses_a_family_of_another_ring(fano):
+    fam = chain_family(fano, F3)
+    with pytest.raises(errors.RingMismatch):
+        homotopy_failure(fano, fam, Cochain.zero(fano.complex, F2, 0))
+
+
 def test_beta_constants(fano, b42):
     # 1 / (2^d theta) and 1 / (theta C(d+1, k+2)): theta is 12 on (3,2), 74 on (4,2)
     assert beta_constants(fano) == (Fraction(1, 24), {0: Fraction(1, 12)})
@@ -753,17 +801,102 @@ def test_repeated_family_calls_agree_on_shared_tops(fano):
     assert {sigma for sigma, _ in B.cache["family0"]} == {tops[0]}
 
 
+def moved_family(B, family0, sigma, g):
+    """The integer family at sigma_0 moved by the vertex permutation g to sigma,
+    one face at a time: g[f] = perm_sign(g f) [sort(g f)], each moved support
+    face checked against the apartment bitsets of sigma and the moved tau."""
+    bits = building._apartment_bits(B)
+    moved = {}
+
+    def move(face):
+        hit = moved.get(face)
+        if hit is None:
+            image = tuple(g[v] for v in face)
+            hit = moved[face] = (tuple(sorted(image)), perm_sign(image))
+        return hit
+
+    out = {}
+    for (_, tau), ch in family0.items():
+        gtau, sign = move(tau)
+        hits = bits.get(sigma, 0) & bits.get(gtau, 0)
+        if not hits:
+            raise errors.PropertyViolation(f"no apartment contains both {sigma} and {gtau}")
+        coeffs = {}
+        for f, v in ch.coeffs.items():
+            gface, s = move(f)
+            if bits.get(gface, 0) & hits != hits:
+                raise errors.PropertyViolation(
+                    f"transported chain for {(sigma, gtau)} leaves its domain"
+                )
+            coeffs[gface] = sign * s * v
+        out[(sigma, gtau)] = Chain(INTEGERS, ch.dim, coeffs)
+    return out
+
+
+def oracle_chain_family(B, ring, tops=None):
+    """chain_family one chamber and one entry at a time: each chamber's family
+    moved by `moved_family`, then the identity's residual per (sigma, tau),
+    summed over Z from the ring's entries, must reduce to zero."""
+    X = B.complex
+    tops = tuple(tops) if tops is not None else X.top_faces
+    transport = chamber_transport(B)
+    family0 = _integer_family_at(dataclasses.replace(B, cache={}), X.top_faces[0])
+    entries = {}
+    for sigma in tops:
+        for key, ch in moved_family(B, family0, sigma, transport[sigma]).items():
+            entries[key] = Chain(ring, ch.dim, ch.coeffs)
+    for sigma in tops:
+        for k in range(-1, X.dim):
+            for tau in X.faces(k):
+                residual = dict(
+                    building._family_identity_target(entries, INTEGERS, sigma, tau).coeffs
+                )
+                for face, a in entries[(sigma, tau)].coeffs.items():
+                    for i in range(len(face)):
+                        sub = face[:i] + face[i + 1:]
+                        residual[sub] = residual.get(sub, 0) - (-a if i % 2 else a)
+                if any(ring.reduce(v) for v in residual.values()):
+                    raise errors.PropertyViolation(
+                        f"chain family identity failed at {(sigma, tau)} over {ring}"
+                    )
+    return ChainFamily(ring, entries)
+
+
+@pytest.fixture(scope="module")
+def b33():
+    return build_building(3, 3)
+
+
+@pytest.mark.parametrize("ringname", ["Z", "F2", "F3", "Z/4", "Z/6"])
+@pytest.mark.parametrize("which", ["fano", "b33", "b42"])
+def test_chain_family_matches_the_per_entry_oracle(request, which, ringname):
+    # every chamber of B(3,2) and B(3,3), 16 sampled chambers of B(4,2)
+    from hdx.rings import parse_ring
+
+    B = request.getfixturevalue(which)
+    ring = parse_ring(ringname)
+    X = B.complex
+    tops = (random.Random(41).sample(X.top_faces, 16) if which == "b42" else None)
+    fam = chain_family(B, ring, tops=tops)
+    want = oracle_chain_family(B, ring, tops=tops)
+    assert fam.entries == want.entries
+    assert list(fam.entries) == list(want.entries)
+    assert all(list(fam[key].coeffs) == list(c.coeffs) for key, c in want.entries.items())
+
+
 def test_missing_transported_entry_is_a_property_violation(fano, monkeypatch):
+    # one vertex entry of the first chamber moved onto the key of another
     B = dataclasses.replace(fano, cache={})
-    move = building._transported_family
+    move = building._transport
 
     def lossy(*args):
         out = move(*args)
-        out.pop(next(iter(out)))
+        taus = out[0][0]
+        taus[0, 0] = taus[0, 1]
         return out
 
-    monkeypatch.setattr(building, "_transported_family", lossy)
-    with pytest.raises(errors.PropertyViolation):
+    monkeypatch.setattr(building, "_transport", lossy)
+    with pytest.raises(errors.PropertyViolation, match="no entry"):
         chain_family(B, INTEGERS)
 
 
@@ -775,26 +908,72 @@ def test_tampered_family_coefficient(fano, monkeypatch, ringname, delta, raises)
     from hdx.rings import parse_ring
 
     B = dataclasses.replace(fano, cache={})
-    move = building._transported_family
+    move = building._transport
     tampered = []
 
     def tamper(*args):
         out = move(*args)
-        if not tampered:
-            key = next(k for k, ch in out.items() if len(k[1]) == 1 and ch.coeffs)
-            ch = out[key]
-            face, v = next(iter(ch.coeffs.items()))
-            out[key] = Chain(INTEGERS, ch.dim, {**ch.coeffs, face: v + delta})
-            tampered.append(key)
+        out[0][3][0, 0] += delta
+        tampered.append(out[0][1][0, 0])
         return out
 
-    monkeypatch.setattr(building, "_transported_family", tamper)
+    monkeypatch.setattr(building, "_transport", tamper)
     if raises:
         with pytest.raises(errors.PropertyViolation, match="identity failed"):
             chain_family(B, parse_ring(ringname))
     else:
         chain_family(B, parse_ring(ringname))
     assert tampered
+
+
+def test_identity_failure_names_the_tampered_chamber(fano, monkeypatch):
+    # a coefficient moved to the last chamber fails there and nowhere else
+    B = dataclasses.replace(fano, cache={})
+    move = building._transport
+
+    def tamper(*args):
+        out = move(*args)
+        out[0][3][-1, -1] += 1  # the last vertex entry's last coefficient, last chamber
+        return out
+
+    monkeypatch.setattr(building, "_transport", tamper)
+    with pytest.raises(errors.PropertyViolation, match="identity failed") as got:
+        chain_family(B, INTEGERS)
+    sigma = B.complex.top_faces[-1]
+    assert str(sigma) in str(got.value)
+
+
+def test_chain_family_refuses_residuals_beyond_int64(fano, monkeypatch):
+    B = dataclasses.replace(fano, cache={})
+    solve = building._integer_family_at
+
+    def huge(B, sigma):
+        family0 = solve(B, sigma)
+        key = next(key for key, ch in family0.items() if len(key[1]) == 1 and ch.coeffs)
+        ch = family0[key]
+        family0[key] = Chain(INTEGERS, ch.dim, {f: v * 2 ** 62 for f, v in ch.coeffs.items()})
+        return family0
+
+    monkeypatch.setattr(building, "_integer_family_at", huge)
+    with pytest.raises(errors.SearchSpaceTooLarge, match="chain family residuals"):
+        chain_family(B, INTEGERS)
+
+
+def test_face_index_levels(fano, b42):
+    for B in (fano, b42):
+        X = B.complex
+        index = building._face_index(B)
+        bits = building._apartment_bits(B)
+        for k in range(-1, X.dim + 1):
+            level = index[k]
+            assert level.faces == X.faces(k)
+            assert list(level.keys) == sorted(level.keys)
+            assert len(set(level.keys.tolist())) == len(level.faces)
+            for i, face in enumerate(level.faces):
+                subfaces = [index[k - 1].faces[j] for j in level.sub[i]] if k >= 0 else []
+                assert subfaces == [face[:m] + face[m + 1:] for m in range(len(face))]
+                packed = int.from_bytes(level.bits[i].tobytes(), "little")
+                assert packed == bits.get(face, 0)
 
 
 def test_symmetry_checks(fano):
@@ -1071,6 +1250,36 @@ def test_building_audit(fano):
     assert audit.chain_family_ok
     assert audit.homological_ok
     assert audit.cohomology_trivial_below_top
+
+
+def test_building_audit_runs_the_axioms_first(fano):
+    # one vertex of apartment 0 swapped for a vertex outside it
+    apt, *rest = fano.apartments
+    i = next(i for i, f in enumerate(apt) if len(f) == 1)
+    outside = next(v for v in fano.complex.faces(0) if v not in apt)
+    B = dataclasses.replace(
+        fano, apartments=[apt[:i] + (outside,) + apt[i + 1:], *rest], cache={}
+    )
+    with pytest.raises(errors.PropertyViolation, match="closure of its chambers"):
+        building_expansion_audit(B, INTEGERS, samples=1)
+
+
+def test_audit_intersects_each_pair_once(fano, monkeypatch):
+    # sigma_0's solve makes 1 + |X(0)| calls, the homological check one per
+    # (sigma, tau) for its three chambers, none per sample
+    B = dataclasses.replace(fano, cache={})
+    X = B.complex
+    common = building._common_faces
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1:])
+        return common(*args)
+
+    monkeypatch.setattr(building, "_common_faces", counted)
+    audit = building_expansion_audit(B, INTEGERS, seed=3)
+    assert audit.ok
+    assert len(calls) == (1 + len(X.faces(0))) + 3 * len(X.faces(0)) == 57
 
 
 def test_building_audit_over_f2(fano):

@@ -232,6 +232,32 @@ def test_property_violation_exits_2(capsys, monkeypatch):
     assert "injected chain family failure" in err
 
 
+def test_building_audit_on_a_tampered_apartment_exits_2(capsys, monkeypatch):
+    # one vertex of apartment 0 swapped for a vertex outside it: the symmetry
+    # checks still pass on it, the building axioms do not
+    import dataclasses
+
+    import hdx.building as building
+
+    build = building.build_building
+
+    def tampered(n, q):
+        B = build(n, q)
+        apt, *rest = B.apartments
+        i = next(i for i, f in enumerate(apt) if len(f) == 1)
+        outside = next(v for v in B.complex.faces(0) if v not in apt)
+        return dataclasses.replace(B, apartments=[apt[:i] + (outside,) + apt[i + 1:], *rest])
+
+    monkeypatch.setattr(building, "build_building", tampered)
+    assert building.symmetry_checks(tampered(3, 2)).ok
+    code, out, err = run_cli(
+        ["report", "building-audit", "--n", "3", "--q", "2", "--samples", "1"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "closure of its chambers" in err
+
+
 @pytest.mark.parametrize("flag", ["transitive_on_top", "apartment_equivariance_ok"])
 def test_building_audit_exit_code_gates_symmetry_flags(capsys, monkeypatch, flag):
     import hdx.building as building

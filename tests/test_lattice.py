@@ -6,7 +6,14 @@ import pytest
 from hdx import errors, intmat
 from hdx.building import build_building
 from hdx.catalog import named_complex
-from hdx.cochains import COBOUNDARIES, Cochain, delta_matrix, distance
+from hdx.cochains import (
+    COBOUNDARIES,
+    COCYCLES,
+    Cochain,
+    delta_matrix,
+    distance,
+    subgroup_generators,
+)
 from hdx.complexes import build_complex
 from hdx.lattice import (
     build_lattice,
@@ -162,6 +169,40 @@ def test_free_generators_are_cocycles_independent():
     X2 = named_complex("three_squares")
     gens = free_cocycle_generators(X2, 0)
     assert len(gens) == 2
+
+
+def per_column_free_generators(X, k):
+    """free_cocycle_generators with one integer solve, so one Smith form of
+    the kernel matrix K, per coboundary column."""
+    kernel = subgroup_generators(X, INTEGERS, k, COCYCLES)
+    K = intmat.transpose(kernel)
+    Y = [intmat.solve_int(K, col) for col in subgroup_generators(X, INTEGERS, k, COBOUNDARIES)]
+    if not Y:
+        return [intmat.mat_vec(K, y) for y in intmat.identity(len(kernel))]
+    _, d, _, Uinv = intmat.smith_normal_form(intmat.transpose(Y), inverse=True)
+    return [intmat.mat_vec(K, y) for y in intmat.transpose(Uinv)[len(d):]]
+
+
+@pytest.mark.parametrize("name,k,columns", [
+    ("rp2", 1, 5), ("octahedron", 2, 7), ("hollow_triangle", 1, 2), ("three_squares", 0, 1),
+])
+def test_free_generators_take_one_smith_form_of_the_kernel(monkeypatch, name, k, columns):
+    X = build_complex(named_complex(name).top_faces)
+    K = intmat.transpose(subgroup_generators(X, INTEGERS, k, COCYCLES))
+    assert len(subgroup_generators(X, INTEGERS, k, COBOUNDARIES)) == columns
+    smith = intmat.smith_normal_form
+    calls = []
+
+    def counted(M, **kwargs):
+        calls.append(M)
+        return smith(M, **kwargs)
+
+    monkeypatch.setattr(intmat, "smith_normal_form", counted)
+    want = per_column_free_generators(X, k)
+    assert sum(M == K for M in calls) == columns
+    calls.clear()
+    assert free_cocycle_generators(X, k) == want
+    assert sum(M == K for M in calls) == 1
 
 
 def test_minimal_representatives_hollow_triangle():
