@@ -554,11 +554,7 @@ def test_homotopy_failure_names_the_chamber_of_a_tampered_coefficient(fano, ring
     X = fano.complex
     fam = chain_family(fano, ring)
     sigma, tau, e = X.top_faces[5], X.faces(0)[3], X.faces(1)[0]
-    ch = fam[(sigma, tau)]
-    tampered = ChainFamily(ring, {
-        **fam.entries,
-        (sigma, tau): Chain(ring, 1, {**ch.coeffs, e: ch.coeffs.get(e, 0) + 1}),
-    })
+    tampered = tampered_entry(fam, sigma, tau, e)
     f = Cochain(X, ring, 0, {(e[1],): 1})
     assert restated_homotopy_failure(fano, tampered, f) == sigma
     assert homotopy_failure(fano, tampered, f) == sigma
