@@ -25,9 +25,7 @@ from .cochains import (
     COBOUNDARIES,
     Chain,
     Cochain,
-    boundary,
     coboundary,
-    delta_matrix,
     distance,
     evaluate,
     random_cochain,
@@ -35,10 +33,8 @@ from .cochains import (
 from .complexes import SimplicialComplex, frac_json
 from .config import DEFAULT_BUILDING_FACE_CAP
 from .errors import (
-    CycleConditionViolated,
     DimensionOutOfRange,
     FaceNotInComplex,
-    NoSolution,
     ParameterOutOfRange,
     PropertyViolation,
     RingMismatch,
@@ -51,41 +47,7 @@ from .gf import (
     subspace_le,
     subspace_token,
 )
-from .rings import INTEGERS, Ring, prime_field
-
-
-class Subcomplex:
-    """A downward-closed family of faces of an ambient complex.
-
-    Intersections of apartments need not be pure, so they do not qualify as
-    SimplicialComplex instances; `solve_boundary` needs only the sorted face
-    list per dimension and face membership, which is exactly what lives here.
-    Apartments themselves are plain tuples of faces and never become one.
-    """
-
-    __slots__ = ("_faces", "_face_sets", "dim")
-
-    def __init__(self, faces):
-        by_dim = {}
-        for f in faces:
-            by_dim.setdefault(len(f) - 1, set()).add(f)
-        by_dim.setdefault(-1, set()).add(())
-        self._faces = {k: tuple(sorted(v)) for k, v in by_dim.items()}
-        self._face_sets = {k: frozenset(v) for k, v in self._faces.items()}
-        self.dim = max(self._faces)
-
-    def faces(self, k):
-        return self._faces.get(k, ())
-
-    def has_face(self, f):
-        return f in self._face_sets.get(len(f) - 1, frozenset())
-
-    def __eq__(self, other):
-        return isinstance(other, Subcomplex) and self._faces == other._faces
-
-    def __repr__(self):
-        counts = ", ".join(f"{k}:{len(v)}" for k, v in sorted(self._faces.items()))
-        return f"Subcomplex({{{counts}}})"
+from .rings import Ring, prime_field
 
 
 @dataclass
@@ -317,40 +279,34 @@ def verify_building_axioms(B: SphericalBuilding):
     return True
 
 
-def intersection_complex(B: SphericalBuilding, sigma, tau) -> Subcomplex:
-    """Intersection of every apartment containing both sigma and tau."""
-    X = B.complex
-    if len(sigma) - 1 != X.dim or not X.has_face(sigma):
-        raise FaceNotInComplex(f"{sigma} is not a top face")
-    if tau != () and not X.has_face(tau):
-        raise FaceNotInComplex(f"{tau} is not a face")
-    return Subcomplex(_common_faces(B, sigma, tau))
+def intersection_complex(B: SphericalBuilding, sigma, tau) -> dict:
+    """A_{sigma,tau} on the face index: k -> the ascending positions in
+    X.faces(k) of its k-faces, read once from `_common_faces`."""
+    index = _face_index(B)
+    out = {}
+    for f in _common_faces(B, sigma, tau):
+        out.setdefault(len(f) - 1, []).append(index[len(f) - 1].pos[f])
+    return {k: sorted(p) for k, p in out.items()}
 
 
-def solve_boundary(K: Subcomplex, c: Chain) -> Chain:
-    """An integer chain one dimension up whose boundary is c, inside K.
+def solve_boundary(B: SphericalBuilding, K: dict, k: int, target: dict):
+    """An integer (k+1)-chain of K whose boundary is the k-chain target, or None.
 
-    Solved through Smith normal form. The family over any other ring is the
-    reduction of the integer family, so no other ring is ever solved in.
+    K is an `intersection_complex`; chains map face index positions to
+    integers, and the filling keeps its nonzero coefficients in ascending
+    order. The system is K's transposed coboundary, its k-faces as rows and
+    its (k+1)-faces as columns, signed from the subface table and solved by
+    `intmat.solve_int`. The family over any other ring is the reduction of
+    the integer family, so no other ring is ever solved in.
     """
-    i = c.dim
-    if i >= 0 and not boundary(c).is_zero():
-        raise CycleConditionViolated("target chain has nonzero boundary")
-    for f in c.support:
-        if not K.has_face(f):
-            raise FaceNotInComplex(f"{f} is outside the subcomplex")
-    rows = K.faces(i)
-    cols = K.faces(i + 1)
-    b = [c.coeffs.get(f, 0) for f in rows]
-    if not cols:
-        if any(b):
-            raise NoSolution("no faces one dimension up")
-        return Chain(INTEGERS, i + 1, {})
-    # the augmented boundary C_{i+1}(K) -> C_i(K) is the transposed coboundary
-    x = intmat.solve_int(intmat.transpose(delta_matrix(K, i)), b)
-    if x is None:
-        raise NoSolution(f"boundary equation unsolvable at dimension {i}")
-    return Chain(INTEGERS, i + 1, {f: v for f, v in zip(cols, x)})
+    rows, cols = K[k], K[k + 1]
+    at = {r: i for i, r in enumerate(rows)}
+    M = [[0] * len(cols) for _ in rows]
+    for j, subfaces in enumerate(_face_index(B)[k + 1].sub[cols].tolist()):
+        for i, r in enumerate(subfaces):
+            M[at[r]][j] = -1 if i % 2 else 1
+    x = intmat.solve_int(M, [target.get(r, 0) for r in rows])
+    return None if x is None else {c: v for c, v in zip(cols, x) if v}
 
 
 @dataclass
@@ -373,15 +329,6 @@ class ChainFamily:
         return self.entries[key]
 
 
-def _family_identity_target(fam_entries, ring, sigma, tau) -> Chain:
-    """(-1)^{k+1} tau + sum_i (-1)^i c_{sigma,tau_i}; the empty face when tau = ()."""
-    coeffs = {tau: (-1) ** len(tau)}
-    for i in range(len(tau)):
-        for f, v in fam_entries[(sigma, tau[:i] + tau[i + 1:])].coeffs.items():
-            coeffs[f] = coeffs.get(f, 0) + (-v if i % 2 else v)
-    return Chain(ring, len(tau) - 1, coeffs)
-
-
 def chain_family(B: SphericalBuilding, ring: Ring, tops=None) -> ChainFamily:
     """The inductive family of filling chains, in the requested ring.
 
@@ -398,7 +345,8 @@ def chain_family(B: SphericalBuilding, ring: Ring, tops=None) -> ChainFamily:
     every moved support against its apartment intersection; then every
     entry must be present, and the identity's residual, summed over Z per
     (sigma, tau) by `_identity_failure`, must reduce to zero in the ring.
-    Only sigma_0's family is kept in B.cache, next to the Schreier tree.
+    Only sigma_0's family is kept in B.cache, next to the Schreier tree, as
+    the `_triplets` arrays that `_integer_family_at` solves on the face index.
     Entries are Chains reduced to the requested ring; `tops` restricts the
     family to a subset of the top faces (default: all of them).
     """
@@ -412,14 +360,14 @@ def chain_family(B: SphericalBuilding, ring: Ring, tops=None) -> ChainFamily:
     if family0 is None:
         family0 = B.cache["family0"] = _integer_family_at(B, X.top_faces[0])
     # a residual value sums tau, k + 1 subface entries and at most `most` boundary terms
-    big = max((abs(v) for ch in family0.values() for v in ch.coeffs.values()), default=0)
-    most = max(len(ch.coeffs) for ch in family0.values())
+    big = max(max(-int(v.min()), int(v.max())) for *_, v in family0.values())
+    most = max(int(np.bincount(t).max()) for _, t, *_ in family0.values())
     cosets.require_int64(big * (X.dim + 1 + most), "chain family residuals")
     index = _face_index(B)
     vertex = index[0].pos
     G = np.array([[vertex[(transport[s][v],)] for (v,) in index[0].faces] for s in tops],
                  dtype=np.int64).reshape(len(tops), -1)
-    moved = _transport(B, _triplets(index, family0, X.top_faces[:1], X.dim), G)
+    moved = _transport(B, family0, G)
     for k, (taus, *_) in moved.items():
         gap = np.sort(taus, axis=1) != np.arange(len(index[k].faces))  # first gap: least missing
         if gap.any():
@@ -547,26 +495,45 @@ def _nonzero_in(ring: Ring, values):
 
 
 def _integer_family_at(B: SphericalBuilding, sigma) -> dict:
+    """sigma's integer family as `_triplets` arrays at one chamber: per tau,
+    the faces of c_{sigma,tau} with a nonzero coefficient, in ascending order.
+
+    c_{sigma,()} is the least vertex of A_{sigma,()}. Then, level by level,
+    c_{sigma,tau} is the `solve_boundary` filling inside A_{sigma,tau} of the
+    target (-1)^{k+1} tau + sum_i (-1)^i c_{sigma,tau_i}, summed over face
+    index positions through the subface table. A target that leaves its
+    domain, is not a cycle (augmented at k = 0) or has no filling raises
+    PropertyViolation.
+    """
     X = B.complex
-    entries = {}
-    base = intersection_complex(B, sigma, ())
-    v = base.faces(0)[0]
-    entries[(sigma, ())] = Chain(INTEGERS, 0, {v: 1})
+    index = _face_index(B)
+    solved = {-1: [{intersection_complex(B, sigma, ())[0][0]: 1}]}
     for k in range(0, X.dim):
-        for tau in X.faces(k):
+        sub = index[k].sub.tolist()
+        solved[k] = []
+        for t, tau in enumerate(index[k].faces):
             K = intersection_complex(B, sigma, tau)
-            target = _family_identity_target(entries, INTEGERS, sigma, tau)
-            for f in target.support:
-                if not K.has_face(f):
-                    raise PropertyViolation(
-                        f"family target for {(sigma, tau)} leaves its domain"
-                    )
-            if not boundary(target).is_zero():
-                raise PropertyViolation(
-                    f"family target for {(sigma, tau)} is not a cycle"
-                )
-            entries[(sigma, tau)] = solve_boundary(K, target)
-    return entries
+            target = {t: (-1) ** (k + 1)}
+            for i, rho in enumerate(sub[t]):
+                for f, v in solved[k - 1][rho].items():
+                    target[f] = target.get(f, 0) + (-v if i % 2 else v)
+            if not {f for f, v in target.items() if v} <= set(K[k]):
+                raise PropertyViolation(f"family target for {(sigma, tau)} leaves its domain")
+            rim = {}
+            for f, v in target.items():
+                for i, rho in enumerate(sub[f]):
+                    rim[rho] = rim.get(rho, 0) + (-v if i % 2 else v)
+            if any(rim.values()):
+                raise PropertyViolation(f"family target for {(sigma, tau)} is not a cycle")
+            entry = solve_boundary(B, K, k, target)
+            if entry is None:
+                raise PropertyViolation(f"family target for {(sigma, tau)} has no filling")
+            solved[k].append(entry)
+    out = {}
+    for k, entries in solved.items():
+        rows = [(0, t, f, v) for t, entry in enumerate(entries) for f, v in entry.items()]
+        out[k] = np.array(rows, dtype=np.int64).reshape(len(rows), 4).T
+    return out
 
 
 def contraction(B: SphericalBuilding, ring: Ring, fam: ChainFamily, sigma, f: Cochain) -> Cochain:

@@ -113,14 +113,6 @@ class NotPrimePower(HdxError):
     pass
 
 
-class NoSolution(HdxError):
-    pass
-
-
-class CycleConditionViolated(HdxError):
-    pass
-
-
 # -- lattices -------------------------------------------------------------------
 
 class NoFreePart(HdxError):

@@ -5,13 +5,13 @@ import time
 from fractions import Fraction
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
-from hdx import building, errors
+from hdx import building, errors, intmat
 from hdx import gf as gf_module
 from hdx.building import (
     ChainFamily,
-    Subcomplex,
     _face_orbits,
     _integer_family_at,
     _summed_totals,
@@ -36,6 +36,7 @@ from hdx.cochains import (
     Cochain,
     boundary,
     coboundary,
+    delta_matrix,
     distance,
     perm_sign,
     random_cochain,
@@ -331,20 +332,164 @@ def test_build_makes_one_echelon_form_per_join_and_shares_faces(monkeypatch):
 # -- intersections and filling ----------------------------------------------------------
 
 
+class Subcomplex:
+    """A downward-closed family of faces of an ambient complex: the sorted
+    face tuple per dimension and face membership, which is what
+    `delta_matrix` and `subcomplex_solve` read. Apartment intersections need
+    not be pure, so they are no SimplicialComplex."""
+
+    def __init__(self, faces):
+        by_dim = {-1: {()}}
+        for f in faces:
+            by_dim.setdefault(len(f) - 1, set()).add(f)
+        self._faces = {k: tuple(sorted(v)) for k, v in by_dim.items()}
+        self.dim = max(self._faces)
+
+    def faces(self, k):
+        return self._faces.get(k, ())
+
+    def has_face(self, f):
+        return f in self._faces.get(len(f) - 1, ())
+
+    def __eq__(self, other):
+        return isinstance(other, Subcomplex) and self._faces == other._faces
+
+    def __repr__(self):
+        counts = ", ".join(f"{k}:{len(v)}" for k, v in sorted(self._faces.items()))
+        return f"Subcomplex({{{counts}}})"
+
+
+def subcomplex_at(B, sigma, tau):
+    """A_{sigma,tau}, the intersection of every apartment containing sigma and
+    tau, as a Subcomplex of faces."""
+    return Subcomplex(building._common_faces(B, sigma, tau))
+
+
+def subcomplex_solve(K, c):
+    """An integer chain one dimension up whose boundary is c, inside K, from
+    one Smith form of K's transposed coboundary: the reference for the face
+    index route of building.solve_boundary."""
+    i = c.dim
+    if i >= 0 and not boundary(c).is_zero():
+        raise errors.PropertyViolation("target chain has nonzero boundary")
+    for f in c.support:
+        if not K.has_face(f):
+            raise errors.PropertyViolation(f"{f} is outside the subcomplex")
+    rows, cols = K.faces(i), K.faces(i + 1)
+    b = [c.coeffs.get(f, 0) for f in rows]
+    if not cols:
+        if any(b):
+            raise errors.PropertyViolation("no faces one dimension up")
+        return Chain(INTEGERS, i + 1, {})
+    x = intmat.solve_int(intmat.transpose(delta_matrix(K, i)), b)
+    if x is None:
+        raise errors.PropertyViolation(f"boundary equation unsolvable at dimension {i}")
+    return Chain(INTEGERS, i + 1, dict(zip(cols, x)))
+
+
+def family_identity_target(entries, ring, sigma, tau):
+    """(-1)^{k+1} tau + sum_i (-1)^i c_{sigma,tau_i}; the empty face when tau = ()."""
+    coeffs = {tau: (-1) ** len(tau)}
+    for i in range(len(tau)):
+        for f, v in entries[(sigma, tau[:i] + tau[i + 1:])].coeffs.items():
+            coeffs[f] = coeffs.get(f, 0) + (-v if i % 2 else v)
+    return Chain(ring, len(tau) - 1, coeffs)
+
+
+def oracle_family_at(B, sigma):
+    """sigma's integer family as Chains, one Subcomplex and one subcomplex_solve
+    per tau, based at the least vertex of A_{sigma,()}."""
+    X = B.complex
+    base = subcomplex_at(B, sigma, ()).faces(0)[0]
+    entries = {(sigma, ()): Chain(INTEGERS, 0, {base: 1})}
+    for k in range(0, X.dim):
+        for tau in X.faces(k):
+            target = family_identity_target(entries, INTEGERS, sigma, tau)
+            entries[(sigma, tau)] = subcomplex_solve(subcomplex_at(B, sigma, tau), target)
+    return entries
+
+
+@pytest.mark.parametrize("n,q", [(3, 2), (3, 3), (3, 4), (4, 2)])
+def test_sigma0_family_matches_the_subcomplex_filling(n, q):
+    # the same entries, faces and coefficient order as the object route
+    B = build_building(n, q)
+    sigma0 = B.complex.top_faces[0]
+    got = _integer_family_at(B, sigma0)
+    want = building._triplets(building._face_index(B), oracle_family_at(B, sigma0),
+                              [sigma0], B.dim)
+    assert got.keys() == want.keys()
+    for k in want:
+        assert got[k].dtype == np.int64 and np.array_equal(got[k], want[k])
+
+
+def test_face_index_solve_matches_the_subcomplex_solve(fano, b42):
+    # random boundaries refilled in A_{sigma,tau}: the face index route gives
+    # the Subcomplex route's filling, in ascending face order
+    rng = random.Random(53)
+    for B in (fano, b42):
+        X, index = B.complex, building._face_index(B)
+        for _ in range(12):
+            sigma, k = rng.choice(X.top_faces), rng.randrange(X.dim)
+            tau = rng.choice(X.faces(rng.randrange(-1, X.dim)))
+            K = intersection_complex(B, sigma, tau)
+            up = {index[k + 1].faces[p]: rng.randint(-3, 3) for p in K[k + 1]}
+            cycle = boundary(Chain(INTEGERS, k + 1, up))
+            got = solve_boundary(B, K, k, {index[k].pos[f]: v for f, v in cycle.coeffs.items()})
+            assert list(got) == sorted(got)
+            filled = Chain(INTEGERS, k + 1, {index[k + 1].faces[p]: v for p, v in got.items()})
+            assert boundary(filled) == cycle
+            assert filled == subcomplex_solve(subcomplex_at(B, sigma, tau), cycle)
+
+
+@pytest.mark.parametrize("tamper,message", [
+    ("skew", "is not a cycle"), ("refuse", "has no filling"),
+])
+def test_sigma0_solve_failures_are_property_violations(b42, monkeypatch, tamper, message):
+    # a vertex entry one off its filling makes its edges' targets no cycles;
+    # an unsolvable system is a construction bug as well
+    solve, calls = intmat.solve_int, []
+
+    def tampered(M, b):
+        calls.append(1)
+        x = solve(M, b)
+        if tamper == "skew" and len(calls) == 1:
+            x[0] += 1
+        return None if tamper == "refuse" else x
+
+    monkeypatch.setattr(intmat, "solve_int", tampered)
+    with pytest.raises(errors.PropertyViolation, match=message):
+        chain_family(dataclasses.replace(b42, cache={}), INTEGERS)
+
+
+def test_sigma0_target_outside_its_domain_is_a_property_violation(fano, monkeypatch):
+    # sigma_0's least vertex dropped from its domains at the other vertices
+    common = building._common_faces
+
+    def dropping(B, sigma, tau):
+        faces = common(B, sigma, tau)
+        if sigma == B.complex.top_faces[0] and tau not in ((), sigma[:1]):
+            return [f for f in faces if f != sigma[:1]]
+        return faces
+
+    monkeypatch.setattr(building, "_common_faces", dropping)
+    with pytest.raises(errors.PropertyViolation, match="family target .* leaves its domain"):
+        chain_family(dataclasses.replace(fano, cache={}), INTEGERS)
+
+
 def test_intersection_contains_sigma_and_monotone(fano):
     X = fano.complex
     for sigma in X.top_faces:
-        A0 = intersection_complex(fano, sigma, ())
+        A0 = subcomplex_at(fano, sigma, ())
         assert A0.has_face(sigma)
         for tau in X.faces(0):
-            A1 = intersection_complex(fano, sigma, tau)
+            A1 = subcomplex_at(fano, sigma, tau)
             assert all(A1.has_face(f) for k in range(0, X.dim + 1) for f in A0.faces(k))
             assert A1.has_face(tau)
 
 
 def scanned_intersection(B, sigma, tau):
     """Intersection of the apartments containing sigma and tau, found by asking
-    every apartment; the reference for the bitset route of intersection_complex."""
+    every apartment; the reference for the bitset route of _common_faces."""
     hits = [a for a in B.apartments if sigma in a and (tau == () or tau in a)]
     common = set(hits[0])
     for a in hits[1:]:
@@ -353,11 +498,12 @@ def scanned_intersection(B, sigma, tau):
 
 
 def assert_same_intersection(B, sigma, tau):
-    got = intersection_complex(B, sigma, tau)
     want = scanned_intersection(B, sigma, tau)
-    assert got == want
-    for k in range(-1, B.complex.dim + 1):
-        assert got.faces(k) == want.faces(k)
+    assert subcomplex_at(B, sigma, tau) == want
+    index = building._face_index(B)
+    got = intersection_complex(B, sigma, tau)
+    for k in range(0, B.complex.dim + 1):
+        assert [index[k].faces[p] for p in got.get(k, [])] == list(want.faces(k))
 
 
 def test_intersection_matches_apartment_scan_everywhere(fano):
@@ -386,12 +532,12 @@ def test_axioms_fail_with_too_few_apartments(fano):
 def test_solve_boundary_zero_and_single_face(fano):
     X = fano.complex
     sigma = X.top_faces[0]
-    K = intersection_complex(fano, sigma, sigma[:1])
+    K = subcomplex_at(fano, sigma, sigma[:1])
     z = Chain(INTEGERS, 0, {})
-    assert solve_boundary(K, z).is_zero()
+    assert subcomplex_solve(K, z).is_zero()
     face = K.faces(1)[0]
     c = boundary(Chain(INTEGERS, 1, {face: 1}))
-    c2 = solve_boundary(K, c)
+    c2 = subcomplex_solve(K, c)
     assert boundary(c2) == c
 
 
@@ -401,30 +547,30 @@ def test_solve_boundary_random_cycles(fano):
     for _ in range(20):
         sigma = rng.choice(X.top_faces)
         tau = rng.choice(X.faces(0) + ((),))
-        K = intersection_complex(fano, sigma, tau)
+        K = subcomplex_at(fano, sigma, tau)
         edges = K.faces(1)
         if not edges:
             continue
         coeffs = {e: rng.randint(-3, 3) for e in edges}
         cycle = boundary(Chain(INTEGERS, 1, coeffs))
         # boundary of a chain is a cycle; refill it inside K
-        filled = solve_boundary(K, cycle)
+        filled = subcomplex_solve(K, cycle)
         assert boundary(filled) == cycle
 
 
 def test_solve_boundary_rejects_non_cycle(fano):
     X = fano.complex
     sigma = X.top_faces[0]
-    K = intersection_complex(fano, sigma, ())
+    K = subcomplex_at(fano, sigma, ())
     v = K.faces(0)[0]
     # a single vertex has augmentation 1, so it is not a cycle
-    with pytest.raises(errors.CycleConditionViolated):
-        solve_boundary(K, Chain(INTEGERS, 0, {v: 1}))
+    with pytest.raises(errors.PropertyViolation, match="nonzero boundary"):
+        subcomplex_solve(K, Chain(INTEGERS, 0, {v: 1}))
     # the difference of two vertices is a cycle and fills inside K
     if len(K.faces(0)) >= 2:
         u, w = K.faces(0)[0], K.faces(0)[1]
         c = Chain(INTEGERS, 0, {u: 1, w: -1})
-        filled = solve_boundary(K, c)
+        filled = subcomplex_solve(K, c)
         assert boundary(filled) == c
 
 
@@ -432,8 +578,8 @@ def test_no_solution_without_higher_faces():
     K = Subcomplex([("a",), ("b",), ("c",), ("a", "b"), ("a", "c"), ("b", "c")])
     cycle = Chain(INTEGERS, 1, {("a", "b"): 1, ("b", "c"): 1, ("a", "c"): -1})
     assert boundary(cycle).is_zero()
-    with pytest.raises(errors.NoSolution):
-        solve_boundary(K, cycle)
+    with pytest.raises(errors.PropertyViolation, match="no faces one dimension up"):
+        subcomplex_solve(K, cycle)
 
 
 # -- chain family and contraction ----------------------------------------------------------
@@ -446,7 +592,7 @@ def test_chain_family_base_case(fano):
     sigma0 = X.top_faces[0]
     # sigma_0's base point is the least vertex of its intersection, sigma_0 itself
     v0 = sigma0[0]
-    assert intersection_complex(fano, sigma0, ()).faces(0)[0] == (v0,)
+    assert subcomplex_at(fano, sigma0, ()).faces(0)[0] == (v0,)
     for sigma in X.top_faces:
         c = fam[(sigma, ())]
         assert boundary(c).coeffs == {(): 1}
@@ -477,7 +623,7 @@ def test_chain_family_supports_in_intersections(fano):
     X = fano.complex
     for sigma in X.top_faces[:5]:
         for tau in X.faces(0):
-            K = intersection_complex(fano, sigma, tau)
+            K = subcomplex_at(fano, sigma, tau)
             for face in fam[(sigma, tau)].support:
                 assert K.has_face(face)
 
@@ -743,8 +889,15 @@ def assert_filling_family(B, fam, sigma):
             for i in range(len(tau)):
                 want = want + fam[(sigma, tau[:i] + tau[i + 1:])].scaled((-1) ** i)
             assert boundary(c) == (Chain(INTEGERS, -1, {(): 1}) if tau == () else want)
-            K = intersection_complex(B, sigma, tau)
+            K = subcomplex_at(B, sigma, tau)
             assert all(K.has_face(f) for f in c.support)
+
+
+def assert_same_entries(got, want):
+    """Equal entries, in the same key order and coefficient order."""
+    assert got == want
+    assert list(got) == list(want)
+    assert all(list(got[key].coeffs) == list(c.coeffs) for key, c in want.items())
 
 
 def test_transported_family_every_3_3_top():
@@ -754,7 +907,7 @@ def test_transported_family_every_3_3_top():
         assert_filling_family(B, fam, sigma)
     sigma0 = B.complex.top_faces[0]
     at_sigma0 = {key: c for key, c in fam.entries.items() if key[0] == sigma0}
-    assert at_sigma0 == _integer_family_at(dataclasses.replace(B, cache={}), sigma0)
+    assert_same_entries(at_sigma0, oracle_family_at(B, sigma0))
 
 
 def test_transported_family_sampled_4_2_tops(b42):
@@ -766,23 +919,23 @@ def test_transported_family_sampled_4_2_tops(b42):
         assert_filling_family(B, fam, sigma)
     sigma0 = X.top_faces[0]
     fam0 = chain_family(B, INTEGERS, tops=[sigma0])
-    assert fam0.entries == _integer_family_at(dataclasses.replace(b42, cache={}), sigma0)
+    assert_same_entries(fam0.entries, oracle_family_at(B, sigma0))
 
 
 def test_family_solves_only_at_one_chamber(b42, monkeypatch):
     B = dataclasses.replace(b42, cache={})
     X = B.complex
     calls = []
-    solve = building.solve_boundary
+    solve = intmat.solve_int
 
     def counting(*args, **kwargs):
         calls.append(1)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(building, "solve_boundary", counting)
+    monkeypatch.setattr(intmat, "solve_int", counting)
     tops = [X.top_faces[i] for i in sorted(random.Random(43).sample(range(315), 16))]
     chain_family(B, INTEGERS, tops=tops)
-    assert len(calls) <= len(X.faces(0)) + len(X.faces(1)) == 380
+    assert 0 < len(calls) <= len(X.faces(0)) + len(X.faces(1)) == 380
 
 
 def test_repeated_family_calls_agree_on_shared_tops(fano):
@@ -793,8 +946,9 @@ def test_repeated_family_calls_agree_on_shared_tops(fano):
     shared = first.entries.keys() & second.entries.keys()
     assert {sigma for sigma, _ in shared} == set(tops[6:12])
     assert all(first[key] == second[key] for key in shared)
-    # only sigma_0's solved family is kept; other chambers are moved per call
-    assert {sigma for sigma, _ in B.cache["family0"]} == {tops[0]}
+    # only sigma_0's solved family is kept, as triplets at one chamber; other
+    # chambers are moved per call
+    assert all(set(c.tolist()) == {0} for c, *_ in B.cache["family0"].values())
 
 
 def moved_family(B, family0, sigma, g):
@@ -836,7 +990,7 @@ def oracle_chain_family(B, ring, tops=None):
     X = B.complex
     tops = tuple(tops) if tops is not None else X.top_faces
     transport = chamber_transport(B)
-    family0 = _integer_family_at(dataclasses.replace(B, cache={}), X.top_faces[0])
+    family0 = oracle_family_at(B, X.top_faces[0])
     entries = {}
     for sigma in tops:
         for key, ch in moved_family(B, family0, sigma, transport[sigma]).items():
@@ -844,9 +998,7 @@ def oracle_chain_family(B, ring, tops=None):
     for sigma in tops:
         for k in range(-1, X.dim):
             for tau in X.faces(k):
-                residual = dict(
-                    building._family_identity_target(entries, INTEGERS, sigma, tau).coeffs
-                )
+                residual = dict(family_identity_target(entries, INTEGERS, sigma, tau).coeffs)
                 for face, a in entries[(sigma, tau)].coeffs.items():
                     for i in range(len(face)):
                         sub = face[:i] + face[i + 1:]
@@ -874,10 +1026,7 @@ def test_chain_family_matches_the_per_entry_oracle(request, which, ringname):
     X = B.complex
     tops = (random.Random(41).sample(X.top_faces, 16) if which == "b42" else None)
     fam = chain_family(B, ring, tops=tops)
-    want = oracle_chain_family(B, ring, tops=tops)
-    assert fam.entries == want.entries
-    assert list(fam.entries) == list(want.entries)
-    assert all(list(fam[key].coeffs) == list(c.coeffs) for key, c in want.entries.items())
+    assert_same_entries(fam.entries, oracle_chain_family(B, ring, tops=tops).entries)
 
 
 def test_missing_transported_entry_is_a_property_violation(fano, monkeypatch):
@@ -945,9 +1094,7 @@ def test_chain_family_refuses_residuals_beyond_int64(fano, monkeypatch):
 
     def huge(B, sigma):
         family0 = solve(B, sigma)
-        key = next(key for key, ch in family0.items() if len(key[1]) == 1 and ch.coeffs)
-        ch = family0[key]
-        family0[key] = Chain(INTEGERS, ch.dim, {f: v * 2 ** 62 for f, v in ch.coeffs.items()})
+        family0[0][3, 0] = 2 ** 62  # one coefficient of a vertex entry's chain
         return family0
 
     monkeypatch.setattr(building, "_integer_family_at", huge)
@@ -1059,7 +1206,7 @@ def fraction_totals(B, k):
     acc = {rho: Fraction(0) for j in range(-1, X.dim + 1) for rho in X.faces(j)}
     for sigma in X.top_faces:
         for tau in X.faces(k):
-            A = intersection_complex(B, sigma, tau)
+            A = subcomplex_at(B, sigma, tau)
             wt = X.weight(tau)
             for j in range(0, X.dim + 1):
                 for rho in A.faces(j):
@@ -1297,7 +1444,7 @@ def test_homological_bound_explicitly(fano):
         for sigma in X.top_faces[:4]:
             bound = Fraction(0)
             for tau in X.faces(0):
-                A = intersection_complex(fano, sigma, tau)
+                A = subcomplex_at(fano, sigma, tau)
                 bound += X.weight(tau) * sum(1 for r in df_supp if A.has_face(r))
             assert d <= bound
 
@@ -1360,7 +1507,7 @@ def test_42_homological_bound_at_k0(b42):
         df_supp = coboundary(f).support
         bound = Fraction(0)
         for tau in X.faces(0):
-            A = intersection_complex(b42, sigma, tau)
+            A = subcomplex_at(b42, sigma, tau)
             bound += X.weight(tau) * sum(1 for r in df_supp if A.has_face(r))
         assert d <= bound
     with pytest.raises(errors.SearchSpaceTooLarge):
@@ -1386,7 +1533,7 @@ def test_filling_property_whole_cycle_space(fano, b42):
                 cycle = Chain(INTEGERS, i, {f: v for f, v in zip(rows, vec) if v})
                 if cycle.is_zero():
                     continue
-                filled = solve_boundary(K, cycle)
+                filled = subcomplex_solve(K, cycle)
                 assert boundary(filled) == cycle
 
     X = fano.complex
@@ -1394,11 +1541,11 @@ def test_filling_property_whole_cycle_space(fano, b42):
     for _ in range(8):
         sigma = rng.choice(X.top_faces)
         tau = rng.choice(X.faces(0) + ((),))
-        fill_all_cycles(fano, intersection_complex(fano, sigma, tau))
+        fill_all_cycles(fano, subcomplex_at(fano, sigma, tau))
     Y = b42.complex
     sigma = Y.top_faces[0]
     for tau in [(), Y.faces(0)[0], Y.faces(1)[0]]:
-        fill_all_cycles(b42, intersection_complex(b42, sigma, tau))
+        fill_all_cycles(b42, subcomplex_at(b42, sigma, tau))
 
 
 def test_seed_keyword_call_forms_keep_every_flag_true(fano):

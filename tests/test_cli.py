@@ -232,6 +232,35 @@ def test_property_violation_exits_2(capsys, monkeypatch):
     assert "injected chain family failure" in err
 
 
+def test_building_audit_on_a_sigma0_target_outside_its_domain_exits_2(capsys, monkeypatch):
+    # sigma_0's least vertex dropped from its domains at the other vertices: the
+    # sigma_0 filling refuses the target as a construction bug
+    import hdx.building as building
+
+    common = building._common_faces
+
+    def dropping(B, sigma, tau):
+        faces = common(B, sigma, tau)
+        if sigma == B.complex.top_faces[0] and tau not in ((), sigma[:1]):
+            return [f for f in faces if f != sigma[:1]]
+        return faces
+
+    monkeypatch.setattr(building, "_common_faces", dropping)
+    code, out, err = run_cli(["report", "building-audit", "--n", "3", "--q", "2"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "family target" in err and "leaves its domain" in err
+
+
+def test_building_audit_with_an_unsolvable_filling_exits_2(capsys, monkeypatch):
+    # a sigma_0 filling with no solution is a construction bug, not a usage error
+    monkeypatch.setattr(intmat, "solve_int", lambda M, b: None)
+    code, out, err = run_cli(["report", "building-audit", "--n", "3", "--q", "2"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "has no filling" in err
+
+
 def test_building_audit_on_a_tampered_apartment_exits_2(capsys, monkeypatch):
     # one vertex of apartment 0 swapped for a vertex outside it: the symmetry
     # checks still pass on it, the building axioms do not

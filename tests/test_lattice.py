@@ -54,20 +54,17 @@ def test_matrix_composition_zero():
 
 
 def test_transpose_duality_with_boundary():
-    # the transpose of delta_k is the boundary matrix one level up, and a
-    # Subcomplex holding every face of X orders the faces as X does
-    from hdx.building import Subcomplex
+    # the transpose of delta_k is the boundary matrix one level up: row tau of
+    # delta_k is the boundary of tau in the k-faces of X
     from hdx.cochains import Chain, boundary
 
     X = named_complex("tetrahedron")
-    K = Subcomplex([f for k in range(0, X.dim + 1) for f in X.faces(k)])
     for k in range(-1, X.dim):
-        assert K.faces(k) == X.faces(k) and K.faces(k + 1) == X.faces(k + 1)
-        D = delta_matrix(K, k)
-        assert D == delta_matrix(X, k)
-        for tau, row in zip(K.faces(k + 1), D):
+        D = delta_matrix(X, k)
+        assert len(D) == len(X.faces(k + 1))
+        for tau, row in zip(X.faces(k + 1), D):
             bd = boundary(Chain(INTEGERS, k + 1, {tau: 1}))
-            assert row == [bd.coeffs.get(f, 0) for f in K.faces(k)]
+            assert row == [bd.coeffs.get(f, 0) for f in X.faces(k)]
 
 
 def diagonal(d, m, n):
