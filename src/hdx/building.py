@@ -380,14 +380,16 @@ def chain_family(B: SphericalBuilding, ring: Ring, tops=None) -> ChainFamily:
         raise PropertyViolation(
             f"chain family identity failed at {(tops[c], index[k].faces[t])} over {ring}"
         )
-    entries = {}
+    entries = {}  # of Chains that trust the coefficients checked and reduced here
     for c, sigma in enumerate(tops):
         for k, (taus, tau, face, coeff) in moved.items():
             coeffs = {t: {} for t in taus[c].tolist()}
-            for t, f, v in zip(tau[c].tolist(), face[c].tolist(), coeff[c].tolist()):
-                coeffs[t][index[k + 1].faces[f]] = v
+            reduced = _reduced(ring, coeff[c]).tolist()
+            for t, f, v in zip(tau[c].tolist(), face[c].tolist(), reduced):
+                if v:
+                    coeffs[t][index[k + 1].faces[f]] = v
             for t, ch in coeffs.items():
-                entries[(sigma, index[k].faces[t])] = Chain(ring, k + 1, ch)
+                entries[(sigma, index[k].faces[t])] = Chain.trusted(ring, k + 1, ch)
     return ChainFamily(ring, entries)
 
 
@@ -483,15 +485,15 @@ def _identity_failure(index: dict, moved: dict, k: int, ring: Ring):
     order = np.argsort(key, kind="stable")  # merges the runs the parts come in
     key, val = key[order], val[order]
     starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    bad = starts[_nonzero_in(ring, np.add.reduceat(val, starts))]
+    bad = starts[_reduced(ring, np.add.reduceat(val, starts)) != 0]
     return divmod(int(key[bad[0]]) // n, n) if bad.size else None
 
 
-def _nonzero_in(ring: Ring, values):
-    """values != 0 in the ring, for int64 values."""
-    if ring.is_finite and ring.modulus <= cosets.INT64_MAX:
-        values = values % ring.modulus
-    return values != 0
+def _reduced(ring: Ring, values):
+    """int64 values reduced in the ring (as an object array past int64)."""
+    if ring.is_finite:
+        return (values.astype(object) if ring.modulus > cosets.INT64_MAX else values) % ring.modulus
+    return values
 
 
 def _integer_family_at(B: SphericalBuilding, sigma) -> dict:
@@ -591,7 +593,7 @@ def homotopy_failure(B: SphericalBuilding, fam: ChainFamily, f: Cochain):
     np.add.at(up, c * n + t, v * df[face])
     delta_down = down.reshape(C, below)[:, index[k].sub] @ np.resize([1, -1], k + 1)
     lhs = (-1) ** k * (delta_down - up.reshape(C, n)) - fv
-    bad = _nonzero_in(ring, lhs).any(axis=1)
+    bad = (_reduced(ring, lhs) != 0).any(axis=1)
     return X.top_faces[int(bad.argmax())] if bad.any() else None
 
 

@@ -25,7 +25,6 @@ Every generating set of B^k or Z^k, over every ring, comes from
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import gcd
 
 import numpy as np
@@ -184,6 +183,13 @@ class Chain:
                 if len(face) - 1 != dim:
                     raise DimensionMismatch(f"{face} is not {dim}-dimensional")
                 self.coeffs[face] = ra
+
+    @classmethod
+    def trusted(cls, ring: Ring, dim: int, coeffs: dict):
+        """A chain on coeffs as given: nonzero, reduced, dim-dimensional faces."""
+        chain = cls.__new__(cls)
+        chain.ring, chain.dim, chain.coeffs = ring, dim, coeffs
+        return chain
 
     @property
     def support(self) -> frozenset:
@@ -474,27 +480,64 @@ def is_minimal(f: Cochain) -> bool:
     raise Uncertified("bounded integer search could not certify minimality")
 
 
-def _faces_below_support(f: Cochain):
-    """Faces of 1..k vertices under the support of f, by size then lexicographically."""
-    faces = {sub for face in f.support for c in range(1, f.dim + 1)
-             for sub in combinations(face, c)}
-    return sorted(faces, key=lambda s: (len(s), s))
-
-
 def is_locally_minimal(f: Cochain) -> bool:
     """Whether every localization of f to a link is minimal there.
 
-    Localizations to faces of k+1 vertices are (-1)-cochains, which are
-    always minimal, so only faces of dimension below k need checking; only
-    faces under the support can give a nonzero localization.
+    Finite rings take the one-row case of `locally_minimal_rows`; over the
+    integers each nonzero localization at a face of 1..k vertices goes
+    through `is_minimal`, in `_link_maps` order, and may raise Uncertified.
     """
-    for sigma in _faces_below_support(f):
-        h = localize(f, sigma)
-        if h.is_zero():
+    vec = cochain_vector(f)
+    if f.ring.is_finite:
+        return bool(locally_minimal_rows(f.complex, f.ring, f.dim, [vec])[0])
+    locals_ = (vector_cochain(L, f.ring, j, [s * vec[c] for c, s in zip(cols, signs.tolist())])
+               for _, L, j, cols, signs in _link_maps(f.complex, f.dim))
+    return all(is_minimal(h) for h in locals_ if not h.is_zero())
+
+
+def _link_maps(X, k):
+    """(sigma, L, j, cols, signs) per face sigma of 1..k vertices, by size then
+    lexicographically, cached per (X, k): f localizes to L = X.link(sigma) at
+    j = k - |sigma| as f[cols] * signs."""
+    key = ("link maps", k)
+    if key not in X.cache:
+        pos = {face: c for c, face in enumerate(X.faces(k))}
+        maps = []
+        for sigma in (s for i in range(k) for s in X.faces(i)):
+            L, j = X.link(sigma), k - len(sigma)
+            pairs = [(pos[tuple(sorted(sigma + t))], perm_sign(sigma + t)) for t in L.faces(j)]
+            maps.append((sigma, L, j, *np.array(pairs, dtype=np.intp).T))
+        X.cache[key] = maps
+    return X.cache[key]
+
+
+def locally_minimal_rows(X, ring: Ring, k: int, F):
+    """Whether each row of F (possibly none), a k-cochain over X.faces(k) read
+    mod n, is locally minimal. Each face of `_link_maps` localizes every row
+    by one signed column gather; a nonzero localization is minimal when its
+    weighted norm equals its `cosets.min_distances` distance to the link's
+    coboundaries. Faces no row touches are skipped; a row leaves at its first
+    failure. ((-1)-cochains, the localizations at k+1 vertices, are minimal.)
+    """
+    if not ring.is_finite:
+        raise IntegerRingRequiresBound("local minimality of rows needs a finite ring")
+    if not len(F):
+        return np.ones(0, dtype=bool)
+    n, width = ring.size, len(X.faces(k))
+    F = np.asarray(F, dtype=np.int64) % n
+    if F.ndim != 2 or F.shape[1] != width:
+        raise DimensionMismatch(f"rows of shape {F.shape} are not {k}-cochains on {width} faces")
+    ok = np.ones(len(F), dtype=bool)
+    touched = F.any(axis=0)
+    for _, L, j, cols, signs in _link_maps(X, k):
+        if not touched[cols].any():
             continue
-        if not is_minimal(h):
-            return False
-    return True
+        rows = np.flatnonzero(ok & F[:, cols].any(axis=1))
+        H = F[np.ix_(rows, cols)] * signs % n
+        w, _ = cosets.face_weights(L, j)
+        G = subgroup_array(L, ring, j, COBOUNDARIES)
+        ok[rows[cosets.min_distances(cosets.chunks(G), H, w) != (H != 0) @ w]] = False
+    return ok
 
 
 def make_locally_minimal(f: Cochain):
@@ -522,21 +565,19 @@ def make_locally_minimal(f: Cochain):
 
 def _first_repair_step(f: Cochain):
     """The lift of the best improving link coboundary at the first bad face."""
-    X, ring = f.complex, f.ring
-    for sigma in _faces_below_support(f):
-        h = localize(f, sigma)
-        if h.is_zero():
+    ring, vec = f.ring, np.array(cochain_vector(f), dtype=np.int64)
+    for sigma, L, j, cols, signs in _link_maps(f.complex, f.dim):
+        hvec = vec[cols] * signs % ring.size
+        if not hvec.any():
             continue
-        L = h.complex
-        w, _ = cosets.face_weights(L, h.dim)
-        hvec = np.array(cochain_vector(h), dtype=np.int64)
-        group = subgroup_array(L, ring, h.dim, COBOUNDARIES)
+        w, _ = cosets.face_weights(L, j)
+        group = subgroup_array(L, ring, j, COBOUNDARIES)
         d, b = cosets.least_row(cosets.chunks(group), hvec, w)
         if d >= int(w[hvec != 0].sum()):
             continue
         target = tuple(ring.reduce(v if len(sigma) % 2 == 0 else -v) for v in b)
-        h_pre = _lex_least_preimage(L, ring, h.dim - 1, target)
-        return lift_from_link(h_pre, sigma, X)
+        h_pre = _lex_least_preimage(L, ring, j - 1, target)
+        return lift_from_link(h_pre, sigma, f.complex)
     return None
 
 

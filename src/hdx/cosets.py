@@ -103,14 +103,22 @@ def span(basis, n, width):
     return np.concatenate(list(combinations([0] * width, basis, range(n)))) % n
 
 
-def min_distance(blocks, v, w):
-    """Least w-weighted Hamming distance from v to a row of the (nonempty) blocks."""
-    best = None
+def min_distances(blocks, V, w):
+    """Least w-weighted Hamming distance from each row of V to a row of the
+    blocks, as an int64 array. A block meets V CHUNK // len(block) rows at a
+    time (at least one), so no temporary passes CHUNK x width entries."""
+    best = np.full(len(V), INT64_MAX, dtype=np.int64)
     for R in blocks:
-        d = int(((R != v) @ w).min())
-        if best is None or d < best:
-            best = d
+        step = max(1, CHUNK // max(len(R), 1))
+        for i in range(0, len(V), step):
+            d = best[i:i + step]
+            np.minimum(d, ((R != V[i:i + step, None]) @ w).min(axis=1, initial=INT64_MAX), out=d)
     return best
+
+
+def min_distance(blocks, v, w):
+    """min_distances for the one row v."""
+    return int(min_distances(blocks, np.asarray(v)[None], w)[0])
 
 
 def least_row(blocks, v, w):

@@ -24,7 +24,7 @@ from .cochains import (
     coboundary_group,
     delta_matrix,
     distance,
-    is_locally_minimal,
+    locally_minimal_rows,
     subgroup_array,
     subgroup_generators,
     vector_cochain,
@@ -329,8 +329,8 @@ def small_set_check(X, ring: Ring, epsilon: Fraction, mu: Fraction):
     Scans all dimensions 0..d-1; returns (True, None) or the first
     counterexample in scan order (a locally minimal cochain with
     ||delta f|| < epsilon * ||f||). Per support, every nonzero value
-    assignment is screened at once against the expansion bound; only those
-    that fail it are tested for local minimality, in product order.
+    assignment is screened at once against the expansion bound; the failures
+    of each CHUNK block go to one `locally_minimal_rows` call, in product order.
     """
     cap = candidate_cap()
     if not ring.is_finite:
@@ -359,10 +359,12 @@ def small_set_check(X, ring: Ring, epsilon: Fraction, mu: Fraction):
                 V = cosets.lex_digits(start, min(cosets.CHUNK, count - start), n - 1,
                                       range(m), m).astype(np.int64) + 1
                 e = ((V @ M) % n != 0) @ wk1
-                for i in np.flatnonzero(e < bound):
-                    f = Cochain(X, ring, k, {faces[j]: int(v) for j, v in zip(cols, V[i])})
-                    if is_locally_minimal(f):
-                        return False, f
+                screened = V[e < bound]
+                C = np.zeros((len(screened), len(faces)), dtype=np.int64)
+                C[:, cols] = screened
+                hits = np.flatnonzero(locally_minimal_rows(X, ring, k, C))
+                if hits.size:
+                    return False, vector_cochain(X, ring, k, C[hits[0]].tolist())
     return True, None
 
 

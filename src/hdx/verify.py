@@ -198,17 +198,17 @@ def check_minimal_implies_locally_minimal(seed):
     """Every minimal F2 cochain is locally minimal (at most 12 faces, exhaustive).
 
     The minimal rows come from _minimal_table, cross-checked on a seeded
-    sample against cochains.is_minimal; is_locally_minimal runs on each.
+    sample against cochains.is_minimal; one locally_minimal_rows call tests them.
     """
     rng = random.Random(seed)
     for name, X, ring, k in _local_minimality_instances():
         F, mask = _minimal_table(X, ring, k)
         if not _table_agrees(X, ring, k, F, mask, rng):
             return False, f"{name} k={k} table disagrees with is_minimal"
-        for row in F[mask]:
-            f = cochains_mod.vector_cochain(X, ring, k, row.tolist())
-            if not cochains_mod.is_locally_minimal(f):
-                return False, f"{name} k={k} {sorted(f.support)}"
+        ok = cochains_mod.locally_minimal_rows(X, ring, k, F[mask])
+        if not ok.all():
+            f = cochains_mod.vector_cochain(X, ring, k, F[mask][ok.argmin()].tolist())
+            return False, f"{name} k={k} {sorted(f.support)}"
     return True, ""
 
 
@@ -271,13 +271,14 @@ def check_repair_procedure(seed):
     rng = random.Random(seed)
     X = named_complex("octahedron")
     Q = X.degree_bound()
-    for _ in range(25):
-        k = rng.choice([0, 1])
-        f = cochains_mod.random_cochain(X, F2, k, rng)
-        g, f2 = cochains_mod.make_locally_minimal(f)
+    fs = [cochains_mod.random_cochain(X, F2, rng.choice([0, 1]), rng) for _ in range(25)]
+    runs = [(f, *cochains_mod.make_locally_minimal(f)) for f in fs]
+    minimal = {k: iter(cochains_mod.locally_minimal_rows(X, F2, k, [  # read in run order
+        cochains_mod.cochain_vector(f2) for f, _, f2 in runs if f.dim == k])) for k in (0, 1)}
+    for f, g, f2 in runs:
         if f2 != f - cochains_mod.coboundary(g):
             return False, "decomposition"
-        if not cochains_mod.is_locally_minimal(f2):
+        if not next(minimal[f.dim]):
             return False, "not locally minimal"
         if f2.norm() > f.norm() or g.norm() > Q * Q * f.norm():
             return False, "norm bounds"
@@ -345,19 +346,24 @@ def _corollary_hypothesis(X, mu):
     eps is the least expansion ratio of a locally minimal F2 cochain of norm
     at most mu (falsy when none is positive), holds whether small_set_check
     passes at (eps, mu), and bound = min(mu, Q^-2) is the promised expansion.
+    Both corollary checks read it, so it is kept in X.cache per (X, mu).
     """
+    key = ("corollary hypothesis", mu)
+    if key in X.cache:
+        return X.cache[key]
     eps = None
     for k in range(0, X.dim):
-        for support in expansion_mod._supports_up_to_norm(X, k, mu):
-            f = Cochain(X, F2, k, {s: 1 for s in support})
-            if cochains_mod.is_locally_minimal(f):
+        fs = [Cochain(X, F2, k, {s: 1 for s in support})
+              for support in expansion_mod._supports_up_to_norm(X, k, mu)]
+        rows = [cochains_mod.cochain_vector(f) for f in fs]
+        for f, lm in zip(fs, cochains_mod.locally_minimal_rows(X, F2, k, rows)):
+            if lm:
                 ratio = cochains_mod.coboundary(f).norm() / f.norm()
                 eps = ratio if eps is None else min(eps, ratio)
-    if not eps:
-        return eps, False, None
-    holds, _ = expansion_mod.small_set_check(X, F2, eps, mu)
+    holds = bool(eps) and expansion_mod.small_set_check(X, F2, eps, mu)[0]
     Q = X.degree_bound()
-    return eps, holds, min(mu, Fraction(1, Q * Q))
+    X.cache[key] = eps, holds, min(mu, Fraction(1, Q * Q)) if eps else None
+    return X.cache[key]
 
 
 def check_corollary_chain(seed):
@@ -478,11 +484,11 @@ def check_good_dimension_witness(seed):
         cons = {-1: Fraction(0), 0: Fraction(1, 100)}
         if k == 1:
             cons[1] = Fraction(1, 50)
-        for sz in range(1, 4):
-            for supp in combinations(X.faces(k), sz):
-                f = Cochain(X, F2, k, {s: 1 for s in supp})
-                if f.norm() > alpha or not cochains_mod.is_locally_minimal(f):
-                    continue
+        fs = [f for sz in range(1, 4) for supp in combinations(X.faces(k), sz)
+              if (f := Cochain(X, F2, k, {s: 1 for s in supp})).norm() <= alpha]
+        rows = [cochains_mod.cochain_vector(f) for f in fs]
+        for f, lm in zip(fs, cochains_mod.locally_minimal_rows(X, F2, k, rows)):
+            if lm:
                 fatfaces_mod.good_dimension_witness(X, F2, f, cons, alpha)
     return True, ""
 

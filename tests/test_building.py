@@ -1102,6 +1102,26 @@ def test_chain_family_refuses_residuals_beyond_int64(fano, monkeypatch):
         chain_family(B, INTEGERS)
 
 
+def test_chain_family_entries_hold_nonzero_ring_coefficients(fano, monkeypatch):
+    # an extra vertex of sigma_0 with coefficient 2 in c_{sigma_0,()} keeps
+    # the identity over F2 (2 is 0 there), and must not reach the entries
+    B = dataclasses.replace(fano, cache={})
+    solve = building._integer_family_at
+
+    def padded(B, sigma):
+        family0 = solve(B, sigma)
+        pos = building._face_index(B)[0].pos
+        other = next(pos[(v,)] for v in sigma if pos[(v,)] != family0[-1][2, 0])
+        family0[-1] = np.concatenate([family0[-1], [[0], [0], [other], [2]]], axis=1)
+        return family0
+
+    monkeypatch.setattr(building, "_integer_family_at", padded)
+    fam = chain_family(B, F2)
+    assert fam.entries
+    for ch in fam.entries.values():
+        assert ch.coeffs == Chain(F2, ch.dim, ch.coeffs).coeffs
+
+
 def test_face_index_levels(fano, b42):
     for B in (fano, b42):
         X = B.complex

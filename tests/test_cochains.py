@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import gcd
 
 import pytest
@@ -323,12 +323,45 @@ def test_is_minimal_examples():
     assert not is_minimal(two_edges)
 
 
+def oracle_is_locally_minimal(f):
+    """The per-face route: every nonzero localization of f under its support,
+    faces by size then lexicographically, is minimal in its link."""
+    faces = {sub for face in f.support for c in range(1, f.dim + 1)
+             for sub in combinations(face, c)}
+    for sigma in sorted(faces, key=lambda s: (len(s), s)):
+        h = localize(f, sigma)
+        if not h.is_zero() and not is_minimal(h):
+            return False
+    return True
+
+
 def test_minimal_implies_locally_minimal_exhaustive_tetrahedron():
     X = named_complex("tetrahedron")
     for k in [0, 1]:
         for f in all_cochains(X, F2, k):
             if is_minimal(f):
-                assert is_locally_minimal(f)
+                assert oracle_is_locally_minimal(f)
+
+
+def test_integer_local_minimality_keeps_the_per_face_route():
+    # over Z each localization is certified by is_minimal's bounded search
+    # and mod-p floor, so the answer and any Uncertified match the oracle
+    X = named_complex("octahedron")
+    rng = random.Random(37)
+    seen = set()
+    for _ in range(40):
+        k = rng.choice([1, 2])
+        f = Cochain(X, INTEGERS, k, {face: rng.choice([-1, 1, 2]) for face in
+                                     rng.sample(X.faces(k), rng.randint(1, 3))})
+        try:
+            want = oracle_is_locally_minimal(f)
+        except errors.Uncertified:
+            with pytest.raises(errors.Uncertified):
+                is_locally_minimal(f)
+            continue
+        assert is_locally_minimal(f) == want
+        seen.add(want)
+    assert seen == {True, False}
 
 
 def test_make_locally_minimal_fixed_point():

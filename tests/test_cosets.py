@@ -6,6 +6,7 @@ with zero coboundary), compares Fractions, and breaks ties on Python tuples.
 """
 
 import os
+import random
 from fractions import Fraction
 from itertools import combinations, product
 from unittest.mock import patch
@@ -27,15 +28,15 @@ from hdx.cochains import (
     cocycle_group,
     delta_matrix,
     distance,
-    is_locally_minimal,
     lift_from_link,
     localize,
+    locally_minimal_rows,
     subgroup_array,
     subgroup_generators,
     vector_cochain,
 )
 from hdx.complexes import build_complex
-from hdx.errors import SearchSpaceTooLarge
+from hdx.errors import DimensionMismatch, IntegerRingRequiresBound, SearchSpaceTooLarge
 from hdx.expansion import (
     INFINITY,
     _supports_up_to_norm,
@@ -45,6 +46,7 @@ from hdx.expansion import (
 )
 from hdx.lattice import _bounded_coset_minimum
 from hdx.rings import INTEGERS, modular_ring, prime_field
+from test_cochains import oracle_is_locally_minimal
 
 RINGS = [prime_field(2), prime_field(3), modular_ring(4), modular_ring(6)]
 FIELDS = [prime_field(2), prime_field(3), prime_field(5)]
@@ -319,7 +321,8 @@ def test_distance_table_dtype_guard():
 
 
 def small_set_oracle(X, ring, epsilon, mu, cap):
-    """The per-cochain loop: every nonzero assignment per support, in product order."""
+    """The per-cochain loop: every nonzero assignment per support, in product
+    order, each tested by the per-face local-minimality oracle."""
     nonzero = [v for v in ring.elements() if v]
     for k in range(0, X.dim):
         for support in _supports_up_to_norm(X, k, mu):
@@ -331,7 +334,7 @@ def small_set_oracle(X, ring, epsilon, mu, cap):
                 f = Cochain(X, ring, k, dict(zip(support, values)))
                 if coboundary(f).norm() >= epsilon * f.norm():
                     continue
-                if is_locally_minimal(f):
+                if oracle_is_locally_minimal(f):
                     return False, f
     return True, None
 
@@ -368,3 +371,46 @@ def test_distance_table_with_every_column_free_matches_min_distance(X, ring, dat
     table = cosets.distance_table(cosets.chunks(G), n, range(m), w)
     rows = cosets.lex_digits(0, n ** m, n, range(m), m)
     assert table.tolist() == [cosets.min_distance(cosets.chunks(G), v, w) for v in rows]
+
+
+@SETTINGS
+@given(complexes(), st.sampled_from(RINGS), st.data())
+def test_locally_minimal_rows_match_the_per_face_oracle(X, ring, data):
+    """Every k, one batch: random rows with entries outside [0, n), the zero
+    row and repeated rows, each against the per-face route."""
+    n = ring.size
+    for k in range(-1, X.dim + 1):
+        nk = len(X.faces(k))
+        row = st.lists(st.integers(-n, 2 * n), min_size=nk, max_size=nk)
+        rows = data.draw(st.lists(row, min_size=1, max_size=5))
+        rows = rows + [[0] * nk] + rows[:2]
+        want = [oracle_is_locally_minimal(vector_cochain(X, ring, k, r)) for r in rows]
+        assert locally_minimal_rows(X, ring, k, rows).tolist() == want
+
+
+def test_locally_minimal_rows_refusals():
+    X = build_complex(["a b c", "a c d"])
+    with pytest.raises(IntegerRingRequiresBound):
+        locally_minimal_rows(X, INTEGERS, 1, [[1] * 5])
+    for bad in ([[1] * 4], [[1] * 6], [1] * 5, [[[1] * 5]]):
+        with pytest.raises(DimensionMismatch):
+            locally_minimal_rows(X, prime_field(3), 1, bad)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_locally_minimal_rows_on_the_octahedron(ring):
+    """Sparse rows on mixed-sign links: vertex 3's link is 1 2 5 6, so the
+    localization at 3 reads f(1 3) and f(2 3) with the sign -1."""
+    X = build_complex(["1 2 3", "1 2 4", "1 5 3", "1 5 4", "6 2 3", "6 2 4", "6 5 3", "6 5 4"])
+    rng = random.Random(ring.size)
+    for k in (1, 2):
+        nk = len(X.faces(k))
+        rows = []
+        for _ in range(150):
+            row = [0] * nk
+            for j in rng.sample(range(nk), rng.randint(1, 4)):
+                row[j] = rng.randrange(1, ring.size)
+            rows.append(row)
+        want = [oracle_is_locally_minimal(vector_cochain(X, ring, k, r)) for r in rows]
+        assert len(set(want)) == 2
+        assert locally_minimal_rows(X, ring, k, rows).tolist() == want

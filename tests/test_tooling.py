@@ -558,3 +558,74 @@ def test_each_checked_bound_is_stated_in_one_module():
     for path in sorted(SRC.glob("*.py")):
         offenders += _restatements(path.name, path.read_text(encoding="utf-8"))
     assert offenders == []
+
+
+# local minimality of many cochains runs through cochains.locally_minimal_rows:
+# the small-set check and the verify checks never read the one-row
+# is_locally_minimal, and only cochains builds a localization map, a link face
+# paired with perm_sign(sigma + tau)
+BATCH_CALLERS = ("expansion.py", "verify.py")
+
+
+def _one_row_reads(source):
+    """Line numbers of every read or import of is_locally_minimal."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Name, ast.Attribute, ast.ImportFrom))
+            and "is_locally_minimal" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                         *(a.name for a in getattr(node, "names", ())))]
+
+
+def _localization_maps(source):
+    """Functions that call perm_sign on a concatenation, or call both link and perm_sign."""
+    visitor = _Calls()
+    visitor.visit(ast.parse(source))
+    called, out = {}, set()
+    for scope, call in visitor.calls:
+        called.setdefault(scope, set()).add(_callee(call))
+        arg = call.args[0] if call.args else None
+        concatenated = isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Add)
+        if _callee(call) == "perm_sign" and concatenated:
+            out.add(scope)
+    both = {scope for scope, names in called.items() if {"link", "perm_sign"} <= names}
+    return sorted(out | both)
+
+
+def test_batch_finders_flag_one_row_reads_and_localization_maps():
+    source = """
+from .cochains import is_locally_minimal as one_row
+
+
+def screen(X, fs):
+    return [f for f in fs if cochains_mod.is_locally_minimal(f)]
+
+
+def localize_all(X, f, sigma):
+    L = X.link(sigma)
+    return {tau: perm_sign(tuple(sigma) + tau) * f(sigma + tau) for tau in L.faces(0)}
+
+
+def signs(X, sigma, taus):
+    return [perm_sign(sigma + t) for t in taus]
+
+
+def twisted(X, sigma):
+    return X.link(sigma), perm_sign(sigma)
+
+
+def antisymmetry(face):
+    return perm_sign(face[::-1])
+"""
+    assert _one_row_reads(source) == [2, 6]
+    assert _localization_maps(source) == ["localize_all", "signs", "twisted"]
+
+
+def test_local_minimality_batches_and_its_maps_have_one_home():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        if path.name in BATCH_CALLERS:
+            offenders += [f"{path.name}:{line} is_locally_minimal"
+                          for line in _one_row_reads(source)]
+        if path.name != "cochains.py":
+            offenders += [f"{path.name} {scope}" for scope in _localization_maps(source)]
+    assert offenders == []

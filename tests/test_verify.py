@@ -84,8 +84,9 @@ def test_closed_under_zeroing_matches_restriction_enumeration():
 
 @pytest.mark.parametrize("answer", [True, False])
 def test_constant_is_minimal_fails_both_lemma_checks(monkeypatch, answer):
-    # is_locally_minimal reads the same operator, so only the sampled
-    # cross-check against the table can catch these mutations
+    # the lemma checks read local minimality off locally_minimal_rows, which
+    # never calls is_minimal, so only the sampled cross-check against the
+    # table can catch these mutations
     monkeypatch.setattr(cochains_mod, "is_minimal", lambda f, *a, **kw: answer)
     results = run_verify(seed=0, names_filter=set(LEMMAS))
     assert [r.name for r in results] == list(LEMMAS)
