@@ -6,9 +6,15 @@ linear solves, integer kernel and image bases, and reduced row echelon form
 over a prime field. The Smith normal form is the classical elimination run on
 sparse rows: each operation touches only nonzero entries, and the transforms
 it returns are those of the dense algorithm. It returns (U, d, V): the
-transforms and the nonzero invariant factors d, whose length is the rank;
-every caller reads the Smith form through d. Matrix products read only the
-nonzeros of their factors.
+transforms and the nonzero invariant factors d, whose length is the rank.
+
+Integer solves and ranks first try a unit-pivot row elimination, which builds
+no U and no V and carries right-hand sides through its row operations; it
+gives up on a column whose candidate pivots are all non-units, and only such
+a matrix pays for a Smith form. `unit_echelon` hands the same elimination,
+with its row transform, to `lattice.smith_profile`, which certifies it.
+Kernels and image bases read V, so they always take the Smith form. Matrix
+products read only the nonzeros of their factors.
 """
 
 from __future__ import annotations
@@ -209,10 +215,74 @@ def _dense_cols(cols, m):
     return out
 
 
+def _unit_reduce(M, carried):
+    """Row echelon form of M by unit-pivot row operations, or None.
+
+    Rows are sparse {column: value} dicts. `carried` holds one sparse row per
+    row of M, its keys from n = len(M[0]) on, and every row operation applies
+    to it as well. Column by column, the pivot is the first entry of absolute
+    value 1 at or below the current row; a column with no entry there is
+    free, and one whose entries there are all non-units ends the attempt with
+    None. Returns (rows, order, pivots): the reduced rows of [M | carried],
+    order[i] the row of M that ended at position i, and the pivot columns.
+    """
+    n = len(M[0])
+    rows = [{j: v for j, v in enumerate(row) if v} for row in M]
+    for row, extra in zip(rows, carried):
+        row.update(extra)
+    m = len(rows)
+    order = list(range(m))
+    pivots = []
+    t = 0
+    for c in range(n):
+        if t == m:
+            break
+        hits = [i for i in range(t, m) if c in rows[i]]
+        if not hits:
+            continue
+        p = next((i for i in hits if rows[i][c] in (1, -1)), None)
+        if p is None:
+            return None
+        rows[t], rows[p] = rows[p], rows[t]
+        order[t], order[p] = order[p], order[t]
+        pivot = rows[t]
+        s = pivot[c]
+        for i in hits:
+            if i != p:
+                # the row that was at t now sits at p
+                i = p if i == t else i
+                _add_to(rows[i], pivot, -rows[i][c] * s)
+        pivots.append(c)
+        t += 1
+    return rows, order, pivots
+
+
+def unit_echelon(M):
+    """(order, H, U) with U @ M = H, from the unit-pivot elimination of M, or
+    None when M needs a Smith form.
+
+    H and U are sparse rows, the keys of U rows of M. H is in row echelon form
+    with pivots of absolute value 1, and U is unit lower-triangular once its
+    columns are read in the order `order`. Nothing is checked here:
+    `lattice.smith_profile` certifies the triple.
+    """
+    n = len(M[0])
+    reduced = _unit_reduce(M, [{n + i: 1} for i in range(len(M))])
+    if reduced is None:
+        return None
+    rows, order, _ = reduced
+    H = [{j: v for j, v in row.items() if j < n} for row in rows]
+    U = [{j - n: v for j, v in row.items() if j >= n} for row in rows]
+    return order, H, U
+
+
 def rank_int(M):
     if not M or not M[0]:
         return 0
-    return len(smith_normal_form(M)[1])
+    reduced = _unit_reduce(M, ())
+    if reduced is None:
+        return len(smith_normal_form(M)[1])
+    return len(reduced[2])
 
 
 def solve_int(M, b):
@@ -221,18 +291,45 @@ def solve_int(M, b):
 
 
 def solve_int_columns(M, bs):
-    """solve_int(M, b) for every b in bs, all from one Smith form of M."""
+    """solve_int(M, b) for every b in bs, from one reduction of M.
+
+    The unit-pivot elimination carries the bs through its row operations: b is
+    unsolvable exactly when its carried entries below the rank are not all
+    zero, and otherwise back-substitution with the free variables at 0 is
+    integral, the pivots being units. M that needs a Smith form is solved
+    through one: c = U b must vanish below the rank and be divisible by d
+    above it, and x = V (c / d).
+    """
     m = len(M)
     n = len(M[0]) if m else 0
     if m == 0:
         return [[0] * n for _ in bs]
-    U, d, V = smith_normal_form(M)
+    reduced = _unit_reduce(M, [{n + s: b[i] for s, b in enumerate(bs) if b[i]} for i in range(m)])
+    if reduced is None:
+        U, d, V = smith_normal_form(M)
+        out = []
+        for b in bs:
+            c = mat_vec(U, b)
+            solvable = not any(c[len(d):]) and not any(ci % di for ci, di in zip(c, d))
+            y = [ci // di for ci, di in zip(c, d)] + [0] * (n - len(d))
+            out.append(mat_vec(V, y) if solvable else None)
+        return out
+    rows, _, pivots = reduced
+    r = len(pivots)
+    below = set().union(*rows[r:])
+    # row i: its pivot, the entries right of it, and its carried entries
+    steps = [(c, rows[i][c], [(j, a) for j, a in rows[i].items() if c < j < n], rows[i])
+             for i, c in reversed(list(enumerate(pivots)))]
     out = []
-    for b in bs:
-        c = mat_vec(U, b)
-        solvable = not any(c[len(d):]) and not any(ci % di for ci, di in zip(c, d))
-        y = [ci // di for ci, di in zip(c, d)] + [0] * (n - len(d))
-        out.append(mat_vec(V, y) if solvable else None)
+    for s in range(len(bs)):
+        if n + s in below:
+            out.append(None)
+            continue
+        x = [0] * n
+        for c, p, right, row in steps:
+            # p is +-1, its own inverse
+            x[c] = p * (row.get(n + s, 0) - sum(a * x[j] for j, a in right))
+        out.append(x)
     return out
 
 

@@ -41,16 +41,65 @@ from .rings import INTEGERS
 
 
 def smith_profile(M) -> tuple:
-    """The invariant factors of M, with U @ M @ V verified against them."""
+    """The invariant factors of M, with the reduction that gives them checked.
+
+    M that reduces with unit pivots has d = (1,) * r, certified by
+    `_unit_echelon_rank`. Any other M takes a Smith form, and U @ M @ V is
+    checked against d.
+    """
     if not M or not M[0]:
         return ()
+    echelon = intmat.unit_echelon(M)
+    if echelon is not None:
+        return (1,) * _unit_echelon_rank(M, *echelon)
     U, d, V = intmat.smith_normal_form(M)
+    if not smith_form_holds(M, U, d, V):
+        raise PropertyViolation("smith transform verification failed")
+    return tuple(d)
+
+
+def smith_form_holds(M, U, d, V) -> bool:
+    """Whether U @ M @ V is zero but for its diagonal, which starts with d."""
     S = intmat.zeros(len(M), len(M[0]))
     for i, v in enumerate(d):
         S[i][i] = v
-    if intmat.mat_mul(intmat.mat_mul(U, M), V) != S:
-        raise PropertyViolation("smith transform verification failed")
-    return tuple(d)
+    return intmat.mat_mul(intmat.mat_mul(U, M), V) == S
+
+
+def _unit_echelon_rank(M, order, H, U):
+    """The rank r of M, from an `intmat.unit_echelon` triple checked exactly.
+
+    U is unit lower-triangular with its columns read in `order`, so it is
+    unimodular; U @ M equals H, by a sparse product; and H is in row echelon
+    form with r pivots of absolute value 1 and zero rows below them. The
+    pivot minor is then +-1, so every invariant factor of M is 1.
+    """
+    m = len(M)
+    if sorted(order) != list(range(m)) or len(H) != m or len(U) != m:
+        raise PropertyViolation("unit echelon: rows do not match the matrix")
+    at = {row: i for i, row in enumerate(order)}
+    for i, u in enumerate(U):
+        if u.get(order[i]) != 1 or any(at.get(k, m) > i for k in u):
+            raise PropertyViolation("unit echelon: U is not unit lower-triangular")
+    nonzeros = [[(j, v) for j, v in enumerate(row) if v] for row in M]
+    for u, h in zip(U, H):
+        row = {}
+        for k, c in u.items():
+            for j, v in nonzeros[k]:
+                row[j] = row.get(j, 0) + c * v
+        if {j: v for j, v in row.items() if v} != h:
+            raise PropertyViolation("unit echelon: U @ M differs from H")
+    r, lead = 0, -1
+    for h in H:
+        if not h:
+            break
+        c = min(h)
+        if c <= lead or h[c] not in (1, -1):
+            raise PropertyViolation("unit echelon: H has a non-unit or misplaced pivot")
+        r, lead = r + 1, c
+    if any(H[r:]):
+        raise PropertyViolation("unit echelon: a nonzero row below the pivots")
+    return r
 
 
 @dataclass

@@ -576,14 +576,19 @@ def check_matrix_complex_identity(seed):
 
 
 def check_snf_transforms(seed):
+    # the Smith routine itself, whichever route smith_profile takes for M
     rng = random.Random(seed)
     for _ in range(15):
         m, n = rng.randint(1, 6), rng.randint(1, 6)
         M = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
-        d = lattice_mod.smith_profile(M)  # verifies internally
+        U, d, V = intmat.smith_normal_form(M)
+        if not lattice_mod.smith_form_holds(M, U, d, V):
+            return False, "transform"
         for a, b in zip(d, d[1:]):
             if b % a:
                 return False, "divisibility"
+        if lattice_mod.smith_profile(M) != tuple(d):
+            return False, "profile"
     return True, ""
 
 

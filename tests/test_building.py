@@ -50,6 +50,7 @@ from hdx.gf import (
     subspace_token,
 )
 from hdx.rings import INTEGERS, prime_field
+from test_intmat import smith_solve_columns
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -368,7 +369,7 @@ def subcomplex_at(B, sigma, tau):
 def subcomplex_solve(K, c):
     """An integer chain one dimension up whose boundary is c, inside K, from
     one Smith form of K's transposed coboundary: the reference for the face
-    index route of building.solve_boundary."""
+    index and unit-pivot route of building.solve_boundary."""
     i = c.dim
     if i >= 0 and not boundary(c).is_zero():
         raise errors.PropertyViolation("target chain has nonzero boundary")
@@ -381,7 +382,7 @@ def subcomplex_solve(K, c):
         if any(b):
             raise errors.PropertyViolation("no faces one dimension up")
         return Chain(INTEGERS, i + 1, {})
-    x = intmat.solve_int(intmat.transpose(delta_matrix(K, i)), b)
+    x = smith_solve_columns(intmat.transpose(delta_matrix(K, i)), [b])[0]
     if x is None:
         raise errors.PropertyViolation(f"boundary equation unsolvable at dimension {i}")
     return Chain(INTEGERS, i + 1, dict(zip(cols, x)))

@@ -10,6 +10,7 @@ from hdx.catalog import named_complex
 from hdx.cochains import COBOUNDARIES, coboundary, cochain_from_lines, distance
 from hdx.errors import PropertyViolation, UsageError
 from hdx.rings import modular_ring
+from test_intmat import record_reductions, reductions
 
 
 def run_cli(args, capsys):
@@ -100,13 +101,14 @@ def test_report_cohomology(capsys):
 def test_report_cohomology_takes_each_smith_form_once(
     capsys, monkeypatch, k, name, calls
 ):
-    # delta_{k-1} and delta_k, each reduced once; none past the top dimension
-    seen = []
-    snf = intmat.smith_normal_form
-    monkeypatch.setattr(intmat, "smith_normal_form", lambda M: seen.append(M) or snf(M))
+    # delta_{k-1} and delta_k, each reduced once over the unit-pivot and the
+    # Smith route; none past the top dimension
+    seen = record_reductions(monkeypatch)
     code, _, _ = run_cli(["report", "cohomology", "--k", str(k), name], capsys)
     assert code == 0
-    assert len(seen) == calls
+    reduced = reductions(seen)
+    assert len(reduced) == calls
+    assert all(reduced.count(M) == 1 for M in reduced)
 
 
 def test_report_fatfaces_with_support(capsys):

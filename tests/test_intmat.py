@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdx import building, catalog, intmat
 from hdx.cochains import delta_matrix
+from hdx.complexes import build_complex
+from hdx.lattice import smith_profile
 
 
 def mul(A, B):
@@ -52,6 +55,55 @@ def test_snf_random_transform_verification():
         # unimodularity
         Ui = invert_unimodular(U)
         assert mul(U, Ui) == intmat.identity(m)
+
+
+def smith_solve_columns(M, bs):
+    """One integer solution of M x = b per b in bs, or None, from one Smith
+    form of M: c = U b must vanish below the rank and be divisible by d above
+    it, and x = V (c / d). The oracle for `intmat.solve_int_columns`, whose
+    unit-pivot route builds no U and no V."""
+    m = len(M)
+    n = len(M[0]) if m else 0
+    if m == 0:
+        return [[0] * n for _ in bs]
+    U, d, V = intmat.smith_normal_form(M)
+    out = []
+    for b in bs:
+        c = intmat.mat_vec(U, b)
+        solvable = not any(c[len(d):]) and not any(ci % di for ci, di in zip(c, d))
+        y = [ci // di for ci, di in zip(c, d)] + [0] * (n - len(d))
+        out.append(intmat.mat_vec(V, y) if solvable else None)
+    return out
+
+
+def record_reductions(monkeypatch):
+    """Record (route, M) per reduction of a matrix M over both routes: "unit"
+    for a unit-pivot elimination that finished, "smith" for a Smith form. A
+    unit-pivot elimination stopped by a non-unit column is recorded as
+    "refused"; it is no reduction, and the Smith form that follows reduces M."""
+    seen = []
+    unit, smith = intmat._unit_reduce, intmat.smith_normal_form
+
+    def unit_counted(M, carried):
+        reduced = unit(M, carried)
+        seen.append(("refused" if reduced is None else "unit", M))
+        return reduced
+
+    def smith_counted(M, **kwargs):
+        seen.append(("smith", M))
+        return smith(M, **kwargs)
+
+    monkeypatch.setattr(intmat, "_unit_reduce", unit_counted)
+    monkeypatch.setattr(intmat, "smith_normal_form", smith_counted)
+    return seen
+
+
+def reductions(seen):
+    """The matrices reduced, in order, from a `record_reductions` record; each
+    refused matrix must be among them, reduced by a Smith form."""
+    smith = [M for route, M in seen if route == "smith"]
+    assert all(M in smith for route, M in seen if route == "refused")
+    return [M for route, M in seen if route != "refused"]
 
 
 def test_solve_int():
@@ -422,3 +474,87 @@ def test_mat_vec_matches_naive_loops(AB):
     assert intmat.mat_vec(A, v) == [
         sum(A[i][k] * v[k] for k in range(len(v))) for i in range(len(A))
     ]
+
+
+# -- the unit-pivot route against the Smith oracle ------------------------------------
+
+
+def assert_unit_route_matches_smith(M, bs):
+    """Solvability, rank and invariant factors as from one Smith form of M,
+    and every solution returned solves its system."""
+    for b, x, y in zip(bs, intmat.solve_int_columns(M, bs), smith_solve_columns(M, bs)):
+        assert (x is None) == (y is None)
+        if x is not None:
+            assert intmat.mat_vec(M, x) == b
+    _, d, _ = intmat.smith_normal_form(M)
+    assert intmat.rank_int(M) == len(d)
+    assert smith_profile(M) == tuple(d)
+
+
+def right_hand_sides(M, draw):
+    """One solvable right-hand side, M x, and one drawn at random."""
+    n = len(M[0])
+    x = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    b = draw(st.lists(st.integers(-3, 3), min_size=len(M), max_size=len(M)))
+    return [intmat.mat_vec(M, x), b]
+
+
+# the Smith oracle meets runaway entry growth on some 7 x 7 and 8 x 7 matrices
+# with entries in [-3, 3], so those stop at side 6
+@settings(max_examples=300, deadline=None)
+@given(matrices((-1, 0, 1), 8) | matrices(tuple(range(-3, 4)), 6), st.data())
+def test_unit_route_matches_smith_on_small_matrices(M, data):
+    assert_unit_route_matches_smith(M, right_hand_sides(M, data.draw))
+
+
+@st.composite
+def relabelled_complexes(draw):
+    """A pure complex of dimension 1 to 3 on at most 7 vertices whose labels
+    are a random permutation."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(d + 2, 7))
+    tops = draw(st.lists(st.sampled_from(list(combinations(range(n), d + 1))),
+                         min_size=1, max_size=6, unique=True))
+    labels = draw(st.permutations([f"v{i}" for i in range(n)]))
+    return build_complex([[labels[i] for i in t] for t in tops])
+
+
+@settings(max_examples=60, deadline=None)
+@given(relabelled_complexes(), st.data())
+def test_unit_route_matches_smith_on_coboundaries(X, data):
+    for k in range(-1, X.dim):
+        M = delta_matrix(X, k)
+        assert_unit_route_matches_smith(M, right_hand_sides(M, data.draw))
+
+
+def test_rp2_torsion_takes_the_smith_route(monkeypatch):
+    M = delta_matrix(catalog.named_complex("rp2"), 1)
+    seen = record_reductions(monkeypatch)
+    assert smith_profile(M)[-1] == 2
+    assert [route for route, _ in seen] == ["refused", "smith"]
+    rng = random.Random(7)
+    bs = [[rng.randint(-2, 2) for _ in M] for _ in range(20)]
+    bs.append(intmat.mat_vec(M, [rng.randint(-2, 2) for _ in M[0]]))
+    assert_unit_route_matches_smith(M, bs)
+
+
+def test_a_column_of_non_units_takes_the_smith_route(monkeypatch):
+    # column 0 holds 2 and 4 only, though the rows would reduce from column 1
+    M = [[2, 1], [4, 3]]
+    seen = record_reductions(monkeypatch)
+    assert intmat.solve_int(M, [1, 1]) == [1, -1]
+    assert intmat.rank_int(M) == 2
+    assert smith_profile(M) == (1, 2)
+    assert [route for route, _ in seen] == ["refused", "smith"] * 3
+    assert intmat.unit_echelon(M) is None
+
+
+def test_unit_route_edge_shapes():
+    assert intmat.solve_int_columns([[], []], [[0, 0], [0, 1]]) == [[], None]
+    assert intmat.solve_int_columns([[0, 0]], [[0], [3]]) == [[0, 0], None]
+    assert intmat.solve_int([[1], [1], [-1]], [2, 2, -2]) == [2]
+    assert intmat.solve_int([[1], [1], [-1]], [2, 2, 2]) is None
+    assert intmat.rank_int([[0, 0], [0, 0]]) == 0
+    order, H, U = intmat.unit_echelon([[0, 1], [1, 1], [1, 0]])
+    assert order == [1, 0, 2] and H == [{0: 1, 1: 1}, {1: 1}, {}]
+    assert U == [{1: 1}, {0: 1}, {2: 1, 1: -1, 0: 1}]

@@ -6,6 +6,7 @@ import pytest
 from hdx import errors, intmat
 from hdx.building import build_building
 from hdx.catalog import named_complex
+from hdx.cli import main
 from hdx.cochains import (
     COBOUNDARIES,
     COCYCLES,
@@ -28,6 +29,7 @@ from hdx.lattice import (
     uct_check,
 )
 from hdx.rings import INTEGERS, prime_field
+from test_intmat import record_reductions, reductions
 
 F2 = prime_field(2)
 
@@ -106,6 +108,35 @@ def test_smith_profile_rejects_a_wrong_smith_form(monkeypatch, tamper):
         smith_profile(M)
 
 
+def _last_pivot_zeroed(order, H, U):
+    # U @ M == H still, and H is an echelon form one rank short; U is singular
+    r = sum(1 for h in H if h) - 1
+    return order, H[:r] + [{}] + H[r + 1:], U[:r] + [{}] + U[r + 1:]
+
+
+def _one_entry_off(order, H, U):
+    H = [dict(h) for h in H]
+    H[0][2] = H[0].get(2, 0) + 1
+    return order, H, U
+
+
+UNIT_MATRIX = [[1, 1, 0], [0, 1, 1], [1, 0, 0]]
+
+
+@pytest.mark.parametrize("tamper,message", [
+    (_last_pivot_zeroed, "not unit lower-triangular"), (_one_entry_off, "differs from H"),
+])
+def test_smith_profile_rejects_a_wrong_unit_echelon(monkeypatch, capsys, tamper, message):
+    assert smith_profile(UNIT_MATRIX) == (1, 1, 1)
+    echelon = intmat.unit_echelon
+    monkeypatch.setattr(intmat, "unit_echelon", lambda M: tamper(*echelon(M)))
+    with pytest.raises(errors.PropertyViolation, match=message):
+        smith_profile(UNIT_MATRIX)
+    # delta_0 of the hollow triangle reduces with unit pivots too
+    assert main(["report", "cohomology", "--k", "1", "hollow_triangle"]) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "name,k,rank,torsion",
     [
@@ -169,7 +200,7 @@ def test_free_generators_are_cocycles_independent():
 
 
 def per_column_free_generators(X, k):
-    """free_cocycle_generators with one integer solve, so one Smith form of
+    """free_cocycle_generators with one integer solve, so one reduction of
     the kernel matrix K, per coboundary column."""
     kernel = subgroup_generators(X, INTEGERS, k, COCYCLES)
     K = intmat.transpose(kernel)
@@ -184,22 +215,16 @@ def per_column_free_generators(X, k):
     ("rp2", 1, 5), ("octahedron", 2, 7), ("hollow_triangle", 1, 2), ("three_squares", 0, 1),
 ])
 def test_free_generators_take_one_smith_form_of_the_kernel(monkeypatch, name, k, columns):
+    # one reduction of K, counted over the unit-pivot and the Smith route
     X = build_complex(named_complex(name).top_faces)
     K = intmat.transpose(subgroup_generators(X, INTEGERS, k, COCYCLES))
     assert len(subgroup_generators(X, INTEGERS, k, COBOUNDARIES)) == columns
-    smith = intmat.smith_normal_form
-    calls = []
-
-    def counted(M, **kwargs):
-        calls.append(M)
-        return smith(M, **kwargs)
-
-    monkeypatch.setattr(intmat, "smith_normal_form", counted)
+    seen = record_reductions(monkeypatch)
     want = per_column_free_generators(X, k)
-    assert sum(M == K for M in calls) == columns
-    calls.clear()
+    assert sum(M == K for M in reductions(seen)) == columns
+    seen.clear()
     assert free_cocycle_generators(X, k) == want
-    assert sum(M == K for M in calls) == 1
+    assert sum(M == K for M in reductions(seen)) == 1
 
 
 def test_minimal_representatives_hollow_triangle():

@@ -629,3 +629,71 @@ def test_local_minimality_batches_and_its_maps_have_one_home():
         if path.name != "cochains.py":
             offenders += [f"{path.name} {scope}" for scope in _localization_maps(source)]
     assert offenders == []
+
+
+# the unit-pivot elimination is intmat._unit_reduce alone: defined and called
+# only in intmat, which hands lattice.smith_profile its echelon through
+# unit_echelon; smith_profile multiplies matrices only on its Smith fallback
+UNIT_REDUCTION = "_unit_reduce"
+
+
+def _unit_route_products(source):
+    """function:line of each mat_mul call on lattice.smith_profile's unit
+    route: its statements before the first one that calls smith_normal_form,
+    and the module's functions those statements call. None when the Smith
+    fallback, the statements from there on and the functions they call, makes
+    no mat_mul call."""
+    defs = {node.name: node for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef)}
+    body = defs["smith_profile"].body
+
+    def products(stmts):
+        calls = [(f"smith_profile:{c.lineno}", c) for s in stmts for c in ast.walk(s)
+                 if isinstance(c, ast.Call)]
+        helpers = {_callee(c) for _, c in calls} & defs.keys()
+        calls += [(f"{name}:{c.lineno}", c) for name in helpers
+                  for c in ast.walk(defs[name]) if isinstance(c, ast.Call)]
+        return sorted(where for where, c in calls if _callee(c) == "mat_mul")
+
+    first = next((i for i, stmt in enumerate(body)
+                  if any(_callee(c) == "smith_normal_form"
+                         for c in ast.walk(stmt) if isinstance(c, ast.Call))), len(body))
+    return products(body[:first]) if products(body[first:]) else None
+
+
+def test_unit_route_product_finder():
+    source = """
+def smith_profile(M):
+    E = intmat.unit_echelon(M)
+    if E is not None:
+        return _rank(M, *E)
+    U, d, V = intmat.smith_normal_form(M)
+    return d if holds(M, U, d, V) else None
+
+
+def holds(M, U, d, V):
+    return intmat.mat_mul(intmat.mat_mul(U, M), V) == diag(d)
+
+
+def _rank(M, order, H, U):
+    return rank(intmat.mat_mul(U, M), H)
+"""
+    assert _unit_route_products(source) == ["_rank:15"]
+    checked_first = source.replace("    E = intmat", "    intmat.mat_mul(M, M)\n    E = intmat")
+    assert _unit_route_products(checked_first) == ["_rank:16", "smith_profile:3"]
+    unchecked = source.replace("    return d if holds(M, U, d, V) else None", "    return d")
+    assert _unit_route_products(unchecked) is None
+
+
+def test_unit_elimination_lives_in_intmat():
+    homes, callers = [], []
+    for path in sorted(SRC.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        homes += [path.name for _, name in _definitions(source) if name == UNIT_REDUCTION]
+        visitor = _Calls()
+        visitor.visit(ast.parse(source))
+        callers += [f"{path.name}:{scope}" for scope, call in visitor.calls
+                    if _callee(call) == UNIT_REDUCTION]
+    assert homes == ["intmat.py"]
+    assert callers and all(c.startswith("intmat.py:") for c in callers)
+    assert _unit_route_products((SRC / "lattice.py").read_text(encoding="utf-8")) == []
