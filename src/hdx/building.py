@@ -12,9 +12,9 @@ tying the coboundary to the distance from coboundaries.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations, permutations
 from math import comb, prod
 from typing import NamedTuple
 
@@ -253,6 +253,16 @@ def _face_index(B: SphericalBuilding) -> dict:
     return index
 
 
+def _moved(level: _Level, G):
+    """(positions, on_X), both (m, faces): the level's faces moved by each row
+    g of G, (m, V) int64 vertex permutations. positions[g, i] indexes
+    sort(g face_i) in the level where on_X[g, i] holds, and means nothing
+    where g moves face_i off X."""
+    keys = np.sort(G[:, level.rows], axis=2) @ level.radix
+    at = np.minimum(np.searchsorted(level.keys, keys), len(level.keys) - 1)
+    return at, level.keys[at] == keys
+
+
 def verify_building_axioms(B: SphericalBuilding):
     """Every pair of faces shares an apartment; each apartment has theta
     distinct faces and is the closure of its chambers."""
@@ -334,13 +344,14 @@ def chain_family(B: SphericalBuilding, ring: Ring, tops=None) -> ChainFamily:
 
     Solved once, transported: the integer family is solved at the chamber
     sigma_0 = X.top_faces[0] (base point: the least vertex of A_{sigma_0,()})
-    and moved to every other chamber sigma = g(sigma_0) along the Schreier
-    tree of `chamber_transport`, as
+    and moved to every other chamber sigma = g(sigma_0), g being sigma's row
+    of the Schreier tree `chamber_transport`, as
 
         c_{sigma, sort(g tau)} = sign(g tau) * g c_{sigma_0, tau}.
 
     The move and its checks run on int64 arrays over the face index, for all
-    requested chambers at once: `_transport` permutes sigma_0's (tau, face,
+    requested chambers at once: the requested rows of the tree are the vertex
+    permutations G, and `_transport` permutes sigma_0's (tau, face,
     coeff) triplets by each chamber's signed face permutation and checks
     every moved support against its apartment intersection; then every
     entry must be present, and the identity's residual, summed over Z per
@@ -352,10 +363,11 @@ def chain_family(B: SphericalBuilding, ring: Ring, tops=None) -> ChainFamily:
     """
     X = B.complex
     tops = tuple(tops) if tops is not None else X.top_faces
-    transport = chamber_transport(B)
+    index = _face_index(B)
     for sigma in tops:
-        if sigma not in transport:
+        if sigma not in index[X.dim].pos:
             raise FaceNotInComplex(f"{sigma} is not a top face")
+    G = chamber_transport(B)[[index[X.dim].pos[sigma] for sigma in tops]]
     family0 = B.cache.get("family0")
     if family0 is None:
         family0 = B.cache["family0"] = _integer_family_at(B, X.top_faces[0])
@@ -363,10 +375,6 @@ def chain_family(B: SphericalBuilding, ring: Ring, tops=None) -> ChainFamily:
     big = max(max(-int(v.min()), int(v.max())) for *_, v in family0.values())
     most = max(int(np.bincount(t).max()) for _, t, *_ in family0.values())
     cosets.require_int64(big * (X.dim + 1 + most), "chain family residuals")
-    index = _face_index(B)
-    vertex = index[0].pos
-    G = np.array([[vertex[(transport[s][v],)] for (v,) in index[0].faces] for s in tops],
-                 dtype=np.int64).reshape(len(tops), -1)
     moved = _transport(B, family0, G)
     for k, (taus, *_) in moved.items():
         gap = np.sort(taus, axis=1) != np.arange(len(index[k].faces))  # first gap: least missing
@@ -424,12 +432,10 @@ def _transport(B: SphericalBuilding, family0: dict, G) -> dict:
     index = _face_index(B)
     moved = {}
     for k in range(-1, X.dim + 1):
-        level = index[k]
-        img = G[:, level.rows]
-        keys = np.sort(img, axis=2) @ level.radix
-        at = np.minimum(np.searchsorted(level.keys, keys), len(level.keys) - 1)
-        if (level.keys[at] != keys).any():
+        at, on_X = _moved(index[k], G)
+        if not on_X.all():
             raise PropertyViolation(f"a chamber's vertex permutation moves a {k}-face off X")
+        img = G[:, index[k].rows]
         odd = np.triu(img[..., :, None] > img[..., None, :], 1).sum(axis=(2, 3))
         moved[k] = (at, 1 - 2 * (odd % 2))
     chambers = moved[X.dim][0][:, 0]
@@ -600,28 +606,21 @@ def homotopy_failure(B: SphericalBuilding, fam: ChainFamily, f: Cochain):
 # -- symmetry ------------------------------------------------------------------------
 
 
-def _transvections(gf: GF, n: int, scalars) -> list:
+def _transvections(n: int, scalars) -> list:
     """The elementary matrices E_ij(a) = I + a e_ij for i != j, a in scalars."""
     out = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            for a in scalars:
-                M = [[int(r == c) for c in range(n)] for r in range(n)]
-                M[i][j] = a
-                out.append(tuple(tuple(row) for row in M))
+    for i, j in permutations(range(n), 2):
+        for a in scalars:
+            out.append(np.eye(n, dtype=np.int64))
+            out[-1][i, j] = a
     return out
 
 
 def _primitive_element(gf: GF) -> int:
-    """The least generator of the multiplicative group GF(q)^x, for q > 2."""
-    for a in range(2, gf.q):
-        x, order = a, 1
-        while x != 1:
-            x, order = gf.mul(x, a), order + 1
-        if order == gf.q - 1:
-            return a
+    """The least generator of the multiplicative group GF(q)^x, for q > 2:
+    the least a whose powers a, ..., a^(q-1) are distinct."""
+    return next(a for a in range(2, gf.q)
+                if len(set(accumulate([a] * (gf.q - 1), gf.mul))) == gf.q - 1)
 
 
 def _pgl_order(n: int, q: int) -> int:
@@ -629,79 +628,84 @@ def _pgl_order(n: int, q: int) -> int:
     return prod(q ** n - q ** i for i in range(n)) // (q - 1)
 
 
-def generator_actions(B: SphericalBuilding) -> list:
-    """Vertex permutations generating G = PGL(n, q), in a fixed order.
+def generator_actions(B: SphericalBuilding) -> np.ndarray:
+    """Vertex permutations generating G = PGL(n, q), in a fixed order, as an
+    (S, V) int64 array over the vertex positions of `_face_index`.
 
     First the transvections E_ij(a), a over every nonzero element of GF(q):
     they generate SL(n, q), which is transitive on chambers (E_ij(1) alone
     generates only SL(n, p) when q = p^m with m > 1). Then, when q > 2,
     diag(w, 1, ..., 1) with w a generator of GF(q)^x, which supplies every
     determinant, so the list generates GL(n, q) and hence PGL(n, q).
+
+    M acts through the lines: the line of v goes to the line of v M, looked
+    up by the base-q key of any nonzero multiple. A subspace goes to the
+    vertex whose lines are the images of its own, by the sorted tuple of
+    their positions; the lines of a subspace are its rank-1 neighbours in
+    the 1-skeleton.
     """
-    mats = _transvections(B.gf, B.n, range(1, B.q))
-    if B.q > 2:
-        D = [[int(r == c) for c in range(B.n)] for r in range(B.n)]
-        D[0][0] = _primitive_element(B.gf)
-        mats.append(tuple(tuple(row) for row in D))
-    return [_vertex_action(B, M) for M in mats]
+    gf, n, q = B.gf, B.n, B.q
+    mats = _transvections(n, range(1, q))
+    if q > 2:
+        mats.append(np.eye(n, dtype=np.int64))
+        mats[-1][0, 0] = _primitive_element(gf)
+    index = _face_index(B)
+    basis = [B.subspace_of[v] for (v,) in index[0].faces]
+    rank = [len(b) for b in basis]
+    lines_of = [[v] if r == 1 else [] for v, r in enumerate(rank)]
+    for edge in index[1].rows.tolist():
+        for line, v in (edge, edge[::-1]):
+            if rank[line] == 1 < rank[v]:
+                lines_of[v].append(line)
+    vertex_of = {tuple(sorted(ls)): v for v, ls in enumerate(lines_of)}
+    add, mul = (np.array([[op(a, b) for b in range(q)] for a in range(q)])
+                for op in (gf.add, gf.mul))
+    lines = [v for v, r in enumerate(rank) if r == 1]
+    rows, M = np.array([basis[v][0] for v in lines]), np.array(mats)
+    radix = q ** np.arange(n - 1, -1, -1)
+    line_at = np.zeros(q ** n, dtype=np.int64)
+    for c in range(1, q):
+        line_at[mul[c, rows] @ radix] = lines
+    img = np.zeros((len(M), len(lines), n), dtype=np.int64)
+    for i in range(n):  # img[s, l] = rows[l] M_s over GF(q)
+        img = add[img, mul[rows[None, :, i, None], M[:, None, i, :]]]
+    moved = np.zeros((len(M), len(rank)), dtype=np.int64)
+    moved[:, lines] = line_at[img @ radix]
+    return np.array([[vertex_of[tuple(sorted(m[line] for line in ls))] for ls in lines_of]
+                     for m in moved.tolist()], dtype=np.int64).reshape(len(M), len(rank))
 
 
-def _face_image(act, face):
-    return tuple(sorted(act[v] for v in face))
+def chamber_transport(B: SphericalBuilding) -> np.ndarray:
+    """The Schreier tree of the chambers: a (C, V) int64 array whose row c is
+    a vertex permutation g_c with g_c(sigma_0) = X.top_faces[c].
 
-
-def chamber_transport(B: SphericalBuilding) -> dict:
-    """Chamber sigma -> vertex permutation g_sigma with g_sigma(sigma_0) = sigma.
-
-    A breadth-first Schreier tree over the chambers from sigma_0 =
-    X.top_faces[0], trying the `generator_actions` in their order; g_sigma
-    is the product of the generators along the tree path. Kept in B.cache.
-    Raises PropertyViolation when the generators miss a chamber.
+    Breadth-first from sigma_0 = X.top_faces[0] over the table of chamber
+    images under the `generator_actions`, chambers in queue order and
+    generators in their order; a chamber first reached from its parent by
+    generator s gets g_child = s g_parent, so g_c is the product of the
+    generators along the tree path. Kept in B.cache. Raises
+    PropertyViolation when a generator moves a chamber off X or the
+    generators miss a chamber.
     """
     tree = B.cache.get("schreier")
     if tree is not None:
         return tree
     gens = generator_actions(B)
-    X = B.complex
-    sigma0 = X.top_faces[0]
-    tree = {sigma0: {v: v for v in B.subspace_of}}
-    queue = [sigma0]
-    for sigma in queue:
-        g = tree[sigma]
-        for s in gens:
-            image = _face_image(s, sigma)
-            if image not in tree:
-                tree[image] = {v: s[w] for v, w in g.items()}
-                queue.append(image)
-    if set(tree) != set(X.top_faces):
-        raise PropertyViolation(
-            f"the generators reach {len(tree)} of {len(X.top_faces)} chambers"
-        )
+    images, on_X = _moved(_face_index(B)[B.dim], gens)
+    if not on_X.all():
+        raise PropertyViolation("a generator moves a chamber off the complex")
+    tree = np.full((images.shape[1], gens.shape[1]), -1, dtype=np.int64)  # -1: not reached
+    tree[0] = np.arange(gens.shape[1])
+    queue = [0]
+    for parent in queue:
+        for s, child in enumerate(images[:, parent].tolist()):
+            if tree[child, 0] < 0:
+                tree[child] = gens[s][tree[parent]]
+                queue.append(child)
+    if len(queue) != len(tree):
+        raise PropertyViolation(f"the generators reach {len(queue)} of {len(tree)} chambers")
     B.cache["schreier"] = tree
     return tree
-
-
-def _vertex_action(B: SphericalBuilding, M):
-    """Permutation of vertex tokens induced by the matrix M."""
-    gf = B.gf
-    out = {}
-    for token, basis in B.subspace_of.items():
-        rows = [
-            tuple(
-                _dot(gf, row, [M[i][j] for i in range(B.n)])
-                for j in range(B.n)
-            )
-            for row in basis
-        ]
-        out[token] = subspace_token(rref(gf, rows))
-    return out
-
-
-def _dot(gf, u, v):
-    acc = 0
-    for a, b in zip(u, v):
-        acc = gf.add(acc, gf.mul(a, b))
-    return acc
 
 
 @dataclass
@@ -716,45 +720,40 @@ class SymmetryReport:
 
     @property
     def ok(self) -> bool:
-        return (
-            self.transitive_on_top
-            and self.stabilizer_bound_ok
-            and self.summed_bound_ok
-            and self.apartment_equivariance_ok
-        )
+        return (self.transitive_on_top and self.stabilizer_bound_ok
+                and self.summed_bound_ok and self.apartment_equivariance_ok)
 
     def to_json(self):
-        return {
-            "group_order": self.group_order,
-            "orbit_counts": {str(k): v for k, v in self.orbit_counts.items()},
-            "transitive_on_top": self.transitive_on_top,
-            "stabilizer_bound_ok": self.stabilizer_bound_ok,
-            "summed_bound_ok": self.summed_bound_ok,
-            "apartment_equivariance_ok": self.apartment_equivariance_ok,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "details"}
+        return {**out, "orbit_counts": {str(k): v for k, v in self.orbit_counts.items()}}
 
 
-def _face_orbits(X: SimplicialComplex, gens) -> dict:
+def _face_orbits(B: SphericalBuilding, gens) -> dict:
     """Dimension -> the orbits of its faces under the group the gens generate.
 
-    Each orbit is closed under the generators breadth-first: faces x
+    Each orbit is closed breadth-first over face positions, through the
+    `_moved` table of each face's images under the generators: faces x
     generators work, never |G|. Images off the complex are not followed; a
     permutation making them is no automorphism, which check (a) of
     `symmetry_checks` reports.
     """
+    index = _face_index(B)
     out = {}
-    for k in range(0, X.dim + 1):
-        unseen = set(X.faces(k))
+    for k in range(0, B.dim + 1):
+        at, on_X = _moved(index[k], gens)
+        images = np.where(on_X, at, -1).T.tolist()
+        seen = [False] * len(images)
         out[k] = []
-        for f in X.faces(k):
-            if f in unseen:
-                unseen.discard(f)
+        for f in range(len(images)):
+            if not seen[f]:
+                seen[f] = True
                 orbit = [f]
                 for g in orbit:
-                    for image in sorted({_face_image(s, g) for s in gens} & unseen):
-                        unseen.discard(image)
-                        orbit.append(image)
-                out[k].append(orbit)
+                    for image in sorted(set(images[g])):
+                        if image >= 0 and not seen[image]:
+                            seen[image] = True
+                            orbit.append(image)
+                out[k].append([index[k].faces[i] for i in orbit])
     return out
 
 
@@ -798,7 +797,10 @@ def symmetry_checks(B: SphericalBuilding, seed=0) -> SymmetryReport:
     to (a) map X(d) onto X(d), so s is an automorphism and deg_top and the
     weights are s-invariant, and (b) map each apartment's chambers onto some
     apartment's chambers, so s permutes the apartments (each the closure of
-    its chambers) and g A_{sigma,tau} = A_{g sigma, g tau} for g in G. Double
+    its chambers) and g A_{sigma,tau} = A_{g sigma, g tau} for g in G. Both
+    read the `_moved` table of chamber images: (a) holds when each row is a
+    permutation of the chamber positions with no image off X, (b) when each
+    apartment's sorted chamber positions, moved, are some apartment's. Double
     counting over the orbit O of r, by transitivity on chambers, then gives
     |O| total(r) = |X(d)| sum_{r' in O} T_0(r'); else the summed bound is false.
     Nothing is sampled: seed is accepted and unused, because the CLI and the
@@ -807,7 +809,7 @@ def symmetry_checks(B: SphericalBuilding, seed=0) -> SymmetryReport:
     X = B.complex
     gens = generator_actions(B)
     order = _pgl_order(B.n, B.q)
-    orbits = _face_orbits(X, gens)
+    orbits = _face_orbits(B, gens)
     orbit_counts = {k: len(v) for k, v in orbits.items()}
     transitive_top = orbit_counts[X.dim] == 1
 
@@ -824,12 +826,13 @@ def symmetry_checks(B: SphericalBuilding, seed=0) -> SymmetryReport:
         if X.deg_top(rho) * size < len(X.top_faces):
             stab_ok = False
 
-    known = {frozenset(f for f in apt if len(f) == B.n - 1) for apt in B.apartments}
-    images = [{c: _face_image(s, c) for c in X.top_faces} for s in gens]
-    equiv_ok = all(
-        set(image.values()) == set(X.top_faces)  # (a)
-        and all(frozenset(map(image.__getitem__, A)) in known for A in known)  # (b)
-        for image in images
+    top = _face_index(B)[X.dim]
+    images, on_X = _moved(top, gens)
+    known = {tuple(sorted(top.pos[f] for f in apt if len(f) == B.n - 1)) for apt in B.apartments}
+    equiv_ok = bool(
+        on_X.all() and (np.sort(images, axis=1) == np.arange(len(top.faces))).all()  # (a)
+        and all(tuple(A) in known  # (b)
+                for per in np.sort(images[:, sorted(known)], axis=-1).tolist() for A in per)
     )
 
     summed_ok = transitive_top and equiv_ok
@@ -863,29 +866,15 @@ class BuildingAuditReport:
 
     @property
     def ok(self) -> bool:
-        return (
-            self.epsilon_ok
-            and self.homotopy_ok
-            and self.chain_family_ok
-            and self.homological_ok
-            and self.cohomology_trivial_below_top
-        )
+        return (self.epsilon_ok and self.homotopy_ok and self.chain_family_ok
+                and self.homological_ok and self.cohomology_trivial_below_top)
 
     def to_json(self):
         return {
-            "n": self.n,
-            "q": self.q,
-            "theta": self.theta,
+            **{f.name: getattr(self, f.name) for f in fields(self)},
             "beta_theorem": frac_json(self.beta_theorem),
             "beta_proof": {str(k): frac_json(v) for k, v in self.beta_proof.items()},
-            "epsilon": {
-                f"{ring}:k={k}": frac_json(v) for (ring, k), v in self.epsilon.items()
-            },
-            "epsilon_ok": self.epsilon_ok,
-            "homotopy_ok": self.homotopy_ok,
-            "chain_family_ok": self.chain_family_ok,
-            "homological_ok": self.homological_ok,
-            "cohomology_trivial_below_top": self.cohomology_trivial_below_top,
+            "epsilon": {f"{ring}:k={k}": frac_json(v) for (ring, k), v in self.epsilon.items()},
         }
 
 

@@ -109,13 +109,20 @@ class CohomologyProfile:
     torsion: tuple  # invariant factors above 1
 
 
+def _delta_profile(X, k) -> tuple:
+    """smith_profile(delta_matrix(X, k)), kept in X.cache: one reduction per k."""
+    if ("delta_profile", k) not in X.cache:
+        X.cache["delta_profile", k] = smith_profile(delta_matrix(X, k))
+    return X.cache["delta_profile", k]
+
+
 def _cohomology(X, k):
-    """H^k(X; Z) and the invariant factors of delta_k, from one Smith form of
-    delta_{k-1} and one of delta_k (the zero map at the top dimension)."""
+    """H^k(X; Z) and the invariant factors of delta_k, from the profiles of
+    delta_{k-1} and delta_k (the zero map at the top dimension)."""
     if not 0 <= k <= X.dim:
         raise DimensionOutOfRange(f"dimension {k} not in 0..{X.dim}")
-    above = () if k == X.dim else smith_profile(delta_matrix(X, k))
-    below = smith_profile(delta_matrix(X, k - 1))
+    above = () if k == X.dim else _delta_profile(X, k)
+    below = _delta_profile(X, k - 1)
     free_rank = len(X.faces(k)) - len(above) - len(below)
     torsion = tuple(v for v in below if v > 1)
     return CohomologyProfile(k, free_rank, torsion), above

@@ -16,7 +16,6 @@ from hdx.building import (
     _integer_family_at,
     _summed_totals,
     _transvections,
-    _vertex_action,
     beta_constants,
     build_building,
     building_expansion_audit,
@@ -589,7 +588,7 @@ def test_no_solution_without_higher_faces():
 def test_chain_family_base_case(fano):
     fam = chain_family(fano, INTEGERS)
     X = fano.complex
-    transport = chamber_transport(fano)
+    transport = dict(zip(X.top_faces, token_actions(fano, chamber_transport(fano))))
     sigma0 = X.top_faces[0]
     # sigma_0's base point is the least vertex of its intersection, sigma_0 itself
     v0 = sigma0[0]
@@ -788,6 +787,107 @@ def test_contraction_bounds_distance(fano):
 # -- symmetry and audit ------------------------------------------------------------------
 
 
+def dot(gf, u, v):
+    acc = 0
+    for a, b in zip(u, v):
+        acc = gf.add(acc, gf.mul(a, b))
+    return acc
+
+
+def vertex_action(B, M):
+    """Permutation of vertex tokens induced by the matrix M, one echelon form
+    per subspace: the oracle for `generator_actions`."""
+    gf = B.gf
+    out = {}
+    for token, basis in B.subspace_of.items():
+        rows = [
+            tuple(dot(gf, row, [M[i][j] for i in range(B.n)]) for j in range(B.n))
+            for row in basis
+        ]
+        out[token] = subspace_token(rref(gf, rows))
+    return out
+
+
+def face_image(act, face):
+    return tuple(sorted(act[v] for v in face))
+
+
+def oracle_generator_actions(B):
+    """The generators of `generator_actions`, in its order, as token dicts."""
+    mats = _transvections(B.n, range(1, B.q))
+    if B.q > 2:
+        mats.append(np.eye(B.n, dtype=np.int64))
+        mats[-1][0, 0] = building._primitive_element(B.gf)
+    return [vertex_action(B, M) for M in mats]
+
+
+def dict_chamber_transport(B, gens):
+    """Chamber -> token dict g with g(sigma_0) = chamber: the breadth-first
+    Schreier tree over token dicts, the oracle for `chamber_transport`."""
+    X = B.complex
+    sigma0 = X.top_faces[0]
+    tree = {sigma0: {v: v for v in B.subspace_of}}
+    queue = [sigma0]
+    for sigma in queue:
+        g = tree[sigma]
+        for s in gens:
+            image = face_image(s, sigma)
+            if image not in tree:
+                tree[image] = {v: s[w] for v, w in g.items()}
+                queue.append(image)
+    assert set(tree) == set(X.top_faces)
+    return tree
+
+
+def oracle_face_orbits(X, gens):
+    """`_face_orbits` over token dicts: each orbit closed breadth-first under
+    the generators' face images, images off the complex not followed."""
+    out = {}
+    for k in range(0, X.dim + 1):
+        unseen = set(X.faces(k))
+        out[k] = []
+        for f in X.faces(k):
+            if f in unseen:
+                unseen.discard(f)
+                orbit = [f]
+                for g in orbit:
+                    for image in sorted({face_image(s, g) for s in gens} & unseen):
+                        unseen.discard(image)
+                        orbit.append(image)
+                out[k].append(orbit)
+    return out
+
+
+def token_actions(B, G):
+    """The rows of an (m, V) array of vertex-position permutations as token dicts."""
+    vertices = B.complex.vertices()
+    return [{v: vertices[i] for v, i in zip(vertices, row)} for row in G.tolist()]
+
+
+def as_array(B, acts):
+    """Token dicts as an (m, V) int64 array over vertex positions."""
+    vertices = B.complex.vertices()
+    at = {v: i for i, v in enumerate(vertices)}
+    return np.array([[at[act[v]] for v in vertices] for act in acts],
+                    dtype=np.int64).reshape(len(acts), len(vertices))
+
+
+@pytest.mark.parametrize("n,q", [(3, 2), (3, 3), (3, 4), (4, 2)])
+def test_array_actions_match_the_dict_oracles(n, q):
+    B = build_building(n, q)
+    X = B.complex
+    oracle = oracle_generator_actions(B)
+    gens = generator_actions(B)
+    assert gens.dtype == np.int64
+    assert np.array_equal(gens, as_array(B, oracle))
+    tree = dict_chamber_transport(B, oracle)
+    assert token_actions(B, chamber_transport(B)) == [tree[sigma] for sigma in X.top_faces]
+    assert _face_orbits(B, gens) == oracle_face_orbits(X, oracle)
+    # one generator at a time: every generator's images are followed
+    for s in range(len(oracle)):
+        assert _face_orbits(B, gens[s:s + 1]) == oracle_face_orbits(X, oracle[s:s + 1])
+
+
 def permutation_closure(B, gens):
     """Every product of the generating vertex permutations, as value tuples."""
     order = sorted(B.subspace_of)
@@ -838,14 +938,14 @@ def fano_group(fano):
     order = sorted(fano.subspace_of)
     return {
         tuple(act[v] for v in order)
-        for act in (_vertex_action(fano, M) for M in pgl_elements(fano))
+        for act in (vertex_action(fano, M) for M in pgl_elements(fano))
     }
 
 
 def test_generator_closure_is_the_group_on_fano(fano):
     pgl = fano_group(fano)
     assert len(pgl) == 168
-    assert permutation_closure(fano, generator_actions(fano)) == pgl
+    assert permutation_closure(fano, token_actions(fano, generator_actions(fano))) == pgl
 
 
 def test_generator_closure_order_3_3():
@@ -857,13 +957,14 @@ def test_generator_closure_order_3_3():
     for i in range(n):
         order *= q ** n - q ** i
     assert order // (q - 1) == 5616
-    assert len(permutation_closure(B, generator_actions(B))) == 5616
+    assert len(permutation_closure(B, token_actions(B, generator_actions(B)))) == 5616
 
 
 def test_schreier_tree_covers_every_chamber(fano, b42):
     for B in (fano, build_building(3, 3), b42):
         X = B.complex
-        tree = chamber_transport(B)
+        assert len(chamber_transport(B)) == len(X.top_faces)
+        tree = dict(zip(X.top_faces, token_actions(B, chamber_transport(B))))
         assert set(tree) == set(X.top_faces)
         for sigma, g in tree.items():
             assert tuple(sorted(g[v] for v in X.top_faces[0])) == sigma
@@ -874,7 +975,7 @@ def test_schreier_tree_needs_every_scalar(monkeypatch):
     # over GF(4) the E_ij(1) generate only SL(3,2), which misses chambers
     B = build_building(3, 4)
     assert len(chamber_transport(B)) == len(B.complex.top_faces)
-    ones = [_vertex_action(B, M) for M in _transvections(B.gf, B.n, [1])]
+    ones = as_array(B, [vertex_action(B, M) for M in _transvections(B.n, [1])])
     monkeypatch.setattr(building, "generator_actions", lambda B: ones)
     with pytest.raises(errors.PropertyViolation):
         chamber_transport(dataclasses.replace(B, cache={}))
@@ -990,7 +1091,7 @@ def oracle_chain_family(B, ring, tops=None):
     summed over Z from the ring's entries, must reduce to zero."""
     X = B.complex
     tops = tuple(tops) if tops is not None else X.top_faces
-    transport = chamber_transport(B)
+    transport = dict_chamber_transport(B, oracle_generator_actions(B))
     family0 = oracle_family_at(B, X.top_faces[0])
     entries = {}
     for sigma in tops:
@@ -1240,7 +1341,7 @@ def fraction_totals(B, k):
 def test_summed_totals_match_the_fraction_loop(n, q):
     B = build_building(n, q)
     X = B.complex
-    orbits = _face_orbits(X, generator_actions(B))
+    orbits = _face_orbits(B, generator_actions(B))
     for k in range(-1, X.dim):
         den = X.weight_denominator(k)
         got = _summed_totals(B, k, orbits)
@@ -1273,6 +1374,8 @@ def test_intersection_questions_refuse_pairs_outside_every_apartment(fano):
     with pytest.raises(errors.PropertyViolation):
         symmetry_checks(B)
     with pytest.raises(errors.PropertyViolation):
+        symmetry_checks(dataclasses.replace(fano, apartments=[], cache={}))
+    with pytest.raises(errors.PropertyViolation):
         building_expansion_audit(dataclasses.replace(B, cache={}), INTEGERS, samples=1)
 
 
@@ -1299,7 +1402,7 @@ def test_orbit_stabilizer_matches_enumeration(fano):
     B33 = build_building(3, 3)
     for B, group in (
         (fano, fano_group(fano)),
-        (B33, permutation_closure(B33, generator_actions(B33))),
+        (B33, permutation_closure(B33, token_actions(B33, generator_actions(B33)))),
     ):
         keys = sorted(B.subspace_of)
         perms = [dict(zip(keys, p)) for p in group]
@@ -1333,13 +1436,13 @@ def test_generators_are_simply_transitive_on_frames_3_4():
     B = build_building(3, 4)
     rep = symmetry_checks(B)
     assert rep.group_order == 60480
-    assert len(frame_orbit(B, generator_actions(B))) == 60480
-    transvections = [_vertex_action(B, M) for M in _transvections(B.gf, 3, range(1, 4))]
+    assert len(frame_orbit(B, token_actions(B, generator_actions(B)))) == 60480
+    transvections = [vertex_action(B, M) for M in _transvections(3, range(1, 4))]
     assert len(frame_orbit(B, transvections)) == 20160
 
 
 def test_orbits_of_4_2(b42):
-    orbits = _face_orbits(b42.complex, generator_actions(b42))
+    orbits = _face_orbits(b42, generator_actions(b42))
     assert {k: len(v) for k, v in orbits.items()} == {0: 3, 1: 3, 2: 1}
     assert all(20160 % len(o) == 0 for per_dim in orbits.values() for o in per_dim)
 
@@ -1356,10 +1459,12 @@ def test_equivariance_sample_catches_a_non_automorphism(fano, monkeypatch):
     lines = sorted(t for t, basis in fano.subspace_of.items() if len(basis) == 1)
     swap = {v: v for v in fano.subspace_of}
     swap[lines[0]], swap[lines[1]] = lines[1], lines[0]
-    assert {building._face_image(swap, c) for c in fano.complex.top_faces} != set(
+    assert {face_image(swap, c) for c in fano.complex.top_faces} != set(
         fano.complex.top_faces
     )
-    monkeypatch.setattr(building, "generator_actions", lambda B: gens + [swap])
+    swap_row = as_array(fano, [swap])
+    monkeypatch.setattr(building, "generator_actions",
+                        lambda B: np.concatenate([gens, swap_row]))
     rep = symmetry_checks(dataclasses.replace(fano, cache={}))
     assert rep.transitive_on_top
     assert rep.stabilizer_bound_ok
@@ -1368,11 +1473,35 @@ def test_equivariance_sample_catches_a_non_automorphism(fano, monkeypatch):
     assert not rep.summed_bound_ok
     # with the swap acting alone on the apartments it fixes, check (b) holds
     # and check (a) alone reports it
-    fixed = [a for a in fano.apartments if all(building._face_image(swap, f) == f for f in a)]
-    monkeypatch.setattr(building, "generator_actions", lambda B: [swap])
+    fixed = [a for a in fano.apartments if all(face_image(swap, f) == f for f in a)]
+    monkeypatch.setattr(building, "generator_actions", lambda B: swap_row)
     rep = symmetry_checks(dataclasses.replace(fano, apartments=fixed, cache={}))
     assert len(fixed) == 8
     assert not rep.apartment_equivariance_ok
+
+
+def test_equivariance_check_catches_a_chamber_map_that_is_not_onto(fano, monkeypatch):
+    # a retraction of the Fano building onto the apartment of the standard
+    # frame: it fixes that apartment and maps every chamber onto one of its
+    # six, so no image leaves the complex and, on that apartment alone, check
+    # (b) holds; only the bijectivity in check (a) can report it
+    X = fano.complex
+    fold = {v: v for v in fano.subspace_of}
+    fold.update({
+        "S[110]": "S[100]", "S[101]": "S[100]", "S[111]": "S[100]", "S[011]": "S[010]",
+        "S[110;001]": "S[100;001]", "S[101;010]": "S[100;010]",
+        "S[100;011]": "S[100;010]", "S[101;011]": "S[100;010]",
+    })
+    assert set(fold) == set(fano.subspace_of)
+    (apt,) = [a for f, a in zip(fano.frames, fano.apartments)
+              if f == ("S[001]", "S[010]", "S[100]")]
+    assert all(face_image(fold, f) == f for f in apt)
+    chambers = {f for f in apt if len(f) == 2}
+    assert {face_image(fold, c) for c in X.top_faces} == chambers
+    monkeypatch.setattr(building, "generator_actions", lambda B: as_array(fano, [fold]))
+    rep = symmetry_checks(dataclasses.replace(fano, apartments=[apt], cache={}))
+    assert not rep.apartment_equivariance_ok
+    assert not rep.summed_bound_ok
 
 
 @pytest.mark.parametrize("seed", range(5))

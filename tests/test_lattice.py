@@ -137,6 +137,19 @@ def test_smith_profile_rejects_a_wrong_unit_echelon(monkeypatch, capsys, tamper,
     assert message in capsys.readouterr().err
 
 
+def test_cohomology_reduces_each_coboundary_once_per_complex(monkeypatch):
+    # H^0 and H^1 of B(4,2) both need delta_0 (315 x 65): it is reduced once,
+    # and uct_check and a repeated call reduce nothing more
+    X = build_building(4, 2).complex
+    seen = record_reductions(monkeypatch)
+    assert (integer_cohomology(X, 0).free_rank, integer_cohomology(X, 1).free_rank) == (0, 0)
+    assert reductions(seen) == [delta_matrix(X, 0), delta_matrix(X, -1), delta_matrix(X, 1)]
+    seen.clear()
+    assert uct_check(X, 1).ok
+    assert integer_cohomology(X, 0).torsion == ()
+    assert reductions(seen) == []
+
+
 @pytest.mark.parametrize(
     "name,k,rank,torsion",
     [

@@ -697,3 +697,44 @@ def test_unit_elimination_lives_in_intmat():
     assert homes == ["intmat.py"]
     assert callers and all(c.startswith("intmat.py:") for c in callers)
     assert _unit_route_products((SRC / "lattice.py").read_text(encoding="utf-8")) == []
+
+
+# the group acts on a building as int64 vertex permutations: the dict actions
+# are oracles in tests/test_building.py, and faces are looked up by their
+# level keys only in `_face_index` and the face-image helper `_moved`
+DICT_ACTIONS = {"_vertex_action", "_dot", "_face_image"}
+KEY_LOOKUPS = {"_face_index", "_moved"}
+
+
+def _key_lookups(source):
+    """Enclosing function:line of each np.searchsorted call passed a `.keys`
+    attribute."""
+    visitor = _Calls()
+    visitor.visit(ast.parse(source))
+    return [f"{scope}:{call.lineno}" for scope, call in visitor.calls
+            if _callee(call) == "searchsorted"
+            and any(isinstance(a, ast.Attribute) and a.attr == "keys" for a in call.args)]
+
+
+def test_key_lookup_finder():
+    source = """
+def _face_index(B):
+    return np.searchsorted(index[k - 1].keys, rows @ radix[1:])
+
+
+def transport(level, G):
+    at = np.searchsorted(level.keys, keys)
+    return np.searchsorted(other, keys)
+"""
+    assert _key_lookups(source) == ["_face_index:3", "transport:7"]
+
+
+def test_group_actions_are_arrays_with_one_face_lookup():
+    defined, lookups = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        defined |= {name for _, name in _definitions(source)}
+        lookups += [f"{path.name}:{where}" for where in _key_lookups(source)]
+    assert defined & DICT_ACTIONS == set()
+    assert lookups and {where.split(":")[1] for where in lookups} == KEY_LOOKUPS
+    assert all(where.startswith("building.py:") for where in lookups)
