@@ -12,6 +12,7 @@ tying the coboundary to the distance from coboundaries.
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import accumulate, combinations, permutations
@@ -26,9 +27,10 @@ from .cochains import (
     Chain,
     Cochain,
     coboundary,
+    cochain_vector,
     distance,
-    evaluate,
     random_cochain,
+    vector_cochain,
 )
 from .complexes import SimplicialComplex, frac_json
 from .config import DEFAULT_BUILDING_FACE_CAP
@@ -319,24 +321,50 @@ def solve_boundary(B: SphericalBuilding, K: dict, k: int, target: dict):
     return None if x is None else {c: v for c, v in zip(cols, x) if v}
 
 
-@dataclass
-class ChainFamily:
-    """c_{sigma,tau} per top face sigma and face tau, with the boundary identity.
+@dataclass(eq=False)
+class ChainFamily(Mapping):
+    """c_{sigma,tau} per chamber sigma of `tops` and face tau, with the boundary identity.
 
     Each entry satisfies, exactly and per ring,
         boundary(c_{sigma,tau}) = (-1)^{k+1} tau + sum_i (-1)^i c_{sigma,tau_i}.
 
-    `homotopy_failure` reads the entries as int64 (chamber, tau, face, coeff)
-    arrays over the face index, built from `entries` on first use and kept
-    in `_arrays` with the largest coefficient sum of an entry.
+    It is the arrays `chain_family` checked: moved[k] = (taus, tau, face, coeff)
+    for k = -1..d-1, a row per chamber of `tops` (see `_transport`), reduced in
+    the ring; `norm` is the largest coefficient sum of an entry. Read as a
+    mapping (sigma, tau) -> Chain, each Chain is built on read, never kept.
     """
 
+    building: SphericalBuilding
     ring: Ring
-    entries: dict  # (sigma, tau) -> Chain
-    _arrays: tuple = field(default=None, init=False, repr=False, compare=False)
+    tops: tuple
+    moved: dict
+    norm: int
+
+    @property
+    def entries(self):
+        """The family itself, read as the mapping (sigma, tau) -> Chain."""
+        return self
+
+    def __len__(self):
+        return sum(taus.size for taus, *_ in self.moved.values())
+
+    def __iter__(self):
+        index = _face_index(self.building)
+        for c, sigma in enumerate(self.tops):
+            for k, (taus, *_) in self.moved.items():
+                yield from ((sigma, index[k].faces[t]) for t in taus[c].tolist())
 
     def __getitem__(self, key):
-        return self.entries[key]
+        index = _face_index(self.building)
+        try:
+            sigma, tau = key
+            k = len(tau) - 1
+            c, (_, t, face, coeff) = self.tops.index(sigma), self.moved[k]
+            at = t[c] == index[k].pos[tau]
+        except (TypeError, ValueError, KeyError):
+            raise KeyError(key) from None
+        pairs = zip(face[c, at].tolist(), coeff[c, at].tolist())
+        return Chain.trusted(self.ring, k + 1, {index[k + 1].faces[f]: v for f, v in pairs if v})
 
 
 def chain_family(B: SphericalBuilding, ring: Ring, tops=None) -> ChainFamily:
@@ -356,13 +384,11 @@ def chain_family(B: SphericalBuilding, ring: Ring, tops=None) -> ChainFamily:
     every moved support against its apartment intersection; then every
     entry must be present, and the identity's residual, summed over Z per
     (sigma, tau) by `_identity_failure`, must reduce to zero in the ring.
-    Only sigma_0's family is kept in B.cache, next to the Schreier tree, as
-    the `_triplets` arrays that `_integer_family_at` solves on the face index.
-    Entries are Chains reduced to the requested ring; `tops` restricts the
-    family to a subset of the top faces (default: all of them).
+    Only sigma_0's triplets, solved by `_integer_family_at`, are kept in
+    B.cache. `tops` picks the chambers, each once (default: all of them).
     """
     X = B.complex
-    tops = tuple(tops) if tops is not None else X.top_faces
+    tops = tuple(dict.fromkeys(tops)) if tops is not None else X.top_faces
     index = _face_index(B)
     for sigma in tops:
         if sigma not in index[X.dim].pos:
@@ -373,7 +399,7 @@ def chain_family(B: SphericalBuilding, ring: Ring, tops=None) -> ChainFamily:
         family0 = B.cache["family0"] = _integer_family_at(B, X.top_faces[0])
     # a residual value sums tau, k + 1 subface entries and at most `most` boundary terms
     big = max(max(-int(v.min()), int(v.max())) for *_, v in family0.values())
-    most = max(int(np.bincount(t).max()) for _, t, *_ in family0.values())
+    most = max(int(np.bincount(t).max()) for t, *_ in family0.values())
     cosets.require_int64(big * (X.dim + 1 + most), "chain family residuals")
     moved = _transport(B, family0, G)
     for k, (taus, *_) in moved.items():
@@ -388,36 +414,17 @@ def chain_family(B: SphericalBuilding, ring: Ring, tops=None) -> ChainFamily:
         raise PropertyViolation(
             f"chain family identity failed at {(tops[c], index[k].faces[t])} over {ring}"
         )
-    entries = {}  # of Chains that trust the coefficients checked and reduced here
-    for c, sigma in enumerate(tops):
-        for k, (taus, tau, face, coeff) in moved.items():
-            coeffs = {t: {} for t in taus[c].tolist()}
-            reduced = _reduced(ring, coeff[c]).tolist()
-            for t, f, v in zip(tau[c].tolist(), face[c].tolist(), reduced):
-                if v:
-                    coeffs[t][index[k + 1].faces[f]] = v
-            for t, ch in coeffs.items():
-                entries[(sigma, index[k].faces[t])] = Chain.trusted(ring, k + 1, ch)
-    return ChainFamily(ring, entries)
-
-
-def _triplets(index: dict, entries: dict, chambers, d: int) -> dict:
-    """k -> int64 (chamber, tau, face, coeff) arrays of the entries at the
-    chambers, tau over X.faces(k) for k = -1..d-1: chamber is a position in
-    `chambers`, tau and face are indices at levels k and k+1 of the index."""
-    out = {}
-    for k in range(-1, d):
-        pos = index[k + 1].pos
-        rows = [(c, t, pos[f], v) for c, sigma in enumerate(chambers)
-                for t, tau in enumerate(index[k].faces)
-                for f, v in entries[(sigma, tau)].coeffs.items()]
-        out[k] = np.array(rows, dtype=np.int64).reshape(len(rows), 4).T
-    return out
+    norm = 0
+    for k, (taus, tau, face, coeff) in moved.items():
+        moved[k] = (taus, tau, face, coeff := _reduced(ring, coeff))
+        sums = np.zeros(taus.shape, dtype=object)  # exact at any modulus
+        np.add.at(sums, (np.arange(len(taus))[:, None], tau), np.abs(coeff))
+        norm = max(norm, int(sums.max(initial=0)))
+    return ChainFamily(B, ring, tops, moved, norm)
 
 
 def _transport(B: SphericalBuilding, family0: dict, G) -> dict:
-    """sigma_0's integer family, as `_triplets` arrays, moved by each vertex
-    permutation g in G.
+    """sigma_0's integer (tau, face, coeff) triplets moved by each vertex permutation g in G.
 
     k -> (taus, tau, face, coeff), one row per g: taus[c, t] indexes
     sort(g_c tau_t) in X.faces(k), and the triplets (tau, face, coeff) carry
@@ -441,7 +448,7 @@ def _transport(B: SphericalBuilding, family0: dict, G) -> dict:
     chambers = moved[X.dim][0][:, 0]
     words = index[X.dim].bits[chambers]
     out = {}
-    for k, (_, t, f, v) in family0.items():
+    for k, (t, f, v) in family0.items():
         (taus, tsign), (faces, fsign) = moved[k], moved[k + 1]
         tau, face, coeff = taus[:, t], faces[:, f], tsign[:, t] * fsign[:, f] * v
         meets = np.zeros(taus.shape, dtype=bool)
@@ -490,7 +497,7 @@ def _identity_failure(index: dict, moved: dict, k: int, ring: Ring):
     del terms  # before the sort makes its copies
     order = np.argsort(key, kind="stable")  # merges the runs the parts come in
     key, val = key[order], val[order]
-    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    starts = np.flatnonzero(np.diff(key, prepend=-1))  # keys are >= 0
     bad = starts[_reduced(ring, np.add.reduceat(val, starts)) != 0]
     return divmod(int(key[bad[0]]) // n, n) if bad.size else None
 
@@ -503,8 +510,8 @@ def _reduced(ring: Ring, values):
 
 
 def _integer_family_at(B: SphericalBuilding, sigma) -> dict:
-    """sigma's integer family as `_triplets` arrays at one chamber: per tau,
-    the faces of c_{sigma,tau} with a nonzero coefficient, in ascending order.
+    """sigma's integer family, k -> int64 (tau, face, coeff) triplet arrays
+    over the face index: per tau, c_{sigma,tau}'s nonzero faces, ascending.
 
     c_{sigma,()} is the least vertex of A_{sigma,()}. Then, level by level,
     c_{sigma,tau} is the `solve_boundary` filling inside A_{sigma,tau} of the
@@ -539,66 +546,61 @@ def _integer_family_at(B: SphericalBuilding, sigma) -> dict:
             solved[k].append(entry)
     out = {}
     for k, entries in solved.items():
-        rows = [(0, t, f, v) for t, entry in enumerate(entries) for f, v in entry.items()]
-        out[k] = np.array(rows, dtype=np.int64).reshape(len(rows), 4).T
+        rows = [(t, f, v) for t, entry in enumerate(entries) for f, v in entry.items()]
+        out[k] = np.array(rows, dtype=np.int64).reshape(len(rows), 3).T
     return out
 
 
-def contraction(B: SphericalBuilding, ring: Ring, fam: ChainFamily, sigma, f: Cochain) -> Cochain:
-    """(iota_sigma f)(tau) = (-1)^k <f, c_{sigma,tau}> one dimension down."""
-    X = B.complex
-    k = f.dim
+def _iota(fam: ChainFamily, rows, k: int, fv):
+    """(iota_sigma f)(rho) = (-1)^k <f, c_{sigma,rho}>, rho over X.faces(k-1), at the
+    chambers sigma = fam.tops[c] for c in `rows`, for the k-cochain f with int64
+    values fv over X.faces(k): one row per chamber. Callers bound the sums first."""
+    cosets.require_int64(fam.norm, "chain family coefficients")
+    tau, face, coeff = (a[rows] for a in fam.moved[k - 1][1:])
+    n = len(_face_index(fam.building)[k - 1].faces)
+    out = np.zeros(len(tau) * n, dtype=np.int64)
+    np.add.at(out, (np.arange(len(tau))[:, None] * n + tau).ravel(), (coeff * fv[face]).ravel())
+    return (-1) ** k * out.reshape(len(tau), n)
+
+
+def contraction(fam: ChainFamily, sigma, f: Cochain) -> Cochain:
+    """(iota_sigma f)(tau) = (-1)^k <f, c_{sigma,tau}> one dimension down:
+    sigma's row of the `_iota` kernel."""
+    X, k = fam.building.complex, f.dim
+    if f.ring != fam.ring:
+        raise RingMismatch(f"{f.ring} vs {fam.ring}")
     if not 0 <= k <= X.dim:
         raise DimensionOutOfRange(f"contraction needs 0 <= k <= {X.dim}")
-    if len(sigma) - 1 != X.dim or not X.has_face(sigma):
-        raise FaceNotInComplex(f"{sigma} is not a top face")
-    if (sigma, ()) not in fam.entries:
+    if sigma not in fam.tops:
         raise FaceNotInComplex(f"the chain family has no entries at {sigma}")
-    sign = (-1) ** k
-    vals = {}
-    for tau in X.faces(k - 1):
-        v = evaluate(f, fam[(sigma, tau)])
-        if v:
-            vals[tau] = sign * v
-    return Cochain(X, ring, k - 1, vals)
+    big = max(map(abs, f.values.values()), default=0)
+    cosets.require_int64(big * fam.norm, "contraction sums")
+    row = _iota(fam, [fam.tops.index(sigma)], k, np.array(cochain_vector(f), dtype=np.int64))[0]
+    return vector_cochain(X, fam.ring, k - 1, row.tolist())
 
 
-def homotopy_failure(B: SphericalBuilding, fam: ChainFamily, f: Cochain):
+def homotopy_failure(fam: ChainFamily, f: Cochain):
     """The first chamber sigma with delta iota_sigma f + iota_sigma delta f != f, else None.
 
-    Every chamber at once, as `contraction` with (iota_sigma f)(rho) =
-    (-1)^k <f, c_{sigma,rho}> summed from fam's int64 (chamber, tau, face,
-    coeff) arrays, which are built from fam.entries once per ChainFamily.
+    Every chamber at once: the `_iota` kernel on every row of fam, taken in
+    X.top_faces order, for f and for delta f.
     """
-    X, ring, k = B.complex, f.ring, f.dim
+    X, ring, k = fam.building.complex, f.ring, f.dim
     if ring != fam.ring:
         raise RingMismatch(f"{ring} vs {fam.ring}")
     if not 0 <= k < X.dim:
         raise DimensionOutOfRange(f"the homotopy identity needs 0 <= k < {X.dim}")
-    index = _face_index(B)
-    if fam._arrays is None:
-        for sigma in X.top_faces:
-            if (sigma, ()) not in fam.entries:
-                raise FaceNotInComplex(f"the chain family has no entries at {sigma}")
-        norm = max(sum(map(abs, ch.coeffs.values())) for ch in fam.entries.values())
-        cosets.require_int64(norm, "chain family coefficients")
-        fam._arrays = (norm, _triplets(index, fam.entries, X.top_faces, X.dim))
-    norm, triplets = fam._arrays
+    if len(fam.tops) < len(X.top_faces):
+        missing = next(sigma for sigma in X.top_faces if sigma not in fam.tops)
+        raise FaceNotInComplex(f"the chain family has no entries at {missing}")
     # |f| <= big bounds delta f by (k+2) big, iota f by norm big and the sum below
     big = max(map(abs, f.values.values()), default=0)
-    cosets.require_int64(big * (1 + (2 * k + 3) * norm), "homotopy sums")
-    fv = np.zeros(len(index[k].faces), dtype=np.int64)
-    fv[[index[k].pos[t] for t in f.values]] = list(f.values.values())
+    cosets.require_int64(big * (1 + (2 * k + 3) * fam.norm), "homotopy sums")
+    index, fv = _face_index(fam.building), np.array(cochain_vector(f), dtype=np.int64)
+    rows = np.argsort([index[X.dim].pos[sigma] for sigma in fam.tops], kind="stable")
     df = fv[index[k + 1].sub] @ np.resize([1, -1], k + 2)
-    C, below, n = len(X.top_faces), len(index[k - 1].faces), len(fv)
-    c, t, face, v = triplets[k - 1]
-    down = np.zeros(C * below, dtype=np.int64)
-    np.add.at(down, c * below + t, v * fv[face])
-    c, t, face, v = triplets[k]
-    up = np.zeros(C * n, dtype=np.int64)
-    np.add.at(up, c * n + t, v * df[face])
-    delta_down = down.reshape(C, below)[:, index[k].sub] @ np.resize([1, -1], k + 1)
-    lhs = (-1) ** k * (delta_down - up.reshape(C, n)) - fv
+    down, up = _iota(fam, rows, k, fv), _iota(fam, rows, k + 1, df)
+    lhs = down[:, index[k].sub] @ np.resize([1, -1], k + 1) + up - fv
     bad = (_reduced(ring, lhs) != 0).any(axis=1)
     return X.top_faces[int(bad.argmax())] if bad.any() else None
 
@@ -926,12 +928,11 @@ def building_expansion_audit(
                 eps_ok = False
 
     fam = chain_family(B, ring)  # verifies its identity on construction
-    chain_ok = True
 
     # every cochain is drawn before any is checked: the homological check
     # below reads rng after these draws
     drawn = [random_cochain(X, ring, k, rng) for k in range(0, d) for _ in range(samples)]
-    homotopy_ok = all(homotopy_failure(B, fam, f) is None for f in drawn)
+    homotopy_ok = all(homotopy_failure(fam, f) is None for f in drawn)
 
     homological_ok = True
     for k in range(0, d):
@@ -955,5 +956,5 @@ def building_expansion_audit(
     )
     return BuildingAuditReport(
         B.n, B.q, B.theta, beta_theorem, beta_proof, eps, eps_ok,
-        homotopy_ok, chain_ok, homological_ok, cohom_ok,
+        homotopy_ok, True, homological_ok, cohom_ok,
     )

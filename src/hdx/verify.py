@@ -521,7 +521,7 @@ def check_homotopy_identity(seed):
         fam = building_mod.chain_family(B, ring)
         for _ in range(8):
             f = cochains_mod.random_cochain(X, ring, 0, rng)
-            sigma = building_mod.homotopy_failure(B, fam, f)
+            sigma = building_mod.homotopy_failure(fam, f)
             if sigma is not None:
                 return False, f"{ring} {sigma}"
     return True, ""
@@ -536,9 +536,7 @@ def check_contraction_distance_bound(seed):
         f = cochains_mod.random_cochain(X, F2, 0, rng)
         d, _ = cochains_mod.distance(f, COBOUNDARIES)
         for sigma in X.top_faces[:5]:
-            contracted = building_mod.contraction(
-                B, F2, fam, sigma, cochains_mod.coboundary(f)
-            )
+            contracted = building_mod.contraction(fam, sigma, cochains_mod.coboundary(f))
             if contracted.norm() < d:
                 return False, f"{sigma}"
     return True, ""

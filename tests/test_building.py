@@ -37,6 +37,7 @@ from hdx.cochains import (
     coboundary,
     delta_matrix,
     distance,
+    evaluate,
     perm_sign,
     random_cochain,
 )
@@ -409,14 +410,25 @@ def oracle_family_at(B, sigma):
     return entries
 
 
+def as_triplets(B, entries, sigma):
+    """k -> int64 (tau, face, coeff) arrays of sigma's entries, tau over
+    X.faces(k), tau and face as positions at levels k and k+1."""
+    index = building._face_index(B)
+    out = {}
+    for k in range(-1, B.dim):
+        rows = [(t, index[k + 1].pos[f], v) for t, tau in enumerate(index[k].faces)
+                for f, v in entries[(sigma, tau)].coeffs.items()]
+        out[k] = np.array(rows, dtype=np.int64).reshape(len(rows), 3).T
+    return out
+
+
 @pytest.mark.parametrize("n,q", [(3, 2), (3, 3), (3, 4), (4, 2)])
 def test_sigma0_family_matches_the_subcomplex_filling(n, q):
     # the same entries, faces and coefficient order as the object route
     B = build_building(n, q)
     sigma0 = B.complex.top_faces[0]
     got = _integer_family_at(B, sigma0)
-    want = building._triplets(building._face_index(B), oracle_family_at(B, sigma0),
-                              [sigma0], B.dim)
+    want = as_triplets(B, oracle_family_at(B, sigma0), sigma0)
     assert got.keys() == want.keys()
     for k in want:
         assert got[k].dtype == np.int64 and np.array_equal(got[k], want[k])
@@ -638,14 +650,14 @@ def test_contraction_needs_entries_at_sigma(fano):
     fam = chain_family(fano, F2, tops=[X.top_faces[0]])
     f = random_cochain(X, F2, 1, random.Random(5))
     with pytest.raises(errors.FaceNotInComplex, match=re.escape(str(X.top_faces[1]))):
-        contraction(fano, F2, fam, X.top_faces[1], f)
+        contraction(fam, X.top_faces[1], f)
 
 
 def test_contraction_zero(fano):
     X = fano.complex
     fam = chain_family(fano, F3)
     f = Cochain.zero(X, F3, 1)
-    assert contraction(fano, F3, fam, X.top_faces[0], f).is_zero()
+    assert contraction(fam, X.top_faces[0], f).is_zero()
 
 
 @pytest.mark.parametrize("ringname", ["Z", "F2", "F3"])
@@ -659,17 +671,15 @@ def test_homotopy_identity(fano, ringname):
     for _ in range(15):
         f = random_cochain(X, ring, 0, rng)
         for sigma in X.top_faces:
-            lhs = coboundary(contraction(fano, ring, fam, sigma, f)) + contraction(
-                fano, ring, fam, sigma, coboundary(f)
-            )
+            lhs = coboundary(contraction(fam, sigma, f)) + contraction(fam, sigma, coboundary(f))
             assert lhs == f
 
 
 def restated_homotopy_failure(B, fam, f):
     ring = f.ring
     for sigma in B.complex.top_faces:
-        down = contraction(B, ring, fam, sigma, f)
-        up = contraction(B, ring, fam, sigma, coboundary(f))
+        down = contraction(fam, sigma, f)
+        up = contraction(fam, sigma, coboundary(f))
         faces = B.complex.faces(f.dim)
         if any(ring.reduce(coboundary(down)(t) + up(t) - f(t)) for t in faces):
             return sigma
@@ -685,7 +695,7 @@ def test_homotopy_failure_matches_restatement(fano, ringname):
     rng = random.Random(17)
     for _ in range(6):
         f = random_cochain(fano.complex, ring, 0, rng)
-        assert homotopy_failure(fano, fam, f) is None
+        assert homotopy_failure(fam, f) is None
         assert restated_homotopy_failure(fano, fam, f) is None
 
 
@@ -703,17 +713,21 @@ def test_homotopy_failure_names_the_chamber_of_a_tampered_coefficient(fano, ring
     tampered = tampered_entry(fam, sigma, tau, e)
     f = Cochain(X, ring, 0, {(e[1],): 1})
     assert restated_homotopy_failure(fano, tampered, f) == sigma
-    assert homotopy_failure(fano, tampered, f) == sigma
-    assert homotopy_failure(fano, fam, f) is None
+    assert homotopy_failure(tampered, f) == sigma
+    assert homotopy_failure(fam, f) is None
 
 
 def tampered_entry(fam, sigma, tau, e):
-    """fam with one more edge e in c_{sigma,tau}."""
-    ch = fam[(sigma, tau)]
-    return ChainFamily(fam.ring, {
-        **fam.entries,
-        (sigma, tau): Chain(fam.ring, 1, {**ch.coeffs, e: ch.coeffs.get(e, 0) + 1}),
-    })
+    """fam with one more edge e in c_{sigma,tau}: one more triplet, with
+    coefficient 1 in sigma's row and 0 in every other row."""
+    index, rows = building._face_index(fam.building), len(fam.tops)
+    taus, t, face, coeff = fam.moved[0]
+    mark = np.zeros((rows, 1), dtype=np.int64)
+    mark[fam.tops.index(sigma)] = 1
+    moved = {**fam.moved, 0: (taus, np.hstack([t, np.full((rows, 1), index[0].pos[tau])]),
+                              np.hstack([face, np.full((rows, 1), index[1].pos[e])]),
+                              np.hstack([coeff, mark]))}
+    return ChainFamily(fam.building, fam.ring, fam.tops, moved, fam.norm + 1)
 
 
 @pytest.mark.parametrize("ringname", ["Z", "Z/4"])
@@ -726,7 +740,7 @@ def test_homotopy_failure_matches_restatement_on_3_3(b33, ringname):
     rng = random.Random(47)
     cochains = [random_cochain(X, ring, 0, rng) for _ in range(4)]
     for f in cochains:
-        assert homotopy_failure(b33, fam, f) is None
+        assert homotopy_failure(fam, f) is None
         assert restated_homotopy_failure(b33, fam, f) is None
     e = X.faces(1)[2]
     cochains.append(Cochain(X, ring, 0, {(e[1],): 1}))
@@ -734,9 +748,25 @@ def test_homotopy_failure_matches_restatement_on_3_3(b33, ringname):
         tampered = fam
         for i in picks:
             tampered = tampered_entry(tampered, X.top_faces[i], X.faces(0)[5], e)
-        got = [homotopy_failure(b33, tampered, f) for f in cochains]
+        got = [homotopy_failure(tampered, f) for f in cochains]
         assert got == [restated_homotopy_failure(b33, tampered, f) for f in cochains]
         assert got[-1] == X.top_faces[min(picks)]
+
+
+def test_homotopy_failure_reads_the_chambers_in_complex_order(b33):
+    # a family over the chambers in shuffled order: the first failing chamber
+    # is still the first in X.top_faces order, as the restatement finds it
+    X = b33.complex
+    tops = random.Random(71).sample(X.top_faces, len(X.top_faces))
+    fam = chain_family(b33, INTEGERS, tops=tops)
+    e = X.faces(1)[2]
+    f = Cochain(X, INTEGERS, 0, {(e[1],): 1})
+    assert homotopy_failure(fam, f) is None
+    tampered = fam
+    for i in (51, 9):
+        tampered = tampered_entry(tampered, X.top_faces[i], X.faces(0)[5], e)
+    assert homotopy_failure(tampered, f) == X.top_faces[9]
+    assert restated_homotopy_failure(b33, tampered, f) == X.top_faces[9]
 
 
 def test_homotopy_failure_refuses_sums_beyond_int64(fano):
@@ -744,14 +774,14 @@ def test_homotopy_failure_refuses_sums_beyond_int64(fano):
     X = fano.complex
     f = Cochain(X, INTEGERS, 0, {X.faces(0)[0]: 2 ** 62})
     with pytest.raises(errors.SearchSpaceTooLarge, match="homotopy sums"):
-        homotopy_failure(fano, fam, f)
-    assert homotopy_failure(fano, fam, Cochain(X, INTEGERS, 0, {X.faces(0)[0]: 2 ** 40})) is None
+        homotopy_failure(fam, f)
+    assert homotopy_failure(fam, Cochain(X, INTEGERS, 0, {X.faces(0)[0]: 2 ** 40})) is None
 
 
 def test_homotopy_failure_refuses_a_family_of_another_ring(fano):
     fam = chain_family(fano, F3)
     with pytest.raises(errors.RingMismatch):
-        homotopy_failure(fano, fam, Cochain.zero(fano.complex, F2, 0))
+        homotopy_failure(fam, Cochain.zero(fano.complex, F2, 0))
 
 
 def test_beta_constants(fano, b42):
@@ -769,7 +799,7 @@ def test_contraction_defined_at_top_dimension(fano):
     fam = chain_family(fano, F2)
     rng = random.Random(17)
     f = random_cochain(X, F2, 1, rng)
-    g = contraction(fano, F2, fam, X.top_faces[0], f)
+    g = contraction(fam, X.top_faces[0], f)
     assert g.dim == 0
 
 
@@ -781,7 +811,91 @@ def test_contraction_bounds_distance(fano):
         f = random_cochain(X, F2, 0, rng)
         d, _ = distance(f, COBOUNDARIES)
         for sigma in X.top_faces:
-            assert contraction(fano, F2, fam, sigma, coboundary(f)).norm() >= d
+            assert contraction(fam, sigma, coboundary(f)).norm() >= d
+
+
+def oracle_contraction(fam, sigma, f):
+    """iota_sigma f one face at a time: (-1)^k evaluate(f, c_{sigma,tau}) per
+    (k-1)-face tau, each entry read from the family as a Chain."""
+    X, k = fam.building.complex, f.dim
+    return Cochain(X, f.ring, k - 1, {
+        tau: (-1) ** k * evaluate(f, fam[(sigma, tau)]) for tau in X.faces(k - 1)
+    })
+
+
+@pytest.mark.parametrize("ringname", ["Z", "F2", "F3", "Z/4"])
+@pytest.mark.parametrize("which", ["fano", "b42"])
+def test_contraction_kernel_matches_the_evaluate_oracle(request, which, ringname):
+    # every chamber of B(3,2), 16 sampled chambers of B(4,2), every k from 0
+    # to d: one row through contraction, and every row at once, in reverse
+    from hdx.rings import parse_ring
+
+    B = request.getfixturevalue(which)
+    ring, X = parse_ring(ringname), B.complex
+    tops = random.Random(59).sample(X.top_faces, 16) if which == "b42" else None
+    fam = chain_family(B, ring, tops=tops)
+    rng = random.Random(61)
+    for k in range(0, X.dim + 1):
+        for _ in range(2):
+            f = random_cochain(X, ring, k, rng)
+            want = [oracle_contraction(fam, sigma, f) for sigma in fam.tops]
+            assert [contraction(fam, sigma, f) for sigma in fam.tops] == want
+            rows = list(range(len(fam.tops)))[::-1]
+            fv = np.array([f.values.get(t, 0) for t in X.faces(k)], dtype=np.int64)
+            got = building._iota(fam, rows, k, fv)
+            faces = X.faces(k - 1)
+            for c, values in zip(rows, got.tolist()):
+                assert Cochain(X, ring, k - 1, dict(zip(faces, values))) == want[c]
+
+
+def test_contraction_refuses_sums_beyond_int64(fano):
+    fam = chain_family(fano, INTEGERS)
+    X = fano.complex
+    sigma = X.top_faces[4]
+    f = Cochain(X, INTEGERS, 0, {X.faces(0)[0]: 2 ** 62})
+    with pytest.raises(errors.SearchSpaceTooLarge, match="contraction sums"):
+        contraction(fam, sigma, f)
+    f = Cochain(X, INTEGERS, 1, {e: 2 ** 40 * (i - 10) for i, e in enumerate(X.faces(1))})
+    assert contraction(fam, sigma, f) == oracle_contraction(fam, sigma, f)
+    assert not contraction(fam, sigma, f).is_zero()
+
+
+def test_contraction_reads_the_ring_of_its_family(fano):
+    # an F2 cochain against an F3 family is refused, and the result is over
+    # the family's ring
+    X = fano.complex
+    sigma = X.top_faces[0]
+    f = random_cochain(X, F2, 1, random.Random(67))
+    with pytest.raises(errors.RingMismatch):
+        contraction(chain_family(fano, F3), sigma, f)
+    g = contraction(chain_family(fano, F2), sigma, f)
+    assert g.ring == F2 and g == oracle_contraction(chain_family(fano, F2), sigma, f)
+
+
+def test_chain_family_of_no_chambers_and_of_repeated_chambers(fano):
+    X = fano.complex
+    empty = chain_family(fano, F2, tops=[])
+    assert len(empty) == 0 and not empty.entries and list(empty) == []
+    with pytest.raises(errors.FaceNotInComplex, match=re.escape(str(X.top_faces[0]))):
+        homotopy_failure(empty, Cochain.zero(X, F2, 0))
+    t = X.top_faces[3]
+    twice = chain_family(fano, F2, tops=[t, t])
+    assert len(twice) == len(twice.entries) == 15
+    assert_same_entries(twice, chain_family(fano, F2, tops=[t]))
+    assert twice.tops == (t,)
+
+
+def test_chain_family_is_a_read_only_mapping(fano):
+    X = fano.complex
+    t, other = X.top_faces[2], X.top_faces[5]
+    fam = chain_family(fano, F3, tops=[t])
+    for key in [(other, ()), (t, t), (t, ("x",)), (t,), "nonsense"]:
+        assert key not in fam
+        with pytest.raises(KeyError):
+            fam[key]
+    assert (t, ()) in fam and (t, X.faces(0)[7]) in fam
+    assert fam[(t, ())] is not fam[(t, ())]  # built on each read, never kept
+    assert fam[(t, ())] == fam[(t, ())]
 
 
 # -- symmetry and audit ------------------------------------------------------------------
@@ -1048,9 +1162,9 @@ def test_repeated_family_calls_agree_on_shared_tops(fano):
     shared = first.entries.keys() & second.entries.keys()
     assert {sigma for sigma, _ in shared} == set(tops[6:12])
     assert all(first[key] == second[key] for key in shared)
-    # only sigma_0's solved family is kept, as triplets at one chamber; other
-    # chambers are moved per call
-    assert all(set(c.tolist()) == {0} for c, *_ in B.cache["family0"].values())
+    # only sigma_0's solved family is kept, as (tau, face, coeff) triplets at
+    # one chamber; other chambers are moved per call
+    assert all(a.shape[0] == 3 for a in B.cache["family0"].values())
 
 
 def moved_family(B, family0, sigma, g):
@@ -1109,7 +1223,7 @@ def oracle_chain_family(B, ring, tops=None):
                     raise errors.PropertyViolation(
                         f"chain family identity failed at {(sigma, tau)} over {ring}"
                     )
-    return ChainFamily(ring, entries)
+    return entries
 
 
 @pytest.fixture(scope="module")
@@ -1128,7 +1242,7 @@ def test_chain_family_matches_the_per_entry_oracle(request, which, ringname):
     X = B.complex
     tops = (random.Random(41).sample(X.top_faces, 16) if which == "b42" else None)
     fam = chain_family(B, ring, tops=tops)
-    assert_same_entries(fam.entries, oracle_chain_family(B, ring, tops=tops).entries)
+    assert_same_entries(fam.entries, oracle_chain_family(B, ring, tops=tops))
 
 
 def test_missing_transported_entry_is_a_property_violation(fano, monkeypatch):
@@ -1196,7 +1310,7 @@ def test_chain_family_refuses_residuals_beyond_int64(fano, monkeypatch):
 
     def huge(B, sigma):
         family0 = solve(B, sigma)
-        family0[0][3, 0] = 2 ** 62  # one coefficient of a vertex entry's chain
+        family0[0][2, 0] = 2 ** 62  # one coefficient of a vertex entry's chain
         return family0
 
     monkeypatch.setattr(building, "_integer_family_at", huge)
@@ -1213,8 +1327,8 @@ def test_chain_family_entries_hold_nonzero_ring_coefficients(fano, monkeypatch):
     def padded(B, sigma):
         family0 = solve(B, sigma)
         pos = building._face_index(B)[0].pos
-        other = next(pos[(v,)] for v in sigma if pos[(v,)] != family0[-1][2, 0])
-        family0[-1] = np.concatenate([family0[-1], [[0], [0], [other], [2]]], axis=1)
+        other = next(pos[(v,)] for v in sigma if pos[(v,)] != family0[-1][1, 0])
+        family0[-1] = np.concatenate([family0[-1], [[0], [other], [2]]], axis=1)
         return family0
 
     monkeypatch.setattr(building, "_integer_family_at", padded)
@@ -1638,9 +1752,7 @@ def test_42_homotopy_identity_both_levels(b42, ringname):
     for k in [0, 1]:
         for _ in range(5):
             f = random_cochain(X, ring, k, rng)
-            lhs = coboundary(contraction(b42, ring, fam, sigma, f)) + contraction(
-                b42, ring, fam, sigma, coboundary(f)
-            )
+            lhs = coboundary(contraction(fam, sigma, f)) + contraction(fam, sigma, coboundary(f))
             assert lhs == f
 
 

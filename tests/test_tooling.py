@@ -738,3 +738,137 @@ def test_group_actions_are_arrays_with_one_face_lookup():
     assert defined & DICT_ACTIONS == set()
     assert lookups and {where.split(":")[1] for where in lookups} == KEY_LOOKUPS
     assert all(where.startswith("building.py:") for where in lookups)
+
+
+# the benchmark's per-layer metrics name library functions that its tracer
+# wraps: a renamed function leaves its metric unmeasured, and a traced run
+# refuses every workload while the library's own tests stay green
+BENCHMARK = SRC.parent.parent / "BENCHMARK.json"
+SYNTHETIC_LAYERS = {"cochains.subgroup", "expansion.field", "expansion.generic", "complexes.link"}
+
+
+def _layer_names(metrics):
+    """(module, function) per metric named <module>.<function>.(calls|self_s|busy_s)
+    outside the synthetic layers, and the check name of each verify.check.<name>.* metric."""
+    functions, checks = [], []
+    for name in metrics:
+        parts = name.split(".")
+        if parts[:2] == ["verify", "check"]:
+            checks.append(".".join(parts[2:-1]))
+        elif (len(parts) == 3 and parts[2] in {"calls", "self_s", "busy_s"}
+              and ".".join(parts[:2]) not in SYNTHETIC_LAYERS):
+            functions.append((parts[0], parts[1]))
+    return functions, checks
+
+
+def test_layer_name_finder():
+    metrics = ["cochains.self_s", "cochains.distance.calls", "building.solve_boundary.busy_s",
+               "building.intersection_complex.misses", "expansion.field.busy_s",
+               "complexes.link.calls", "verify.check.delta-delta-zero.busy_s", "failed_frac"]
+    assert _layer_names(metrics) == (
+        [("cochains", "distance"), ("building", "solve_boundary")], ["delta-delta-zero"],
+    )
+
+
+def test_benchmark_layers_name_library_functions():
+    import importlib
+    import inspect
+    import json
+
+    from hdx import verify
+
+    spec = json.loads(BENCHMARK.read_text(encoding="utf-8"))
+    functions, checks = _layer_names([m["name"] for m in spec["per_layer"]])
+    assert functions and checks
+    unknown = []
+    for module, name in functions:
+        fn = getattr(importlib.import_module(f"hdx.{module}"), name, None)
+        if not (inspect.isfunction(fn) and fn.__module__ == f"hdx.{module}"):
+            unknown.append(f"{module}.{name}")
+    assert unknown == []
+    assert sorted(set(checks) - {name for name, _ in verify.CHECKS}) == []
+
+
+def test_counting_family_entries_builds_no_chain(monkeypatch):
+    # the benchmark counts `len(chain_family(...).entries)`; Chains are built on read
+    from hdx import building, cochains
+    from hdx.rings import INTEGERS
+
+    built = []
+    monkeypatch.setattr(cochains.Chain, "trusted", classmethod(lambda *args: built.append(args)))
+    fam = building.chain_family(building.build_building(3, 2), INTEGERS)
+    assert len(fam.entries) == 315 and fam.entries
+    assert built == []
+
+
+# the chain family has one form, the arrays `chain_family` checks: Chains are
+# built on read by ChainFamily's own methods, and iota_sigma is summed by one
+# kernel that `contraction` and `homotopy_failure` both call
+RETIRED_FORMS = {"_triplets", "_arrays"}
+IOTA_KERNEL = "_iota"
+
+
+def _identifiers(source):
+    """Every name a source defines or reads: defs, classes, arguments, names
+    and attributes."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.arg):
+            out.add(node.arg)
+    return out
+
+
+def _trusted_builders(source):
+    """The top-level function or class around each `.trusted(...)` call."""
+    return {node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            for call in ast.walk(node) if isinstance(call, ast.Call) and _callee(call) == "trusted"}
+
+
+def _callees(source, name):
+    """The callees of the top-level function `name`."""
+    node = next(n for n in ast.parse(source).body
+                if isinstance(n, ast.FunctionDef) and n.name == name)
+    return {_callee(call) for call in ast.walk(node) if isinstance(call, ast.Call)}
+
+
+def test_one_form_finders():
+    source = """
+@dataclass
+class Family:
+    _arrays: tuple = None
+
+    def __getitem__(self, key):
+        return Chain.trusted(self.ring, 0, {})
+
+
+def _triplets(index, entries):
+    return [Chain.trusted(r, 0, c) for r, c in entries]
+
+
+def contraction(fam, sigma, f):
+    return _iota(fam, [0], f.dim, np.zeros(3))
+"""
+    assert _identifiers(source) & (RETIRED_FORMS | {"key", "fam"}) == RETIRED_FORMS | {"key", "fam"}
+    assert _trusted_builders(source) == {"Family", "_triplets"}
+    assert _callees(source, "contraction") == {IOTA_KERNEL, "zeros"}
+
+
+def test_the_chain_family_has_one_form():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert [name for name, source in sources.items() if _identifiers(source) & RETIRED_FORMS] == []
+    building = ast.parse(sources["building.py"])
+    imported = {a.name for node in ast.walk(building) if isinstance(node, ast.ImportFrom)
+                for a in node.names}
+    assert "Chain" in imported and "evaluate" not in imported
+    builders = {f"{name}:{where}" for name, source in sources.items()
+                for where in _trusted_builders(source)}
+    assert builders == {"building.py:ChainFamily"}
+    for name in ("contraction", "homotopy_failure"):
+        assert IOTA_KERNEL in _callees(sources["building.py"], name)
