@@ -552,9 +552,9 @@ def _integer_family_at(B: SphericalBuilding, sigma) -> dict:
 
 
 def _iota(fam: ChainFamily, rows, k: int, fv):
-    """(iota_sigma f)(rho) = (-1)^k <f, c_{sigma,rho}>, rho over X.faces(k-1), at the
-    chambers sigma = fam.tops[c] for c in `rows`, for the k-cochain f with int64
-    values fv over X.faces(k): one row per chamber. Callers bound the sums first."""
+    """(iota_sigma f)(rho) = (-1)^k <f, c_{sigma,rho}>, rho over X.faces(k-1), for the
+    k-cochain f with int64 values fv over X.faces(k): one row per chamber of fam at
+    `rows`, a slice or a list of row positions. Callers bound the sums first."""
     cosets.require_int64(fam.norm, "chain family coefficients")
     tau, face, coeff = (a[rows] for a in fam.moved[k - 1][1:])
     n = len(_face_index(fam.building)[k - 1].faces)
@@ -582,8 +582,8 @@ def contraction(fam: ChainFamily, sigma, f: Cochain) -> Cochain:
 def homotopy_failure(fam: ChainFamily, f: Cochain):
     """The first chamber sigma with delta iota_sigma f + iota_sigma delta f != f, else None.
 
-    Every chamber at once: the `_iota` kernel on every row of fam, taken in
-    X.top_faces order, for f and for delta f.
+    Every chamber at once: the `_iota` kernel on every row of fam, for f and
+    for delta f; the first failing chamber is the first in X.top_faces order.
     """
     X, ring, k = fam.building.complex, f.ring, f.dim
     if ring != fam.ring:
@@ -597,12 +597,11 @@ def homotopy_failure(fam: ChainFamily, f: Cochain):
     big = max(map(abs, f.values.values()), default=0)
     cosets.require_int64(big * (1 + (2 * k + 3) * fam.norm), "homotopy sums")
     index, fv = _face_index(fam.building), np.array(cochain_vector(f), dtype=np.int64)
-    rows = np.argsort([index[X.dim].pos[sigma] for sigma in fam.tops], kind="stable")
     df = fv[index[k + 1].sub] @ np.resize([1, -1], k + 2)
-    down, up = _iota(fam, rows, k, fv), _iota(fam, rows, k + 1, df)
+    down, up = _iota(fam, slice(None), k, fv), _iota(fam, slice(None), k + 1, df)
     lhs = down[:, index[k].sub] @ np.resize([1, -1], k + 1) + up - fv
-    bad = (_reduced(ring, lhs) != 0).any(axis=1)
-    return X.top_faces[int(bad.argmax())] if bad.any() else None
+    bad = np.flatnonzero((_reduced(ring, lhs) != 0).any(axis=1)).tolist()
+    return min((fam.tops[c] for c in bad), key=index[X.dim].pos.get, default=None)
 
 
 # -- symmetry ------------------------------------------------------------------------
