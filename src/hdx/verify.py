@@ -535,9 +535,9 @@ def check_contraction_distance_bound(seed):
     for _ in range(10):
         f = cochains_mod.random_cochain(X, F2, 0, rng)
         d, _ = cochains_mod.distance(f, COBOUNDARIES)
-        for sigma in X.top_faces[:5]:
-            contracted = building_mod.contraction(fam, sigma, cochains_mod.coboundary(f))
-            if contracted.norm() < d:
+        lhs, rhs = building_mod.cone_norms(fam, f)
+        for sigma, g, bound in zip(fam.tops, lhs.tolist(), rhs.tolist()):
+            if not d * X.weight_denominator(0) <= g <= bound:
                 return False, f"{sigma}"
     return True, ""
 

@@ -21,6 +21,7 @@ from hdx.building import (
     building_expansion_audit,
     chain_family,
     chamber_transport,
+    cone_norms,
     contraction,
     generator_actions,
     homotopy_failure,
@@ -871,6 +872,81 @@ def test_contraction_reads_the_ring_of_its_family(fano):
     assert g.ring == F2 and g == oracle_contraction(chain_family(fano, F2), sigma, f)
 
 
+def oracle_cone(fam, f):
+    """(lhs, rhs) of the cone inequality one chamber at a time, as numerators
+    over X.weight_denominator(k): ||iota_sigma(delta f)|| through the evaluate
+    oracle, and sum_tau deg_top(tau) |supp(delta f) & A_{sigma,tau}| over the
+    `_common_faces` lists."""
+    B, X, k = fam.building, fam.building.complex, f.dim
+    df, den = coboundary(f), X.weight_denominator(k)
+    lhs = [oracle_contraction(fam, sigma, df).norm() * den for sigma in fam.tops]
+    rhs = [sum(X.deg_top(tau) * len(df.support.intersection(building._common_faces(B, sigma, tau)))
+               for tau in X.faces(k)) for sigma in fam.tops]
+    return lhs, rhs
+
+
+@pytest.mark.parametrize("which,ringname", [
+    ("fano", "Z"), ("fano", "F2"), ("fano", "F3"), ("fano", "Z/4"), ("b33", "F2"), ("b42", "Z"),
+])
+def test_cone_norms_match_the_per_chamber_oracle(request, which, ringname):
+    # every chamber of B(3,2) and B(3,3); 16 chambers of B(4,2), in reverse
+    # complex order, so each row of the weight table is read at its chamber
+    from hdx.rings import parse_ring
+
+    B = request.getfixturevalue(which)
+    ring, X = parse_ring(ringname), B.complex
+    tops = None
+    if which == "b42":
+        pos = {sigma: i for i, sigma in enumerate(X.top_faces)}
+        tops = sorted(random.Random(71).sample(X.top_faces, 16), key=pos.get, reverse=True)
+    fam = chain_family(B, ring, tops=tops)
+    rng = random.Random(73)
+    for k in range(0, X.dim):
+        for _ in range(2):
+            f = random_cochain(X, ring, k, rng)
+            lhs, rhs = cone_norms(fam, f)
+            assert lhs.dtype == rhs.dtype == np.int64
+            assert (lhs.tolist(), rhs.tolist()) == oracle_cone(fam, f)
+            assert (lhs <= rhs).all()
+    assert ("cone_weights", X.dim - 1) in B.cache
+
+
+@pytest.mark.parametrize("ringname", ["F2", "F3"])
+@pytest.mark.parametrize("which", ["fano", "b33"])
+def test_cone_witness_bounds_the_exact_distance(request, which, ringname):
+    # g = iota_sigma(delta f) replays f - g == delta(iota_sigma f), so the
+    # exact distance is at most ||g||, the cone inequality's left side
+    B = request.getfixturevalue(which)
+    ring, X = prime_field(int(ringname[1:])), B.complex
+    fam = chain_family(B, ring)
+    den = X.weight_denominator(0)
+    rng = random.Random(79)
+    for _ in range(3):
+        f = random_cochain(X, ring, 0, rng)
+        d, _ = distance(f, COBOUNDARIES)
+        lhs, rhs = cone_norms(fam, f)
+        for sigma, g_norm, bound in zip(fam.tops, lhs.tolist(), rhs.tolist()):
+            g = contraction(fam, sigma, coboundary(f))
+            assert f - g == coboundary(contraction(fam, sigma, f))
+            assert d * den <= g.norm() * den == g_norm <= bound
+
+
+def test_cone_norms_refuse_what_homotopy_failure_refuses(fano):
+    X = fano.complex
+    fam = chain_family(fano, INTEGERS)
+    f = Cochain(X, INTEGERS, 0, {X.faces(0)[0]: 2 ** 62})
+    with pytest.raises(errors.SearchSpaceTooLarge, match="cone sums"):
+        cone_norms(fam, f)
+    f = Cochain(X, INTEGERS, 0, {v: 2 ** 40 * (i - 7) for i, v in enumerate(X.faces(0))})
+    lhs, rhs = cone_norms(fam, f)
+    assert (lhs.tolist(), rhs.tolist()) == oracle_cone(fam, f) and lhs.any()
+    with pytest.raises(errors.RingMismatch):
+        cone_norms(chain_family(fano, F2), f)
+    for k in (-1, 1):
+        with pytest.raises(errors.DimensionOutOfRange):
+            cone_norms(fam, Cochain.zero(X, INTEGERS, k))
+
+
 def test_chain_family_of_no_chambers_and_of_repeated_chambers(fano):
     X = fano.complex
     empty = chain_family(fano, F2, tops=[])
@@ -1671,8 +1747,8 @@ def test_building_audit_runs_the_axioms_first(fano):
 
 
 def test_audit_intersects_each_pair_once(fano, monkeypatch):
-    # sigma_0's solve makes 1 + |X(0)| calls, the homological check one per
-    # (sigma, tau) for its three chambers, none per sample
+    # sigma_0's solve makes 1 + |X(0)| calls; the homological check reads the
+    # packed apartment words and intersects nothing
     B = dataclasses.replace(fano, cache={})
     X = B.complex
     common = building._common_faces
@@ -1685,7 +1761,25 @@ def test_audit_intersects_each_pair_once(fano, monkeypatch):
     monkeypatch.setattr(building, "_common_faces", counted)
     audit = building_expansion_audit(B, INTEGERS, seed=3)
     assert audit.ok
-    assert len(calls) == (1 + len(X.faces(0))) + 3 * len(X.faces(0)) == 57
+    assert len(calls) == 1 + len(X.faces(0)) == 15
+
+
+@pytest.mark.parametrize("ring", [INTEGERS, F2])
+def test_audit_searches_no_distance(fano, monkeypatch, ring):
+    from hdx import cochains, cosets
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the audit searched a distance")
+
+    monkeypatch.setattr(cochains, "distance", refused)
+    monkeypatch.setattr(cosets, "min_distances", refused)
+    audit = building_expansion_audit(dataclasses.replace(fano, cache={}), ring, eps_rings=())
+    assert audit.ok and audit.homological_ok
+
+
+def test_audit_of_4_2_over_z_without_epsilon_scans(b42):
+    audit = building_expansion_audit(b42, INTEGERS, eps_rings=())
+    assert audit.ok and audit.homological_ok and audit.epsilon == {}
 
 
 def test_building_audit_over_f2(fano):

@@ -208,6 +208,28 @@ def test_report_building_audit(capsys):
     assert doc["symmetry"]["group_order"] == 168
 
 
+def test_building_audit_with_an_overstated_cone_side_exits_2(capsys, monkeypatch):
+    # lhs above rhs at one chamber is a failed cone inequality, not a crash
+    import hdx.building as building
+
+    cone_norms = building.cone_norms
+
+    def overstated(fam, f):
+        lhs, rhs = cone_norms(fam, f)
+        lhs[3] = rhs[3] + 1
+        return lhs, rhs
+
+    monkeypatch.setattr(building, "cone_norms", overstated)
+    code, out, _ = run_cli(
+        ["report", "building-audit", "--n", "3", "--q", "2", "--ring", "Z", "--samples", "2"],
+        capsys,
+    )
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["homological_ok"] is False
+    assert doc["homotopy_ok"] and doc["epsilon_ok"] and doc["symmetry"]["summed_bound_ok"]
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_report_building_audit_refuses_samples_below_one(capsys, samples):
     # with no sampled cochain the homotopy and homological flags hold vacuously

@@ -438,6 +438,7 @@ def dead(x):
 
 # the definitions only tests read: public surface kept for users of the library
 TESTED_SURFACE = [
+    "building.contraction",
     "cochains.Cochain.scaled", "cochains.cochain_from_lines", "cochains.Chain.scaled",
     "complexes.face_weight", "complexes.set_norm", "complexes.complex_to_text",
     "gf.GF.neg", "gf.GF.elements", "rings.Ring.neg", "rings.Ring.elements",
@@ -872,3 +873,41 @@ def test_the_chain_family_has_one_form():
     assert builders == {"building.py:ChainFamily"}
     for name in ("contraction", "homotopy_failure"):
         assert IOTA_KERNEL in _callees(sources["building.py"], name)
+
+
+# the LMM16 cone inequality is stated once, by building.cone_norms: the audit
+# and verify read it, and no distance search is left in building.py
+def _reached(source, name):
+    """The callees of the top-level function `name`, through the top-level
+    functions of the same source it calls."""
+    seen, todo = set(), [name]
+    defined = {n.name for n in ast.parse(source).body if isinstance(n, ast.FunctionDef)}
+    while todo:
+        callees = _callees(source, todo.pop())
+        todo += sorted((callees & defined) - seen)
+        seen |= callees
+    return seen
+
+
+def test_reach_finder_follows_local_calls():
+    source = """
+def cone(fam, f):
+    return _terms(fam, f)[1] @ weights(fam)
+
+
+def _terms(fam, f):
+    return fam, _iota(fam, slice(None), f.dim, f)
+"""
+    assert _reached(source, "cone") == {"_terms", "weights", "_iota", "slice"}
+    assert _callees(source, "cone") == {"_terms", "weights"}
+
+
+def test_the_cone_inequality_is_stated_once():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    imported = {a.name for node in ast.walk(ast.parse(sources["building.py"]))
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert imported & {"distance", "COBOUNDARIES"} == set()
+    for name in ("cone_norms", "homotopy_failure"):
+        assert IOTA_KERNEL in _reached(sources["building.py"], name)
+    checked = _callees(sources["verify.py"], "check_contraction_distance_bound")
+    assert "cone_norms" in checked and "contraction" not in checked
