@@ -15,7 +15,7 @@ import random
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from itertools import accumulate, combinations, compress, permutations
+from itertools import accumulate, chain, combinations, compress, permutations, repeat
 from math import comb, prod
 from typing import NamedTuple
 
@@ -33,13 +33,7 @@ from .errors import (
     RingMismatch,
     TooLarge,
 )
-from .gf import (
-    GF,
-    all_subspaces,
-    rref,
-    subspace_le,
-    subspace_token,
-)
+from .gf import GF, line_images, subspace_tables, subspace_token
 from .rings import Ring, prime_field
 
 
@@ -69,12 +63,11 @@ def _subset_chains(n: int) -> list:
     subsets = [s for r in range(1, n) for s in combinations(range(n), r)]
     out = []
 
-    def extend(chain):
-        out.append(chain)
-        last = set(chain[-1])
+    def extend(c):
+        out.append(c)
         for s in subsets:
-            if len(s) > len(chain[-1]) and last < set(s):
-                extend(chain + (s,))
+            if set(c[-1]) < set(s):
+                extend(c + (s,))
 
     for s in subsets:
         extend((s,))
@@ -84,13 +77,16 @@ def _subset_chains(n: int) -> list:
 def build_building(n: int, q: int) -> SphericalBuilding:
     """The flag complex of the proper nonzero subspaces of GF(q)^n.
 
-    Spans of lines come from one memoised join per call, span(S) =
-    join(span(S minus its last line), that line), one echelon form per
-    distinct (basis, line); apartments share one tuple per face of X.
+    Built on the numbered subspaces of `subspace_tables`, with no echelon
+    form: the maximal flags follow the covering relation, and for every n-set
+    of lines at once the span of each subset S is one gather through the join
+    table, span(S) = join[span(S minus its last line), that line]. The frames
+    are the n-sets spanning GF(q)^n; each chain of `_subset_chains` picks one
+    face per frame, looked up by `_moved` from its spans' vertex indices, so
+    every apartment holds X's own face tuples.
     """
     if n < 3:
         raise DimensionOutOfRange("need n >= 3 for a building of dimension >= 1")
-    gf = GF(q)
     # [n, r]_q subspaces of rank r, and [n]_q! = prod (q^i - 1) / (q - 1) maximal flags
     n_vertices = sum(
         prod(q ** (n - i) - 1 for i in range(r)) // prod(q ** (i + 1) - 1 for i in range(r))
@@ -102,103 +98,81 @@ def build_building(n: int, q: int) -> SphericalBuilding:
             f"building ({n},{q}) has {n_vertices} vertices and {n_flags} "
             f"maximal flags, over the cap {DEFAULT_BUILDING_FACE_CAP}"
         )
-    by_rank = {r: all_subspaces(gf, n, r) for r in range(1, n)}
-    tokens = {}
-    for r, subs in by_rank.items():
-        for s in subs:
-            tokens[s] = subspace_token(s)
-
-    # maximal flags, one subspace per rank
-    flags = []
-
-    def extend(chain, r):
-        if r == n:
-            flags.append(tuple(tokens[s] for s in chain))
-            return
-        for s in by_rank[r]:
-            if subspace_le(gf, chain[-1], s):
-                extend(chain + [s], r + 1)
-
-    for s in by_rank[1]:
-        extend([s], 2)
-    X = SimplicialComplex.from_top_faces(flags)
-
-    # frames and apartments
-    lines = by_rank[1]
-    token_basis = {tokens[s]: s for r in by_rank for s in by_rank[r]}
-    joins = {}
-
-    def join(basis, j):
-        out = joins.get((basis, j))
-        if out is None:
-            out = joins[basis, j] = rref(gf, basis + lines[j])
-        return out
-
-    model_chains = _subset_chains(n)
-    model_theta = len(model_chains)
-    subsets = [s for r in range(2, n) for s in combinations(range(n), r)]
-    face_of = {}  # chain-order tokens -> the shared face
-    frames = []
-    apartments = []
-    for combo in combinations(range(len(lines)), n):
-        full = lines[combo[0]]
-        for j in combo[1:]:
-            full = join(full, j)
-        if len(full) != n:
-            continue
-        frames.append(tuple(sorted(tokens[lines[j]] for j in combo)))
-        span = {(i,): lines[j] for i, j in enumerate(combo)}
-        for s in subsets:
-            span[s] = join(span[s[:-1]], combo[s[-1]])
-        token_of = {s: tokens[basis] for s, basis in span.items()}.__getitem__
-        apt = []
-        for chain in model_chains:
-            key = tuple(map(token_of, chain))
-            face = face_of.get(key)
-            if face is None:
-                face = face_of[key] = tuple(sorted(key))
-            apt.append(face)
-        apt = tuple(apt)
-        if len(set(apt)) != model_theta:
+    gf = GF(q)
+    bases, _, up, join = subspace_tables(gf, n)
+    tokens = list(map(subspace_token, bases))
+    flags = [(line,) for line in range(join.shape[1])]
+    for _ in range(n - 2):
+        flags = [f + (w,) for f in flags for w in up[f[-1]]]
+    X = SimplicialComplex.from_top_faces([[tokens[v] for v in f] for f in flags])
+    model = _subset_chains(n)
+    B = SphericalBuilding(n, q, gf, X, dict(zip(tokens, bases)), [], [], len(model))
+    index = _face_index(B)
+    lines = np.array(list(combinations(range(join.shape[1]), n)))
+    span = {}
+    for s in (s for r in range(1, n + 1) for s in combinations(range(n), r)):
+        span[s] = join[span[s[:-1]], lines[:, s[-1]]] if s[1:] else lines[:, s[0]]
+    frame = span.pop(tuple(range(n))) == len(bases)
+    vertex = np.array([index[0].pos[t,] for t in tokens])
+    faces = []  # per model chain, its face in each frame's apartment
+    for c in model:
+        level = index[len(c) - 1]
+        at, on_X = _moved(level, vertex[np.array([span[s][frame] for s in c]).T])
+        if not on_X.all():
+            raise PropertyViolation("the spans of a frame's chain are no flag")
+        faces.append(list(map(level.faces.__getitem__, at.tolist())))
+    for apt in zip(*faces):
+        if len(set(apt)) != len(model):
             raise PropertyViolation(
-                f"apartment has {len(set(apt))} distinct faces, expected {model_theta}"
+                f"apartment has {len(set(apt))} distinct faces, expected {len(model)}"
             )
-        apartments.append(apt)
-    return SphericalBuilding(
-        n, q, gf, X, token_basis, frames, apartments, model_theta
-    )
+        B.apartments.append(apt)
+    B.frames = [tuple(sorted(tokens[v] for v in row)) for row in lines[frame].tolist()]
+    return B
 
 
-def _apartment_bits(B: SphericalBuilding) -> dict:
-    """Face -> int bitset of the apartments containing it (bit i: B.apartments[i]).
+def _apartment_words(B: SphericalBuilding):
+    """(faces, row, packed, level), apartment membership in its one form, uint64 words.
 
-    The empty face lies in every apartment. Built once per building and kept
-    in B.cache; every apartment-membership question goes through it.
+    faces lists every face of X, levels -1..d in order, and row inverts it.
+    Row i of packed holds the words of faces[i]: bit a % 64 of word a // 64
+    says that it lies in B.apartments[a], and the empty face lies in every
+    apartment; one last row of zeros takes the tuples of an apartment that are
+    no faces of X. level[k] views the rows of the k-faces. Packed in numpy
+    from the apartments' tuples, 64 apartments at a time, on first use, and
+    kept in B.cache, so a building whose apartments are replaced before that
+    is judged by its own tuples.
     """
-    bits = B.cache.get("apartment_bits")
-    if bits is None:
-        bits = {(): (1 << len(B.apartments)) - 1}
-        for i, apt in enumerate(B.apartments):
-            bit = 1 << i
-            for f in apt:
-                bits[f] = bits.get(f, 0) | bit
-        B.cache["apartment_bits"] = bits
-    return bits
+    words = B.cache.get("apartment_words")
+    if words is None:
+        index = _face_index(B)
+        faces = [f for level in index.values() for f in level.faces]
+        row = {f: i for i, f in enumerate(faces)}
+        packed = np.zeros((len(faces) + 1, -(-len(B.apartments) // 64)), dtype=np.uint64)
+        for w in range(packed.shape[1]):
+            apts = B.apartments[64 * w:64 * w + 64]
+            at = np.fromiter(map(row.get, chain.from_iterable(apts), repeat(-1)), dtype=np.int64)
+            bit = np.repeat(np.arange(len(apts), dtype=np.uint64), list(map(len, apts)))
+            np.bitwise_or.at(packed[:, w], at, np.uint64(1) << bit)
+            packed[0, w] = (1 << len(apts)) - 1
+        level = {k: packed[row[lv.faces[0]]:][:len(lv.faces)] for k, lv in index.items()}
+        words = B.cache["apartment_words"] = faces, row, packed, level
+    return words
 
 
 def _common_faces(B: SphericalBuilding, sigma, tau) -> list:
-    """The nonempty faces of A_{sigma,tau}, read off the apartment bitsets.
-
-    They are the faces of the lowest apartment containing sigma and tau whose
-    bitsets contain the hit set. Raises PropertyViolation when no apartment
-    contains both.
+    """The nonempty faces of A_{sigma,tau}: the faces whose apartment words
+    contain the words shared by sigma and tau, found among the faces that
+    contain them in one nonzero word. Raises PropertyViolation when no
+    apartment contains both.
     """
-    bits = _apartment_bits(B)
-    hits = bits.get(sigma, 0) & bits.get(tau, 0)
-    if not hits:
+    faces, row, packed, _ = _apartment_words(B)
+    hits = packed[row[sigma]] & packed[row[tau]]
+    if not hits.any():
         raise PropertyViolation(f"no apartment contains both {sigma} and {tau}")
-    first = B.apartments[(hits & -hits).bit_length() - 1]
-    return [f for f in first if bits[f] & hits == hits]
+    w = hits.argmax()  # a nonzero word of hits: its faces are the candidates
+    at = 1 + np.flatnonzero(packed[1:, w] & hits[w] == hits[w])
+    return [faces[i] for i in at[(packed[at] & hits == hits).all(axis=1)].tolist()]
 
 
 class _Level(NamedTuple):
@@ -210,7 +184,6 @@ class _Level(NamedTuple):
     radix: np.ndarray       # (k+1,) place values of the mixed-radix keys
     keys: np.ndarray        # (n,) sorted keys of the rows
     sub: np.ndarray         # (n, k+1) index at level k-1 of the face minus vertex i
-    bits: np.ndarray        # (n, words) apartment bitsets packed into uint64 words
 
 
 def _face_index(B: SphericalBuilding) -> dict:
@@ -225,8 +198,6 @@ def _face_index(B: SphericalBuilding) -> dict:
         X = B.complex
         pos = {v: i for i, v in enumerate(X.vertices())}
         cosets.require_int64(len(pos) ** (X.dim + 1), "face keys")
-        bits = _apartment_bits(B)
-        width = 8 * -(-len(B.apartments) // 64)
         index = {}
         for k in range(-1, X.dim + 1):
             faces = X.faces(k)
@@ -237,21 +208,18 @@ def _face_index(B: SphericalBuilding) -> dict:
                 np.searchsorted(index[k - 1].keys, np.delete(rows, i, axis=1) @ radix[1:])
                 for i in range(k + 1)
             ], dtype=np.int64).reshape(k + 1, len(faces)).T
-            packed = np.frombuffer(
-                b"".join(bits.get(f, 0).to_bytes(width, "little") for f in faces), dtype="<u8"
-            )
             index[k] = _Level(faces, {f: i for i, f in enumerate(faces)}, rows, radix,
-                              rows @ radix, sub, packed.reshape(len(faces), -1))
+                              rows @ radix, sub)
         B.cache["face_index"] = index
     return index
 
 
-def _moved(level: _Level, G):
-    """(positions, on_X), both (m, faces): the level's faces moved by each row
-    g of G, (m, V) int64 vertex permutations. positions[g, i] indexes
-    sort(g face_i) in the level where on_X[g, i] holds, and means nothing
-    where g moves face_i off X."""
-    keys = np.sort(G[:, level.rows], axis=2) @ level.radix
+def _moved(level: _Level, rows):
+    """(positions, on_X) for rows, (..., k+1) int64 vertex indices in any order,
+    such as G[:, level.rows], the level's faces moved by each vertex permutation
+    g of G: positions indexes the sorted row in the level where on_X holds, and
+    means nothing where the row is no face of X."""
+    keys = np.sort(rows, axis=-1) @ level.radix
     at = np.minimum(np.searchsorted(level.keys, keys), len(level.keys) - 1)
     return at, level.keys[at] == keys
 
@@ -260,7 +228,6 @@ def verify_building_axioms(B: SphericalBuilding):
     """Every pair of faces shares an apartment; each apartment has theta
     distinct faces and is the closure of its chambers."""
     X = B.complex
-    faces = [f for k in range(0, X.dim + 1) for f in X.faces(k)]
     top = X.dim + 1
     for apt in B.apartments:
         own = set(apt)
@@ -272,12 +239,15 @@ def verify_building_axioms(B: SphericalBuilding):
         }
         if closure != own:
             raise PropertyViolation("apartment is not the closure of its chambers")
-    bits = _apartment_bits(B)
-    for f in faces:
-        if not bits.get(f, 0):
+    faces, _, packed, _ = _apartment_words(B)
+    faces, words = faces[1:], packed[1:-1]  # the nonempty faces
+    for f, own in zip(faces, words.any(axis=1)):
+        if not own:
             raise PropertyViolation(f"face {f} lies in no apartment")
-    for f, g in combinations(faces, 2):
-        if not bits[f] & bits[g]:
+    for i, f in enumerate(faces):
+        shared = (words[i + 1:] & words[i]).any(axis=1)
+        if not shared.all():
+            g = faces[i + 1 + shared.argmin()]
             raise PropertyViolation(f"faces {f} and {g} share no apartment")
     return True
 
@@ -336,6 +306,11 @@ class ChainFamily(Mapping):
         """The family itself, read as the mapping (sigma, tau) -> Chain."""
         return self
 
+    def __post_init__(self):
+        self.row_of = {sigma: c for c, sigma in enumerate(self.tops)}
+        self.columns = {}  # k -> the entry lookup of `__getitem__`, built on first read
+        self.last = (None,)  # the terms of `_checked_terms`
+
     def __len__(self):
         return sum(taus.size for taus, *_ in self.moved.values())
 
@@ -350,10 +325,17 @@ class ChainFamily(Mapping):
         try:
             sigma, tau = key
             k = len(tau) - 1
-            c, (_, t, face, coeff) = self.tops.index(sigma), self.moved[k]
-            at = t[c] == index[k].pos[tau]
+            c, p, (taus, t, face, coeff) = self.row_of[sigma], index[k].pos[tau], self.moved[k]
         except (TypeError, ValueError, KeyError):
             raise KeyError(key) from None
+        if k not in self.columns:
+            # each row's taus back to sigma_0's tau indices, and the triplet
+            # columns of each, the same in every row: sigma_0's tau of column j is t0[j]
+            inverse = np.argsort(taus, axis=1)
+            t0 = inverse[0, t[0]]
+            self.columns[k] = inverse, [np.flatnonzero(t0 == j) for j in range(taus.shape[1])]
+        inverse, columns = self.columns[k]
+        at = columns[inverse[c, p]]
         pairs = zip(face[c, at].tolist(), coeff[c, at].tolist())
         return Chain.trusted(self.ring, k + 1, {index[k + 1].faces[f]: v for f, v in pairs if v})
 
@@ -424,20 +406,20 @@ def _transport(B: SphericalBuilding, family0: dict, G) -> dict:
     inversions of g's vertex indices, in sigma_0's triplet order. A
     moved face that is not a face raises PropertyViolation, and so does one
     outside an apartment containing sigma = g sigma_0 and g tau: its packed
-    apartment bits must contain hits(sigma, g tau), word by word.
+    apartment words must contain hits(sigma, g tau), word by word.
     """
     X = B.complex
-    index = _face_index(B)
+    index, (*_, bits) = _face_index(B), _apartment_words(B)
     moved = {}
     for k in range(-1, X.dim + 1):
-        at, on_X = _moved(index[k], G)
+        img = G[:, index[k].rows]
+        at, on_X = _moved(index[k], img)
         if not on_X.all():
             raise PropertyViolation(f"a chamber's vertex permutation moves a {k}-face off X")
-        img = G[:, index[k].rows]
         odd = np.triu(img[..., :, None] > img[..., None, :], 1).sum(axis=(2, 3))
         moved[k] = (at, 1 - 2 * (odd % 2))
     chambers = moved[X.dim][0][:, 0]
-    words = index[X.dim].bits[chambers]
+    words = bits[X.dim][chambers]
     out = {}
     for k, (t, f, v) in family0.items():
         (taus, tsign), (faces, fsign) = moved[k], moved[k + 1]
@@ -445,9 +427,9 @@ def _transport(B: SphericalBuilding, family0: dict, G) -> dict:
         meets = np.zeros(taus.shape, dtype=bool)
         inside = np.ones(tau.shape, dtype=bool)
         for w in range(words.shape[1]):
-            hits = words[:, w, None] & index[k].bits[taus, w]
+            hits = words[:, w, None] & bits[k][taus, w]
             meets |= hits != 0
-            inside &= index[k + 1].bits[face, w] & hits[:, t] == hits[:, t]
+            inside &= bits[k + 1][face, w] & hits[:, t] == hits[:, t]
         if not meets.all():
             c, j = np.argwhere(~meets)[0]
             raise PropertyViolation(f"no apartment contains both "
@@ -570,18 +552,29 @@ def contraction(fam: ChainFamily, sigma, f: Cochain) -> Cochain:
     sigma's row of the `_iota` kernel."""
     X, k = fam.building.complex, f.dim
     fv = _checked_vector(fam, f, "contraction", X.dim, fam.norm)
-    if sigma not in fam.tops:
+    if sigma not in fam.row_of:
         raise FaceNotInComplex(f"the chain family has no entries at {sigma}")
-    row = _iota(fam, [fam.tops.index(sigma)], k, fv)[0]
+    row = _iota(fam, [fam.row_of[sigma]], k, fv)[0]
     return vector_cochain(X, fam.ring, k - 1, row.tolist())
 
 
-def _cone_terms(fam, f, name):
-    """(face index, f, delta f, iota(delta f) at every row of fam) as int64 arrays
-    for the homotopy identity and the cone inequality, k < d: |f| <= big bounds
-    delta f by (k+2) big, iota f by norm big, the identity by (1+(2k+3)norm) big."""
-    k, index = f.dim, _face_index(fam.building)
+def _checked_terms(fam, f, name):
+    """`_cone_terms` of f once f is checked, k < d: |f| <= big bounds delta f by
+    (k+2) big, iota f by norm big, the identity by (1+(2k+3)norm) big. The terms
+    of the last f are kept on fam and reused while f's values stay the same,
+    since the audit asks both `homotopy_failure` and `cone_norms` about each f."""
+    k = f.dim
     fv = _checked_vector(fam, f, name, fam.building.dim - 1, 1 + (2 * k + 3) * fam.norm)
+    key = k, fv.tobytes()
+    if fam.last[0] != key:
+        fam.last = key, _cone_terms(fam, k, fv)
+    return fam.last[1]
+
+
+def _cone_terms(fam, k, fv):
+    """(face index, f, delta f, iota(delta f) at every row of fam) as int64 arrays
+    for the homotopy identity and the cone inequality, f a k-cochain with values fv."""
+    index = _face_index(fam.building)
     df = fv[index[k + 1].sub] @ np.resize([1, -1], k + 2)
     return index, fv, df, _iota(fam, slice(None), k + 1, df)
 
@@ -593,7 +586,7 @@ def homotopy_failure(fam: ChainFamily, f: Cochain):
     for delta f; the first failing chamber is the first in X.top_faces order.
     """
     X, k = fam.building.complex, f.dim
-    index, fv, _, up = _cone_terms(fam, f, "homotopy")
+    index, fv, _, up = _checked_terms(fam, f, "homotopy")
     if len(fam.tops) < len(X.top_faces):
         missing = next(sigma for sigma in X.top_faces if sigma not in fam.tops)
         raise FaceNotInComplex(f"the chain family has no entries at {missing}")
@@ -614,13 +607,13 @@ def cone_norms(fam: ChainFamily, f: Cochain):
     B.cache; r is in A_{sigma,tau} iff its words contain words(sigma) & words(tau).
     """
     B, k = fam.building, f.dim
-    index, _, df, up = _cone_terms(fam, f, "cone")
-    w = cosets.face_weights(B.complex, k)[0]
+    index, _, df, up = _checked_terms(fam, f, "cone")
+    w, (*_, bits) = cosets.face_weights(B.complex, k)[0], _apartment_words(B)
     if ("cone_weights", k) not in B.cache:
         table = 0
-        for weight, words in zip(w.tolist(), index[k].bits):
+        for weight, words in zip(w.tolist(), bits[k]):
             miss = 0  # the apartments of sigma and tau that leave out r, word by word
-            for hits, own in zip((index[B.dim].bits & words).T, index[k + 1].bits.T):
+            for hits, own in zip((bits[B.dim] & words).T, bits[k + 1].T):
                 miss |= hits[:, None] & ~own
             table += weight * (miss == 0)
         B.cache["cone_weights", k] = table
@@ -663,41 +656,26 @@ def generator_actions(B: SphericalBuilding) -> np.ndarray:
     diag(w, 1, ..., 1) with w a generator of GF(q)^x, which supplies every
     determinant, so the list generates GL(n, q) and hence PGL(n, q).
 
-    M acts through the lines: the line of v goes to the line of v M, looked
-    up by the base-q key of any nonzero multiple. A subspace goes to the
-    vertex whose lines are the images of its own, by the sorted tuple of
-    their positions; the lines of a subspace are its rank-1 neighbours in
-    the 1-skeleton.
+    M acts through the lines: `gf.line_images` sends the line of v to the line
+    of v M, and a subspace goes to the span of the images of its lines, folded
+    through the join table of `subspace_tables`.
     """
-    gf, n, q = B.gf, B.n, B.q
+    n, q = B.n, B.q
     mats = _transvections(n, range(1, q))
     if q > 2:
         mats.append(np.eye(n, dtype=np.int64))
-        mats[-1][0, 0] = _primitive_element(gf)
-    index = _face_index(B)
-    basis = [B.subspace_of[v] for (v,) in index[0].faces]
-    rank = [len(b) for b in basis]
-    lines_of = [[v] if r == 1 else [] for v, r in enumerate(rank)]
-    for edge in index[1].rows.tolist():
-        for line, v in (edge, edge[::-1]):
-            if rank[line] == 1 < rank[v]:
-                lines_of[v].append(line)
-    vertex_of = {tuple(sorted(ls)): v for v, ls in enumerate(lines_of)}
-    add, mul = (np.array([[op(a, b) for b in range(q)] for a in range(q)])
-                for op in (gf.add, gf.mul))
-    lines = [v for v, r in enumerate(rank) if r == 1]
-    rows, M = np.array([basis[v][0] for v in lines]), np.array(mats)
-    radix = q ** np.arange(n - 1, -1, -1)
-    line_at = np.zeros(q ** n, dtype=np.int64)
-    for c in range(1, q):
-        line_at[mul[c, rows] @ radix] = lines
-    img = np.zeros((len(M), len(lines), n), dtype=np.int64)
-    for i in range(n):  # img[s, l] = rows[l] M_s over GF(q)
-        img = add[img, mul[rows[None, :, i, None], M[:, None, i, :]]]
-    moved = np.zeros((len(M), len(rank)), dtype=np.int64)
-    moved[:, lines] = line_at[img @ radix]
-    return np.array([[vertex_of[tuple(sorted(m[line] for line in ls))] for ls in lines_of]
-                     for m in moved.tolist()], dtype=np.int64).reshape(len(M), len(rank))
+        mats[-1][0, 0] = _primitive_element(B.gf)
+    image = line_images(B.gf, n, mats)
+    bases, lines, _, join = subspace_tables(B.gf, n)
+    pos = _face_index(B)[0].pos
+    vertex = np.array([pos[subspace_token(b),] for b in bases])
+    out = np.empty((len(mats), len(bases)), dtype=np.int64)  # vertex covers every column
+    for U, on in enumerate(lines):
+        span = image[:, on.argmax()]
+        for line in np.flatnonzero(on):
+            span = join[span, image[:, line]]
+        out[:, vertex[U]] = vertex[span]
+    return out
 
 
 def chamber_transport(B: SphericalBuilding) -> np.ndarray:
@@ -716,7 +694,8 @@ def chamber_transport(B: SphericalBuilding) -> np.ndarray:
     if tree is not None:
         return tree
     gens = generator_actions(B)
-    images, on_X = _moved(_face_index(B)[B.dim], gens)
+    top = _face_index(B)[B.dim]
+    images, on_X = _moved(top, gens[:, top.rows])
     if not on_X.all():
         raise PropertyViolation("a generator moves a chamber off the complex")
     tree = np.full((images.shape[1], gens.shape[1]), -1, dtype=np.int64)  # -1: not reached
@@ -765,7 +744,7 @@ def _face_orbits(B: SphericalBuilding, gens) -> dict:
     index = _face_index(B)
     out = {}
     for k in range(0, B.dim + 1):
-        at, on_X = _moved(index[k], gens)
+        at, on_X = _moved(index[k], gens[:, index[k].rows])
         images = np.where(on_X, at, -1).T.tolist()
         seen = [False] * len(images)
         out[k] = []
@@ -852,8 +831,10 @@ def symmetry_checks(B: SphericalBuilding, seed=0) -> SymmetryReport:
             stab_ok = False
 
     top = _face_index(B)[X.dim]
-    images, on_X = _moved(top, gens)
-    known = {tuple(sorted(top.pos[f] for f in apt if len(f) == B.n - 1)) for apt in B.apartments}
+    images, on_X = _moved(top, gens[:, top.rows])
+    words = _apartment_words(B)[3][X.dim]  # each apartment's chamber positions, below
+    known = {tuple(np.flatnonzero(words[:, i // 64] >> i % 64 & 1))
+             for i in range(len(B.apartments))}
     equiv_ok = bool(
         on_X.all() and (np.sort(images, axis=1) == np.arange(len(top.faces))).all()  # (a)
         and all(tuple(A) in known  # (b)
@@ -945,9 +926,10 @@ def building_expansion_audit(
     eps_ok = all(e >= max(beta_theorem, beta_proof[k]) for (_, k), e in eps.items())
 
     fam = chain_family(B, ring)  # verifies its identity on construction
-    drawn = [random_cochain(X, ring, k, rng) for k in range(0, d) for _ in range(samples)]
-    homotopy_ok = all(homotopy_failure(fam, f) is None for f in drawn)
-    homological_ok = all(np.less_equal(*cone_norms(fam, f)).all() for f in drawn)
+    homotopy_ok = homological_ok = True
+    for f in [random_cochain(X, ring, k, rng) for k in range(0, d) for _ in range(samples)]:
+        homotopy_ok &= homotopy_failure(fam, f) is None
+        homological_ok &= bool(np.less_equal(*cone_norms(fam, f)).all())
 
     cohom_ok = all(
         H.free_rank == 0 and not H.torsion

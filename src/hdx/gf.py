@@ -1,4 +1,4 @@
-"""Arithmetic in GF(q) for prime powers q, plus echelon forms over it.
+"""Arithmetic in GF(q) for prime powers q, plus the subspaces of GF(q)^n.
 
 Elements are ints in [0, q); for q = p^m with m > 1 the int encodes the
 coefficient vector of a polynomial over F_p (base-p digits, low degree
@@ -9,27 +9,22 @@ expected to stay small (q <= 16 in practice).
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
+
+import numpy as np
 
 from .errors import NotPrimePower
-from .rings import is_prime
 
 
 def factor_prime_power(q: int):
     """(p, m) with q = p^m, or raise NotPrimePower."""
-    if q < 2:
+    p = next((p for p in range(2, q + 1) if q % p == 0), 0)  # the least divisor > 1 is prime
+    n, m = q, 0
+    while p and n % p == 0:
+        n, m = n // p, m + 1
+    if n != 1 or not m:
         raise NotPrimePower(f"{q} is not a prime power")
-    for p in range(2, q + 1):
-        if is_prime(p) and q % p == 0:
-            m = 0
-            n = q
-            while n % p == 0:
-                n //= p
-                m += 1
-            if n != 1:
-                raise NotPrimePower(f"{q} is not a prime power")
-            return p, m
-    raise NotPrimePower(f"{q} is not a prime power")
+    return p, m
 
 
 def _poly_mul(a, b, p):
@@ -43,15 +38,10 @@ def _poly_mul(a, b, p):
 
 def _poly_mod(a, mod, p):
     a = list(a)
-    dm = len(mod) - 1
-    while len(a) > dm:
-        lead = a[-1]
-        if lead:
-            shift = len(a) - 1 - dm
-            inv = pow(mod[-1], -1, p)
-            c = (lead * inv) % p
-            for i, x in enumerate(mod):
-                a[shift + i] = (a[shift + i] - c * x) % p
+    while len(a) >= len(mod):
+        c, shift = a[-1] * pow(mod[-1], -1, p) % p, len(a) - len(mod)
+        for i, x in enumerate(mod):
+            a[shift + i] = (a[shift + i] - c * x) % p
         a.pop()
     while len(a) > 1 and a[-1] == 0:
         a.pop()
@@ -59,22 +49,14 @@ def _poly_mod(a, mod, p):
 
 
 def _find_irreducible(p, m):
-    """Lexicographically first monic irreducible polynomial of degree m."""
+    """Lexicographically first monic irreducible polynomial of degree m: the
+    first that no monic polynomial of degree 1..m/2 divides."""
     for tail in product(range(p), repeat=m):
-        poly = list(tail) + [1]
-        if _is_irreducible(poly, p):
+        poly = [*tail, 1]
+        if all(_poly_mod(poly, [*g, 1], p) != [0]
+               for deg in range(1, m // 2 + 1) for g in product(range(p), repeat=deg)):
             return poly
     raise NotPrimePower(f"no irreducible polynomial of degree {m} over F_{p}")
-
-
-def _is_irreducible(poly, p):
-    m = len(poly) - 1
-    for deg in range(1, m // 2 + 1):
-        for tail in product(range(p), repeat=deg):
-            g = list(tail) + [1]
-            if len(_poly_mod(poly, g, p)) == 1 and _poly_mod(poly, g, p)[0] == 0:
-                return False
-    return True
 
 
 class GF:
@@ -83,44 +65,25 @@ class GF:
     def __init__(self, q: int):
         self.q = q
         self.p, self.m = factor_prime_power(q)
-        if self.m == 1:
-            self._mul = [[(a * b) % q for b in range(q)] for a in range(q)]
-            self._add = [[(a + b) % q for b in range(q)] for a in range(q)]
-            self._neg = [(-a) % q for a in range(q)]
-        else:
-            irr = _find_irreducible(self.p, self.m)
-            polys = [self._decode(a) for a in range(q)]
-            self._add = [
-                [self._encode([(x + y) % self.p for x, y in zip(pa, pb)]) for pb in polys]
-                for pa in polys
-            ]
-            self._neg = [self._encode([(-x) % self.p for x in pa]) for pa in polys]
-            self._mul = [
-                [
-                    self._encode(_poly_mod(_poly_mul(pa, pb, self.p), irr, self.p))
-                    for pb in polys
-                ]
-                for pa in polys
-            ]
-        self._inv = [None] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if self._mul[a][b] == 1:
-                    self._inv[a] = b
-                    break
+        # for m = 1 the polynomials are constants and the modulus is x
+        irr = _find_irreducible(self.p, self.m)
+        polys = [self._decode(a) for a in range(q)]
+        self._add = [
+            [self._encode([(x + y) % self.p for x, y in zip(pa, pb)]) for pb in polys]
+            for pa in polys
+        ]
+        self._neg = [self._encode([(-x) % self.p for x in pa]) for pa in polys]
+        self._mul = [
+            [self._encode(_poly_mod(_poly_mul(pa, pb, self.p), irr, self.p)) for pb in polys]
+            for pa in polys
+        ]
+        self._inv = [None] + [row.index(1) for row in self._mul[1:]]
 
     def _decode(self, a):
-        digits = []
-        for _ in range(self.m):
-            digits.append(a % self.p)
-            a //= self.p
-        return digits
+        return [a // self.p ** i % self.p for i in range(self.m)]
 
     def _encode(self, digits):
-        a = 0
-        for d in reversed(digits):
-            a = a * self.p + (d % self.p)
-        return a
+        return sum(d % self.p * self.p ** i for i, d in enumerate(digits))
 
     def add(self, a, b):
         return self._add[a][b]
@@ -148,44 +111,19 @@ class GF:
 
 def rref(gf: GF, rows):
     """Reduced row echelon form; returns the tuple of nonzero rows."""
-    R = [list(r) for r in rows]
-    n = len(R[0]) if R else 0
-    rix = 0
-    for col in range(n):
-        piv = None
-        for i in range(rix, len(R)):
-            if R[i][col]:
-                piv = i
-                break
+    R, rix = [list(r) for r in rows], 0
+    for col in range(len(R[0]) if R else 0):
+        piv = next((i for i in range(rix, len(R)) if R[i][col]), None)
         if piv is None:
             continue
         R[rix], R[piv] = R[piv], R[rix]
         inv = gf.inv(R[rix][col])
         R[rix] = [gf.mul(inv, x) for x in R[rix]]
-        for i in range(len(R)):
-            if i != rix and R[i][col]:
-                c = R[i][col]
-                R[i] = [gf.sub(x, gf.mul(c, y)) for x, y in zip(R[i], R[rix])]
+        for i, row in enumerate(R):
+            if i != rix and row[col]:
+                R[i] = [gf.sub(x, gf.mul(row[col], y)) for x, y in zip(row, R[rix])]
         rix += 1
-        if rix == len(R):
-            break
-    return tuple(tuple(r) for r in R[:rix] if any(r))
-
-
-def row_space_contains(gf: GF, basis, vec) -> bool:
-    """Whether vec reduces to zero against an RREF basis."""
-    v = list(vec)
-    for row in basis:
-        lead = next(i for i, x in enumerate(row) if x)
-        if v[lead]:
-            c = v[lead]
-            v = [gf.sub(x, gf.mul(c, y)) for x, y in zip(v, row)]
-    return not any(v)
-
-
-def subspace_le(gf: GF, U, W) -> bool:
-    """Whether the subspace with RREF basis U sits inside the one of W."""
-    return all(row_space_contains(gf, W, u) for u in U)
+    return tuple(tuple(r) for r in R[:rix])
 
 
 def all_subspaces(gf: GF, n: int, r: int):
@@ -195,22 +133,14 @@ def all_subspaces(gf: GF, n: int, r: int):
     the free positions (right of the pivot, outside pivot columns) with
     arbitrary field elements. Each subspace shows up exactly once.
     """
-    from itertools import combinations
-
     out = []
     for pivots in combinations(range(n), r):
-        free = []
-        for i in range(r):
-            for j in range(pivots[i] + 1, n):
-                if j not in pivots:
-                    free.append((i, j))
+        free = [(i, j) for i in range(r) for j in range(pivots[i] + 1, n) if j not in pivots]
         for fill in product(range(gf.q), repeat=len(free)):
-            M = [[0] * n for _ in range(r)]
-            for i in range(r):
-                M[i][pivots[i]] = 1
+            M = [[int(j == p) for j in range(n)] for p in pivots]
             for (i, j), val in zip(free, fill):
                 M[i][j] = val
-            out.append(tuple(tuple(row) for row in M))
+            out.append(tuple(map(tuple, M)))
     return out
 
 
@@ -218,3 +148,46 @@ def subspace_token(basis) -> str:
     """Serialize an RREF basis as S[row;row;...] with hex digits per entry."""
     return "S[" + ";".join("".join(format(x, "x") for x in row) for row in basis) + "]"
 
+
+
+def line_images(gf: GF, n: int, mats) -> np.ndarray:
+    """(S, L) int64: for each of the S n x n matrices M over GF(q) and each of
+    the L lines of GF(q)^n, with echelon row v, the line of v M; L where v M
+    is zero. Lines are numbered in `all_subspaces(gf, n, 1)` order, and a
+    vector's line is looked up by the base-q key of any nonzero multiple."""
+    q, add, mul = gf.q, np.array(gf._add), np.array(gf._mul)
+    rows, M = np.array(all_subspaces(gf, n, 1))[:, 0], np.array(mats)
+    radix = q ** np.arange(n)[::-1]
+    line_at = np.full(q ** n, len(rows))
+    for c in range(1, q):
+        line_at[mul[c, rows] @ radix] = range(len(rows))
+    img = 0
+    for i in range(n):  # img[s, l] = rows[l] M_s
+        img = add[img, mul[rows[None, :, i, None], M[:, None, i, :]]]
+    return line_at[img @ radix]
+
+
+def subspace_tables(gf: GF, n: int):
+    """(bases, lines, up, join) over the proper nonzero subspaces of GF(q)^n,
+    numbered by rank and in `all_subspaces` order within a rank, lines first:
+
+    - bases[U] is U's RREF basis;
+    - lines[U, l] says whether line l lies in U;
+    - up[U] lists the subspaces of rank r + 1 containing U, ascending;
+    - join[U, l] is the span of U and line l: U when l lies in U, the one W
+      of up[U] holding l otherwise, and len(bases) when that span is GF(q)^n.
+
+    No echelon form is taken. The lines of U are the `line_images` under U's
+    basis padded with zero rows to n x n: v M runs over U's vectors as v runs
+    over the lines.
+    """
+    bases = [s for r in range(1, n) for s in all_subspaces(gf, n, r)]
+    images = line_images(gf, n, [np.pad(b, ((0, n - len(b)), (0, 0))) for b in bases])
+    lines = (images[..., None] == np.arange(images.shape[1])).any(axis=1)
+    size = lines.sum(axis=1)  # (q^r - 1) / (q - 1) lines in rank r
+    cover = (lines[:, None] <= lines).all(axis=2) & (gf.q * size[:, None] + 1 == size)
+    join = np.where(lines, np.arange(len(bases))[:, None], len(bases))
+    u, w = cover.nonzero()
+    e, line = (lines[w] > lines[u]).nonzero()
+    join[u[e], line] = w[e]
+    return bases, lines, [np.flatnonzero(row).tolist() for row in cover], join

@@ -42,14 +42,7 @@ from hdx.cochains import (
     perm_sign,
     random_cochain,
 )
-from hdx.gf import (
-    GF,
-    all_subspaces,
-    row_space_contains,
-    rref,
-    subspace_le,
-    subspace_token,
-)
+from hdx.gf import GF, all_subspaces, rref, subspace_tables, subspace_token
 from hdx.rings import INTEGERS, prime_field
 from test_intmat import smith_solve_columns
 
@@ -92,6 +85,23 @@ def test_subspace_counts_by_direct_enumeration():
     assert len(all_subspaces(g3, 3, 2)) == 13
     g2 = GF(2)
     assert len(all_subspaces(g2, 4, 2)) == 35
+
+
+def row_space_contains(gf, basis, vec) -> bool:
+    """Whether vec reduces to zero against an RREF basis."""
+    v = list(vec)
+    for row in basis:
+        lead = next(i for i, x in enumerate(row) if x)
+        if v[lead]:
+            c = v[lead]
+            v = [gf.sub(x, gf.mul(c, y)) for x, y in zip(v, row)]
+    return not any(v)
+
+
+def subspace_le(gf, U, W) -> bool:
+    """Whether the subspace with RREF basis U sits inside the one of W: the
+    reference for the covering relation of `subspace_tables`."""
+    return all(row_space_contains(gf, W, u) for u in U)
 
 
 def span_of_union(gf, bases):
@@ -212,6 +222,23 @@ def test_building_axioms(fano):
     assert verify_building_axioms(fano)
 
 
+def test_axioms_read_the_apartment_words_of_the_buildings_own_apartments(fano):
+    # genuine apartments only, so sizes and closures hold: leaving out every
+    # apartment through the vertex v leaves v in none, and leaving out every
+    # apartment through two lines leaves them sharing none
+    X = fano.complex
+    v = X.faces(0)[0]
+    without_v = [apt for apt in fano.apartments if v not in apt]
+    with pytest.raises(errors.PropertyViolation, match=re.escape(f"face {v} lies in no apartment")):
+        verify_building_axioms(dataclasses.replace(fano, apartments=without_v, cache={}))
+    u, w = ("S[010]",), ("S[011]",)  # two lines, next to each other in face order
+    assert X.faces(0).index(w) == X.faces(0).index(u) + 1
+    apart = [apt for apt in fano.apartments if not (u in apt and w in apt)]
+    message = re.escape(f"faces {u} and {w} share no apartment")
+    with pytest.raises(errors.PropertyViolation, match=message):
+        verify_building_axioms(dataclasses.replace(fano, apartments=apart, cache={}))
+
+
 def model_apartment_size(n):
     """Nonempty chains of proper nonempty subsets of an n-set, counted by recursion."""
     subsets = [s for r in range(1, n) for s in combinations(range(n), r)]
@@ -301,7 +328,7 @@ def per_subset_building(n, q):
     return frames, apartments, subspace_of, top_faces
 
 
-@pytest.mark.parametrize("n,q", [(3, 2), (3, 3), (3, 4), (4, 2)])
+@pytest.mark.parametrize("n,q", [(3, 2), (3, 3), (3, 4), (3, 5), (4, 2)])
 def test_build_matches_per_subset_spans_in_order(n, q):
     B = build_building(n, q)
     frames, apartments, subspace_of, top_faces = per_subset_building(n, q)
@@ -311,24 +338,34 @@ def test_build_matches_per_subset_spans_in_order(n, q):
     assert B.complex.top_faces == top_faces
 
 
-def test_build_makes_one_echelon_form_per_join_and_shares_faces(monkeypatch):
+def test_build_takes_no_echelon_form_and_shares_faces(monkeypatch):
     calls = []
-    echelon = building.rref
-
-    def counting(*args):
-        calls.append(1)
-        return echelon(*args)
-
-    monkeypatch.setattr(gf_module, "rref", counting)
-    monkeypatch.setattr(building, "rref", counting)
+    monkeypatch.setattr(gf_module, "rref", lambda *args: calls.append(args))
     B = build_building(4, 2)
+    assert calls == [] and not hasattr(building, "rref")
     X = B.complex
-    # at most one echelon form per (vertex basis, line) pair
-    n_lines = len(all_subspaces(B.gf, 4, 1))
-    assert 0 < len(calls) <= len(X.faces(0)) * n_lines == 65 * 15
+    # every apartment holds X's own face objects, one per face
     faces = [f for k in range(0, X.dim + 1) for f in X.faces(k)]
     assert len({id(f) for apt in B.apartments for f in apt}) == len(faces) == 695
-    assert {f for apt in B.apartments for f in apt} == set(faces)
+    assert {id(f) for apt in B.apartments for f in apt} == {id(f) for f in faces}
+
+
+@pytest.mark.parametrize("n,q", [(3, 2), (3, 4), (4, 2)])
+def test_subspace_tables_match_echelon_forms(n, q):
+    gf = GF(q)
+    bases, lines, up, join = subspace_tables(gf, n)
+    assert bases == [s for r in range(1, n) for s in all_subspaces(gf, n, r)]
+    number = {s: i for i, s in enumerate(bases)}
+    n_lines = (q ** n - 1) // (q - 1)
+    assert lines.shape == join.shape == (len(bases), n_lines)
+    for U, basis in enumerate(bases):
+        assert lines[U].tolist() == [subspace_le(gf, bases[line], basis) for line in range(n_lines)]
+        assert up[U] == [W for W, other in enumerate(bases)
+                         if len(other) == len(basis) + 1 and subspace_le(gf, basis, other)]
+        for line in range(n_lines):
+            span = span_of_union(gf, [basis, bases[line]])
+            assert join[U, line] == number.get(span, len(bases))
+            assert len(span) < n or join[U, line] == len(bases)
 
 
 # -- intersections and filling ----------------------------------------------------------
@@ -1242,11 +1279,22 @@ def test_repeated_family_calls_agree_on_shared_tops(fano):
     assert all(a.shape[0] == 3 for a in B.cache["family0"].values())
 
 
+def apartment_bits(B):
+    """Face -> int bitset of the apartments containing it (bit i: B.apartments[i]),
+    the empty face in every apartment: the per-apartment reference for the
+    packed apartment words of the library."""
+    bits = {(): (1 << len(B.apartments)) - 1}
+    for i, apt in enumerate(B.apartments):
+        for f in apt:
+            bits[f] = bits.get(f, 0) | 1 << i
+    return bits
+
+
 def moved_family(B, family0, sigma, g):
     """The integer family at sigma_0 moved by the vertex permutation g to sigma,
     one face at a time: g[f] = perm_sign(g f) [sort(g f)], each moved support
     face checked against the apartment bitsets of sigma and the moved tau."""
-    bits = building._apartment_bits(B)
+    bits = apartment_bits(B)
     moved = {}
 
     def move(face):
@@ -1318,6 +1366,24 @@ def test_chain_family_matches_the_per_entry_oracle(request, which, ringname):
     tops = (random.Random(41).sample(X.top_faces, 16) if which == "b42" else None)
     fam = chain_family(B, ring, tops=tops)
     assert_same_entries(fam.entries, oracle_chain_family(B, ring, tops=tops))
+
+
+@pytest.mark.parametrize("ringname", ["Z", "F3"])
+def test_every_entry_of_the_full_3_3_family_reads_as_the_oracle(b33, ringname):
+    # keys read in a shuffled order: each read finds its chamber's row and its
+    # triplet columns through lookups built once per family and dimension
+    from hdx.rings import parse_ring
+
+    ring = parse_ring(ringname)
+    fam = chain_family(b33, ring)
+    want = oracle_chain_family(b33, ring)
+    keys = list(want)
+    random.Random(7).shuffle(keys)
+    for key in keys:
+        assert list(fam[key].coeffs.items()) == list(want[key].coeffs.items())
+    assert len(fam) == len(want) == len(keys)
+    assert sorted(fam.columns) == list(range(-1, b33.dim))
+    assert fam.row_of == {sigma: c for c, sigma in enumerate(b33.complex.top_faces)}
 
 
 def test_missing_transported_entry_is_a_property_violation(fano, monkeypatch):
@@ -1414,19 +1480,22 @@ def test_chain_family_entries_hold_nonzero_ring_coefficients(fano, monkeypatch):
 
 
 def test_face_index_levels(fano, b42):
+    # the packed apartment words equal the per-apartment bitsets, face by face
     for B in (fano, b42):
         X = B.complex
-        index = building._face_index(B)
-        bits = building._apartment_bits(B)
+        index, (*_, words) = building._face_index(B), building._apartment_words(B)
+        bits = apartment_bits(B)
         for k in range(-1, X.dim + 1):
             level = index[k]
+            assert words[k].dtype == np.uint64
+            assert words[k].shape == (len(level.faces), -(-len(B.apartments) // 64))
             assert level.faces == X.faces(k)
             assert list(level.keys) == sorted(level.keys)
             assert len(set(level.keys.tolist())) == len(level.faces)
             for i, face in enumerate(level.faces):
                 subfaces = [index[k - 1].faces[j] for j in level.sub[i]] if k >= 0 else []
                 assert subfaces == [face[:m] + face[m + 1:] for m in range(len(face))]
-                packed = int.from_bytes(level.bits[i].tobytes(), "little")
+                packed = int.from_bytes(words[k][i].tobytes(), "little")
                 assert packed == bits.get(face, 0)
 
 
@@ -1762,6 +1831,45 @@ def test_audit_intersects_each_pair_once(fano, monkeypatch):
     audit = building_expansion_audit(B, INTEGERS, seed=3)
     assert audit.ok
     assert len(calls) == 1 + len(X.faces(0)) == 15
+
+
+def test_audit_takes_one_cone_term_per_drawn_cochain(fano, monkeypatch):
+    # homotopy_failure and cone_norms ask about the same draws: iota(delta f)
+    # is computed once per drawn cochain
+    calls = []
+    terms = building._cone_terms
+
+    def counted(fam, k, fv):
+        calls.append(k)
+        return terms(fam, k, fv)
+
+    monkeypatch.setattr(building, "_cone_terms", counted)
+    B = dataclasses.replace(fano, cache={})
+    audit = building_expansion_audit(B, INTEGERS, seed=3, samples=7)
+    assert audit.ok
+    assert calls == [0] * 7
+
+
+def test_cone_terms_are_reused_only_while_the_values_stay(fano, monkeypatch):
+    X = fano.complex
+    fam = chain_family(fano, INTEGERS)
+    f = random_cochain(X, INTEGERS, 0, random.Random(5))
+    calls = []
+    terms = building._cone_terms
+
+    def counted(*args):
+        calls.append(args)
+        return terms(*args)
+
+    monkeypatch.setattr(building, "_cone_terms", counted)
+    assert homotopy_failure(fam, f) is None
+    assert [a.tolist() for a in cone_norms(fam, f)] == list(oracle_cone(fam, f))
+    assert len(calls) == 1
+    face = X.faces(0)[3]
+    f.values[face] = f.values.get(face, 0) + 5  # changed in place: new terms
+    assert [a.tolist() for a in cone_norms(fam, f)] == list(oracle_cone(fam, f))
+    assert homotopy_failure(fam, f) is None
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("ring", [INTEGERS, F2])

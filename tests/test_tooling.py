@@ -181,7 +181,8 @@ def test_intmat_imports_only_the_standard_library_and_errors():
     assert _foreign_imports((SRC / "intmat.py").read_text(encoding="utf-8")) == []
 
 
-# apartment membership is answered by building._apartment_bits alone
+# apartment membership is answered by the packed uint64 words of
+# building._apartment_words alone, never by asking each apartment
 class _ApartmentScans(_Calls):
     """has_face calls and `in` tests inside a loop or comprehension over an
     `apartments` attribute."""
@@ -255,8 +256,9 @@ def test_apartment_membership_has_one_home():
     assert _apartment_scans(source) == []
 
 
-# building.build_building takes every span from its memoised join: no echelon
-# form is computed per combination of lines or per frame
+# building.build_building takes every span from the join table of
+# gf.subspace_tables: no echelon form is computed per combination of lines or
+# per frame (and, by test_no_echelon_form_in_the_library, none at all)
 ECHELON_CALLS = {"rref", "span_of_union"}
 
 
@@ -315,6 +317,56 @@ def build_building(n, gf, lines, tokens):
 def test_building_spans_come_from_the_memoised_join():
     source = (SRC / "building.py").read_text(encoding="utf-8")
     assert _echelons_per_combination(source) == []
+
+
+# the echelon-form helpers and the int bitsets of apartment membership are
+# gone from the library: subspaces are numbered once by gf.subspace_tables,
+# and membership is the packed words of building._apartment_words
+RETIRED_SUBSPACE_HELPERS = {"_apartment_bits", "row_space_contains", "subspace_le"}
+
+
+def test_no_echelon_form_in_the_library():
+    defined, callers = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        defined |= {name for _, name in _definitions(source)}
+        visitor = _Calls()
+        visitor.visit(ast.parse(source))
+        callers += [f"{path.name}:{scope}" for scope, call in visitor.calls
+                    if _callee(call) in ECHELON_CALLS]
+    assert defined & RETIRED_SUBSPACE_HELPERS == set()
+    assert callers == []
+
+
+# CPython 3.11's parser keeps its tokens in an array that doubles past 8192
+# entries and callocs a Token for every new slot, so compiling a module of
+# 8196 tokens peaks about 0.48 MB above one of 8192. Every benchmark child
+# compiles the library (PYTHONDONTWRITEBYTECODE=1), and that step shows up in
+# its peak RSS.
+TOKEN_LIMIT = 8192
+
+
+def _parser_tokens(source):
+    """The parser's tokens as tokenize gives them, without COMMENT and NL; the
+    ENCODING token counts too, which keeps the count one above the parser's."""
+    import io
+    import tokenize
+
+    skipped = {tokenize.COMMENT, tokenize.NL}
+    return sum(1 for t in tokenize.tokenize(io.BytesIO(source.encode()).readline)
+               if t.type not in skipped)
+
+
+def test_parser_token_counter():
+    source = "x = 1  # one\n\n\ndef f():\n    return x\n"
+    # ENCODING, x = 1 NEWLINE, def f ( ) : NEWLINE INDENT return x NEWLINE DEDENT ENDMARKER
+    assert _parser_tokens(source) == 1 + 4 + 6 + 1 + 3 + 2
+
+
+def test_every_module_stays_under_the_parser_token_step():
+    over = {path.name: n for path in sorted(SRC.glob("*.py"))
+            if (n := _parser_tokens(path.read_text(encoding="utf-8"))) > TOKEN_LIMIT}
+    assert over == {}
 
 
 # every default knob and every error type is read somewhere in the library
@@ -436,12 +488,16 @@ def dead(x):
     assert _unread(declared, [source]) == ["subspace_le", "GF", "Report", "dead"]
 
 
-# the definitions only tests read: public surface kept for users of the library
+# the definitions only tests read: public surface kept for users of the library.
+# gf.rref is an echelon-form oracle of the tests that stays in the library
+# because the benchmark's per-layer metric `gf.rref.calls` names it (see
+# test_benchmark_layers_name_library_functions); test_no_echelon_form_in_the_library
+# pins that nothing in the library calls it
 TESTED_SURFACE = [
     "building.contraction",
     "cochains.Cochain.scaled", "cochains.cochain_from_lines", "cochains.Chain.scaled",
     "complexes.face_weight", "complexes.set_norm", "complexes.complex_to_text",
-    "gf.GF.neg", "gf.GF.elements", "rings.Ring.neg", "rings.Ring.elements",
+    "gf.GF.neg", "gf.GF.elements", "gf.rref", "rings.Ring.neg", "rings.Ring.elements",
 ]
 
 
