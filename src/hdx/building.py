@@ -28,6 +28,7 @@ from .config import DEFAULT_BUILDING_FACE_CAP
 from .errors import (
     DimensionOutOfRange,
     FaceNotInComplex,
+    NotPrimePower,
     ParameterOutOfRange,
     PropertyViolation,
     RingMismatch,
@@ -87,6 +88,8 @@ def build_building(n: int, q: int) -> SphericalBuilding:
     """
     if n < 3:
         raise DimensionOutOfRange("need n >= 3 for a building of dimension >= 1")
+    if q < 2:
+        raise NotPrimePower(f"{q} is not a prime power")
     # [n, r]_q subspaces of rank r, and [n]_q! = prod (q^i - 1) / (q - 1) maximal flags
     n_vertices = sum(
         prod(q ** (n - i) - 1 for i in range(r)) // prod(q ** (i + 1) - 1 for i in range(r))
@@ -160,19 +163,28 @@ def _apartment_words(B: SphericalBuilding):
     return words
 
 
-def _common_faces(B: SphericalBuilding, sigma, tau) -> list:
-    """The nonempty faces of A_{sigma,tau}: the faces whose apartment words
-    contain the words shared by sigma and tau, found among the faces that
-    contain them in one nonzero word. Raises PropertyViolation when no
-    apartment contains both.
-    """
-    faces, row, packed, _ = _apartment_words(B)
-    hits = packed[row[sigma]] & packed[row[tau]]
-    if not hits.any():
-        raise PropertyViolation(f"no apartment contains both {sigma} and {tau}")
-    w = hits.argmax()  # a nonzero word of hits: its faces are the candidates
-    at = 1 + np.flatnonzero(packed[1:, w] & hits[w] == hits[w])
-    return [faces[i] for i in at[(packed[at] & hits == hits).all(axis=1)].tolist()]
+def _in_intersections(B: SphericalBuilding, sigma, taus, level=None):
+    """[r in A_{sigma,tau}], a row per tau in taus by a column per r in X.faces(level), or in
+    `_apartment_words` order when level is None: r's words hold those sigma and tau share,
+    read word by word. Raises PropertyViolation when sigma and some tau share no apartment."""
+    _, row, packed, bits = _apartment_words(B)
+    rs = packed[:-1] if level is None else bits[level]
+    hits = packed[[row[tau] for tau in taus]] & packed[row[sigma]]
+    if not (meets := hits.any(axis=1)).all():
+        raise PropertyViolation(f"no apartment contains both {sigma} and {taus[meets.argmin()]}")
+    inside = np.ones((len(taus), len(rs)), dtype=bool)
+    for w in np.flatnonzero(hits.any(axis=0)):
+        h = hits[:, w, None]
+        inside &= rs[:, w] & h == h
+    return inside
+
+
+def _weights(B: SphericalBuilding, sigma, k: int, level=None):
+    """W_sigma(r) = sum_tau deg_top(tau) [r in A_{sigma,tau}], tau over X.faces(k) and r as in
+    `_in_intersections`: the LMM16 counting quantity as int64 numerators over
+    X.weight_denominator(k), read by the summed bound at sigma_0 and by `cone_norms`."""
+    X = B.complex
+    return cosets.face_weights(X, k)[0] @ _in_intersections(B, sigma, X.faces(k), level)
 
 
 class _Level(NamedTuple):
@@ -241,9 +253,8 @@ def verify_building_axioms(B: SphericalBuilding):
             raise PropertyViolation("apartment is not the closure of its chambers")
     faces, _, packed, _ = _apartment_words(B)
     faces, words = faces[1:], packed[1:-1]  # the nonempty faces
-    for f, own in zip(faces, words.any(axis=1)):
-        if not own:
-            raise PropertyViolation(f"face {f} lies in no apartment")
+    if not (own := words.any(axis=1)).all():
+        raise PropertyViolation(f"face {faces[own.argmin()]} lies in no apartment")
     for i, f in enumerate(faces):
         shared = (words[i + 1:] & words[i]).any(axis=1)
         if not shared.all():
@@ -254,12 +265,10 @@ def verify_building_axioms(B: SphericalBuilding):
 
 def intersection_complex(B: SphericalBuilding, sigma, tau) -> dict:
     """A_{sigma,tau} on the face index: k -> the ascending positions in
-    X.faces(k) of its k-faces, read once from `_common_faces`."""
-    index = _face_index(B)
-    out = {}
-    for f in _common_faces(B, sigma, tau):
-        out.setdefault(len(f) - 1, []).append(index[len(f) - 1].pos[f])
-    return {k: sorted(p) for k, p in out.items()}
+    X.faces(k) of its k-faces, k >= 0, read off one row of `_in_intersections`."""
+    row, inside = _apartment_words(B)[1], _in_intersections(B, sigma, [tau])[0]
+    return {k: np.flatnonzero(inside[row[lv.faces[0]]:][:len(lv.faces)]).tolist()
+            for k, lv in _face_index(B).items() if k >= 0}
 
 
 def solve_boundary(B: SphericalBuilding, K: dict, k: int, target: dict):
@@ -603,22 +612,16 @@ def cone_norms(fam: ChainFamily, f: Cochain):
     tau over X.faces(k), as int64 arrays (lhs, rhs) of numerators over
     X.weight_denominator(k), supports in the ring. Where the homotopy identity
     holds, g = iota_sigma(delta f) = f - delta(iota_sigma f), so lhs = ||g||
-    bounds dist(f, B^k). rhs reads a (chamber, (k+1)-face) table kept in
-    B.cache; r is in A_{sigma,tau} iff its words contain words(sigma) & words(tau).
+    bounds dist(f, B^k). rhs reads sigma's row of `_weights` over the (k+1)-faces,
+    built on first use and kept in B.cache per (k, chamber).
     """
     B, k = fam.building, f.dim
-    index, _, df, up = _checked_terms(fam, f, "cone")
-    w, (*_, bits) = cosets.face_weights(B.complex, k)[0], _apartment_words(B)
-    if ("cone_weights", k) not in B.cache:
-        table = 0
-        for weight, words in zip(w.tolist(), bits[k]):
-            miss = 0  # the apartments of sigma and tau that leave out r, word by word
-            for hits, own in zip((bits[B.dim] & words).T, bits[k + 1].T):
-                miss |= hits[:, None] & ~own
-            table += weight * (miss == 0)
-        B.cache["cone_weights", k] = table
-    table = B.cache["cone_weights", k][[index[B.dim].pos[sigma] for sigma in fam.tops]]
-    return (_reduced(fam.ring, up) != 0) @ w, table @ (_reduced(fam.ring, df) != 0)
+    *_, df, up = _checked_terms(fam, f, "cone")
+    rows = B.cache.setdefault(("cone_weights", k), {})
+    rows.update({sigma: _weights(B, sigma, k, k + 1) for sigma in fam.tops if sigma not in rows})
+    table = np.array([rows[sigma] for sigma in fam.tops], dtype=np.int64).reshape(-1, df.size)
+    return ((_reduced(fam.ring, up) != 0) @ cosets.face_weights(B.complex, k)[0],
+            table @ (_reduced(fam.ring, df) != 0))
 
 
 # -- symmetry ------------------------------------------------------------------------
@@ -766,14 +769,11 @@ def _summed_totals(B: SphericalBuilding, k: int, orbits: dict) -> dict:
 
     sigma runs over the chambers and tau over the k-faces; each sum is kept
     as its numerator over weight_denominator(k), averaged over `_face_orbits`
-    from the sums T_0 at sigma_0 = X.top_faces[0] (see `symmetry_checks`).
+    from the sums T_0 = `_weights` at sigma_0 = X.top_faces[0] (see `symmetry_checks`).
     An orbit whose division is not exact raises PropertyViolation.
     """
     X = B.complex
-    t0 = {rho: 0 for j in range(-1, X.dim + 1) for rho in X.faces(j)}
-    for tau in X.faces(k):
-        for rho in [()] + _common_faces(B, X.top_faces[0], tau):
-            t0[rho] += X.deg_top(tau)
+    t0 = dict(zip(_apartment_words(B)[0], _weights(B, X.top_faces[0], k).tolist()))
     totals = {}
     for orbit in [o for per_dim in orbits.values() for o in per_dim] + [[()]]:
         total, rem = divmod(len(X.top_faces) * sum(t0[rho] for rho in orbit), len(orbit))

@@ -299,7 +299,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # a path that is no readable text
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     except PropertyViolation as exc:

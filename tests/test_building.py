@@ -13,6 +13,7 @@ from hdx import gf as gf_module
 from hdx.building import (
     ChainFamily,
     _face_orbits,
+    _in_intersections,
     _integer_family_at,
     _summed_totals,
     _transvections,
@@ -170,6 +171,21 @@ def test_building_cap_refuses_before_enumerating(n, q, message):
 def test_building_cap_comes_after_the_field():
     with pytest.raises(errors.NotPrimePower):
         build_building(3, 6)
+
+
+@pytest.mark.parametrize("q", [1, 0, -3])
+def test_building_refuses_a_field_size_below_two(q):
+    # q - 1 divides the counts, so q < 2 is refused before them
+    with pytest.raises(errors.NotPrimePower, match=f"{q} is not a prime power"):
+        build_building(3, q)
+
+
+def test_building_cap_refuses_a_large_prime_before_building_its_field():
+    # GF(1000003) would take a factorisation and 10^12 table entries
+    start = time.perf_counter()
+    with pytest.raises(errors.TooLarge):
+        build_building(3, 1000003)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_apartments_are_hexagons(fano):
@@ -398,10 +414,17 @@ class Subcomplex:
         return f"Subcomplex({{{counts}}})"
 
 
-def subcomplex_at(B, sigma, tau):
+_SCANNED = [None, None]  # the apartment list scanned last, and its apartments as sets
+
+
+def scanned_intersection(B, sigma, tau):
     """A_{sigma,tau}, the intersection of every apartment containing sigma and
-    tau, as a Subcomplex of faces."""
-    return Subcomplex(building._common_faces(B, sigma, tau))
+    tau, as a Subcomplex of faces, found by asking every apartment's tuple of
+    faces: the reference for building._in_intersections and its packed words."""
+    if _SCANNED[0] is not B.apartments:
+        _SCANNED[:] = B.apartments, [set(a) for a in B.apartments]
+    hits = [a for a in _SCANNED[1] if sigma in a and (tau == () or tau in a)]
+    return Subcomplex(set.intersection(*hits))
 
 
 def subcomplex_solve(K, c):
@@ -439,12 +462,12 @@ def oracle_family_at(B, sigma):
     """sigma's integer family as Chains, one Subcomplex and one subcomplex_solve
     per tau, based at the least vertex of A_{sigma,()}."""
     X = B.complex
-    base = subcomplex_at(B, sigma, ()).faces(0)[0]
+    base = scanned_intersection(B, sigma, ()).faces(0)[0]
     entries = {(sigma, ()): Chain(INTEGERS, 0, {base: 1})}
     for k in range(0, X.dim):
         for tau in X.faces(k):
             target = family_identity_target(entries, INTEGERS, sigma, tau)
-            entries[(sigma, tau)] = subcomplex_solve(subcomplex_at(B, sigma, tau), target)
+            entries[(sigma, tau)] = subcomplex_solve(scanned_intersection(B, sigma, tau), target)
     return entries
 
 
@@ -488,7 +511,7 @@ def test_face_index_solve_matches_the_subcomplex_solve(fano, b42):
             assert list(got) == sorted(got)
             filled = Chain(INTEGERS, k + 1, {index[k + 1].faces[p]: v for p, v in got.items()})
             assert boundary(filled) == cycle
-            assert filled == subcomplex_solve(subcomplex_at(B, sigma, tau), cycle)
+            assert filled == subcomplex_solve(scanned_intersection(B, sigma, tau), cycle)
 
 
 @pytest.mark.parametrize("tamper,message", [
@@ -511,17 +534,20 @@ def test_sigma0_solve_failures_are_property_violations(b42, monkeypatch, tamper,
         chain_family(dataclasses.replace(b42, cache={}), INTEGERS)
 
 
+def dropping_least_vertex(B, sigma, taus, level=None):
+    """_in_intersections with sigma_0's least vertex dropped from sigma_0's
+    every-face rows at each tau other than () and that vertex; patched over
+    building._in_intersections, it reads the import of this module."""
+    inside = _in_intersections(B, sigma, taus, level)
+    if sigma == B.complex.top_faces[0] and level is None:
+        at = building._apartment_words(B)[1][sigma[:1]]
+        inside[[tau not in ((), sigma[:1]) for tau in taus], at] = False
+    return inside
+
+
 def test_sigma0_target_outside_its_domain_is_a_property_violation(fano, monkeypatch):
     # sigma_0's least vertex dropped from its domains at the other vertices
-    common = building._common_faces
-
-    def dropping(B, sigma, tau):
-        faces = common(B, sigma, tau)
-        if sigma == B.complex.top_faces[0] and tau not in ((), sigma[:1]):
-            return [f for f in faces if f != sigma[:1]]
-        return faces
-
-    monkeypatch.setattr(building, "_common_faces", dropping)
+    monkeypatch.setattr(building, "_in_intersections", dropping_least_vertex)
     with pytest.raises(errors.PropertyViolation, match="family target .* leaves its domain"):
         chain_family(dataclasses.replace(fano, cache={}), INTEGERS)
 
@@ -529,27 +555,16 @@ def test_sigma0_target_outside_its_domain_is_a_property_violation(fano, monkeypa
 def test_intersection_contains_sigma_and_monotone(fano):
     X = fano.complex
     for sigma in X.top_faces:
-        A0 = subcomplex_at(fano, sigma, ())
+        A0 = scanned_intersection(fano, sigma, ())
         assert A0.has_face(sigma)
         for tau in X.faces(0):
-            A1 = subcomplex_at(fano, sigma, tau)
+            A1 = scanned_intersection(fano, sigma, tau)
             assert all(A1.has_face(f) for k in range(0, X.dim + 1) for f in A0.faces(k))
             assert A1.has_face(tau)
 
 
-def scanned_intersection(B, sigma, tau):
-    """Intersection of the apartments containing sigma and tau, found by asking
-    every apartment; the reference for the bitset route of _common_faces."""
-    hits = [a for a in B.apartments if sigma in a and (tau == () or tau in a)]
-    common = set(hits[0])
-    for a in hits[1:]:
-        common &= set(a)
-    return Subcomplex(common)
-
-
 def assert_same_intersection(B, sigma, tau):
     want = scanned_intersection(B, sigma, tau)
-    assert subcomplex_at(B, sigma, tau) == want
     index = building._face_index(B)
     got = intersection_complex(B, sigma, tau)
     for k in range(0, B.complex.dim + 1):
@@ -582,7 +597,7 @@ def test_axioms_fail_with_too_few_apartments(fano):
 def test_solve_boundary_zero_and_single_face(fano):
     X = fano.complex
     sigma = X.top_faces[0]
-    K = subcomplex_at(fano, sigma, sigma[:1])
+    K = scanned_intersection(fano, sigma, sigma[:1])
     z = Chain(INTEGERS, 0, {})
     assert subcomplex_solve(K, z).is_zero()
     face = K.faces(1)[0]
@@ -597,7 +612,7 @@ def test_solve_boundary_random_cycles(fano):
     for _ in range(20):
         sigma = rng.choice(X.top_faces)
         tau = rng.choice(X.faces(0) + ((),))
-        K = subcomplex_at(fano, sigma, tau)
+        K = scanned_intersection(fano, sigma, tau)
         edges = K.faces(1)
         if not edges:
             continue
@@ -611,7 +626,7 @@ def test_solve_boundary_random_cycles(fano):
 def test_solve_boundary_rejects_non_cycle(fano):
     X = fano.complex
     sigma = X.top_faces[0]
-    K = subcomplex_at(fano, sigma, ())
+    K = scanned_intersection(fano, sigma, ())
     v = K.faces(0)[0]
     # a single vertex has augmentation 1, so it is not a cycle
     with pytest.raises(errors.PropertyViolation, match="nonzero boundary"):
@@ -642,7 +657,7 @@ def test_chain_family_base_case(fano):
     sigma0 = X.top_faces[0]
     # sigma_0's base point is the least vertex of its intersection, sigma_0 itself
     v0 = sigma0[0]
-    assert subcomplex_at(fano, sigma0, ()).faces(0)[0] == (v0,)
+    assert scanned_intersection(fano, sigma0, ()).faces(0)[0] == (v0,)
     for sigma in X.top_faces:
         c = fam[(sigma, ())]
         assert boundary(c).coeffs == {(): 1}
@@ -673,7 +688,7 @@ def test_chain_family_supports_in_intersections(fano):
     X = fano.complex
     for sigma in X.top_faces[:5]:
         for tau in X.faces(0):
-            K = subcomplex_at(fano, sigma, tau)
+            K = scanned_intersection(fano, sigma, tau)
             for face in fam[(sigma, tau)].support:
                 assert K.has_face(face)
 
@@ -913,11 +928,11 @@ def oracle_cone(fam, f):
     """(lhs, rhs) of the cone inequality one chamber at a time, as numerators
     over X.weight_denominator(k): ||iota_sigma(delta f)|| through the evaluate
     oracle, and sum_tau deg_top(tau) |supp(delta f) & A_{sigma,tau}| over the
-    `_common_faces` lists."""
+    apartment scans of `scanned_intersection`."""
     B, X, k = fam.building, fam.building.complex, f.dim
     df, den = coboundary(f), X.weight_denominator(k)
     lhs = [oracle_contraction(fam, sigma, df).norm() * den for sigma in fam.tops]
-    rhs = [sum(X.deg_top(tau) * len(df.support.intersection(building._common_faces(B, sigma, tau)))
+    rhs = [sum(X.deg_top(tau) * sum(map(scanned_intersection(B, sigma, tau).has_face, df.support))
                for tau in X.faces(k)) for sigma in fam.tops]
     return lhs, rhs
 
@@ -982,6 +997,38 @@ def test_cone_norms_refuse_what_homotopy_failure_refuses(fano):
     for k in (-1, 1):
         with pytest.raises(errors.DimensionOutOfRange):
             cone_norms(fam, Cochain.zero(X, INTEGERS, k))
+
+
+def test_cone_norms_refuse_a_chamber_and_face_in_no_common_apartment():
+    # apartments cut to one after the family is built: the words are packed
+    # again from that one apartment, which misses most (sigma, tau) pairs
+    B = build_building(3, 2)
+    fam = chain_family(B, INTEGERS)
+    B.apartments = B.apartments[:1]
+    del B.cache["apartment_words"]
+    f = random_cochain(B.complex, INTEGERS, 0, random.Random(83))
+    with pytest.raises(errors.PropertyViolation, match="no apartment contains both"):
+        cone_norms(fam, f)
+    assert not B.cache[("cone_weights", 0)]
+
+
+def test_cone_norms_build_one_weight_row_per_chamber_of_the_family(b42):
+    # the rows are kept per (k, chamber): a 16-chamber family builds 16 per k,
+    # each equal to the summed bound's T_0 expression at its chamber
+    B = dataclasses.replace(b42, cache={})
+    X = B.complex
+    tops = random.Random(89).sample(X.top_faces, 16)
+    fam = chain_family(B, INTEGERS, tops=tops)
+    rng = random.Random(97)
+    for k in range(0, X.dim):
+        cone_norms(fam, random_cochain(X, INTEGERS, k, rng))
+        rows = B.cache[("cone_weights", k)]
+        assert list(rows) == tops
+        sigma = tops[0]
+        want = [sum(X.deg_top(tau) for tau in X.faces(k)
+                    if scanned_intersection(B, sigma, tau).has_face(r)) for r in X.faces(k + 1)]
+        assert rows[sigma].tolist() == want
+    assert len(B.cache[("cone_weights", 0)]) == len(B.cache[("cone_weights", 1)]) == 16
 
 
 def test_chain_family_of_no_chambers_and_of_repeated_chambers(fano):
@@ -1217,7 +1264,7 @@ def assert_filling_family(B, fam, sigma):
             for i in range(len(tau)):
                 want = want + fam[(sigma, tau[:i] + tau[i + 1:])].scaled((-1) ** i)
             assert boundary(c) == (Chain(INTEGERS, -1, {(): 1}) if tau == () else want)
-            K = subcomplex_at(B, sigma, tau)
+            K = scanned_intersection(B, sigma, tau)
             assert all(K.has_face(f) for f in c.support)
 
 
@@ -1571,10 +1618,9 @@ def pair_loop_totals(B, k):
     acc = {rho: 0 for j in range(-1, X.dim + 1) for rho in X.faces(j)}
     for sigma in X.top_faces:
         for tau in X.faces(k):
-            wt = X.deg_top(tau)
-            for rho in building._common_faces(B, sigma, tau):
-                acc[rho] += wt
-            acc[()] += wt
+            A = scanned_intersection(B, sigma, tau)
+            for rho in (rho for j in range(-1, X.dim + 1) for rho in A.faces(j)):
+                acc[rho] += X.deg_top(tau)
     return acc
 
 
@@ -1586,7 +1632,7 @@ def fraction_totals(B, k):
     acc = {rho: Fraction(0) for j in range(-1, X.dim + 1) for rho in X.faces(j)}
     for sigma in X.top_faces:
         for tau in X.faces(k):
-            A = subcomplex_at(B, sigma, tau)
+            A = scanned_intersection(B, sigma, tau)
             wt = X.weight(tau)
             for j in range(0, X.dim + 1):
                 for rho in A.faces(j):
@@ -1778,16 +1824,18 @@ def test_symmetry_checks_intersect_at_one_chamber_only(n, q, monkeypatch):
     B = build_building(n, q)
     X = B.complex
     calls = []
-    common = building._common_faces
 
-    def counted(*args):
-        calls.append(args)
-        return common(*args)
+    def counted(B, sigma, taus, level=None):
+        calls.append((sigma, taus))
+        return _in_intersections(B, sigma, taus, level)
 
-    monkeypatch.setattr(building, "_common_faces", counted)
+    monkeypatch.setattr(building, "_in_intersections", counted)
     rep = symmetry_checks(B)
     assert rep.summed_bound_ok and rep.apartment_equivariance_ok
-    assert 0 < len(calls) <= sum(len(X.faces(k)) for k in range(-1, X.dim))
+    # only sigma_0 is asked about, and about each (sigma_0, tau) pair at most once
+    assert {sigma for sigma, _ in calls} == {X.top_faces[0]}
+    pairs = [tau for _, taus in calls for tau in taus]
+    assert 0 < len(pairs) == len(set(pairs)) <= sum(len(X.faces(k)) for k in range(-1, X.dim))
 
 
 def test_building_audit(fano):
@@ -1816,21 +1864,24 @@ def test_building_audit_runs_the_axioms_first(fano):
 
 
 def test_audit_intersects_each_pair_once(fano, monkeypatch):
-    # sigma_0's solve makes 1 + |X(0)| calls; the homological check reads the
-    # packed apartment words and intersects nothing
+    # sigma_0's solve asks about 1 + |X(0)| single pairs; the homological
+    # check asks about every vertex once per chamber, on the first of its 50
+    # draws, and reads the kept weight rows after that
     B = dataclasses.replace(fano, cache={})
     X = B.complex
-    common = building._common_faces
     calls = []
 
-    def counted(*args):
-        calls.append(args[1:])
-        return common(*args)
+    def counted(B, sigma, taus, level=None):
+        calls.append((sigma, tuple(taus), level))
+        return _in_intersections(B, sigma, taus, level)
 
-    monkeypatch.setattr(building, "_common_faces", counted)
+    monkeypatch.setattr(building, "_in_intersections", counted)
     audit = building_expansion_audit(B, INTEGERS, seed=3)
     assert audit.ok
-    assert len(calls) == 1 + len(X.faces(0)) == 15
+    sigma0 = X.top_faces[0]
+    assert calls[:15] == [(sigma0, (tau,), None) for tau in ((),) + X.faces(0)]
+    assert calls[15:] == [(sigma, X.faces(0), 1) for sigma in X.top_faces]
+    assert len(calls) == len(set(calls)) == 1 + len(X.faces(0)) + len(X.top_faces) == 36
 
 
 def test_audit_takes_one_cone_term_per_drawn_cochain(fano, monkeypatch):
@@ -1909,7 +1960,7 @@ def test_homological_bound_explicitly(fano):
         for sigma in X.top_faces[:4]:
             bound = Fraction(0)
             for tau in X.faces(0):
-                A = subcomplex_at(fano, sigma, tau)
+                A = scanned_intersection(fano, sigma, tau)
                 bound += X.weight(tau) * sum(1 for r in df_supp if A.has_face(r))
             assert d <= bound
 
@@ -1970,7 +2021,7 @@ def test_42_homological_bound_at_k0(b42):
         df_supp = coboundary(f).support
         bound = Fraction(0)
         for tau in X.faces(0):
-            A = subcomplex_at(b42, sigma, tau)
+            A = scanned_intersection(b42, sigma, tau)
             bound += X.weight(tau) * sum(1 for r in df_supp if A.has_face(r))
         assert d <= bound
     with pytest.raises(errors.SearchSpaceTooLarge):
@@ -2004,11 +2055,11 @@ def test_filling_property_whole_cycle_space(fano, b42):
     for _ in range(8):
         sigma = rng.choice(X.top_faces)
         tau = rng.choice(X.faces(0) + ((),))
-        fill_all_cycles(fano, subcomplex_at(fano, sigma, tau))
+        fill_all_cycles(fano, scanned_intersection(fano, sigma, tau))
     Y = b42.complex
     sigma = Y.top_faces[0]
     for tau in [(), Y.faces(0)[0], Y.faces(1)[0]]:
-        fill_all_cycles(b42, subcomplex_at(b42, sigma, tau))
+        fill_all_cycles(b42, scanned_intersection(b42, sigma, tau))
 
 
 def test_seed_keyword_call_forms_keep_every_flag_true(fano):

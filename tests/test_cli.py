@@ -10,6 +10,7 @@ from hdx.catalog import named_complex
 from hdx.cochains import COBOUNDARIES, coboundary, cochain_from_lines, distance
 from hdx.errors import PropertyViolation, UsageError
 from hdx.rings import modular_ring
+from test_building import dropping_least_vertex
 from test_intmat import record_reductions, reductions
 
 
@@ -261,15 +262,7 @@ def test_building_audit_on_a_sigma0_target_outside_its_domain_exits_2(capsys, mo
     # sigma_0 filling refuses the target as a construction bug
     import hdx.building as building
 
-    common = building._common_faces
-
-    def dropping(B, sigma, tau):
-        faces = common(B, sigma, tau)
-        if sigma == B.complex.top_faces[0] and tau not in ((), sigma[:1]):
-            return [f for f in faces if f != sigma[:1]]
-        return faces
-
-    monkeypatch.setattr(building, "_common_faces", dropping)
+    monkeypatch.setattr(building, "_in_intersections", dropping_least_vertex)
     code, out, err = run_cli(["report", "building-audit", "--n", "3", "--q", "2"], capsys)
     assert code == 2
     assert out == ""
@@ -384,6 +377,28 @@ def test_missing_file_exit_code(capsys):
         ["report", "cohomology", "--k", "0", "no_such_file.cx"], capsys
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("content", [None, b"\xff\xfe 0 1\n"])
+def test_unreadable_complex_path_is_an_input_error(tmp_path, capsys, content):
+    # a directory, or a file that is no UTF-8 text
+    path = tmp_path
+    if content is not None:
+        path = tmp_path / "binary.cx"
+        path.write_bytes(content)
+    code, out, err = run_cli(["report", "expansion", "--kind", "skeleton", str(path)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("input error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["report", "building-audit", "--n", "3", "--q", "1"],
+    ["report", "expansion", "--kind", "coboundary", "--ring", "F2", "--k", "0", "building:n=3,q=1"],
+])
+def test_building_over_a_field_size_below_two_is_refused(capsys, args):
+    code, out, err = run_cli(args, capsys)
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: NotPrimePower: 1 is not a prime power"]
 
 
 def test_cap_override_env(tmp_path, monkeypatch, capsys):

@@ -182,7 +182,9 @@ def test_intmat_imports_only_the_standard_library_and_errors():
 
 
 # apartment membership is answered by the packed uint64 words of
-# building._apartment_words alone, never by asking each apartment
+# building._apartment_words alone, never by asking each apartment; membership
+# of an apartment intersection A_{sigma,tau} is read off those words by
+# building._in_intersections alone (see test_apartment_intersections_have_one_reader)
 class _ApartmentScans(_Calls):
     """has_face calls and `in` tests inside a loop or comprehension over an
     `apartments` attribute."""
@@ -967,3 +969,19 @@ def test_the_cone_inequality_is_stated_once():
         assert IOTA_KERNEL in _reached(sources["building.py"], name)
     checked = _callees(sources["verify.py"], "check_contraction_distance_bound")
     assert "cone_norms" in checked and "contraction" not in checked
+
+
+# r in A_{sigma,tau} is answered in one place: the sigma_0 filling's domains,
+# the summed bound's T_0 and the cone inequality's weight rows all read
+# building._in_intersections, and no per-pair intersection helper is left
+INTERSECTIONS = "_in_intersections"
+RETIRED_INTERSECTIONS = {"_common_faces"}
+
+
+def test_apartment_intersections_have_one_reader():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    defined = {name for source in sources.values() for _, name in _definitions(source)}
+    assert defined & RETIRED_INTERSECTIONS == set()
+    assert INTERSECTIONS in defined
+    for name in ("intersection_complex", "_summed_totals", "cone_norms"):
+        assert INTERSECTIONS in _reached(sources["building.py"], name)
