@@ -263,32 +263,31 @@ def verify_building_axioms(B: SphericalBuilding):
     return True
 
 
-def intersection_complex(B: SphericalBuilding, sigma, tau) -> dict:
-    """A_{sigma,tau} on the face index: k -> the ascending positions in
-    X.faces(k) of its k-faces, k >= 0, read off one row of `_in_intersections`."""
-    row, inside = _apartment_words(B)[1], _in_intersections(B, sigma, [tau])[0]
-    return {k: np.flatnonzero(inside[row[lv.faces[0]]:][:len(lv.faces)]).tolist()
-            for k, lv in _face_index(B).items() if k >= 0}
+def intersection_complex(B: SphericalBuilding, sigma, taus) -> dict:
+    """A_{sigma,tau} for every tau in taus, from one `_in_intersections` read: k -> the
+    bool table [r in A_{sigma,tau}], a row per tau by a column per r in X.faces(k)."""
+    row, inside = _apartment_words(B)[1], _in_intersections(B, sigma, taus)
+    return {k: inside[:, row[lv.faces[0]]:][:, :len(lv.faces)] for k, lv in _face_index(B).items()}
 
 
 def solve_boundary(B: SphericalBuilding, K: dict, k: int, target: dict):
-    """An integer (k+1)-chain of K whose boundary is the k-chain target, or None.
+    """An integer (k+1)-chain inside K whose boundary is the k-chain target, or None.
 
-    K is an `intersection_complex`; chains map face index positions to
-    integers, and the filling keeps its nonzero coefficients in ascending
-    order. The system is K's transposed coboundary, its k-faces as rows and
-    its (k+1)-faces as columns, signed from the subface table and solved by
-    `intmat.solve_int`. The family over any other ring is the reduction of
-    the integer family, so no other ring is ever solved in.
+    K is one tau's row of each level of an `intersection_complex` table; chains map
+    face index positions to integers, and the filling keeps its nonzero coefficients in
+    ascending order. The system is K's transposed coboundary, a sparse {column: +-1}
+    row per k-face of K and a column per (k+1)-face, both ascending, signed from the
+    subface table and solved by `intmat.solve_int` with no dense matrix. The
+    family over any other ring is the reduction of the integer family, so no other
+    ring is ever solved in.
     """
-    rows, cols = K[k], K[k + 1]
-    at = {r: i for i, r in enumerate(rows)}
-    M = [[0] * len(cols) for _ in rows]
+    M = {r: {} for r in np.flatnonzero(K[k]).tolist()}  # row per k-face, ascending
+    cols = np.flatnonzero(K[k + 1])
     for j, subfaces in enumerate(_face_index(B)[k + 1].sub[cols].tolist()):
         for i, r in enumerate(subfaces):
-            M[at[r]][j] = -1 if i % 2 else 1
-    x = intmat.solve_int(M, [target.get(r, 0) for r in rows])
-    return None if x is None else {c: v for c, v in zip(cols, x) if v}
+            M[r][j] = -1 if i % 2 else 1
+    x = intmat.solve_int(list(M.values()), [target.get(r, 0) for r in M], len(cols))
+    return None if x is None else {c: v for c, v in zip(cols.tolist(), x) if v}
 
 
 @dataclass(eq=False)
@@ -495,26 +494,25 @@ def _integer_family_at(B: SphericalBuilding, sigma) -> dict:
     """sigma's integer family, k -> int64 (tau, face, coeff) triplet arrays
     over the face index: per tau, c_{sigma,tau}'s nonzero faces, ascending.
 
-    c_{sigma,()} is the least vertex of A_{sigma,()}. Then, level by level,
-    c_{sigma,tau} is the `solve_boundary` filling inside A_{sigma,tau} of the
-    target (-1)^{k+1} tau + sum_i (-1)^i c_{sigma,tau_i}, summed over face
-    index positions through the subface table. A target that leaves its
-    domain, is not a cycle (augmented at k = 0) or has no filling raises
-    PropertyViolation.
+    c_{sigma,()} is the least vertex of A_{sigma,()}. Then, level by level, from one
+    `intersection_complex` table per level, c_{sigma,tau} is the `solve_boundary`
+    filling inside A_{sigma,tau} of the target (-1)^{k+1} tau + sum_i (-1)^i
+    c_{sigma,tau_i}, summed over face index positions through the subface table. A
+    target that leaves its domain, is not a cycle (augmented at k = 0) or has no filling
+    raises PropertyViolation.
     """
-    X = B.complex
     index = _face_index(B)
-    solved = {-1: [{intersection_complex(B, sigma, ())[0][0]: 1}]}
-    for k in range(0, X.dim):
-        sub = index[k].sub.tolist()
+    solved = {-1: [{int(intersection_complex(B, sigma, [()])[0].argmax()): 1}]}
+    for k in range(B.dim):
+        sub, table = index[k].sub.tolist(), intersection_complex(B, sigma, index[k].faces)
         solved[k] = []
         for t, tau in enumerate(index[k].faces):
-            K = intersection_complex(B, sigma, tau)
+            K = {j: level[t] for j, level in table.items()}
             target = {t: (-1) ** (k + 1)}
             for i, rho in enumerate(sub[t]):
                 for f, v in solved[k - 1][rho].items():
                     target[f] = target.get(f, 0) + (-v if i % 2 else v)
-            if not {f for f, v in target.items() if v} <= set(K[k]):
+            if not all(K[k][f] for f, v in target.items() if v):
                 raise PropertyViolation(f"family target for {(sigma, tau)} leaves its domain")
             rim = {}
             for f, v in target.items():
@@ -526,11 +524,8 @@ def _integer_family_at(B: SphericalBuilding, sigma) -> dict:
             if entry is None:
                 raise PropertyViolation(f"family target for {(sigma, tau)} has no filling")
             solved[k].append(entry)
-    out = {}
-    for k, entries in solved.items():
-        rows = [(t, f, v) for t, entry in enumerate(entries) for f, v in entry.items()]
-        out[k] = np.array(rows, dtype=np.int64).reshape(len(rows), 3).T
-    return out
+    return {k: np.array([(t, f, v) for t, entry in enumerate(entries) for f, v in entry.items()],
+                        dtype=np.int64).reshape(-1, 3).T for k, entries in solved.items()}
 
 
 def _iota(fam: ChainFamily, rows, k: int, fv):

@@ -308,21 +308,22 @@ def lift_from_link(h: Cochain, sigma, X) -> Cochain:
 # -- matrices and vector views ---------------------------------------------------
 
 
-def delta_matrix(X, k):
-    """Integer matrix of the k-coboundary map in the canonical face bases.
-
-    Rows are the (k+1)-faces, columns the k-faces; k = -1 yields the
+def delta_rows(X, k):
+    """The k-coboundary map in the canonical face bases as sparse rows: a
+    {column: +-1} row per (k+1)-face, a column per k-face; k = -1 yields the
     augmentation column of ones.
     """
     if not -1 <= k <= X.dim - 1:
         raise DimensionOutOfRange(f"coboundary dimension {k} not in -1..{X.dim - 1}")
     cols = {f: j for j, f in enumerate(X.faces(k))}
-    rows = X.faces(k + 1)
-    M = [[0] * len(cols) for _ in rows]
-    for r, tau in enumerate(rows):
-        for i in range(len(tau)):
-            M[r][cols[tau[:i] + tau[i + 1:]]] = -1 if i % 2 else 1
-    return M
+    return [{cols[tau[:i] + tau[i + 1:]]: -1 if i % 2 else 1 for i in range(len(tau))}
+            for tau in X.faces(k + 1)]
+
+
+def delta_matrix(X, k):
+    """Integer matrix of the k-coboundary map: the dense form of `delta_rows`,
+    rows the (k+1)-faces, columns the k-faces."""
+    return intmat.dense_rows(delta_rows(X, k), len(X.faces(k)))
 
 
 def cochain_vector(f: Cochain):

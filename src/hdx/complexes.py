@@ -290,5 +290,11 @@ def complex_to_text(X) -> str:
 
 
 def load_complex(path) -> SimplicialComplex:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_complex_text(fh.read())
+    """The complex in the UTF-8 text file at path; a decode error names the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        exc.reason += f" in {path}"
+        raise
+    return parse_complex_text(text)

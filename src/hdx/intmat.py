@@ -8,13 +8,15 @@ sparse rows: each operation touches only nonzero entries, and the transforms
 it returns are those of the dense algorithm. It returns (U, d, V): the
 transforms and the nonzero invariant factors d, whose length is the rank.
 
-Integer solves and ranks first try a unit-pivot row elimination, which builds
-no U and no V and carries right-hand sides through its row operations; it
-gives up on a column whose candidate pivots are all non-units, and only such
-a matrix pays for a Smith form. `unit_echelon` hands the same elimination,
-with its row transform, to `lattice.smith_profile`, which certifies it.
-Kernels and image bases read V, so they always take the Smith form. Matrix
-products read only the nonzeros of their factors.
+Integer solves and ranks first try `_unit_reduce`, a unit-pivot elimination on
+sparse {column: value} rows that builds no U and no V and carries right-hand
+sides through its row operations; only a matrix with a column of non-unit
+candidate pivots pays for a Smith form. Every entry point takes a dense
+matrix, converted once; solves and `unit_echelon` also take, with its width,
+the rows a caller built from its own index (`rows_of`), and densify them only
+for that Smith form. `lattice.smith_profile` certifies `unit_echelon`'s
+elimination. Kernels and image bases read V, so they always take the Smith
+form. Products read only nonzeros.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ def smith_normal_form(M, *, inverse=False):
     """
     m = len(M)
     n = len(M[0]) if m else 0
-    A = [{j: v for j, v in enumerate(row) if v} for row in M]
+    A = rows_of(M)[0]
     U = [{i: 1} for i in range(m)]
     V = [{j: 1} for j in range(n)]
     Uinv = [{i: 1} for i in range(m)] if inverse else None
@@ -191,13 +193,23 @@ def smith_normal_form(M, *, inverse=False):
         if a < 0:
             V[i] = {r: -v for r, v in V[i].items()}
         d.append(abs(a))
-    U, V = _dense_rows(U, m), _dense_cols(V, n)
+    # V and U^-1 are square, so their columns read as rows transpose into them
+    U, V = dense_rows(U, m), transpose(dense_rows(V, n))
     if inverse:
-        return U, d, V, _dense_cols(Uinv, m)
+        return U, d, V, transpose(dense_rows(Uinv, m))
     return U, d, V
 
 
-def _dense_rows(rows, n):
+def rows_of(M, width=None):
+    """(rows, n): the {column: value} rows of M's nonzeros and its width n; M is a
+    dense matrix, or, with its width given, such rows, returned as they are."""
+    if width is not None:
+        return M, width
+    return [{j: v for j, v in enumerate(row) if v} for row in M], len(M[0]) if M else 0
+
+
+def dense_rows(rows, n):
+    """The dense matrix of n columns whose rows are the sparse rows."""
     out = []
     for row in rows:
         dense = [0] * n
@@ -207,29 +219,17 @@ def _dense_rows(rows, n):
     return out
 
 
-def _dense_cols(cols, m):
-    out = [[0] * len(cols) for _ in range(m)]
-    for j, col in enumerate(cols):
-        for i, v in col.items():
-            out[i][j] = v
-    return out
+def _unit_reduce(rows, n):
+    """Row echelon form by unit-pivot row operations, or None.
 
-
-def _unit_reduce(M, carried):
-    """Row echelon form of M by unit-pivot row operations, or None.
-
-    Rows are sparse {column: value} dicts. `carried` holds one sparse row per
-    row of M, its keys from n = len(M[0]) on, and every row operation applies
-    to it as well. Column by column, the pivot is the first entry of absolute
-    value 1 at or below the current row; a column with no entry there is
-    free, and one whose entries there are all non-units ends the attempt with
-    None. Returns (rows, order, pivots): the reduced rows of [M | carried],
-    order[i] the row of M that ended at position i, and the pivot columns.
+    The one kernel: rows are {column: value} dicts of nonzeros, reduced in place,
+    keys below the width n the matrix and keys from n on carried entries that
+    every row operation applies to. Column by column, the pivot is the first
+    entry of absolute value 1 at or below the current row; a column with no
+    entry there is free, and one whose entries there are all non-units ends the
+    attempt with None. Returns (rows, order, pivots): the reduced rows, order[i]
+    the input row that ended at position i, and the pivot columns.
     """
-    n = len(M[0])
-    rows = [{j: v for j, v in enumerate(row) if v} for row in M]
-    for row, extra in zip(rows, carried):
-        row.update(extra)
     m = len(rows)
     order = list(range(m))
     pivots = []
@@ -257,17 +257,17 @@ def _unit_reduce(M, carried):
     return rows, order, pivots
 
 
-def unit_echelon(M):
+def unit_echelon(M, width=None):
     """(order, H, U) with U @ M = H, from the unit-pivot elimination of M, or
-    None when M needs a Smith form.
+    None when M needs a Smith form. M is read as by `rows_of` and not changed.
 
     H and U are sparse rows, the keys of U rows of M. H is in row echelon form
     with pivots of absolute value 1, and U is unit lower-triangular once its
     columns are read in the order `order`. Nothing is checked here:
     `lattice.smith_profile` certifies the triple.
     """
-    n = len(M[0])
-    reduced = _unit_reduce(M, [{n + i: 1} for i in range(len(M))])
+    rows, n = rows_of(M, width)
+    reduced = _unit_reduce([{**row, n + i: 1} for i, row in enumerate(rows)], n)
     if reduced is None:
         return None
     rows, order, _ = reduced
@@ -277,36 +277,34 @@ def unit_echelon(M):
 
 
 def rank_int(M):
-    if not M or not M[0]:
-        return 0
-    reduced = _unit_reduce(M, ())
-    if reduced is None:
-        return len(smith_normal_form(M)[1])
-    return len(reduced[2])
+    reduced = _unit_reduce(*rows_of(M))
+    return len(smith_normal_form(M)[1] if reduced is None else reduced[2])
 
 
-def solve_int(M, b):
-    """One integer solution x of M x = b, or None when unsolvable."""
-    return solve_int_columns(M, [b])[0]
+def solve_int(M, b, width=None):
+    """One integer solution x of M x = b, M read as by `rows_of`, or None if unsolvable."""
+    return solve_int_columns(M, [b], width)[0]
 
 
-def solve_int_columns(M, bs):
-    """solve_int(M, b) for every b in bs, from one reduction of M.
+def solve_int_columns(M, bs, width=None):
+    """solve_int(M, b) for every dense b in bs, from one reduction of M, unchanged.
 
     The unit-pivot elimination carries the bs through its row operations: b is
     unsolvable exactly when its carried entries below the rank are not all
     zero, and otherwise back-substitution with the free variables at 0 is
-    integral, the pivots being units. M that needs a Smith form is solved
-    through one: c = U b must vanish below the rank and be divisible by d
-    above it, and x = V (c / d).
+    integral, the pivots being units. M that needs a Smith form is densified
+    and solved through one: c = U b must vanish below the rank and be
+    divisible by d above it, and x = V (c / d).
     """
-    m = len(M)
-    n = len(M[0]) if m else 0
-    if m == 0:
-        return [[0] * n for _ in bs]
-    reduced = _unit_reduce(M, [{n + s: b[i] for s, b in enumerate(bs) if b[i]} for i in range(m)])
+    rows, n = rows_of(M, width)
+    carried = [dict(row) for row in rows]
+    for s, b in enumerate(bs):
+        for i, v in enumerate(b):
+            if v:
+                carried[i][n + s] = v
+    reduced = _unit_reduce(carried, n)
     if reduced is None:
-        U, d, V = smith_normal_form(M)
+        U, d, V = smith_normal_form(dense_rows(rows, n))
         out = []
         for b in bs:
             c = mat_vec(U, b)
@@ -335,12 +333,8 @@ def solve_int_columns(M, bs):
 
 def kernel_int(M):
     """Basis (list of columns) of the integer kernel of M."""
-    m = len(M)
-    n = len(M[0]) if m else 0
-    if n == 0:
+    if not M or not M[0]:
         return []
-    if m == 0:
-        return [col for col in identity(n)]
     _, d, V = smith_normal_form(M)
     return transpose(V)[len(d):]
 
@@ -376,12 +370,9 @@ def rref_mod_p(rows, p):
 
 def kernel_mod_p(M, p):
     """Basis of the kernel of M mod p (list of vectors)."""
-    m = len(M)
-    n = len(M[0]) if m else 0
+    n = len(M[0]) if M else 0
     if n == 0:
         return []
-    if m == 0:
-        return [row[:] for row in identity(n)]
     basis, pivots = rref_mod_p(M, p)
     free = [j for j in range(n) if j not in pivots]
     out = []

@@ -24,6 +24,7 @@ from .cochains import (
     Cochain,
     cochain_vector,
     delta_matrix,
+    delta_rows,
     mod_p_distance_floor,
     subgroup_generators,
     vector_cochain,
@@ -40,18 +41,17 @@ from .errors import (
 from .rings import INTEGERS
 
 
-def smith_profile(M) -> tuple:
-    """The invariant factors of M, with the reduction that gives them checked.
-
-    M that reduces with unit pivots has d = (1,) * r, certified by
-    `_unit_echelon_rank`. Any other M takes a Smith form, and U @ M @ V is
-    checked against d.
+def smith_profile(M, width=None) -> tuple:
+    """The invariant factors of M, read as by `intmat.rows_of`, with the reduction
+    that gives them checked. M that reduces with unit pivots has d = (1,) * r,
+    certified by `_unit_echelon_rank` against M's sparse rows. Any other M is
+    densified for a Smith form, and U @ M @ V is checked against d.
     """
-    if not M or not M[0]:
-        return ()
-    echelon = intmat.unit_echelon(M)
+    rows, n = intmat.rows_of(M, width)
+    echelon = intmat.unit_echelon(rows, n)
     if echelon is not None:
-        return (1,) * _unit_echelon_rank(M, *echelon)
+        return (1,) * _unit_echelon_rank(rows, *echelon)
+    M = intmat.dense_rows(rows, n)
     U, d, V = intmat.smith_normal_form(M)
     if not smith_form_holds(M, U, d, V):
         raise PropertyViolation("smith transform verification failed")
@@ -66,26 +66,25 @@ def smith_form_holds(M, U, d, V) -> bool:
     return intmat.mat_mul(intmat.mat_mul(U, M), V) == S
 
 
-def _unit_echelon_rank(M, order, H, U):
-    """The rank r of M, from an `intmat.unit_echelon` triple checked exactly.
+def _unit_echelon_rank(rows, order, H, U):
+    """The rank r of M, given as sparse rows, from an `intmat.unit_echelon` triple checked.
 
     U is unit lower-triangular with its columns read in `order`, so it is
     unimodular; U @ M equals H, by a sparse product; and H is in row echelon
     form with r pivots of absolute value 1 and zero rows below them. The
     pivot minor is then +-1, so every invariant factor of M is 1.
     """
-    m = len(M)
+    m = len(rows)
     if sorted(order) != list(range(m)) or len(H) != m or len(U) != m:
         raise PropertyViolation("unit echelon: rows do not match the matrix")
     at = {row: i for i, row in enumerate(order)}
     for i, u in enumerate(U):
         if u.get(order[i]) != 1 or any(at.get(k, m) > i for k in u):
             raise PropertyViolation("unit echelon: U is not unit lower-triangular")
-    nonzeros = [[(j, v) for j, v in enumerate(row) if v] for row in M]
     for u, h in zip(U, H):
         row = {}
         for k, c in u.items():
-            for j, v in nonzeros[k]:
+            for j, v in rows[k].items():
                 row[j] = row.get(j, 0) + c * v
         if {j: v for j, v in row.items() if v} != h:
             raise PropertyViolation("unit echelon: U @ M differs from H")
@@ -110,9 +109,10 @@ class CohomologyProfile:
 
 
 def _delta_profile(X, k) -> tuple:
-    """smith_profile(delta_matrix(X, k)), kept in X.cache: one reduction per k."""
+    """smith_profile of delta_k's sparse rows (`delta_rows`), kept in X.cache: one
+    reduction per k."""
     if ("delta_profile", k) not in X.cache:
-        X.cache["delta_profile", k] = smith_profile(delta_matrix(X, k))
+        X.cache["delta_profile", k] = smith_profile(delta_rows(X, k), len(X.faces(k)))
     return X.cache["delta_profile", k]
 
 

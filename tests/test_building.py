@@ -427,10 +427,11 @@ def scanned_intersection(B, sigma, tau):
     return Subcomplex(set.intersection(*hits))
 
 
-def subcomplex_solve(K, c):
+def subcomplex_solve(K, c, solve=smith_solve_columns):
     """An integer chain one dimension up whose boundary is c, inside K, from
-    one Smith form of K's transposed coboundary: the reference for the face
-    index and unit-pivot route of building.solve_boundary."""
+    one Smith form of K's transposed coboundary, or from another solve of the
+    dense system: the reference for the face index and sparse unit-pivot
+    route of building.solve_boundary."""
     i = c.dim
     if i >= 0 and not boundary(c).is_zero():
         raise errors.PropertyViolation("target chain has nonzero boundary")
@@ -443,7 +444,7 @@ def subcomplex_solve(K, c):
         if any(b):
             raise errors.PropertyViolation("no faces one dimension up")
         return Chain(INTEGERS, i + 1, {})
-    x = smith_solve_columns(intmat.transpose(delta_matrix(K, i)), [b])[0]
+    x = solve(intmat.transpose(delta_matrix(K, i)), [b])[0]
     if x is None:
         raise errors.PropertyViolation(f"boundary equation unsolvable at dimension {i}")
     return Chain(INTEGERS, i + 1, dict(zip(cols, x)))
@@ -458,7 +459,7 @@ def family_identity_target(entries, ring, sigma, tau):
     return Chain(ring, len(tau) - 1, coeffs)
 
 
-def oracle_family_at(B, sigma):
+def oracle_family_at(B, sigma, solve=smith_solve_columns):
     """sigma's integer family as Chains, one Subcomplex and one subcomplex_solve
     per tau, based at the least vertex of A_{sigma,()}."""
     X = B.complex
@@ -467,7 +468,8 @@ def oracle_family_at(B, sigma):
     for k in range(0, X.dim):
         for tau in X.faces(k):
             target = family_identity_target(entries, INTEGERS, sigma, tau)
-            entries[(sigma, tau)] = subcomplex_solve(scanned_intersection(B, sigma, tau), target)
+            K = scanned_intersection(B, sigma, tau)
+            entries[(sigma, tau)] = subcomplex_solve(K, target, solve)
     return entries
 
 
@@ -495,6 +497,75 @@ def test_sigma0_family_matches_the_subcomplex_filling(n, q):
         assert got[k].dtype == np.int64 and np.array_equal(got[k], want[k])
 
 
+@pytest.mark.parametrize("n,q", [(3, 2), (3, 3), (3, 4), (4, 2)])
+def test_sigma0_family_matches_the_per_pair_dense_solve(n, q):
+    # the level-wide tables and sparse rows give the triplets of one
+    # Subcomplex and one dense intmat.solve_int per (sigma_0, tau) pair
+    B = build_building(n, q)
+    sigma0 = B.complex.top_faces[0]
+
+    def dense_solve(M, bs):
+        return [intmat.solve_int(M, b) for b in bs]
+
+    got = _integer_family_at(B, sigma0)
+    want = as_triplets(B, oracle_family_at(B, sigma0, dense_solve), sigma0)
+    assert got.keys() == want.keys()
+    for k in want:
+        assert got[k].dtype == np.int64 and np.array_equal(got[k], want[k])
+
+
+@pytest.mark.parametrize("n,q", [(3, 2), (3, 3), (4, 2)])
+def test_cold_family_reads_one_intersection_table_per_level(n, q, monkeypatch):
+    # sigma_0's solve asks about the empty face, then about every face of
+    # each level 0..d-1 at once: d + 1 reads, and transport reads none
+    B = build_building(n, q)
+    X = B.complex
+    calls = []
+
+    def counted(B, sigma, taus, level=None):
+        calls.append((sigma, tuple(taus), level))
+        return _in_intersections(B, sigma, taus, level)
+
+    monkeypatch.setattr(building, "_in_intersections", counted)
+    chain_family(B, INTEGERS, tops=X.top_faces[:16])
+    assert calls == [(X.top_faces[0], X.faces(k), None) for k in range(-1, X.dim)]
+    assert len(calls) == X.dim + 1
+    calls.clear()
+    chain_family(B, F2)
+    assert calls == []
+
+
+# sha256 prefixes of every entry of chain_family, read as (key, coefficient
+# items) in iteration order, from the per-pair solve this tree replaced
+FAMILY_DIGESTS = {
+    (3, 2): ["dba408d4dba4730a", "5d6f4071a9143360", "fb0fc2168aa419ac", "cf9b42e31cf635e0",
+             "c556ed68c6050e2b"],
+    (3, 3): ["548f562fa09495f6", "9d4e5b5ee559d27a", "fdbfa35be19bf65f", "19fd6f08c650ae78",
+             "c97841e652f706ff"],
+    (3, 4): ["8086969c5cd44fad", "2bf74498ad7ba7c1", "b4d929e54fee680f", "8f5f9cab783c7ed7",
+             "78236c2bf0b38a9c"],
+    (4, 2): ["b60d0cf6aab54851", "a991da78f73ffe6a", "1197d4c2782a2986", "f5b0433422e4ad17",
+             "9237b3dca421a7af"],
+}
+
+
+@pytest.mark.parametrize("n,q", sorted(FAMILY_DIGESTS))
+def test_chain_family_hashes_as_before(n, q):
+    # every chamber but on B(4,2), where 16 sampled ones, over Z, F2, F3, Z/4 and Z/6
+    import hashlib
+
+    from hdx.rings import parse_ring
+
+    B = build_building(n, q)
+    tops = random.Random(41).sample(B.complex.top_faces, 16) if (n, q) == (4, 2) else None
+    got = []
+    for ringname in ["Z", "F2", "F3", "Z/4", "Z/6"]:
+        fam = chain_family(B, parse_ring(ringname), tops=tops)
+        items = repr([(key, list(fam[key].coeffs.items())) for key in fam]).encode()
+        got.append(hashlib.sha256(items).hexdigest()[:16])
+    assert got == FAMILY_DIGESTS[n, q]
+
+
 def test_face_index_solve_matches_the_subcomplex_solve(fano, b42):
     # random boundaries refilled in A_{sigma,tau}: the face index route gives
     # the Subcomplex route's filling, in ascending face order
@@ -504,8 +575,8 @@ def test_face_index_solve_matches_the_subcomplex_solve(fano, b42):
         for _ in range(12):
             sigma, k = rng.choice(X.top_faces), rng.randrange(X.dim)
             tau = rng.choice(X.faces(rng.randrange(-1, X.dim)))
-            K = intersection_complex(B, sigma, tau)
-            up = {index[k + 1].faces[p]: rng.randint(-3, 3) for p in K[k + 1]}
+            K = {j: level[0] for j, level in intersection_complex(B, sigma, [tau]).items()}
+            up = {index[k + 1].faces[p]: rng.randint(-3, 3) for p in np.flatnonzero(K[k + 1])}
             cycle = boundary(Chain(INTEGERS, k + 1, up))
             got = solve_boundary(B, K, k, {index[k].pos[f]: v for f, v in cycle.coeffs.items()})
             assert list(got) == sorted(got)
@@ -522,9 +593,9 @@ def test_sigma0_solve_failures_are_property_violations(b42, monkeypatch, tamper,
     # an unsolvable system is a construction bug as well
     solve, calls = intmat.solve_int, []
 
-    def tampered(M, b):
+    def tampered(M, b, width=None):
         calls.append(1)
-        x = solve(M, b)
+        x = solve(M, b, width)
         if tamper == "skew" and len(calls) == 1:
             x[0] += 1
         return None if tamper == "refuse" else x
@@ -563,20 +634,24 @@ def test_intersection_contains_sigma_and_monotone(fano):
             assert A1.has_face(tau)
 
 
-def assert_same_intersection(B, sigma, tau):
-    want = scanned_intersection(B, sigma, tau)
+def assert_same_intersections(B, sigma, taus):
+    # each row of the level-wide table against the apartment scan of its pair
     index = building._face_index(B)
-    got = intersection_complex(B, sigma, tau)
-    for k in range(0, B.complex.dim + 1):
-        assert [index[k].faces[p] for p in got.get(k, [])] == list(want.faces(k))
+    table = intersection_complex(B, sigma, taus)
+    assert sorted(table) == list(range(-1, B.complex.dim + 1))
+    for t, tau in enumerate(taus):
+        want = scanned_intersection(B, sigma, tau)
+        assert table[-1][t].tolist() == [True]
+        for k in range(0, B.complex.dim + 1):
+            assert table[k].shape == (len(taus), len(index[k].faces))
+            assert [index[k].faces[p] for p in np.flatnonzero(table[k][t])] == list(want.faces(k))
 
 
 def test_intersection_matches_apartment_scan_everywhere(fano):
     X = fano.complex
     for sigma in X.top_faces:
         for k in range(-1, X.dim + 1):
-            for tau in X.faces(k):
-                assert_same_intersection(fano, sigma, tau)
+            assert_same_intersections(fano, sigma, X.faces(k))
 
 
 def test_intersection_matches_apartment_scan_sampled(b42):
@@ -585,7 +660,9 @@ def test_intersection_matches_apartment_scan_sampled(b42):
         X = B.complex
         faces = [()] + [f for k in range(0, X.dim + 1) for f in X.faces(k)]
         for _ in range(pairs):
-            assert_same_intersection(B, rng.choice(X.top_faces), rng.choice(faces))
+            assert_same_intersections(B, rng.choice(X.top_faces), [rng.choice(faces)])
+        # one table over faces of mixed levels
+        assert_same_intersections(B, rng.choice(X.top_faces), rng.sample(faces, 40))
 
 
 def test_axioms_fail_with_too_few_apartments(fano):
@@ -1864,9 +1941,10 @@ def test_building_audit_runs_the_axioms_first(fano):
 
 
 def test_audit_intersects_each_pair_once(fano, monkeypatch):
-    # sigma_0's solve asks about 1 + |X(0)| single pairs; the homological
-    # check asks about every vertex once per chamber, on the first of its 50
-    # draws, and reads the kept weight rows after that
+    # sigma_0's solve reads one table per level, the empty face and then
+    # every vertex; the homological check asks about every vertex once per
+    # chamber, on the first of its 50 draws, and reads the kept weight rows
+    # after that
     B = dataclasses.replace(fano, cache={})
     X = B.complex
     calls = []
@@ -1879,9 +1957,9 @@ def test_audit_intersects_each_pair_once(fano, monkeypatch):
     audit = building_expansion_audit(B, INTEGERS, seed=3)
     assert audit.ok
     sigma0 = X.top_faces[0]
-    assert calls[:15] == [(sigma0, (tau,), None) for tau in ((),) + X.faces(0)]
-    assert calls[15:] == [(sigma, X.faces(0), 1) for sigma in X.top_faces]
-    assert len(calls) == len(set(calls)) == 1 + len(X.faces(0)) + len(X.top_faces) == 36
+    assert calls[:2] == [(sigma0, ((),), None), (sigma0, X.faces(0), None)]
+    assert calls[2:] == [(sigma, X.faces(0), 1) for sigma in X.top_faces]
+    assert len(calls) == len(set(calls)) == 2 + len(X.top_faces) == 23
 
 
 def test_audit_takes_one_cone_term_per_drawn_cochain(fano, monkeypatch):

@@ -271,7 +271,7 @@ def test_building_audit_on_a_sigma0_target_outside_its_domain_exits_2(capsys, mo
 
 def test_building_audit_with_an_unsolvable_filling_exits_2(capsys, monkeypatch):
     # a sigma_0 filling with no solution is a construction bug, not a usage error
-    monkeypatch.setattr(intmat, "solve_int", lambda M, b: None)
+    monkeypatch.setattr(intmat, "solve_int", lambda M, b, width=None: None)
     code, out, err = run_cli(["report", "building-audit", "--n", "3", "--q", "2"], capsys)
     assert code == 2
     assert out == ""
@@ -389,6 +389,7 @@ def test_unreadable_complex_path_is_an_input_error(tmp_path, capsys, content):
     code, out, err = run_cli(["report", "expansion", "--kind", "skeleton", str(path)], capsys)
     assert code == 1 and out == ""
     assert err.startswith("input error: ") and len(err.splitlines()) == 1
+    assert str(path) in err
 
 
 @pytest.mark.parametrize("args", [

@@ -18,6 +18,7 @@ from hdx.cochains import (
     coboundary_group,
     cochain_vector,
     delta_matrix,
+    delta_rows,
     distance,
     evaluate,
     is_locally_minimal,
@@ -419,6 +420,12 @@ def test_delta_matrix_shapes_and_signs():
         assert sorted(row) == [-1, 0, 1]
     Dm1 = delta_matrix(X, -1)
     assert Dm1 == [[1], [1], [1]]
+    # the sparse rows it is the dense form of: edge (a, b) is b - a
+    assert delta_rows(X, 0) == [{1: 1, 0: -1}, {2: 1, 0: -1}, {2: 1, 1: -1}]
+    assert delta_rows(X, -1) == [{0: 1}] * 3
+    for k in (-2, 1):
+        with pytest.raises(errors.DimensionOutOfRange):
+            delta_rows(X, k)
 
 
 def test_vector_views_roundtrip():

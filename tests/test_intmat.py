@@ -84,8 +84,10 @@ def record_reductions(monkeypatch):
     seen = []
     unit, smith = intmat._unit_reduce, intmat.smith_normal_form
 
-    def unit_counted(M, carried):
-        reduced = unit(M, carried)
+    def unit_counted(rows, n):
+        # the matrix part of the rows, read before they are reduced in place
+        M = [[row.get(j, 0) for j in range(n)] for row in rows]
+        reduced = unit(rows, n)
         seen.append(("refused" if reduced is None else "unit", M))
         return reduced
 
@@ -558,3 +560,55 @@ def test_unit_route_edge_shapes():
     order, H, U = intmat.unit_echelon([[0, 1], [1, 1], [1, 0]])
     assert order == [1, 0, 2] and H == [{0: 1, 1: 1}, {1: 1}, {}]
     assert U == [{1: 1}, {0: 1}, {2: 1, 1: -1, 0: 1}]
+
+
+# -- sparse input: the same kernel from rows built by the caller -----------------------
+
+
+def sparse_form(M):
+    """M's nonzeros as {column: value} rows, with keys in descending order: a
+    caller's rows need not list their columns in order."""
+    return [{j: row[j] for j in reversed(range(len(row))) if row[j]} for row in M]
+
+
+def assert_sparse_matches_dense(M, bs):
+    rows, n = sparse_form(M), len(M[0])
+    before = [dict(row) for row in rows]
+    assert intmat.solve_int_columns(rows, bs, n) == intmat.solve_int_columns(M, bs)
+    assert intmat.unit_echelon(rows, n) == intmat.unit_echelon(M)
+    assert smith_profile(rows, n) == smith_profile(M)
+    assert rows == before  # read, never reduced in place
+
+
+def test_sparse_rows_give_the_dense_results_on_random_matrices():
+    # sides up to 6, below the Smith oracle's runaway entry growth
+    rng = random.Random(29)
+    smith = 0
+    for _ in range(300):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        M = [[rng.choice((-3, -2, -1, 0, 0, 0, 1, 2, 3)) for _ in range(n)] for _ in range(m)]
+        x = [rng.randint(-3, 3) for _ in range(n)]
+        assert_sparse_matches_dense(M, [intmat.mat_vec(M, x), [rng.randint(-3, 3) for _ in M]])
+        smith += intmat.unit_echelon(M) is None
+    assert 50 < smith < 250  # both routes, from both forms
+
+
+def test_sparse_rows_with_a_non_unit_column_take_the_smith_route(monkeypatch):
+    # column 0 holds 2 and 4 only: each sparse entry gives up on it and is
+    # solved through a Smith form of the densified rows
+    M = [[2, 1, 0], [4, 3, 0], [0, 1, 1]]
+    seen = record_reductions(monkeypatch)
+    rows = sparse_form(M)
+    b = intmat.mat_vec(M, [1, -2, 3])
+    assert intmat.solve_int_columns(rows, [b, [1, 0, 0]], 3) == [[1, -2, 3], None]
+    assert intmat.unit_echelon(rows, 3) is None
+    assert smith_profile(rows, 3) == (1, 1, 2)
+    assert [route for route, _ in seen] == ["refused", "smith", "refused", "refused", "smith"]
+    assert all(A == M for _, A in seen)
+    assert_sparse_matches_dense(M, [b])
+
+
+def test_sparse_rows_of_no_columns_or_no_rows():
+    assert intmat.solve_int_columns([{}, {}], [[0, 0], [0, 1]], 0) == [[], None]
+    assert intmat.solve_int_columns([], [[]], 3) == [[0, 0, 0]]
+    assert smith_profile([], 3) == smith_profile([{}], 0) == ()

@@ -129,7 +129,7 @@ UNIT_MATRIX = [[1, 1, 0], [0, 1, 1], [1, 0, 0]]
 def test_smith_profile_rejects_a_wrong_unit_echelon(monkeypatch, capsys, tamper, message):
     assert smith_profile(UNIT_MATRIX) == (1, 1, 1)
     echelon = intmat.unit_echelon
-    monkeypatch.setattr(intmat, "unit_echelon", lambda M: tamper(*echelon(M)))
+    monkeypatch.setattr(intmat, "unit_echelon", lambda *args: tamper(*echelon(*args)))
     with pytest.raises(errors.PropertyViolation, match=message):
         smith_profile(UNIT_MATRIX)
     # delta_0 of the hollow triangle reduces with unit pivots too
