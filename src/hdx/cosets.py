@@ -11,11 +11,21 @@ Expansion scans, which need the distance of every coset representative, take
 it from one table per scan (`distance_table`, with `coboundary_norm_table`
 for the numerators), so their cost is representatives x faces, not
 representatives x subgroup x faces.
+
+Both tables have n^m entries for m free axes, and a numpy call pays a fixed
+cost for every inner loop it runs. So both grow one axis at a time, the new
+axis leading, by calls whose inner loop is a whole block of trailing axes;
+a broadcast over a table whose last axis is one digit would run n^(m-1)
+inner loops of n entries. The distance table picks its route by the
+subgroup's size (see there): per-row outer sums when it streams at most m
+rows, a scatter and per-axis passes beyond.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, product
+from operator import mul
 
 import numpy as np
 
@@ -150,29 +160,81 @@ def table_dtype(bound: int) -> np.dtype:
     raise SearchSpaceTooLarge(f"table values can reach {bound}, beyond uint64")
 
 
+def outer_sum(out, costs, base):
+    """out[f] = base + sum_a costs[a][f_a] over the C-order index f of
+    (n,) * len(costs), grown in out's head one axis at a time with the new
+    axis leading: block x of a stage is the stage before (block 0) plus
+    costs[a][x], blocks 1..n-1 first and block 0 in place."""
+    out[0] = base
+    size = 1
+    for c in reversed(costs):
+        for x in range(1, len(c)):
+            np.add(out[:size], c[x], out=out[x * size:(x + 1) * size])
+        out[:size] += c[0]
+        size *= len(c)
+    return out
+
+
 def distance_table(blocks, n, free_cols, w):
     """Least w-weighted Hamming distance from each f to a row of the blocks.
 
     The f range over the vectors mod n that are zero off free_cols, in
     lex_digits order (the C-order index of shape (n,) * len(free_cols)). The
-    rows (entries reduced mod n, at least one) are scattered to their free
-    digits at the cost of their weight off free_cols; then one pass per free
-    axis lets each f take the best entry along that axis at the cost w[col].
-    Weight is a sum over coordinates and changing a coordinate costs w[col]
-    whatever the new value, so the passes leave D[f] = min_b wt(f - b).
+    rows have entries reduced mod n, and there is at least one. Weight is a
+    sum over coordinates, and changing a coordinate costs w[col] whatever
+    the new value, so D[f] = min_b (weight of b off free_cols + sum over the
+    free axes a of w[col_a] [f_a != b_a]). The route depends on the number
+    of rows the blocks stream against m = len(free_cols):
+
+    - at most m rows: each row's table is an `outer_sum` of its per-axis
+      costs. The first is built in D itself. Each later one is built over
+      axes 1..m-1 only, in one temporary of n^(m-1) entries, and folded
+      into D through the n slices D.reshape(n, -1)[x] of axis 0: first the
+      row's own digit, then, with the axis cost added in place, the others;
+    - more rows: the rows are scattered to their free digits at their cost
+      off free_cols, and one pass per free axis lets each f take the best
+      entry along that axis at the cost w[col].
+
+    A scatter pass over an axis near the end runs inner loops of a few
+    entries, so the passes cost many sweeps of D whatever the row count,
+    while the outer sums cost about one sweep per row: up to m rows the
+    outer sums are cheaper, beyond they are not.
     """
     total = int(w.sum())
     dt = table_dtype(2 * total + 1)  # sentinel total + 1, plus one weight
     m = len(free_cols)
-    D = np.full(n ** m, total + 1, dtype=dt)
     fixed = np.ones(len(w), dtype=bool)
     cols = np.asarray(free_cols, dtype=np.intp)
     fixed[cols] = False
-    place = n ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    for R in blocks:
-        cost = (R[:, fixed] != 0) @ w[fixed]
-        np.minimum.at(D, R[:, cols] @ place, cost.astype(dt))
     wd = w.astype(dt)
+    D = np.full(n ** m, total + 1, dtype=dt)
+    blocks = iter(blocks)
+    head, count = [], 0
+    for R in blocks:
+        head.append(R)
+        count += len(R)
+        if count > m:
+            break
+    if 0 < count <= m:
+        R = np.concatenate(head)
+        # cost[r, a, x]: the cost of digit x on free axis a against row r
+        cost = np.empty((count, m, n), dtype=dt)
+        cost[:] = wd[cols][:, None]
+        cost[np.arange(count)[:, None], np.arange(m), R[:, cols]] = 0
+        base = (R[:, fixed] != 0) @ w[fixed]
+        outer_sum(D, cost[0], base[0])
+        Dn, T = D.reshape(n, -1), np.empty(n ** (m - 1), dtype=dt)
+        for c, b, f0 in zip(cost[1:], base[1:], R[1:, cols[0]]):
+            outer_sum(T, c[1:], b)
+            np.minimum(Dn[f0], T, out=Dn[f0])
+            T += wd[cols[0]]
+            for x in range(n):
+                if x != f0:
+                    np.minimum(Dn[x], T, out=Dn[x])
+        return D
+    place = n ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    for R in chain(head, blocks):
+        np.minimum.at(D, R[:, cols] @ place, ((R[:, fixed] != 0) @ w[fixed]).astype(dt))
     for a, col in enumerate(free_cols):
         # axis a as the middle axis of a 3-d view; slice minima beat a reduce
         V = D.reshape(n ** a, n, n ** (m - 1 - a))
@@ -184,27 +246,47 @@ def distance_table(blocks, n, free_cols, w):
     return D
 
 
-def coboundary_norm_table(M, n, free_cols, w):
-    """Weighted count of the rows t of M with (M f)_t != 0 mod n, for each f.
+def coboundary_norm_table(rows, n, free_cols, w):
+    """Weighted count of the rows t with (row_t . f) != 0 mod n, for each f.
 
-    The f are those of distance_table. Row t is a linear form on at most a
-    few free axes; its indicator, times w[t], is tabulated on those axes and
-    added by broadcasting.
+    rows are sparse {column: value} rows (`cochains.delta_rows`) and the f
+    are those of distance_table. The table is C - Z, with C the weight of
+    the rows that read a free axis and Z[f] the weight of those whose form
+    vanishes at f. It grows one axis at a time in the head of the returned
+    array, the new axis leading (a = m-1 .. 0), as in `outer_sum`: a stage
+    over axes a..m-1 is n copies of the stage before, and each row is
+    charged at the stage of its least free axis, by subtracting its weight
+    on the slabs where its digits make the form vanish. Every copy and slab
+    runs along the trailing axes, and nothing else is allocated.
     """
     m = len(free_cols)
-    E = np.zeros((n,) * m, dtype=table_dtype(int(w.sum())))
-    digits = np.arange(n, dtype=np.int64)
-    cols = np.asarray(free_cols, dtype=np.intp)
-    for t, row in enumerate(np.asarray(M, dtype=np.int64)[:, cols] % n):
-        axes = np.flatnonzero(row)
-        if not len(axes):
-            continue
-        form = sum(int(c) * g for c, g in zip(row[axes], np.ix_(*[digits] * len(axes))))
-        shape = [1] * m
-        for a in axes:
-            shape[a] = n
-        E += ((form % n != 0) * w[t]).astype(E.dtype).reshape(shape)
-    return E.reshape(-1)
+    axis = {col: a for a, col in enumerate(free_cols)}
+    at = [[] for _ in range(m)]  # (form, weight) of each row, by its least free axis
+    live = 0
+    for t, row in enumerate(rows):
+        form = sorted((axis[c], v % n) for c, v in row.items() if c in axis and v % n)
+        if form:
+            at[form[0][0]].append((form, int(w[t])))
+            live += int(w[t])
+    zeros = {}  # coefficients -> the digit tuples where their form vanishes
+    E = np.empty(n ** m, dtype=table_dtype(int(w.sum())))
+    E[0] = live
+    size = 1
+    for a in range(m - 1, -1, -1):
+        E[size:n * size].reshape(n - 1, size)[:] = E[:size]
+        size *= n
+        V = E[:size].reshape((n,) * (m - a))
+        for form, wt in at[a]:
+            axes, coeffs = zip(*form)
+            if coeffs not in zeros:
+                zeros[coeffs] = [d for d in product(range(n), repeat=len(coeffs))
+                                 if sum(map(mul, coeffs, d)) % n == 0]
+            for digits in zeros[coeffs]:
+                slab = [slice(None)] * (m - a)
+                for b, d in zip(axes, digits):
+                    slab[b - a] = d
+                V[tuple(slab)] -= wt
+    return E
 
 
 def mod_p_floor(minimum_mod) -> Fraction:

@@ -9,6 +9,7 @@ lexicographically least witness vector so reruns are byte-identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -23,6 +24,7 @@ from .cochains import (
     coboundary,
     coboundary_group,
     delta_matrix,
+    delta_rows,
     distance,
     locally_minimal_rows,
     subgroup_array,
@@ -178,10 +180,8 @@ def _coset_scan(X, ring, k, free_cols, sub_blocks):
     """Min of ||delta f|| / dist(f, sub) over f supported on free_cols, outside sub.
 
     sub_blocks holds the subgroup's rows, reduced mod n. Both ||delta f|| and
-    dist(f, sub) come from one table each over all candidates; candidates
-    run in lexicographic order, CHUNK at a time, ratios are compared by
-    integer cross-multiplication and the witness is the first candidate that
-    strictly lowers the ratio.
+    dist(f, sub) come from one table each over all candidates, in
+    lexicographic order, and `_least_ratio` picks the witness.
     """
     n = ring.size
     nk = len(X.faces(k))
@@ -190,31 +190,41 @@ def _coset_scan(X, ring, k, free_cols, sub_blocks):
     cosets.require_int64(int(wk.sum()) * int(wk1.sum()), "ratio cross products")
     n_reps = n ** len(free_cols)
     dist = cosets.distance_table(sub_blocks, n, free_cols, wk)
-    norm = cosets.coboundary_norm_table(delta_matrix(X, k), n, free_cols, wk1)
-
-    best_e = best_s = None
-    best_index = None
-    for start in range(0, n_reps, cosets.CHUNK):
-        e = norm[start:start + cosets.CHUNK].astype(np.int64)
-        s = dist[start:start + cosets.CHUNK].astype(np.int64)
-        live = s > 0
-        while True:
-            if best_e is None:
-                mask = live
-            else:
-                mask = live & (e * best_s < best_e * s)
-            idxs = np.nonzero(mask)[0]
-            if idxs.size == 0:
-                break
-            i0 = int(idxs[0])
-            best_e, best_s = int(e[i0]), int(s[i0])
-            best_index = start + i0
-            live = live.copy()
-            live[: i0 + 1] = False
-    if best_index is None:
+    norm = cosets.coboundary_norm_table(delta_rows(X, k), n, free_cols, wk1)
+    best = _least_ratio(norm, dist)
+    if best is None:
         return INFINITY, None, n_reps
+    best_e, best_s, best_index = best
     witness = cosets.lex_digits(best_index, 1, n, free_cols, nk)[0].tolist()
     return Fraction(best_e * den_k, best_s * den_k1), tuple(witness), n_reps
+
+
+def _least_ratio(norm, dist):
+    """(e, s, i) at the first index i of least ratio e / s = norm[i] / dist[i]
+    over dist[i] > 0, or None when every dist is 0.
+
+    The tables run CHUNK entries at a time. One pass marks a block's
+    candidates strictly below the running best, which starts at 1 / 0 so
+    that every dist > 0 is below it, and the best is refined over their
+    indices alone: the first index of the least ratio wins. Ratios are
+    compared by int64 cross-multiplication, which the caller bounds.
+    """
+    best_e, best_s, best = 1, 0, None
+
+    def below(e, s):
+        return np.multiply(e, best_s, dtype=np.int64) < np.multiply(s, best_e, dtype=np.int64)
+
+    for start in range(0, len(norm), cosets.CHUNK):
+        e = norm[start:start + cosets.CHUNK]
+        s = dist[start:start + cosets.CHUNK]
+        idx = np.flatnonzero(below(e, s))
+        while idx.size:
+            i = int(idx[0])
+            best_e, best_s = int(e[i]), int(s[i])
+            best = (best_e, best_s, start + i)
+            idx = idx[1:]
+            idx = idx[below(e[idx], s[idx])]
+    return best
 
 
 def coboundary_epsilon(X, ring: Ring, k: int, coeff_bound=None) -> ExpansionReport:
@@ -297,12 +307,16 @@ def cosystolic_pair(X, ring: Ring, k: int) -> ExpansionReport:
 
 
 def _supports_up_to_norm(X, k, mu):
-    """All face subsets of X(k) with norm at most mu, by pruned DFS (lex order)."""
+    """All face subsets of X(k) with norm at most mu, by pruned DFS (lex order).
+
+    A subset's weight numerator is an integer, so it is compared with
+    floor(mu * den) in ints, never with the Fraction.
+    """
     cap = candidate_cap()
     faces = X.faces(k)
     wnum = [X.deg_top(f) for f in faces]
     den = X.weight_denominator(k)
-    limit = mu * den
+    limit = math.floor(mu * den)
     out = []
     n = len(faces)
 

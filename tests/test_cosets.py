@@ -16,7 +16,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from hdx import cosets, intmat
+from hdx import cosets, expansion, intmat
+from hdx.catalog import named_complex
 from hdx.cochains import (
     COBOUNDARIES,
     COCYCLES,
@@ -27,6 +28,7 @@ from hdx.cochains import (
     cochain_vector,
     cocycle_group,
     delta_matrix,
+    delta_rows,
     distance,
     lift_from_link,
     localize,
@@ -36,6 +38,7 @@ from hdx.cochains import (
     vector_cochain,
 )
 from hdx.complexes import build_complex
+from hdx.config import candidate_cap
 from hdx.errors import DimensionMismatch, IntegerRingRequiresBound, SearchSpaceTooLarge
 from hdx.expansion import (
     INFINITY,
@@ -314,7 +317,7 @@ def test_distance_table_dtype_guard():
     table = cosets.distance_table([np.zeros((1, 2), dtype=np.int64)], 2, [0, 1], w)
     assert table.dtype == np.uint16
     assert table.tolist() == [0, 100, 200, 300]
-    norms = cosets.coboundary_norm_table([[1, 1], [0, 1]], 2, [0, 1],
+    norms = cosets.coboundary_norm_table([{0: 1, 1: 1}, {1: 1}], 2, [0, 1],
                                          np.array([200, 100], dtype=np.int64))
     assert norms.dtype == np.uint16
     assert norms.tolist() == [0, 300, 200, 100]
@@ -414,3 +417,216 @@ def test_locally_minimal_rows_on_the_octahedron(ring):
         want = [oracle_is_locally_minimal(vector_cochain(X, ring, k, r)) for r in rows]
         assert len(set(want)) == 2
         assert locally_minimal_rows(X, ring, k, rows).tolist() == want
+
+
+# -- the coset scan's tables and ratio pass against the forms they replaced ------
+
+
+def oracle_distance_table(blocks, n, free_cols, w):
+    """The scatter and per-axis passes for every subgroup size."""
+    total = int(w.sum())
+    dt = cosets.table_dtype(2 * total + 1)
+    m = len(free_cols)
+    D = np.full(n ** m, total + 1, dtype=dt)
+    fixed = np.ones(len(w), dtype=bool)
+    cols = np.asarray(free_cols, dtype=np.intp)
+    fixed[cols] = False
+    place = n ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    for R in blocks:
+        cost = (R[:, fixed] != 0) @ w[fixed]
+        np.minimum.at(D, R[:, cols] @ place, cost.astype(dt))
+    wd = w.astype(dt)
+    for a, col in enumerate(free_cols):
+        V = D.reshape(n ** a, n, n ** (m - 1 - a))
+        step = V[:, 0].copy()
+        for x in range(1, n):
+            np.minimum(step, V[:, x], out=step)
+        step += wd[col]
+        np.minimum(V, step[:, None, :], out=V)
+    return D
+
+
+def oracle_norm_table(M, n, free_cols, w):
+    """Each row's indicator on its free axes, broadcast over the dense table."""
+    m = len(free_cols)
+    E = np.zeros((n,) * m, dtype=cosets.table_dtype(int(w.sum())))
+    digits = np.arange(n, dtype=np.int64)
+    cols = np.asarray(free_cols, dtype=np.intp)
+    for t, row in enumerate(np.asarray(M, dtype=np.int64)[:, cols] % n):
+        axes = np.flatnonzero(row)
+        if not len(axes):
+            continue
+        form = sum(int(c) * g for c, g in zip(row[axes], np.ix_(*[digits] * len(axes))))
+        shape = [1] * m
+        for a in axes:
+            shape[a] = n
+        E += ((form % n != 0) * w[t]).astype(E.dtype).reshape(shape)
+    return E.reshape(-1)
+
+
+def ratio_oracle(norm, dist):
+    """(e, s, i) at the first strict improvement of e / s over dist > 0, in Fractions."""
+    best = None
+    for i, (e, s) in enumerate(zip(norm.tolist(), dist.tolist())):
+        if s and (best is None or Fraction(e, s) < Fraction(best[0], best[1])):
+            best = (e, s, i)
+    return best
+
+
+def split_blocks(rows, cuts):
+    """rows as consecutive blocks cut at the sorted positions cuts (empty ones too)."""
+    edges = [0, *sorted(min(c, len(rows)) for c in cuts), len(rows)]
+    return [rows[a:b] for a, b in zip(edges, edges[1:])]
+
+
+TABLE_RINGS = [prime_field(2), prime_field(3), prime_field(5), modular_ring(4), modular_ring(6)]
+TABLE_BUDGET = 4096  # largest table one example may build
+
+
+@SETTINGS
+@given(complexes(), st.sampled_from(TABLE_RINGS), st.data())
+def test_tables_match_the_parent_oracles(X, ring, data):
+    """Values and dtype on random free columns, both routes of the distance
+    table (rows up to m and beyond), rows split into random blocks."""
+    n = ring.size
+    k = data.draw(st.integers(0, X.dim - 1))
+    nk = len(X.faces(k))
+    free_cols = sorted(data.draw(st.sets(st.integers(0, nk - 1), max_size=nk)))
+    m = len(free_cols)
+    assume(n ** m <= TABLE_BUDGET)
+    wk, _ = cosets.face_weights(X, k)
+    wk1, _ = cosets.face_weights(X, k + 1)
+    count = data.draw(st.sampled_from([1, max(m, 1), m + 1, m + 5]))
+    rows = np.array(data.draw(st.lists(st.lists(st.integers(0, n - 1), min_size=nk, max_size=nk),
+                                       min_size=count, max_size=count)), dtype=np.int64)
+    cuts = data.draw(st.lists(st.integers(0, count), max_size=3))
+    want = oracle_distance_table(split_blocks(rows, cuts), n, free_cols, wk)
+    got = cosets.distance_table(iter(split_blocks(rows, cuts)), n, free_cols, wk)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    want = oracle_norm_table(delta_matrix(X, k), n, free_cols, wk1)
+    got = cosets.coboundary_norm_table(delta_rows(X, k), n, free_cols, wk1)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("ring", [prime_field(3), modular_ring(4)], ids=str)
+def test_distance_table_routes_meet_at_the_rule(monkeypatch, ring):
+    """Rows = m takes the outer sums, m + 1 the scatter; m = 0, a lone zero
+    row and no rows at all agree with the oracle too."""
+    built = []
+    outer_sum = cosets.outer_sum
+    monkeypatch.setattr(cosets, "outer_sum", lambda *a: built.append(1) or outer_sum(*a))
+    n = ring.size
+    X = named_complex("octahedron")
+    w, _ = cosets.face_weights(X, 1)
+    rng = random.Random(n)
+    for free_cols in ([], [4], [0, 3, 7], [1, 2, 5, 6, 9]):
+        m = len(free_cols)
+        for count in {0, 1, m, m + 1}:
+            rows = np.array([[rng.randrange(n) for _ in range(len(w))] for _ in range(count)],
+                            dtype=np.int64).reshape(count, len(w))
+            for R in ([rows], [rows[:1], rows[1:]], [np.zeros((1, len(w)), dtype=np.int64)]):
+                want = oracle_distance_table(R, n, free_cols, w)
+                built.clear()
+                got = cosets.distance_table(R, n, free_cols, w)
+                assert got.dtype == want.dtype and got.tolist() == want.tolist()
+                assert bool(built) == (0 < sum(map(len, R)) <= m)
+
+
+def test_norm_table_reads_only_nonzero_digits_mod_n():
+    # entries that vanish mod n read no axis; a row with no free axis adds nothing
+    w = np.array([3, 5, 7], dtype=np.int64)
+    rows = [{0: 4, 1: 1}, {1: 2, 2: -2}, {0: 1}]
+    M = intmat.dense_rows(rows, 3)
+    for free_cols in ([], [1], [1, 2], [0, 1, 2]):
+        want = oracle_norm_table(M, 4, free_cols, w)
+        got = cosets.coboundary_norm_table(rows, 4, free_cols, w)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
+def scan_over_oracle_tables(X, ring, k, free_cols, rows):
+    n = ring.size
+    wk, den_k = cosets.face_weights(X, k)
+    wk1, den_k1 = cosets.face_weights(X, k + 1)
+    dist = oracle_distance_table([rows], n, free_cols, wk)
+    norm = oracle_norm_table(delta_matrix(X, k), n, free_cols, wk1)
+    best = ratio_oracle(norm, dist)
+    if best is None:
+        return INFINITY, None, n ** len(free_cols)
+    e, s, i = best
+    witness = cosets.lex_digits(i, 1, n, free_cols, len(wk))[0].tolist()
+    return Fraction(e * den_k, s * den_k1), tuple(witness), n ** len(free_cols)
+
+
+@SETTINGS
+@given(complexes(), st.sampled_from(TABLE_RINGS), st.data())
+def test_coset_scan_matches_a_scan_over_the_oracle_tables(X, ring, data):
+    n = ring.size
+    k = data.draw(st.integers(0, X.dim - 1))
+    nk = len(X.faces(k))
+    target = data.draw(st.sampled_from([COBOUNDARIES, COCYCLES]))
+    gens = subgroup_generators(X, ring, k, target)
+    assume(n ** len(gens) <= BUDGET)
+    rows = np.concatenate(list(cosets.combinations([0] * nk, gens, range(n)))) % n
+    free_cols = sorted(data.draw(st.sets(st.integers(0, nk - 1), max_size=nk)))
+    assume(n ** len(free_cols) <= TABLE_BUDGET)
+    got = expansion._coset_scan(X, ring, k, free_cols, cosets.chunks(rows))
+    assert got == scan_over_oracle_tables(X, ring, k, free_cols, rows)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5, 8, 1 << 14])
+def test_least_ratio_ties_zeros_and_block_boundaries(monkeypatch, block):
+    monkeypatch.setattr(cosets, "CHUNK", block)
+    u8 = np.uint8
+    cases = [
+        ([3, 2, 4, 2, 1, 2], [3, 2, 4, 2, 1, 2]),  # every ratio 1: the first live index
+        ([5, 1, 2, 3, 0, 0], [0, 3, 6, 9, 4, 2]),  # 1/3 tied three times, then ratio 0
+        ([9, 9, 9, 9, 9], [0, 0, 0, 0, 0]),  # every distance 0: no minimum
+        ([0, 4, 3, 6, 2, 1, 2], [0, 0, 4, 8, 3, 1, 3]),  # 2/3 after 3/4, 6/8 and 1/1
+        ([7] * 9 + [1], [0] * 8 + [9, 2]),  # the only live entries after several blocks
+    ]
+    rng = random.Random(block)
+    for _ in range(30):
+        size = rng.randrange(1, 40)
+        cases.append(([rng.randrange(4) for _ in range(size)], [rng.randrange(4) for _ in range(size)]))
+    for e, s in cases:
+        norm, dist = np.array(e, dtype=u8), np.array(s, dtype=u8)
+        assert expansion._least_ratio(norm, dist) == ratio_oracle(norm, dist)
+
+
+def fraction_supports(X, k, mu):
+    """The pruned DFS with the Fraction limit mu * den, compared against ints."""
+    cap = candidate_cap()
+    faces = X.faces(k)
+    wnum = [X.deg_top(f) for f in faces]
+    limit = mu * X.weight_denominator(k)
+    out = []
+
+    def rec(i, acc, chosen):
+        if len(out) > cap:
+            raise SearchSpaceTooLarge(f"more than {cap} supports below norm {mu}")
+        if i == len(faces):
+            if chosen:
+                out.append(tuple(chosen))
+            return
+        rec(i + 1, acc, chosen)
+        if acc + wnum[i] <= limit:
+            chosen.append(i)
+            rec(i + 1, acc + wnum[i], chosen)
+            chosen.pop()
+
+    rec(0, 0, [])
+    return [tuple(faces[i] for i in idx) for idx in sorted(out)]
+
+
+@pytest.mark.parametrize("name", ["octahedron", "rp2", "hollow_triangle"])
+def test_integer_supports_match_the_fraction_dfs(name):
+    X = named_complex(name)
+    for k in range(X.dim + 1):
+        den = X.weight_denominator(k)
+        norms = sorted({Fraction(X.deg_top(f), den) for f in X.faces(k)})
+        # a mu at a support's norm, between norms, with a denominator prime to
+        # den, negative, zero and past every face
+        mus = {norms[0], norms[-1], 2 * norms[0], Fraction(1, 2), Fraction(2, 7),
+               Fraction(1, 2 * den + 1), Fraction(-1, 3), Fraction(0), Fraction(3, 2)}
+        for mu in sorted(mus):
+            assert _supports_up_to_norm(X, k, mu) == fraction_supports(X, k, mu), (k, mu)

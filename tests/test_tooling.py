@@ -985,3 +985,12 @@ def test_apartment_intersections_have_one_reader():
     assert INTERSECTIONS in defined
     for name in ("intersection_complex", "_summed_totals", "cone_norms"):
         assert INTERSECTIONS in _reached(sources["building.py"], name)
+
+
+# the coset scan reads delta_k as sparse rows: no dense delta on its path
+def test_the_coset_scan_builds_no_dense_delta():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    scan = _reached(sources["expansion.py"], "_coset_scan")
+    assert "delta_rows" in scan and "delta_matrix" not in scan
+    for name in ("distance_table", "coboundary_norm_table"):
+        assert "delta_matrix" not in _reached(sources["cosets.py"], name)
