@@ -3,7 +3,10 @@
 A k-cochain stores values only on canonically ordered (sorted) faces; the
 value at any other ordering is the canonical value times the sign of the
 sorting permutation, so antisymmetry is structural. A k-chain is a finitely
-supported ring-linear combination of faces.
+supported ring-linear combination of faces. `Cochain(...)` checks every face,
+dimension and value it is given; the producers that read their faces off the
+complex (coboundary, localize, vector_cochain, random_cochain) build through
+`Cochain.trusted`, which checks nothing.
 
 Conventions fixed here and used everywhere else:
 
@@ -85,6 +88,16 @@ class Cochain:
         self.values = vals
 
     @classmethod
+    def trusted(cls, complex: SimplicialComplex, ring: Ring, dim: int, values: dict):
+        """A cochain on values as given, for producers that read their faces
+        off the complex: every value nonzero and reduced in the ring, every
+        key a dim-face of the complex. Nothing is checked; a caller holding
+        values from outside builds through Cochain(...) instead."""
+        f = cls.__new__(cls)
+        f.complex, f.ring, f.dim, f.values = complex, ring, dim, values
+        return f
+
+    @classmethod
     def zero(cls, complex, ring, dim):
         return cls(complex, ring, dim, {})
 
@@ -96,7 +109,12 @@ class Cochain:
         return not self.values
 
     def norm(self) -> Fraction:
-        return self.complex.norm(self.values) if self.values else Fraction(0)
+        """Total weight of the support: one deg_top sum over one denominator."""
+        if not self.values:
+            return Fraction(0)
+        deg = self.complex.top_degrees
+        return Fraction(sum(deg[face] for face in self.values),
+                        self.complex.weight_denominator(self.dim))
 
     def __call__(self, oriented) -> int:
         """Value at an arbitrary ordering of a face."""
@@ -233,22 +251,25 @@ class Chain:
 
 
 def coboundary(f: Cochain) -> Cochain:
-    """Alternating-sum extension of f one dimension up."""
+    """Alternating-sum extension of f one dimension up.
+
+    Works over the support: each value is added, with its sign, into the
+    cofaces of its face read off `X.coface_table(k)`; the sums are reduced
+    in the ring, zeros dropped, and the values kept in X.faces(k + 1) order.
+    """
     X = f.complex
     k = f.dim
     if k >= X.dim:
         raise TopDimension(f"no coboundary above dimension {X.dim}")
-    vals = {}
-    get = f.values.get
-    for tau in X.faces(k + 1):
-        s = 0
-        for i in range(len(tau)):
-            v = get(tau[:i] + tau[i + 1:], 0)
-            if v:
-                s += -v if i % 2 else v
-        if s:
-            vals[tau] = s
-    return Cochain(X, f.ring, k + 1, vals)
+    table = X.coface_table(k)
+    acc = {}
+    for face, v in f.values.items():
+        _, cols, signs = table[face]
+        for j, s in zip(cols, signs):
+            acc[j] = acc.get(j, 0) + s * v
+    up, reduce = X.faces(k + 1), f.ring.reduce
+    vals = {up[j]: r for j in sorted(acc) if (r := reduce(acc[j]))}
+    return Cochain.trusted(X, f.ring, k + 1, vals)
 
 
 def boundary(c: Chain) -> Chain:
@@ -284,15 +305,18 @@ def localize(f: Cochain, sigma) -> Cochain:
         raise FaceTooLarge(f"{sigma} has more than {f.dim + 1} vertices")
     L = X.link(sigma)
     if sigma == ():
-        return Cochain(L, f.ring, f.dim, dict(f.values))
-    ss = set(sigma)
-    vals = {}
+        return Cochain.trusted(L, f.ring, f.dim, dict(f.values))
+    # sigma is a (sorted) face, so perm_sign(sigma + tau) flips once per pair
+    # of a vertex of tau sorting before one of sigma: the sum of sigma's
+    # positions in the face, less 0 + 1 + ... + (|sigma| - 1)
+    ss, m = set(sigma), len(sigma)
+    odd = m * (m - 1) // 2
+    vals, reduce = {}, f.ring.reduce
     for face, v in f.values.items():
         if ss.issubset(face):
             tau = tuple(x for x in face if x not in ss)
-            sign = perm_sign(sigma + tau)
-            vals[tau] = sign * v
-    return Cochain(L, f.ring, f.dim - len(sigma), vals)
+            vals[tau] = reduce(-v if (sum(map(face.index, sigma)) - odd) % 2 else v)
+    return Cochain.trusted(L, f.ring, f.dim - m, vals)
 
 
 def lift_from_link(h: Cochain, sigma, X) -> Cochain:
@@ -332,8 +356,8 @@ def cochain_vector(f: Cochain):
 
 
 def vector_cochain(X, ring, k, vec) -> Cochain:
-    faces = X.faces(k)
-    return Cochain(X, ring, k, {f: v for f, v in zip(faces, vec) if v})
+    faces, reduce = X.faces(k), ring.reduce
+    return Cochain.trusted(X, ring, k, {f: r for f, v in zip(faces, vec) if (r := reduce(v))})
 
 
 def norm_of_vector(X, k, vec) -> Fraction:
@@ -599,10 +623,8 @@ def _lex_least_preimage(L, ring, j, target_vec):
 
 def random_cochain(X, ring, k, rng) -> Cochain:
     """Seeded random k-cochain; integer values are uniform on a small range."""
-    vals = {}
-    for face in X.faces(k):
-        if ring.is_finite:
-            vals[face] = rng.randrange(ring.size)
-        else:
-            vals[face] = rng.randint(*RANDOM_INT_RANGE)
-    return Cochain(X, ring, k, vals)
+    if ring.is_finite:
+        draws = [rng.randrange(ring.size) for _ in X.faces(k)]
+    else:
+        draws = [rng.randint(*RANDOM_INT_RANGE) for _ in X.faces(k)]
+    return Cochain.trusted(X, ring, k, {f: v for f, v in zip(X.faces(k), draws) if v})

@@ -157,16 +157,30 @@ class SimplicialComplex:
 
     def cofaces(self, sigma) -> tuple:
         """Faces one dimension above sigma that contain it."""
-        k = len(sigma) - 1
-        if k not in self._cofaces:
-            table = {f: [] for f in self._faces.get(k, ())}
-            for tau in self._faces.get(k + 1, ()):
-                for i in range(len(tau)):
-                    table[tau[:i] + tau[i + 1:]].append(tau)
-            self._cofaces[k] = {f: tuple(v) for f, v in table.items()}
         if not self.has_face(sigma):
             raise FaceNotInComplex(f"{sigma} is not a face")
-        return self._cofaces[k][sigma]
+        return self.coface_table(len(sigma) - 1)[sigma][0]
+
+    def coface_table(self, k) -> dict:
+        """The column view of the k-coboundary, built once per k: each k-face
+        maps to (cofaces, columns, signs), the (k+1)-faces containing it in
+        order, their positions in faces(k+1), and the sign (-1)^i of the
+        position i at which each coface drops a vertex to give the k-face."""
+        if k not in self._cofaces:
+            table = {f: ([], [], []) for f in self._faces.get(k, ())}
+            for j, tau in enumerate(self._faces.get(k + 1, ())):
+                for i in range(len(tau)):
+                    up, cols, signs = table[tau[:i] + tau[i + 1:]]
+                    up.append(tau)
+                    cols.append(j)
+                    signs.append(-1 if i % 2 else 1)
+            self._cofaces[k] = {f: tuple(map(tuple, v)) for f, v in table.items()}
+        return self._cofaces[k]
+
+    @property
+    def top_degrees(self) -> dict:
+        """deg_top of every face, the empty face included, read without checks."""
+        return self._deg_top
 
     def link(self, sigma) -> "SimplicialComplex":
         """The complex {tau \\ sigma : sigma subset tau}; link of () is X itself."""

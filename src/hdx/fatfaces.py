@@ -5,6 +5,9 @@ defined top-down: A_k = A, and an i-face is fat when the conditional chance
 that the random chain sits in A_{i+1} one step above it clears the threshold
 eta^(2^(k-i-1)). All conditional probabilities come from the closed-form face
 weights, never from sampling, because the thresholds are sharp inequalities.
+A weight is deg_top over a per-dimension denominator, so each threshold is
+compared exactly as an integer cross-product of deg_top numerators, and a
+level probability is one deg_top sum over one denominator.
 """
 
 from __future__ import annotations
@@ -71,13 +74,9 @@ class FatFamily:
         X, k = self.complex, self.k
         if i < -1 or i > k:
             raise ParameterOutOfRange(f"level {i} not in -1..{k}")
-        down = self.down_maps()
-        c = comb(k + 1, i + 1)
-        total = Fraction(0)
-        for sigma in self.levels[i]:
-            for tau in down[i][sigma]:
-                total += X.weight(tau) / c
-        return total
+        down, deg = self.down_maps()[i], X.top_degrees
+        num = sum(deg[tau] for sigma in self.levels[i] for tau in down[sigma])
+        return Fraction(num, X.weight_denominator(k) * comb(k + 1, i + 1))
 
     def to_json(self) -> dict:
         return {
@@ -91,7 +90,14 @@ class FatFamily:
 
 
 def fat_family(X, A, eta, k=None) -> FatFamily:
-    """Level sets of fat faces under the conditional-probability threshold."""
+    """Level sets of fat faces under the conditional-probability threshold.
+
+    With eta = p/q and e = 2^(k-i-1), the conditional chance at an i-face s
+    is sum deg_top(t) den_i / ((i+2) deg_top(s) den_{i+1}) over the faces t
+    of A_{i+1} above s, so s is fat exactly when
+    sum deg_top(t) den_i q^e >= (i+2) deg_top(s) den_{i+1} p^e.
+    The sums are gathered from A_{i+1} down, so only faces under it are read.
+    """
     eta = Fraction(eta)
     if not 0 < eta < 1:
         raise BadEta(f"eta must lie strictly between 0 and 1, got {eta}")
@@ -106,18 +112,18 @@ def fat_family(X, A, eta, k=None) -> FatFamily:
     for f in A:
         if not X.has_face(f) or len(f) - 1 != k:
             raise FaceNotInComplex(f"{f} is not a {k}-face")
+    deg = X.top_degrees
     levels = {k: A}
     for i in range(k - 1, -2, -1):
-        threshold = eta ** (2 ** (k - i - 1))
-        fat = set()
-        for sigma in X.faces(i):
-            up = [t for t in X.cofaces(sigma) if t in levels[i + 1]]
-            if not up:
-                continue
-            cond = sum(X.weight(t) for t in up) / ((i + 2) * X.weight(sigma))
-            if cond >= threshold:
-                fat.add(sigma)
-        levels[i] = frozenset(fat)
+        e = 2 ** (k - i - 1)
+        up_scale = X.weight_denominator(i) * eta.denominator ** e
+        face_scale = (i + 2) * X.weight_denominator(i + 1) * eta.numerator ** e
+        up = {}
+        for tau in levels[i + 1]:
+            for j in range(i + 2):
+                sigma = tau[:j] + tau[j + 1:]
+                up[sigma] = up.get(sigma, 0) + deg[tau]
+        levels[i] = frozenset(s for s, num in up.items() if num * up_scale >= deg[s] * face_scale)
     return FatFamily(X, k, eta, levels)
 
 
@@ -166,32 +172,31 @@ def bad_bound_holds(X, fam: FatFamily) -> bool:
 
 
 def bad_faces(X, fam: FatFamily) -> frozenset:
-    """(k+1)-faces holding two fat i-faces whose intersection is not fat."""
-    k = fam.k
-    out = set()
-    for tau in X.faces(k + 1):
-        if _is_bad(tau, fam):
-            out.add(tau)
+    """(k+1)-faces holding two fat i-faces whose intersection is not fat.
+
+    Two such i-faces meet in an (i-1)-face and span an (i+1)-face, so the fat
+    i-faces are grouped by their non-fat faces one dimension down; every
+    pair of a group spans a bad (i+1)-face when that is a face of X, and the
+    bad (k+1)-faces are the faces above one, reached coface by coface.
+    """
+    k, out = fam.k, set()
+    for i in range(0, k + 1):
+        below, groups = fam.levels[i - 1], {}
+        for s in fam.levels[i]:
+            for j in range(i + 1):
+                rho = s[:j] + s[j + 1:]
+                if rho not in below:
+                    groups.setdefault(rho, []).append(s)
+        spans = set()
+        for group in groups.values():
+            for s1, s2 in combinations(group, 2):
+                union = tuple(sorted(set(s1 + s2)))
+                if X.has_face(union):
+                    spans.add(union)
+        for _ in range(i + 1, k + 1):
+            spans = {t for u in spans for t in X.cofaces(u)}
+        out |= spans
     return frozenset(out)
-
-
-def _is_bad(tau, fam) -> bool:
-    # two fat i-faces inside tau meeting in a non-fat (i-1)-face; their union
-    # has i+2 vertices, so scan the (i+2)-subsets of tau and split off pairs
-    for i in range(0, fam.k + 1):
-        if len(tau) < i + 2:
-            break
-        level = fam.levels[i]
-        below = fam.levels[i - 1]
-        for union in combinations(tau, i + 2):
-            for x, y in combinations(range(i + 2), 2):
-                s1 = union[:x] + union[x + 1:]
-                s2 = union[:y] + union[y + 1:]
-                if s1 in level and s2 in level:
-                    inter = tuple(v for idx, v in enumerate(union) if idx not in (x, y))
-                    if inter not in below:
-                        return True
-    return False
 
 
 @dataclass
@@ -216,6 +221,8 @@ def links_inequality_check(X, ring, f: Cochain, fam: FatFamily, i: int) -> Links
     report the same bound with the overcount constant replaced by 1.
     """
     k = f.dim
+    if f.complex != X or f.ring != ring:
+        raise PreconditionViolated(f"f must be a cochain on X over {ring}")
     if fam.k != k or fam.levels[k] != f.support:
         raise PreconditionViolated("family levels must start at the support of f")
     if not 0 <= i <= k:
@@ -225,7 +232,7 @@ def links_inequality_check(X, ring, f: Cochain, fam: FatFamily, i: int) -> Links
     down = fam.down_maps()
     min_ratio = None
     for sigma in sorted(fam.levels[i]):
-        restricted = Cochain(
+        restricted = Cochain.trusted(
             X, ring, k, {t: v for t, v in f.values.items() if t in down[i][sigma]}
         )
         loc = localize(restricted, sigma)

@@ -252,6 +252,7 @@ def check_local_to_global_coboundaries(seed):
     hits = 0
     for _ in range(150):
         f = cochains_mod.random_cochain(X, F3, 1, rng)
+        df = cochains_mod.coboundary(f)
         for sigma in X.faces(0):
             fs = cochains_mod.localize(f, sigma)
             dfs = cochains_mod.coboundary(fs)
@@ -261,7 +262,7 @@ def check_local_to_global_coboundaries(seed):
                     tuple(sorted(set(union) - {v})) not in f.support for v in sigma
                 ):
                     hits += 1
-                    lhs = cochains_mod.coboundary(f)(sigma + tau)
+                    lhs = df(sigma + tau)
                     if lhs != F3.reduce((-1) ** len(sigma) * dfs(tau)):
                         return False, f"{sigma} {tau}"
     return hits > 0, f"{hits} applicable instances"

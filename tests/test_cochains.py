@@ -8,6 +8,7 @@ import pytest
 from hdx import errors, intmat
 from hdx.catalog import named_complex
 from hdx.cochains import (
+    RANDOM_INT_RANGE,
     COBOUNDARIES,
     COCYCLES,
     Chain,
@@ -26,9 +27,11 @@ from hdx.cochains import (
     lift_from_link,
     localize,
     make_locally_minimal,
+    perm_sign,
     random_cochain,
     vector_cochain,
 )
+from hdx.complexes import build_complex
 from hdx.rings import INTEGERS, modular_ring, prime_field
 
 F2 = prime_field(2)
@@ -120,6 +123,152 @@ def test_delta_of_empty_face_cochain_is_constant():
     g = Cochain(X, INTEGERS, -1, {(): 4})
     dg = coboundary(g)
     assert all(dg((v,)) == 4 for v in "abc")
+
+
+# -- coboundary over the support against the dense loop --------------------------
+
+ORACLE_RINGS = [F2, F3, modular_ring(4), Z6, INTEGERS]
+
+
+def oracle_coboundary(f):
+    """The dense loop coboundary replaced: every (k+1)-face of X sums f over
+    its codimension-1 faces with alternating signs, validated on the way."""
+    X, k = f.complex, f.dim
+    if k >= X.dim:
+        raise errors.TopDimension(f"no coboundary above dimension {X.dim}")
+    vals = {}
+    get = f.values.get
+    for tau in X.faces(k + 1):
+        s = 0
+        for i in range(len(tau)):
+            v = get(tau[:i] + tau[i + 1:], 0)
+            if v:
+                s += -v if i % 2 else v
+        if s:
+            vals[tau] = s
+    return Cochain(X, f.ring, k + 1, vals)
+
+
+def oracle_cofaces(X, sigma):
+    """The coface lists as the complex built them before it kept signs."""
+    k = len(sigma) - 1
+    table = {f: [] for f in X.faces(k)}
+    for tau in X.faces(k + 1):
+        for i in range(len(tau)):
+            table[tau[:i] + tau[i + 1:]].append(tau)
+    return tuple(table[sigma])
+
+
+def random_relabelled_complex(rng):
+    """A pure complex of dimension 1..3 on at most 7 vertices, its labels a
+    random permutation (so face order is not the order of the draw)."""
+    n = rng.randint(4, 7)
+    d = rng.randint(1, 3)
+    pool = list(combinations(range(n), d + 1))
+    tops = rng.sample(pool, rng.randint(1, min(6, len(pool))))
+    labels = [f"v{i}" for i in range(n)]
+    rng.shuffle(labels)
+    return build_complex([[labels[i] for i in t] for t in tops])
+
+
+def assert_same_cochain(got, want):
+    assert (got.complex, got.ring, got.dim) == (want.complex, want.ring, want.dim)
+    assert list(got.values.items()) == list(want.values.items())
+
+
+def test_coboundary_matches_the_dense_oracle_on_relabelled_complexes():
+    rng = random.Random(31)
+    for _ in range(60):
+        X = random_relabelled_complex(rng)
+        for ring in ORACLE_RINGS:
+            for k in range(-1, X.dim):
+                faces = X.faces(k)
+                full = random_cochain(X, ring, k, rng)
+                sparse = Cochain(X, ring, k, {f: full.values.get(f, 1)
+                                              for f in rng.sample(faces, min(2, len(faces)))})
+                for f in (full, sparse, Cochain.zero(X, ring, k)):
+                    assert_same_cochain(coboundary(f), oracle_coboundary(f))
+            top = random_cochain(X, ring, X.dim, rng)
+            with pytest.raises(errors.TopDimension):
+                coboundary(top)
+            with pytest.raises(errors.TopDimension):
+                oracle_coboundary(top)
+
+
+def test_coboundary_drops_sums_that_cancel_mod_n():
+    # f(bc) - f(ac) + f(ab) at abc: 2 + 2 = 4 vanishes in Z/4 and not in Z/6
+    X = named_complex("full_triangle")
+    for ring, zero in [(modular_ring(4), True), (Z6, False), (INTEGERS, False)]:
+        f = Cochain(X, ring, 1, {("a", "b"): 2, ("b", "c"): 2})
+        df = coboundary(f)
+        assert df.is_zero() == zero
+        assert_same_cochain(df, oracle_coboundary(f))
+    # a sum of -1 is stored reduced
+    f = Cochain(X, F3, 1, {("a", "c"): 1})
+    assert coboundary(f).values == {("a", "b", "c"): 2}
+
+
+def test_coboundary_of_localizations_matches_the_oracle():
+    rng = random.Random(37)
+    for name in ["octahedron", "rp2", "tetrahedron", "cone_two_triangles"]:
+        X = named_complex(name)
+        for ring in ORACLE_RINGS:
+            f = random_cochain(X, ring, 1, rng)
+            for sigma in X.faces(0):
+                h = localize(f, sigma)
+                assert_same_cochain(h, Cochain(h.complex, ring, h.dim, h.values))
+                if h.dim < h.complex.dim:
+                    assert_same_cochain(coboundary(h), oracle_coboundary(h))
+
+
+def test_cofaces_keep_their_tuples():
+    rng = random.Random(41)
+    complexes = [named_complex(name) for name in ["octahedron", "rp2", "cone_two_triangles"]]
+    complexes += [random_relabelled_complex(rng) for _ in range(20)]
+    for X in complexes:
+        for k in range(-1, X.dim + 1):
+            for sigma in X.faces(k):
+                assert X.cofaces(sigma) == oracle_cofaces(X, sigma)
+                up, cols, signs = X.coface_table(k)[sigma]
+                assert up == tuple(X.faces(k + 1)[j] for j in cols)
+                # the sign is (-1)^i for the position i of the vertex tau adds
+                assert list(signs) == [(-1) ** next(i for i, v in enumerate(tau) if v not in sigma)
+                                       for tau in up]
+        with pytest.raises(errors.FaceNotInComplex):
+            X.cofaces(("nowhere",))
+
+
+def test_trusted_producers_hold_reduced_nonzero_values_on_their_faces():
+    rng = random.Random(43)
+    X = named_complex("octahedron")
+    for ring in ORACLE_RINGS:
+        for k in range(0, X.dim + 1):
+            f = random_cochain(X, ring, k, rng)
+            vec = [rng.randint(-7, 7) for _ in X.faces(k)]
+            for g in (f, vector_cochain(X, ring, k, vec), coboundary(f) if k < X.dim else f):
+                assert_same_cochain(g, Cochain(g.complex, ring, g.dim, g.values))
+                assert all(v and v == ring.reduce(v) for v in g.values.values())
+
+
+def test_random_cochain_draws_as_before():
+    # one draw per face in face order, zeros dropped
+    for ring in ORACLE_RINGS:
+        X = named_complex("rp2")
+        rng, twin = random.Random(47), random.Random(47)
+        for k in range(0, 3):
+            f = random_cochain(X, ring, k, rng)
+            draws = [twin.randrange(ring.size) if ring.is_finite else twin.randint(*RANDOM_INT_RANGE)
+                     for _ in X.faces(k)]
+            assert_same_cochain(f, Cochain(X, ring, k, dict(zip(X.faces(k), draws))))
+
+
+def test_norm_is_the_total_weight_of_the_support():
+    rng = random.Random(53)
+    for X in [named_complex("octahedron"), named_complex("three_squares")]:
+        for k in range(-1, X.dim + 1):
+            f = random_cochain(X, Z6, k, rng)
+            assert f.norm() == (X.norm(f.values) if f.values else 0)
+            assert type(f.norm()) is Fraction
 
 
 # -- boundary -----------------------------------------------------------------
@@ -221,6 +370,23 @@ def test_localize_support_relation():
             if sigma[0] in face
         }
         assert g.support == expected
+
+
+def test_localize_matches_the_definition_at_faces_of_every_size():
+    # f_sigma(tau) = f(sigma then tau), read through perm_sign, over rings
+    # where the sign shows and where it vanishes
+    rng = random.Random(67)
+    X = build_complex(["a b c d", "a b c e", "a b d e", "a c d e", "b c d e"])
+    for ring in ORACLE_RINGS:
+        f = random_cochain(X, ring, 2, rng)
+        for sigma in (s for size in (1, 2, 3) for s in X.faces(size - 1)):
+            want = {}
+            for tau in X.link(sigma).faces(2 - len(sigma)):
+                v = f.values.get(tuple(sorted(sigma + tau)), 0)
+                if ring.reduce(v):
+                    want[tau] = ring.reduce(perm_sign(sigma + tau) * v)
+            h = localize(f, sigma)
+            assert h.dim == 2 - len(sigma) and list(h.values.items()) == list(want.items())
 
 
 def test_localize_too_large():

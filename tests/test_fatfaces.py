@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
 from hdx import errors
-from hdx.catalog import named_complex
+from hdx.catalog import named_complex, names
 from hdx.cochains import Cochain, coboundary, is_locally_minimal
 from hdx.expansion import good_links_constants, link_profile, skeleton_alpha
 from hdx.fatfaces import (
@@ -71,6 +72,58 @@ def test_levels_match_threshold_oracle():
             for sigma in X.faces(i):
                 cond = conditional_oracle(X, sigma, fam.levels[i + 1])
                 assert (sigma in fam.levels[i]) == (cond >= threshold)
+
+
+def oracle_fat_levels(X, A, eta, k):
+    """The Fraction loop fat_family replaced, and how many of its threshold
+    comparisons were exact ties."""
+    levels, ties = {k: frozenset(A)}, 0
+    for i in range(k - 1, -2, -1):
+        threshold = eta ** (2 ** (k - i - 1))
+        fat = set()
+        for sigma in X.faces(i):
+            up = [t for t in X.cofaces(sigma) if t in levels[i + 1]]
+            if not up:
+                continue
+            cond = sum(X.weight(t) for t in up) / ((i + 2) * X.weight(sigma))
+            ties += cond == threshold
+            if cond >= threshold:
+                fat.add(sigma)
+        levels[i] = frozenset(fat)
+    return levels, ties
+
+
+def oracle_level_probability(fam, i):
+    """The Fraction sum level_probability replaced."""
+    X, c = fam.complex, comb(fam.k + 1, i + 1)
+    down = fam.down_maps()
+    total = Fraction(0)
+    for sigma in fam.levels[i]:
+        for tau in down[i][sigma]:
+            total += X.weight(tau) / c
+    return total
+
+
+def test_fat_family_and_level_probability_match_the_fraction_oracles():
+    rng = random.Random(59)
+    ties = 0
+    for name in names():
+        X = named_complex(name)
+        for k in range(0, X.dim + 1):
+            faces = X.faces(k)
+            supports = [frozenset(faces), frozenset(faces[:1])]
+            supports += [frozenset(f for f in faces if rng.random() < 0.4) for _ in range(8)]
+            for A in supports:
+                for eta in ETAS + [Fraction(2, 3)]:
+                    fam = fat_family(X, A, eta, k=k)
+                    levels, t = oracle_fat_levels(X, A, eta, k)
+                    ties += t
+                    assert fam.levels == levels
+                    assert fam.to_json() == FatFamily(X, k, eta, levels).to_json()
+                    for i in range(-1, k + 1):
+                        assert fam.level_probability(i) == oracle_level_probability(fam, i)
+    # exact ties decide fatness, so >= and > give different families here
+    assert ties > 100
 
 
 def test_fat_face_upper_bound_exhaustive_small_supports():
@@ -148,6 +201,41 @@ def test_bad_faces_relabel_invariant():
     assert mapped == bad_faces(Y, famY)
 
 
+def oracle_is_bad(tau, fam):
+    """The per-face scan bad_faces replaced: two fat i-faces inside tau that
+    meet in a non-fat (i-1)-face, read off the (i+2)-subsets of tau."""
+    for i in range(0, fam.k + 1):
+        level, below = fam.levels[i], fam.levels[i - 1]
+        for union in combinations(tau, i + 2):
+            for x, y in combinations(range(i + 2), 2):
+                s1 = union[:x] + union[x + 1:]
+                s2 = union[:y] + union[y + 1:]
+                if s1 in level and s2 in level:
+                    inter = tuple(v for idx, v in enumerate(union) if idx not in (x, y))
+                    if inter not in below:
+                        return True
+    return False
+
+
+def test_bad_faces_match_the_per_face_scan():
+    # fat families of drawn supports, and families whose levels are drawn
+    # at random, which hold many more bad faces
+    rng = random.Random(61)
+    hits = 0
+    for name in names():
+        X = named_complex(name)
+        for k in range(0, X.dim + 1):
+            for _ in range(12):
+                A = frozenset(f for f in X.faces(k) if rng.random() < 0.4)
+                drawn = {i: frozenset(f for f in X.faces(i) if rng.random() < 0.5)
+                         for i in range(-1, k + 1)}
+                for fam in (fat_family(X, A, rng.choice(ETAS), k=k), FatFamily(X, k, ETAS[0], drawn)):
+                    bad = bad_faces(X, fam)
+                    assert bad == frozenset(t for t in X.faces(k + 1) if oracle_is_bad(t, fam))
+                    hits += len(bad)
+    assert hits > 100
+
+
 def test_bad_face_bound_under_link_hypothesis():
     X = named_complex("octahedron")
     alpha_max = skeleton_alpha(X)[0]
@@ -200,6 +288,17 @@ def test_links_inequality_requires_matching_family():
     fam = fat_family(X, frozenset(X.faces(1)[:3]), Fraction(1, 2))
     with pytest.raises(errors.PreconditionViolated):
         links_inequality_check(X, F2, f, fam, 0)
+
+
+def test_links_inequality_restricts_f_on_its_own_complex_and_ring():
+    # the ladder restriction reuses f's values, so f must live on X over ring
+    X = named_complex("octahedron")
+    f = Cochain(X, F2, 1, {X.faces(1)[0]: 1, X.faces(1)[1]: 1})
+    fam = fat_family(X, f.support, Fraction(1, 2))
+    assert links_inequality_check(X, F2, f, fam, 0).holds
+    for other_X, ring in [(named_complex("rp2"), F2), (X, prime_field(3))]:
+        with pytest.raises(errors.PreconditionViolated):
+            links_inequality_check(other_X, ring, f, fam, 0)
 
 
 def test_good_dimension_zero_cochain():

@@ -4,6 +4,8 @@ import ast
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "hdx"
 TESTS = Path(__file__).resolve().parent
 
@@ -883,11 +885,12 @@ def _identifiers(source):
     return out
 
 
-def _trusted_builders(source):
-    """The top-level function or class around each `.trusted(...)` call."""
+def _trusted_builders(source, cls="Chain"):
+    """The top-level function or class around each `cls.trusted(...)` call."""
     return {node.name for node in ast.parse(source).body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            for call in ast.walk(node) if isinstance(call, ast.Call) and _callee(call) == "trusted"}
+            for call in ast.walk(node) if isinstance(call, ast.Call) and _callee(call) == "trusted"
+            and getattr(call.func.value, "id", None) == cls}
 
 
 def _callees(source, name):
@@ -916,6 +919,7 @@ def contraction(fam, sigma, f):
 """
     assert _identifiers(source) & (RETIRED_FORMS | {"key", "fam"}) == RETIRED_FORMS | {"key", "fam"}
     assert _trusted_builders(source) == {"Family", "_triplets"}
+    assert _trusted_builders(source, "Cochain") == set()
     assert _callees(source, "contraction") == {IOTA_KERNEL, "zeros"}
 
 
@@ -994,3 +998,35 @@ def test_the_coset_scan_builds_no_dense_delta():
     assert "delta_rows" in scan and "delta_matrix" not in scan
     for name in ("distance_table", "coboundary_norm_table"):
         assert "delta_matrix" not in _reached(sources["cosets.py"], name)
+
+
+# Cochain.trusted skips every check, so only producers that read their faces
+# off the complex build through it; the verify suite and the CLI, which must
+# catch a broken producer and refuse bad input, build through Cochain(...)
+TRUSTED_COCHAIN_BUILDERS = {
+    "cochains.py:coboundary", "cochains.py:localize", "cochains.py:vector_cochain",
+    "cochains.py:random_cochain", "fatfaces.py:links_inequality_check",
+}
+
+
+def test_only_producers_build_cochains_unchecked():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    builders = {f"{name}:{where}" for name, source in sources.items()
+                for where in _trusted_builders(source, "Cochain")}
+    assert builders == TRUSTED_COCHAIN_BUILDERS
+    for name in ("verify.py", "cli.py"):
+        assert "trusted" not in _identifiers(sources[name])
+
+
+def test_the_checked_cochain_constructor_still_checks():
+    from hdx.catalog import named_complex
+    from hdx.cochains import Cochain
+    from hdx.errors import DimensionMismatch, FaceNotInComplex
+    from hdx.rings import prime_field
+
+    X, F3 = named_complex("hollow_triangle"), prime_field(3)
+    with pytest.raises(FaceNotInComplex):
+        Cochain(X, F3, 1, {("a", "z"): 1})
+    with pytest.raises(DimensionMismatch):
+        Cochain(X, F3, 1, {("a",): 1})
+    assert Cochain(X, F3, 1, {("a", "b"): -1, ("a", "c"): 3}).values == {("a", "b"): 2}
