@@ -350,6 +350,16 @@ def delta_matrix(X, k):
     return intmat.dense_rows(delta_rows(X, k), len(X.faces(k)))
 
 
+def coface_array(X, k):
+    """delta_k^T as an int64 array, read off `X.coface_table(k)`: row i is the
+    coboundary of the i-th k-face, for the readers that multiply blocks of
+    cochains by it."""
+    D = np.zeros((len(X.faces(k)), len(X.faces(k + 1))), dtype=np.int64)
+    for i, (_, cols, signs) in enumerate(X.coface_table(k).values()):
+        D[i, list(cols)] = signs
+    return D
+
+
 def cochain_vector(f: Cochain):
     faces = f.complex.faces(f.dim)
     return tuple(f.values.get(face, 0) for face in faces)
@@ -372,10 +382,12 @@ def norm_of_vector(X, k, vec) -> Fraction:
 def subgroup_generators(X, ring: Ring, k: int, target: str):
     """Generating set of B^k or Z^k over the ring, as a cached list of vectors.
 
-    The only place a coboundary matrix becomes a generating set:
+    The only place a coboundary matrix becomes a generating set, read as the
+    sparse rows of delta_k (`delta_rows`) or delta_{k-1}^T (`X.coface_table`):
       * Z: a lattice basis, the image of delta_{k-1} or the kernel of delta_k
         (every vector at the top dimension), from Smith normal form;
-      * F_p: an echelon basis of the rows of delta_{k-1}^T, or a kernel basis;
+      * F_p: the reduced echelon basis of the rows of delta_{k-1}^T, or the
+        kernel basis of delta_k, eliminated on the sparse rows;
       * Z/n, coboundaries: the integer image basis reduced mod n (the image
         mod n is the reduction of the image over Z), zero rows dropped;
       * Z/n, cocycles: column j of the Smith transform V scaled by
@@ -393,21 +405,21 @@ def subgroup_generators(X, ring: Ring, k: int, target: str):
         if k <= -1:
             gens = []
         elif ring.is_field:
-            rows = intmat.transpose(delta_matrix(X, k - 1))
-            gens, _ = intmat.rref_mod_p(rows, ring.size)
+            rows = [dict(zip(cols, signs)) for _, cols, signs in X.coface_table(k - 1).values()]
+            gens = intmat.dense_rows(intmat.rref_mod_p(rows, ring.size, nk)[0], nk)
         else:
-            gens = intmat.image_basis_int(delta_matrix(X, k - 1))
+            gens = intmat.image_basis_int(delta_rows(X, k - 1), len(X.faces(k - 1)))
     elif k == X.dim:
         gens = intmat.identity(nk)
     elif ring.is_field:
-        gens = intmat.kernel_mod_p(delta_matrix(X, k), ring.size)
+        gens = intmat.dense_rows(intmat.kernel_mod_p(delta_rows(X, k), ring.size, nk), nk)
     elif not ring.is_finite:
-        gens = intmat.kernel_int(delta_matrix(X, k))
+        gens = intmat.kernel_int(delta_rows(X, k), nk)
     else:
         n = ring.size
-        _, d, V = intmat.smith_normal_form(delta_matrix(X, k))
+        _, d, V = intmat.smith_normal_form(intmat.dense_rows(delta_rows(X, k), nk))
         scale = [n // gcd(s, n) for s in d] + [1] * (nk - len(d))
-        gens = [[c * v for v in col] for c, col in zip(scale, intmat.transpose(V))]
+        gens = [[c * v for v in col] for c, col in zip(scale, zip(*V))]
     if ring.is_finite and not ring.is_field:
         gens = [g for g in ([v % ring.size for v in g] for g in gens) if any(g)]
     X.cache[key] = gens
@@ -464,11 +476,11 @@ def distance(f: Cochain, target: str = COBOUNDARIES, coeff_bound=None):
         if k <= -1:
             member = not any(fvec)
         else:
-            member = intmat.solve_int(delta_matrix(X, k - 1), list(fvec)) is not None
+            member = intmat.solve_int(delta_rows(X, k - 1), fvec, len(X.faces(k - 1))) is not None
     elif k == X.dim:
         member = True
     else:
-        member = not any(intmat.mat_vec(delta_matrix(X, k), list(fvec)))
+        member = coboundary(f).is_zero()
     if member:
         return Fraction(0), True
     if coeff_bound is None:
@@ -609,10 +621,10 @@ def _first_repair_step(f: Cochain):
 def _lex_least_preimage(L, ring, j, target_vec):
     """Lexicographically least h in C^j(L) with delta(h) equal to the target."""
     n, nj = ring.size, len(L.faces(j))
-    D = np.array(delta_matrix(L, j), dtype=np.int64)
+    D = coface_array(L, j)
     # the combinations of the unit vectors, in product order, are C^j in lex order
     for H in cosets.combinations([0] * nj, np.eye(nj, dtype=np.int64), range(n)):
-        hit = np.flatnonzero(((H @ D.T) % n == np.array(target_vec)).all(axis=1))
+        hit = np.flatnonzero(((H @ D) % n == np.array(target_vec)).all(axis=1))
         if hit.size:
             return vector_cochain(L, ring, j, H[hit[0]].tolist())
     raise NonTerminatingSearch(

@@ -23,7 +23,7 @@ from .cochains import (
     Cochain,
     coboundary,
     coboundary_group,
-    delta_matrix,
+    coface_array,
     delta_rows,
     distance,
     locally_minimal_rows,
@@ -356,7 +356,7 @@ def small_set_check(X, ring: Ring, epsilon: Fraction, mu: Fraction):
         col = {f: j for j, f in enumerate(faces)}
         wk, den_k = cosets.face_weights(X, k)
         wk1, den_k1 = cosets.face_weights(X, k + 1)
-        Dk = np.array(delta_matrix(X, k), dtype=np.int64)
+        D = coface_array(X, k)
         for support in _supports_up_to_norm(X, k, mu):
             m = len(support)
             count = (n - 1) ** m
@@ -368,7 +368,7 @@ def small_set_check(X, ring: Ring, epsilon: Fraction, mu: Fraction):
             scale = den_k * eps.denominator
             bound = -(-eps.numerator * int(wk[cols].sum()) * den_k1 // scale)
             bound = min(max(bound, 0), int(wk1.sum()) + 1)
-            M = Dk[:, cols].T
+            M = D[cols]
             for start in range(0, count, cosets.CHUNK):
                 V = cosets.lex_digits(start, min(cosets.CHUNK, count - start), n - 1,
                                       range(m), m).astype(np.int64) + 1

@@ -1,22 +1,22 @@
 """Exact integer and modular linear algebra on sparse integer matrices.
 
-Matrices are lists of lists of Python ints, so everything is arbitrary
-precision. Provides Smith normal form with unimodular transforms, integer
-linear solves, integer kernel and image bases, and reduced row echelon form
-over a prime field. The Smith normal form is the classical elimination run on
-sparse rows: each operation touches only nonzero entries, and the transforms
-it returns are those of the dense algorithm. It returns (U, d, V): the
-transforms and the nonzero invariant factors d, whose length is the rank.
+Matrices are lists of lists of Python ints or their sparse {column: value}
+rows, so everything is arbitrary precision. Solves, kernels, image bases and
+echelon forms read M as `rows_of` does: a dense matrix, converted once, or,
+with its width, the rows a caller built from its own index (as
+`cochains.delta_rows` builds delta); `smith_normal_form` and `rank_int` take a
+dense matrix. The Smith normal form is the classical elimination run on sparse
+rows: each operation touches only nonzero entries, and the transforms it
+returns are those of the dense algorithm. It returns (U, d, V): the transforms
+and the nonzero invariant factors d, whose length is the rank.
 
 Integer solves and ranks first try `_unit_reduce`, a unit-pivot elimination on
-sparse {column: value} rows that builds no U and no V and carries right-hand
-sides through its row operations; only a matrix with a column of non-unit
-candidate pivots pays for a Smith form. Every entry point takes a dense
-matrix, converted once; solves and `unit_echelon` also take, with its width,
-the rows a caller built from its own index (`rows_of`), and densify them only
-for that Smith form. `lattice.smith_profile` certifies `unit_echelon`'s
-elimination. Kernels and image bases read V, so they always take the Smith
-form. Products read only nonzeros.
+sparse rows that builds no U and no V and carries right-hand sides through its
+row operations; only a matrix with a column of non-unit candidate pivots pays
+for a Smith form, densified for it. `lattice.smith_profile` certifies
+`unit_echelon`'s elimination. Integer kernels and image bases read V, so they
+always densify for the Smith form. Over F_p, `rref_mod_p` and `kernel_mod_p`
+eliminate on the sparse rows and return sparse rows. Products read only nonzeros.
 """
 
 from __future__ import annotations
@@ -331,66 +331,70 @@ def solve_int_columns(M, bs, width=None):
     return out
 
 
-def kernel_int(M):
-    """Basis (list of columns) of the integer kernel of M."""
-    if not M or not M[0]:
-        return []
-    _, d, V = smith_normal_form(M)
+def kernel_int(M, width=None):
+    """Basis (list of columns) of the integer kernel of M, read as by `rows_of`;
+    a matrix with no rows has every vector in its kernel."""
+    rows, n = rows_of(M, width)
+    if not rows:
+        return identity(n)
+    _, d, V = smith_normal_form(dense_rows(rows, n))
     return transpose(V)[len(d):]
 
 
-def rref_mod_p(rows, p):
-    """Reduced row echelon form mod p. Returns (basis_rows, pivot_columns)."""
-    R = [[v % p for v in row] for row in rows]
-    n = len(R[0]) if R else 0
-    pivots = []
-    col = 0
-    rix = 0
-    while rix < len(R) and col < n:
-        piv = None
-        for i in range(rix, len(R)):
-            if R[i][col]:
-                piv = i
-                break
-        if piv is None:
-            col += 1
-            continue
-        R[rix], R[piv] = R[piv], R[rix]
-        inv = pow(R[rix][col], -1, p)
-        R[rix] = [(v * inv) % p for v in R[rix]]
-        for i in range(len(R)):
-            if i != rix and R[i][col]:
-                c = R[i][col]
-                R[i] = [(a - c * b) % p for a, b in zip(R[i], R[rix])]
-        pivots.append(col)
-        rix += 1
-        col += 1
-    return R[: len(pivots)], pivots
+def _add_mod(dst, src, c, p):
+    """dst += c * src mod p on {index: value} dicts, c a unit mod the prime p."""
+    for k, v in src.items():
+        x = (dst.get(k, 0) + c * v) % p
+        if x:
+            dst[k] = x
+        else:
+            del dst[k]
 
 
-def kernel_mod_p(M, p):
-    """Basis of the kernel of M mod p (list of vectors)."""
-    n = len(M[0]) if M else 0
-    if n == 0:
-        return []
-    basis, pivots = rref_mod_p(M, p)
-    free = [j for j in range(n) if j not in pivots]
-    out = []
-    for j in free:
-        v = [0] * n
-        v[j] = 1
-        for bi, pc in zip(basis, pivots):
-            v[pc] = (-bi[j]) % p
-        out.append(v)
-    return out
+def rref_mod_p(M, p, width=None):
+    """Reduced row echelon form mod p of M, read as by `rows_of`: (basis, pivots),
+    the nonzero rows as {column: value} rows in pivot order and their pivot columns.
+
+    Rows enter one at a time: cleared at the pivots found so far, a nonzero row
+    is scaled to 1 at its first column, which is then cleared from the earlier
+    pivot rows. The reduced form of a row space is unique, so this is the one
+    the dense Gauss-Jordan elimination gives.
+    """
+    basis = {}
+    for row in rows_of(M, width)[0]:
+        r = {j: x for j, v in row.items() if (x := v % p)}
+        for c in [c for c in r if c in basis]:
+            _add_mod(r, basis[c], -r[c], p)
+        if r:
+            c = min(r)
+            inv = pow(r[c], -1, p)
+            r = {j: v * inv % p for j, v in r.items()}
+            for b in basis.values():
+                if c in b:
+                    _add_mod(b, r, -b[c], p)
+            basis[c] = r
+    pivots = sorted(basis)
+    return [basis[c] for c in pivots], pivots
 
 
-def image_basis_int(M):
-    """Integer lattice basis of the column space of M (list of columns)."""
-    m = len(M)
-    n = len(M[0]) if m else 0
-    if m == 0 or n == 0:
-        return []
+def kernel_mod_p(M, p, width=None):
+    """Basis of the kernel of M mod p, read as by `rows_of`, as {column: value}
+    rows: per free column j of the echelon form, 1 at j and minus column j of
+    the echelon rows at their pivots."""
+    rows, n = rows_of(M, width)
+    basis, pivots = rref_mod_p(rows, p, n)
+    out = {j: {j: 1} for j in range(n)}
+    for b, c in zip(basis, pivots):
+        for j, v in b.items():
+            out[j][c] = -v % p
+        del out[c]
+    return list(out.values())
+
+
+def image_basis_int(M, width=None):
+    """Integer lattice basis of the column space of M, read as by `rows_of`
+    (list of columns)."""
+    M = dense_rows(*rows_of(M, width))
     _, d, V = smith_normal_form(M)
     # M V = U^-1 diag(d), so its first r columns are those of U^-1 times d_j
-    return transpose(mat_mul(M, V))[: len(d)]
+    return transpose(mat_mul(M, V))[: len(d)] if d else []

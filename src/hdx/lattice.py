@@ -23,7 +23,7 @@ from .cochains import (
     COCYCLES,
     Cochain,
     cochain_vector,
-    delta_matrix,
+    coboundary,
     delta_rows,
     mod_p_distance_floor,
     subgroup_generators,
@@ -137,16 +137,10 @@ def fp_cohomology_dimension(X, k, p) -> int:
     """dim over F_p of H^k(X; F_p), same augmented convention."""
     if not 0 <= k <= X.dim:
         raise DimensionOutOfRange(f"dimension {k} not in 0..{X.dim}")
-    nk = len(X.faces(k))
-
-    def rank_p(kk):
-        if kk == X.dim:
-            return 0
-        M = delta_matrix(X, kk)
-        basis, _ = intmat.rref_mod_p(M, p)
-        return len(basis)
-
-    return nk - rank_p(k) - rank_p(k - 1)
+    # the ranks of delta_{k-1} and delta_k, the zero map at the top dimension
+    ranks = (len(intmat.rref_mod_p(delta_rows(X, j), p, len(X.faces(j)))[1])
+             for j in (k - 1, k) if j < X.dim)
+    return len(X.faces(k)) - sum(ranks)
 
 
 @dataclass
@@ -259,8 +253,8 @@ class CohomologyLattice:
 def build_lattice(reps) -> CohomologyLattice:
     """Z-span of cocycle representatives; rejects dependent generators.
 
-    Independence is modulo the coboundaries: stacking the generators on a
-    basis of B^k must raise the rank by one per generator.
+    Independence is modulo the coboundaries: the basis of B^k is independent,
+    so the generators stacked on it must leave the stack of full rank.
     """
     reps = list(reps)
     gens = [r.cochain if isinstance(r, LatticeGenerator) else r for r in reps]
@@ -271,21 +265,12 @@ def build_lattice(reps) -> CohomologyLattice:
         raise DependentGenerators("a lattice needs at least one generator")
     X = gens[0].complex
     k = gens[0].dim
-    D = delta_matrix(X, k) if k < X.dim else None
     for g in gens:
-        if D is not None and any(intmat.mat_vec(D, list(cochain_vector(g)))):
+        if k < X.dim and not coboundary(g).is_zero():
             raise DependentGenerators(f"generator {g} is not a cocycle")
-    stack = [list(b) for b in subgroup_generators(X, INTEGERS, k, COBOUNDARIES)]
-    base_rank = intmat.rank_int(intmat.transpose(stack)) if stack else 0
-    rank = base_rank
-    for g in gens:
-        stack.append(list(cochain_vector(g)))
-        new_rank = intmat.rank_int(intmat.transpose(stack))
-        if new_rank != rank + 1:
-            raise DependentGenerators(
-                "generators are dependent modulo the coboundaries"
-            )
-        rank = new_rank
+    stack = subgroup_generators(X, INTEGERS, k, COBOUNDARIES) + [cochain_vector(g) for g in gens]
+    if intmat.rank_int(stack) != len(stack):
+        raise DependentGenerators("generators are dependent modulo the coboundaries")
     return CohomologyLattice(X, k, tuple(gens), flags)
 
 

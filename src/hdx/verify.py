@@ -643,13 +643,10 @@ def check_component_lattice(seed):
     T = named_complex("two_triangles")
     reps = lattice_mod.minimal_representatives(T, 0, coeff_bound=2)
     CL = lattice_mod.component_lattice(T)
-    comp_vecs = [list(cochains_mod.cochain_vector(g)) for g in CL.generators]
-    ones = [[1] * len(T.faces(0))]
-    span = comp_vecs + ones
-    base = intmat.rank_int(intmat.transpose(span))
+    span = [cochains_mod.cochain_vector(g) for g in CL.generators] + [[1] * len(T.faces(0))]
+    base = intmat.rank_int(span)
     for rep in reps:
-        stacked = span + [list(cochains_mod.cochain_vector(rep.cochain))]
-        if intmat.rank_int(intmat.transpose(stacked)) != base:
+        if intmat.rank_int(span + [cochains_mod.cochain_vector(rep.cochain)]) != base:
             return False, "rep outside component span"
     return True, ""
 

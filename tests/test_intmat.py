@@ -1,14 +1,16 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdx import building, catalog, intmat
-from hdx.cochains import delta_matrix
+from hdx.cochains import COBOUNDARIES, COCYCLES, delta_matrix, subgroup_generators
 from hdx.complexes import build_complex
 from hdx.lattice import smith_profile
+from hdx.rings import INTEGERS, modular_ring, prime_field
 
 
 def mul(A, B):
@@ -137,7 +139,7 @@ def test_rref_and_kernel_mod_p():
     assert pivots == [0, 2]
     K = intmat.kernel_mod_p(M, 5)
     assert len(K) == 1
-    for v in K:
+    for v in intmat.dense_rows(K, 3):
         assert all(x % 5 == 0 for x in intmat.mat_vec(M, v))
 
 
@@ -612,3 +614,148 @@ def test_sparse_rows_of_no_columns_or_no_rows():
     assert intmat.solve_int_columns([{}, {}], [[0, 0], [0, 1]], 0) == [[], None]
     assert intmat.solve_int_columns([], [[]], 3) == [[0, 0, 0]]
     assert smith_profile([], 3) == smith_profile([{}], 0) == ()
+    # the kernel of no rows is everything, their image nothing
+    assert intmat.kernel_int([], 3) == intmat.identity(3)
+    assert intmat.kernel_int([{}, {}], 0) == intmat.image_basis_int([], 3) == []
+
+
+# -- echelon forms mod p and generating sets against the dense oracles -----------------
+
+
+def rref_mod_p_dense(rows, p):
+    """Reduced row echelon form mod p by Gauss-Jordan elimination on dense rows,
+    (basis_rows, pivot_columns). The oracle for the sparse `intmat.rref_mod_p`:
+    a reduced echelon form of a row space is unique."""
+    R = [[v % p for v in row] for row in rows]
+    n = len(R[0]) if R else 0
+    pivots = []
+    col = 0
+    rix = 0
+    while rix < len(R) and col < n:
+        piv = None
+        for i in range(rix, len(R)):
+            if R[i][col]:
+                piv = i
+                break
+        if piv is None:
+            col += 1
+            continue
+        R[rix], R[piv] = R[piv], R[rix]
+        inv = pow(R[rix][col], -1, p)
+        R[rix] = [(v * inv) % p for v in R[rix]]
+        for i in range(len(R)):
+            if i != rix and R[i][col]:
+                c = R[i][col]
+                R[i] = [(a - c * b) % p for a, b in zip(R[i], R[rix])]
+        pivots.append(col)
+        rix += 1
+        col += 1
+    return R[: len(pivots)], pivots
+
+
+def kernel_mod_p_dense(M, p):
+    """Kernel basis of M mod p from `rref_mod_p_dense`, one vector per free
+    column with a 1 there. The oracle for the sparse `intmat.kernel_mod_p`."""
+    n = len(M[0]) if M else 0
+    if n == 0:
+        return []
+    basis, pivots = rref_mod_p_dense(M, p)
+    free = [j for j in range(n) if j not in pivots]
+    out = []
+    for j in free:
+        v = [0] * n
+        v[j] = 1
+        for bi, pc in zip(basis, pivots):
+            v[pc] = (-bi[j]) % p
+        out.append(v)
+    return out
+
+
+@st.composite
+def matrices_mod_p(draw):
+    """(M, p) for p in 2, 3, 5, 7: up to 10 x 8, entries often 0 or a multiple
+    of p, with empty shapes, zero rows and repeated rows."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    n = draw(st.integers(0, 8))
+    entries = st.sampled_from((0, 0, 0, 1, -1, 2, 3, -4, 5, 6, 7, 14))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n) | st.just([0] * n),
+                         max_size=7))
+    if rows:
+        rows += [rows[i] for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=3))]
+    return draw(st.permutations(rows)), p
+
+
+def assert_mod_p_matches_dense(M, p):
+    n = len(M[0]) if M else 0
+    basis, pivots = rref_mod_p_dense(M, p)
+    kernel = kernel_mod_p_dense(M, p)
+    rows = sparse_form(M)
+    before = [dict(row) for row in rows]
+    for args in ((M, p), (rows, p, n)):
+        got, got_pivots = intmat.rref_mod_p(*args)
+        assert got_pivots == pivots and intmat.dense_rows(got, n) == basis
+        got_kernel = intmat.kernel_mod_p(*args)
+        assert intmat.dense_rows(got_kernel, n) == kernel
+        # sparse rows store only entries reduced into 1..p-1
+        assert all(0 < v < p for row in got + got_kernel for v in row.values())
+    assert rows == before  # read, never reduced in place
+
+
+@settings(max_examples=400, deadline=None)
+@given(matrices_mod_p())
+def test_sparse_mod_p_routines_match_the_dense_oracles(Mp):
+    assert_mod_p_matches_dense(*Mp)
+
+
+def test_sparse_mod_p_edge_shapes():
+    for M in ([], [[]], [[], []], [[0]], [[0, 0, 0]], [[0], [0]], [[2, 4], [1, 2]],
+              [[1, 1, 0], [1, 1, 0], [0, 0, 0]], [[0, 0, 0], [3, 0, 6]]):
+        for p in (2, 3, 5, 7):
+            assert_mod_p_matches_dense(M, p)
+    # with a width, rows need not exist: no echelon rows, every unit vector in the kernel
+    assert intmat.rref_mod_p([], 3, 2) == ([], [])
+    assert intmat.kernel_mod_p([], 3, 2) == [{0: 1}, {1: 1}]
+
+
+def dense_generators(X, ring, k, target):
+    """`subgroup_generators` as built from dense coboundary matrices: the F_p
+    sets by the dense oracles above on delta_{k-1}^T and delta_k, the Z and Z/n
+    sets from the image and columns of V of one Smith form of the dense delta."""
+    nk = len(X.faces(k))
+    if target == COBOUNDARIES:
+        if k <= -1:
+            gens = []
+        elif ring.is_field:
+            gens = rref_mod_p_dense(intmat.transpose(delta_matrix(X, k - 1)), ring.size)[0]
+        else:
+            M = delta_matrix(X, k - 1)
+            _, d, V = intmat.smith_normal_form(M)
+            gens = intmat.transpose(intmat.mat_mul(M, V))[: len(d)]
+    elif k == X.dim:
+        gens = intmat.identity(nk)
+    elif ring.is_field:
+        gens = kernel_mod_p_dense(delta_matrix(X, k), ring.size)
+    else:
+        _, d, V = intmat.smith_normal_form(delta_matrix(X, k))
+        columns = intmat.transpose(V)
+        if not ring.is_finite:
+            gens = columns[len(d):]
+        else:
+            n = ring.size
+            scale = [n // gcd(s, n) for s in d] + [1] * (nk - len(d))
+            gens = [[c * v for v in col] for c, col in zip(scale, columns)]
+    if ring.is_finite and not ring.is_field:
+        gens = [g for g in ([v % ring.size for v in g] for g in gens) if any(g)]
+    return gens
+
+
+def test_generating_sets_match_the_dense_route():
+    rings = [prime_field(2), prime_field(3), INTEGERS, modular_ring(4), modular_ring(6)]
+    complexes = [catalog.named_complex(name) for name in catalog.names()]
+    complexes.append(building.build_building(3, 2).complex)
+    for X in complexes:
+        for ring in rings:
+            for k in range(-1, X.dim + 1):
+                for target in (COBOUNDARIES, COCYCLES):
+                    assert subgroup_generators(X, ring, k, target) == \
+                        dense_generators(X, ring, k, target), (X, ring, k, target)

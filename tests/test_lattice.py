@@ -11,6 +11,7 @@ from hdx.cochains import (
     COBOUNDARIES,
     COCYCLES,
     Cochain,
+    coboundary,
     delta_matrix,
     distance,
     subgroup_generators,
@@ -267,6 +268,21 @@ def test_build_lattice_rejects_dependent():
         build_lattice([g, g])
     with pytest.raises(errors.DependentGenerators):
         build_lattice([g, g.scaled(2)])
+    # g + delta h is g modulo the coboundaries, alone a generator of its own
+    h = Cochain(X, INTEGERS, 0, {("a",): 1, ("c",): -2})
+    assert build_lattice([g + coboundary(h)]).dimension == 1
+    with pytest.raises(errors.DependentGenerators, match="dependent modulo"):
+        build_lattice([g, g + coboundary(h)])
+    # below the top dimension a generator must be a cocycle
+    T = named_complex("two_triangles")
+    t = minimal_representatives(T, 0, coeff_bound=2)[0].cochain
+    shifted = t + coboundary(Cochain(T, INTEGERS, -1, {(): 3}))
+    assert build_lattice([shifted]).dimension == 1
+    with pytest.raises(errors.DependentGenerators, match="dependent modulo"):
+        build_lattice([t, shifted])
+    vertex = Cochain(T, INTEGERS, 0, {T.faces(0)[0]: 1})
+    with pytest.raises(errors.DependentGenerators, match="not a cocycle"):
+        build_lattice([t, vertex])
 
 
 def test_lattice_single_generator_distance():

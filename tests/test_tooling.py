@@ -27,9 +27,15 @@ def test_library_checks_survive_optimised_mode():
     assert offenders == []
 
 
-# subgroup generating sets come from cochains.subgroup_generators alone
+# subgroup generating sets come from cochains.subgroup_generators alone, and
+# every library reader of delta takes its sparse rows or the coface table: the
+# dense delta_matrix is read only by the matrix-complex identity check, and the
+# modular echelon forms build no dense matrix
 GENERATOR_CALLS = {"image_basis_int", "kernel_int", "kernel_mod_p"}
 GENERATOR_HOMES = {"cochains.py", "intmat.py"}
+DENSE_DELTA_READERS = {"verify.py:check_matrix_complex_identity"}
+DENSE_HELPERS = {"dense_rows", "transpose", "zeros"}
+SPARSE_MOD_P = ("rref_mod_p", "kernel_mod_p")
 
 
 def _callee(call):
@@ -55,10 +61,8 @@ class _Calls(ast.NodeVisitor):
 
 
 def test_subgroup_generating_sets_have_one_home():
-    offenders = []
+    offenders, dense_readers = [], set()
     for path in sorted(SRC.glob("*.py")):
-        if path.name in GENERATOR_HOMES:
-            continue
         visitor = _Calls()
         visitor.visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
         for scope, call in visitor.calls:
@@ -68,9 +72,16 @@ def test_subgroup_generating_sets_have_one_home():
                 and isinstance(call.args[0], ast.Call)
                 and _callee(call.args[0]) == "delta_matrix"
             )
-            if name in GENERATOR_CALLS or transposed_delta:
+            if transposed_delta or (name in GENERATOR_CALLS
+                                    and path.name not in GENERATOR_HOMES):
                 offenders.append(f"{path.name}:{call.lineno} {name} in {scope}")
+            if name == "delta_matrix":
+                dense_readers.add(f"{path.name}:{scope}")
     assert offenders == []
+    assert dense_readers == DENSE_DELTA_READERS
+    source = (SRC / "intmat.py").read_text(encoding="utf-8")
+    for name in SPARSE_MOD_P:
+        assert _reached(source, name) & DENSE_HELPERS == set(), name
 
 
 
