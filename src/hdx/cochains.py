@@ -22,7 +22,8 @@ the locally-minimal procedure, are coset minima: finite rings scan the whole
 subgroup, cached on the complex as an int64 array, and the integers scan a
 bounded box of lattice combinations, both through the kernel in `cosets`.
 Every generating set of B^k or Z^k, over every ring, comes from
-`subgroup_generators`.
+`subgroup_generators`, which reduces the sparse rows of delta, never a dense
+matrix: only the generators it returns are dense.
 """
 
 from __future__ import annotations
@@ -390,8 +391,8 @@ def subgroup_generators(X, ring: Ring, k: int, target: str):
         kernel basis of delta_k, eliminated on the sparse rows;
       * Z/n, coboundaries: the integer image basis reduced mod n (the image
         mod n is the reduction of the image over Z), zero rows dropped;
-      * Z/n, cocycles: column j of the Smith transform V scaled by
-        n / gcd(s_j, n), which generates the kernel mod n.
+      * Z/n, cocycles: column j of the sparse Smith transform V of delta_k's
+        rows scaled by n / gcd(s_j, n), which generates the kernel mod n.
     B^{-1} = {0} has no generators and Z^d = C^d.
     """
     if target not in (COBOUNDARIES, COCYCLES):
@@ -410,16 +411,16 @@ def subgroup_generators(X, ring: Ring, k: int, target: str):
         else:
             gens = intmat.image_basis_int(delta_rows(X, k - 1), len(X.faces(k - 1)))
     elif k == X.dim:
-        gens = intmat.identity(nk)
+        gens = [[int(i == j) for j in range(nk)] for i in range(nk)]
     elif ring.is_field:
         gens = intmat.dense_rows(intmat.kernel_mod_p(delta_rows(X, k), ring.size, nk), nk)
     elif not ring.is_finite:
         gens = intmat.kernel_int(delta_rows(X, k), nk)
     else:
         n = ring.size
-        _, d, V = intmat.smith_normal_form(intmat.dense_rows(delta_rows(X, k), nk))
+        _, d, V = intmat.smith_normal_form(delta_rows(X, k), nk)
         scale = [n // gcd(s, n) for s in d] + [1] * (nk - len(d))
-        gens = [[c * v for v in col] for c, col in zip(scale, zip(*V))]
+        gens = [[c * v for v in col] for c, col in zip(scale, intmat.dense_rows(V, nk))]
     if ring.is_finite and not ring.is_field:
         gens = [g for g in ([v % ring.size for v in g] for g in gens) if any(g)]
     X.cache[key] = gens

@@ -1,61 +1,26 @@
 """Exact integer and modular linear algebra on sparse integer matrices.
 
 Matrices are lists of lists of Python ints or their sparse {column: value}
-rows, so everything is arbitrary precision. Solves, kernels, image bases and
-echelon forms read M as `rows_of` does: a dense matrix, converted once, or,
-with its width, the rows a caller built from its own index (as
-`cochains.delta_rows` builds delta); `smith_normal_form` and `rank_int` take a
-dense matrix. The Smith normal form is the classical elimination run on sparse
-rows: each operation touches only nonzero entries, and the transforms it
-returns are those of the dense algorithm. It returns (U, d, V): the transforms
-and the nonzero invariant factors d, whose length is the rank.
+rows, so everything is arbitrary precision. Every reader takes M as `rows_of`
+does: a dense matrix, converted once, or, with its width, the rows a caller
+built from its own index (as `cochains.delta_rows` builds delta), copied, so a
+caller's rows are never reduced in place. The Smith normal form is the
+classical elimination run on sparse rows: each operation touches only nonzero
+entries, and the transforms it returns are its own sparse ones, equal entry
+for entry to those of the dense algorithm. It returns (U, d, V): U as
+{column: value} rows, V as {row: value} columns, and the nonzero invariant
+factors d, whose length is the rank.
 
 Integer solves and ranks first try `_unit_reduce`, a unit-pivot elimination on
 sparse rows that builds no U and no V and carries right-hand sides through its
 row operations; only a matrix with a column of non-unit candidate pivots pays
-for a Smith form, densified for it. `lattice.smith_profile` certifies
-`unit_echelon`'s elimination. Integer kernels and image bases read V, so they
-always densify for the Smith form. Over F_p, `rref_mod_p` and `kernel_mod_p`
-eliminate on the sparse rows and return sparse rows. Products read only nonzeros.
+for a Smith form. `lattice.smith_profile` certifies `unit_echelon`'s
+elimination. Integer kernels and image bases read V. Over F_p, `rref_mod_p` and
+`kernel_mod_p` eliminate on the sparse rows and return sparse rows. The one
+product is `combine`, a sum of sparse vectors that reads only nonzeros.
 """
 
 from __future__ import annotations
-
-
-def zeros(m, n):
-    return [[0] * n for _ in range(m)]
-
-
-def identity(n):
-    M = zeros(n, n)
-    for i in range(n):
-        M[i][i] = 1
-    return M
-
-
-def mat_mul(A, B):
-    """A @ B, summing over the nonzeros of both factors."""
-    n = len(B[0])
-    B_nz = [[(j, b) for j, b in enumerate(row) if b] for row in B]
-    out = []
-    for Ai in A:
-        Oi = [0] * n
-        for k, a in enumerate(Ai):
-            if a:
-                for j, b in B_nz[k]:
-                    Oi[j] += a * b
-        out.append(Oi)
-    return out
-
-
-def mat_vec(A, v):
-    """A @ v, reading only the nonzeros of v."""
-    v_nz = [(k, x) for k, x in enumerate(v) if x]
-    return [sum(row[k] * x for k, x in v_nz) for row in A]
-
-
-def transpose(A):
-    return [list(col) for col in zip(*A)]
 
 
 def _add_to(dst, src, c):
@@ -70,21 +35,39 @@ def _add_to(dst, src, c):
             del dst[k]
 
 
-def smith_normal_form(M, *, inverse=False):
+def combine(coeffs, vecs):
+    """The sum of c * vecs[k] over the {k: c} items of coeffs, vecs being
+    {index: value} dicts, as the dict of its nonzero entries."""
+    out = {}
+    for k, c in coeffs.items():
+        if c:
+            _add_to(out, vecs[k], c)
+    return out
+
+
+def columns_of(rows, n):
+    """The n {row: value} columns of the sparse rows of a matrix of width n."""
+    cols = [{} for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            cols[j][i] = v
+    return cols
+
+
+def smith_normal_form(M, width=None, *, inverse=False):
     """Return (U, d, V): U @ M @ V is zero but for its diagonal, which
     starts with the invariant factors d = [d_1, ..., d_r], d_1 | d_2 | ...
 
-    U and V are unimodular, every d_i is positive and r = len(d) is the rank
-    of M. With inverse=True, also return U^-1, taken from the same row
-    operations.
+    M is read as by `rows_of`. U and V are unimodular, every d_i is positive
+    and r = len(d) is the rank of M. With inverse=True, also return U^-1,
+    taken from the same row operations.
 
-    The elimination runs on sparse rows: A and U are lists of {column: value}
-    rows, V and U^-1 lists of {row: value} columns, and an operation touches
-    only the nonzeros it reads.
+    The elimination runs on sparse rows, and an operation touches only the
+    nonzeros it reads. The transforms are returned as it builds them: U a
+    list of {column: value} rows, V and U^-1 lists of {row: value} columns.
     """
-    m = len(M)
-    n = len(M[0]) if m else 0
-    A = rows_of(M)[0]
+    A, n = rows_of(M, width)
+    m = len(A)
     U = [{i: 1} for i in range(m)]
     V = [{j: 1} for j in range(n)]
     Uinv = [{i: 1} for i in range(m)] if inverse else None
@@ -193,18 +176,16 @@ def smith_normal_form(M, *, inverse=False):
         if a < 0:
             V[i] = {r: -v for r, v in V[i].items()}
         d.append(abs(a))
-    # V and U^-1 are square, so their columns read as rows transpose into them
-    U, V = dense_rows(U, m), transpose(dense_rows(V, n))
     if inverse:
-        return U, d, V, transpose(dense_rows(Uinv, m))
+        return U, d, V, Uinv
     return U, d, V
 
 
 def rows_of(M, width=None):
-    """(rows, n): the {column: value} rows of M's nonzeros and its width n; M is a
-    dense matrix, or, with its width given, such rows, returned as they are."""
+    """(rows, n): fresh {column: value} rows of M's nonzeros and its width n; M is
+    a dense matrix, or, with its width given, such rows, which are copied."""
     if width is not None:
-        return M, width
+        return [dict(row) for row in M], width
     return [{j: v for j, v in enumerate(row) if v} for row in M], len(M[0]) if M else 0
 
 
@@ -267,7 +248,9 @@ def unit_echelon(M, width=None):
     `lattice.smith_profile` certifies the triple.
     """
     rows, n = rows_of(M, width)
-    reduced = _unit_reduce([{**row, n + i: 1} for i, row in enumerate(rows)], n)
+    for i, row in enumerate(rows):
+        row[n + i] = 1
+    reduced = _unit_reduce(rows, n)
     if reduced is None:
         return None
     rows, order, _ = reduced
@@ -292,25 +275,24 @@ def solve_int_columns(M, bs, width=None):
     The unit-pivot elimination carries the bs through its row operations: b is
     unsolvable exactly when its carried entries below the rank are not all
     zero, and otherwise back-substitution with the free variables at 0 is
-    integral, the pivots being units. M that needs a Smith form is densified
-    and solved through one: c = U b must vanish below the rank and be
-    divisible by d above it, and x = V (c / d).
+    integral, the pivots being units. M that needs a Smith form is solved
+    through one: c = U b must vanish below the rank and be divisible by d
+    above it, and x = V (c / d).
     """
     rows, n = rows_of(M, width)
-    carried = [dict(row) for row in rows]
     for s, b in enumerate(bs):
         for i, v in enumerate(b):
             if v:
-                carried[i][n + s] = v
-    reduced = _unit_reduce(carried, n)
+                rows[i][n + s] = v
+    reduced = _unit_reduce(rows, n)
     if reduced is None:
-        U, d, V = smith_normal_form(dense_rows(rows, n))
+        U, d, V = smith_normal_form(M, width)
         out = []
         for b in bs:
-            c = mat_vec(U, b)
+            c = [sum(u * b[i] for i, u in row.items()) for row in U]
             solvable = not any(c[len(d):]) and not any(ci % di for ci, di in zip(c, d))
-            y = [ci // di for ci, di in zip(c, d)] + [0] * (n - len(d))
-            out.append(mat_vec(V, y) if solvable else None)
+            x = combine({j: ci // di for j, (ci, di) in enumerate(zip(c, d))}, V)
+            out.append(dense_rows([x], n)[0] if solvable else None)
         return out
     rows, _, pivots = reduced
     r = len(pivots)
@@ -332,13 +314,10 @@ def solve_int_columns(M, bs, width=None):
 
 
 def kernel_int(M, width=None):
-    """Basis (list of columns) of the integer kernel of M, read as by `rows_of`;
-    a matrix with no rows has every vector in its kernel."""
-    rows, n = rows_of(M, width)
-    if not rows:
-        return identity(n)
-    _, d, V = smith_normal_form(dense_rows(rows, n))
-    return transpose(V)[len(d):]
+    """Basis (list of columns) of the integer kernel of M, read as by `rows_of`:
+    the columns of V past the rank."""
+    _, d, V = smith_normal_form(M, width)
+    return dense_rows(V[len(d):], len(V))
 
 
 def _add_mod(dst, src, c, p):
@@ -394,7 +373,8 @@ def kernel_mod_p(M, p, width=None):
 def image_basis_int(M, width=None):
     """Integer lattice basis of the column space of M, read as by `rows_of`
     (list of columns)."""
-    M = dense_rows(*rows_of(M, width))
-    _, d, V = smith_normal_form(M)
+    rows, n = rows_of(M, width)
+    _, d, V = smith_normal_form(rows, n)
     # M V = U^-1 diag(d), so its first r columns are those of U^-1 times d_j
-    return transpose(mat_mul(M, V))[: len(d)] if d else []
+    cols = columns_of(rows, n)
+    return dense_rows([combine(V[j], cols) for j in range(len(d))], len(rows))

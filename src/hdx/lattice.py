@@ -44,26 +44,31 @@ from .rings import INTEGERS
 def smith_profile(M, width=None) -> tuple:
     """The invariant factors of M, read as by `intmat.rows_of`, with the reduction
     that gives them checked. M that reduces with unit pivots has d = (1,) * r,
-    certified by `_unit_echelon_rank` against M's sparse rows. Any other M is
-    densified for a Smith form, and U @ M @ V is checked against d.
+    certified by `_unit_echelon_rank` against M's sparse rows. Any other M
+    takes a Smith form on the same rows, and its sparse U @ M @ V is checked
+    against d.
     """
     rows, n = intmat.rows_of(M, width)
     echelon = intmat.unit_echelon(rows, n)
     if echelon is not None:
         return (1,) * _unit_echelon_rank(rows, *echelon)
-    M = intmat.dense_rows(rows, n)
-    U, d, V = intmat.smith_normal_form(M)
-    if not smith_form_holds(M, U, d, V):
+    U, d, V = intmat.smith_normal_form(rows, n)
+    if not smith_form_holds(rows, U, d, V, n):
         raise PropertyViolation("smith transform verification failed")
     return tuple(d)
 
 
-def smith_form_holds(M, U, d, V) -> bool:
-    """Whether U @ M @ V is zero but for its diagonal, which starts with d."""
-    S = intmat.zeros(len(M), len(M[0]))
-    for i, v in enumerate(d):
-        S[i][i] = v
-    return intmat.mat_mul(intmat.mat_mul(U, M), V) == S
+def smith_form_holds(M, U, d, V, width=None) -> bool:
+    """Whether U @ M @ V is zero but for its diagonal, which starts with d: M
+    read as by `intmat.rows_of`, the transforms sparse, as
+    `intmat.smith_normal_form` returns them, and every entry of the product
+    checked."""
+    rows, n = intmat.rows_of(M, width)
+    if len(U) != len(rows) or len(V) != n:
+        return False
+    UM = intmat.columns_of([intmat.combine(u, rows) for u in U], n)
+    S = [{j: x} for j, x in enumerate(d)] + [{}] * (n - len(d))
+    return [intmat.combine(v, UM) for v in V] == S
 
 
 def _unit_echelon_rank(rows, order, H, U):
@@ -82,11 +87,7 @@ def _unit_echelon_rank(rows, order, H, U):
         if u.get(order[i]) != 1 or any(at.get(k, m) > i for k in u):
             raise PropertyViolation("unit echelon: U is not unit lower-triangular")
     for u, h in zip(U, H):
-        row = {}
-        for k, c in u.items():
-            for j, v in rows[k].items():
-                row[j] = row.get(j, 0) + c * v
-        if {j: v for j, v in row.items() if v} != h:
+        if intmat.combine(u, rows) != h:
             raise PropertyViolation("unit echelon: U @ M differs from H")
     r, lead = 0, -1
     for h in H:
@@ -193,17 +194,19 @@ def free_cocycle_generators(X, k):
     kernel = subgroup_generators(X, INTEGERS, k, COCYCLES)
     if not kernel:
         return []
-    K = intmat.transpose(kernel)  # columns
-    # write the image inside kernel coordinates: K @ Y = image columns
-    Y = intmat.solve_int_columns(K, subgroup_generators(X, INTEGERS, k, COBOUNDARIES))
+    r = len(kernel)
+    vecs, nk = intmat.rows_of(kernel)
+    # write the image inside kernel coordinates: K @ Y = image columns, the
+    # columns of K the kernel vectors
+    image = subgroup_generators(X, INTEGERS, k, COBOUNDARIES)
+    Y = intmat.solve_int_columns(intmat.columns_of(vecs, nk), image, r)
     if None in Y:
         raise PropertyViolation("coboundary outside the cocycle lattice")
-    if Y:
-        _, d, _, Uinv = intmat.smith_normal_form(intmat.transpose(Y), inverse=True)
-        free_cols = intmat.transpose(Uinv)[len(d):]
-    else:
-        free_cols = intmat.identity(len(kernel))
-    return [intmat.mat_vec(K, y) for y in free_cols]
+    # the columns of U^-1 past the rank of the matrix with columns Y, applied
+    # to the kernel vectors
+    Ycols = intmat.columns_of(intmat.rows_of(Y)[0], r)
+    _, d, _, Uinv = intmat.smith_normal_form(Ycols, len(Y), inverse=True)
+    return intmat.dense_rows([intmat.combine(y, vecs) for y in Uinv[len(d):]], nk)
 
 
 def _bounded_coset_minimum(X, k, base_vec, gens, coeff_bound):

@@ -567,9 +567,9 @@ def check_matrix_complex_identity(seed):
     for name in MEDIUM:
         X = named_complex(name)
         for k in range(-1, X.dim - 1):
-            Dk = cochains_mod.delta_matrix(X, k)
-            Dk1 = cochains_mod.delta_matrix(X, k + 1)
-            if any(any(v for v in row) for row in intmat.mat_mul(Dk1, Dk)):
+            Dk = intmat.rows_of(cochains_mod.delta_matrix(X, k))[0]
+            Dk1 = intmat.rows_of(cochains_mod.delta_matrix(X, k + 1))[0]
+            if any(intmat.combine(row, Dk) for row in Dk1):
                 return False, f"{name} k={k}"
     return True, ""
 

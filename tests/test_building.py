@@ -46,6 +46,7 @@ from hdx.cochains import (
 from hdx.gf import GF, all_subspaces, rref, subspace_tables, subspace_token
 from hdx.rings import INTEGERS, prime_field
 from test_intmat import smith_solve_columns
+from dense import transpose
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -444,7 +445,7 @@ def subcomplex_solve(K, c, solve=smith_solve_columns):
         if any(b):
             raise errors.PropertyViolation("no faces one dimension up")
         return Chain(INTEGERS, i + 1, {})
-    x = solve(intmat.transpose(delta_matrix(K, i)), [b])[0]
+    x = solve(transpose(delta_matrix(K, i)), [b])[0]
     if x is None:
         raise errors.PropertyViolation(f"boundary equation unsolvable at dimension {i}")
     return Chain(INTEGERS, i + 1, dict(zip(cols, x)))
@@ -2120,7 +2121,7 @@ def test_filling_property_whole_cycle_space(fano, b42):
                 continue
             # cycles at level i = integer kernel of the boundary matrix
             # leaving level i (augmented at i = 0)
-            boundary_matrix = intmat.transpose(delta_matrix(K, i - 1))
+            boundary_matrix = transpose(delta_matrix(K, i - 1))
             for vec in intmat.kernel_int(boundary_matrix):
                 cycle = Chain(INTEGERS, i, {f: v for f, v in zip(rows, vec) if v})
                 if cycle.is_zero():

@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from hdx import errors, intmat
+from hdx import errors
 from hdx.catalog import named_complex
 from hdx.cochains import (
     RANDOM_INT_RANGE,
@@ -33,6 +33,7 @@ from hdx.cochains import (
 )
 from hdx.complexes import build_complex
 from hdx.rings import INTEGERS, modular_ring, prime_field
+from dense import dense_smith, mat_vec
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -651,7 +652,6 @@ def test_three_dimensional_complex_support():
 
 def test_subgroups_over_z6_match_brute_force():
     from hdx.cochains import coboundary_group, cocycle_group, delta_matrix
-    from hdx import intmat
 
     X = named_complex("hollow_triangle")
     for k in [0, 1]:
@@ -671,7 +671,7 @@ def test_subgroups_over_z6_match_brute_force():
             brute_z = {
                 vec
                 for vec in product(range(6), repeat=len(faces))
-                if all(v % 6 == 0 for v in intmat.mat_vec(D, list(vec)))
+                if all(v % 6 == 0 for v in mat_vec(D, list(vec)))
             }
         else:
             brute_z = set(product(range(6), repeat=len(faces)))
@@ -736,8 +736,8 @@ def solve_mod(M, b, n_mod):
     n = len(M[0]) if m else 0
     if m == 0:
         return [0] * n
-    U, d, V = intmat.smith_normal_form(M)
-    c = [v % n_mod for v in intmat.mat_vec(U, b)]
+    U, d, V = dense_smith(M)
+    c = [v % n_mod for v in mat_vec(U, b)]
     if any(c[len(d):]):
         return None
     y = [0] * n
@@ -747,14 +747,14 @@ def solve_mod(M, b, n_mod):
             return None
         ni = n_mod // g
         y[i] = (c[i] // g) * pow(di // g % ni, -1, ni) % n_mod if ni > 1 else 0
-    return [v % n_mod for v in intmat.mat_vec(V, y)]
+    return [v % n_mod for v in mat_vec(V, y)]
 
 
 def test_solve_mod():
     M = [[2, 0], [0, 2]]
     x = solve_mod(M, [2, 0], 4)
     assert x is not None
-    assert [v % 4 for v in intmat.mat_vec(M, x)] == [2, 0]
+    assert [v % 4 for v in mat_vec(M, x)] == [2, 0]
     assert solve_mod(M, [1, 0], 4) is None
 
 

@@ -50,6 +50,7 @@ from hdx.expansion import (
 from hdx.lattice import _bounded_coset_minimum
 from hdx.rings import INTEGERS, modular_ring, prime_field
 from test_cochains import oracle_is_locally_minimal
+from dense import identity, transpose
 
 RINGS = [prime_field(2), prime_field(3), modular_ring(4), modular_ring(6)]
 FIELDS = [prime_field(2), prime_field(3), prime_field(5)]
@@ -93,7 +94,7 @@ def brute_group(X, ring, k, target):
 def delta_column_span(X, ring, k):
     """B^k = im delta_{k-1}, as the span of every column of delta_{k-1}."""
     nk = len(X.faces(k))
-    cols = intmat.transpose(delta_matrix(X, k - 1))
+    cols = transpose(delta_matrix(X, k - 1))
     assume(ring.size ** len(cols) <= BUDGET)
     return {
         tuple(sum(c * col[i] for c, col in zip(coeffs, cols)) % ring.size
@@ -123,7 +124,7 @@ def test_integer_generators_are_the_smith_bases(X, data):
     k = data.draw(st.integers(-1, X.dim))
     image = [] if k == -1 else intmat.image_basis_int(delta_matrix(X, k - 1))
     if k == X.dim:
-        kernel = intmat.identity(len(X.faces(k)))
+        kernel = identity(len(X.faces(k)))
     else:
         kernel = intmat.kernel_int(delta_matrix(X, k))
     assert subgroup_generators(X, INTEGERS, k, COBOUNDARIES) == image

@@ -6,34 +6,33 @@ from math import gcd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense import dense_smith, identity, mat_mul, mat_vec, transpose, zeros
 from hdx import building, catalog, intmat
 from hdx.cochains import COBOUNDARIES, COCYCLES, delta_matrix, subgroup_generators
 from hdx.complexes import build_complex
-from hdx.lattice import smith_profile
+from hdx.lattice import free_cocycle_generators, smith_profile
 from hdx.rings import INTEGERS, modular_ring, prime_field
 
-
-def mul(A, B):
-    return intmat.mat_mul(A, B)
+mul = mat_mul
 
 
 def diagonal(d, m, n):
     """The m x n matrix whose diagonal starts with d and is zero elsewhere."""
-    S = intmat.zeros(m, n)
+    S = zeros(m, n)
     for i, v in enumerate(d):
         S[i][i] = v
     return S
 
 
 def smith_as_dense(M):
-    """`intmat.smith_normal_form`'s (U, d, V) as the (U, S, V) of the dense
-    oracles below, S the diagonal matrix of d."""
-    U, d, V = intmat.smith_normal_form(M)
+    """`intmat.smith_normal_form`'s (U, d, V) as the dense (U, S, V) of the
+    dense oracles below, S the diagonal matrix of d."""
+    U, d, V = dense_smith(M)
     return U, diagonal(d, len(M), len(M[0]) if M else 0), V
 
 
 def test_snf_identity():
-    U, d, V = intmat.smith_normal_form(intmat.identity(3))
+    U, d, V = intmat.smith_normal_form(identity(3))
     assert d == [1, 1, 1]
 
 
@@ -48,7 +47,7 @@ def test_snf_random_transform_verification():
     for _ in range(25):
         m, n = rng.randint(1, 6), rng.randint(1, 6)
         M = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
-        U, d, V = intmat.smith_normal_form(M)
+        U, d, V = dense_smith(M)
         # off-diagonal entries vanish and the diagonal starts with d
         assert mul(mul(U, M), V) == diagonal(d, m, n)
         assert all(a > 0 for a in d)
@@ -56,7 +55,7 @@ def test_snf_random_transform_verification():
             assert b % a == 0
         # unimodularity
         Ui = invert_unimodular(U)
-        assert mul(U, Ui) == intmat.identity(m)
+        assert mul(U, Ui) == identity(m)
 
 
 def smith_solve_columns(M, bs):
@@ -68,13 +67,13 @@ def smith_solve_columns(M, bs):
     n = len(M[0]) if m else 0
     if m == 0:
         return [[0] * n for _ in bs]
-    U, d, V = intmat.smith_normal_form(M)
+    U, d, V = dense_smith(M)
     out = []
     for b in bs:
-        c = intmat.mat_vec(U, b)
+        c = mat_vec(U, b)
         solvable = not any(c[len(d):]) and not any(ci % di for ci, di in zip(c, d))
         y = [ci // di for ci, di in zip(c, d)] + [0] * (n - len(d))
-        out.append(intmat.mat_vec(V, y) if solvable else None)
+        out.append(mat_vec(V, y) if solvable else None)
     return out
 
 
@@ -93,9 +92,10 @@ def record_reductions(monkeypatch):
         seen.append(("refused" if reduced is None else "unit", M))
         return reduced
 
-    def smith_counted(M, **kwargs):
-        seen.append(("smith", M))
-        return smith(M, **kwargs)
+    def smith_counted(M, width=None, **kwargs):
+        # the dense matrix, whether M comes dense or as sparse rows
+        seen.append(("smith", intmat.dense_rows(*intmat.rows_of(M, width))))
+        return smith(M, width, **kwargs)
 
     monkeypatch.setattr(intmat, "_unit_reduce", unit_counted)
     monkeypatch.setattr(intmat, "smith_normal_form", smith_counted)
@@ -119,10 +119,10 @@ def test_solve_int():
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         M = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
         x = [rng.randint(-3, 3) for _ in range(n)]
-        b = intmat.mat_vec(M, x)
+        b = mat_vec(M, x)
         y = intmat.solve_int(M, b)
         assert y is not None
-        assert intmat.mat_vec(M, y) == b
+        assert mat_vec(M, y) == b
 
 
 def test_kernel_int():
@@ -130,7 +130,7 @@ def test_kernel_int():
     K = intmat.kernel_int(M)
     assert len(K) == 2
     for v in K:
-        assert intmat.mat_vec(M, v) == [0, 0]
+        assert mat_vec(M, v) == [0, 0]
 
 
 def test_rref_and_kernel_mod_p():
@@ -140,7 +140,7 @@ def test_rref_and_kernel_mod_p():
     K = intmat.kernel_mod_p(M, 5)
     assert len(K) == 1
     for v in intmat.dense_rows(K, 3):
-        assert all(x % 5 == 0 for x in intmat.mat_vec(M, v))
+        assert all(x % 5 == 0 for x in mat_vec(M, v))
 
 
 def test_image_basis_int():
@@ -163,8 +163,8 @@ def smith_normal_form_dense(M):
     m = len(M)
     n = len(M[0]) if m else 0
     A = [list(row) for row in M]
-    U = intmat.identity(m)
-    V = intmat.identity(n)
+    U = identity(m)
+    V = identity(n)
 
     def swap_rows(i, j):
         A[i], A[j] = A[j], A[i]
@@ -277,8 +277,8 @@ def smith_normal_form_full_scan(M):
     m = len(M)
     n = len(M[0]) if m else 0
     A = [list(row) for row in M]
-    U = intmat.identity(m)
-    V = intmat.identity(n)
+    U = identity(m)
+    V = identity(n)
 
     def swap_rows(i, j):
         A[i], A[j] = A[j], A[i]
@@ -368,10 +368,10 @@ def assert_matches_dense(M):
     assert (U, S, V) == smith_normal_form_dense(M)
     if M and M[0]:
         assert mul(mul(U, M), V) == S
-    U2, d2, V2, Uinv = intmat.smith_normal_form(M, inverse=True)
-    assert (U2, d2, V2) == intmat.smith_normal_form(M)
+    U2, d2, V2, Uinv = dense_smith(M, inverse=True)
+    assert (U2, d2, V2) == dense_smith(M)
     if M:
-        assert mul(U, Uinv) == intmat.identity(len(M))
+        assert mul(U, Uinv) == identity(len(M))
     else:
         assert Uinv == []
 
@@ -391,7 +391,7 @@ def test_smith_fast_path_matches_full_scan(M):
 
 def image_basis_via_inverse(M):
     """Columns of U^-1 scaled by the Smith diagonal, U inverted in Fractions."""
-    U, d, _ = intmat.smith_normal_form(M)
+    U, d, _ = dense_smith(M)
     Uinv = invert_unimodular(U)
     return [[Uinv[i][j] * d[j] for i in range(len(M))] for j in range(len(d))]
 
@@ -427,7 +427,8 @@ def test_sparse_smith_edge_shapes():
               [[0, 0], [0, 0]], [[0, 2], [0, 0], [0, 4]], [[0, 0, 0], [3, 0, 6]]):
         assert_matches_dense(M)
     # an empty matrix keeps its row count in U
-    assert intmat.smith_normal_form([[], []]) == ([[1, 0], [0, 1]], [], [])
+    assert intmat.smith_normal_form([[], []]) == ([{0: 1}, {1: 1}], [], [])
+    assert dense_smith([[], []]) == ([[1, 0], [0, 1]], [], [])
 
 
 def test_sparse_smith_matches_dense_on_coboundaries():
@@ -446,7 +447,7 @@ def test_smith_inverse_is_the_inverse_of_u():
     for _ in range(60):
         m, n = rng.randint(1, 7), rng.randint(1, 7)
         M = [[rng.choice((0, 0, -1, 1, 2)) for _ in range(n)] for _ in range(m)]
-        U, _, _, Uinv = intmat.smith_normal_form(M, inverse=True)
+        U, _, _, Uinv = dense_smith(M, inverse=True)
         assert Uinv == invert_unimodular(U)
 
 
@@ -464,7 +465,7 @@ FACTORS = st.tuples(SIDES, SIDES, SIDES).flatmap(lambda mkn: st.tuples(
 @given(FACTORS)
 def test_mat_mul_matches_naive_loops(AB):
     A, B = AB
-    assert intmat.mat_mul(A, B) == [
+    assert mat_mul(A, B) == [
         [sum(A[i][k] * B[k][j] for k in range(len(B))) for j in range(len(B[0]))]
         for i in range(len(A))
     ]
@@ -475,7 +476,7 @@ def test_mat_mul_matches_naive_loops(AB):
 def test_mat_vec_matches_naive_loops(AB):
     A, B = AB
     v = [row[0] for row in B]
-    assert intmat.mat_vec(A, v) == [
+    assert mat_vec(A, v) == [
         sum(A[i][k] * v[k] for k in range(len(v))) for i in range(len(A))
     ]
 
@@ -489,7 +490,7 @@ def assert_unit_route_matches_smith(M, bs):
     for b, x, y in zip(bs, intmat.solve_int_columns(M, bs), smith_solve_columns(M, bs)):
         assert (x is None) == (y is None)
         if x is not None:
-            assert intmat.mat_vec(M, x) == b
+            assert mat_vec(M, x) == b
     _, d, _ = intmat.smith_normal_form(M)
     assert intmat.rank_int(M) == len(d)
     assert smith_profile(M) == tuple(d)
@@ -500,7 +501,7 @@ def right_hand_sides(M, draw):
     n = len(M[0])
     x = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
     b = draw(st.lists(st.integers(-3, 3), min_size=len(M), max_size=len(M)))
-    return [intmat.mat_vec(M, x), b]
+    return [mat_vec(M, x), b]
 
 
 # the Smith oracle meets runaway entry growth on some 7 x 7 and 8 x 7 matrices
@@ -538,7 +539,7 @@ def test_rp2_torsion_takes_the_smith_route(monkeypatch):
     assert [route for route, _ in seen] == ["refused", "smith"]
     rng = random.Random(7)
     bs = [[rng.randint(-2, 2) for _ in M] for _ in range(20)]
-    bs.append(intmat.mat_vec(M, [rng.randint(-2, 2) for _ in M[0]]))
+    bs.append(mat_vec(M, [rng.randint(-2, 2) for _ in M[0]]))
     assert_unit_route_matches_smith(M, bs)
 
 
@@ -590,7 +591,7 @@ def test_sparse_rows_give_the_dense_results_on_random_matrices():
         m, n = rng.randint(1, 6), rng.randint(1, 6)
         M = [[rng.choice((-3, -2, -1, 0, 0, 0, 1, 2, 3)) for _ in range(n)] for _ in range(m)]
         x = [rng.randint(-3, 3) for _ in range(n)]
-        assert_sparse_matches_dense(M, [intmat.mat_vec(M, x), [rng.randint(-3, 3) for _ in M]])
+        assert_sparse_matches_dense(M, [mat_vec(M, x), [rng.randint(-3, 3) for _ in M]])
         smith += intmat.unit_echelon(M) is None
     assert 50 < smith < 250  # both routes, from both forms
 
@@ -601,7 +602,7 @@ def test_sparse_rows_with_a_non_unit_column_take_the_smith_route(monkeypatch):
     M = [[2, 1, 0], [4, 3, 0], [0, 1, 1]]
     seen = record_reductions(monkeypatch)
     rows = sparse_form(M)
-    b = intmat.mat_vec(M, [1, -2, 3])
+    b = mat_vec(M, [1, -2, 3])
     assert intmat.solve_int_columns(rows, [b, [1, 0, 0]], 3) == [[1, -2, 3], None]
     assert intmat.unit_echelon(rows, 3) is None
     assert smith_profile(rows, 3) == (1, 1, 2)
@@ -615,7 +616,7 @@ def test_sparse_rows_of_no_columns_or_no_rows():
     assert intmat.solve_int_columns([], [[]], 3) == [[0, 0, 0]]
     assert smith_profile([], 3) == smith_profile([{}], 0) == ()
     # the kernel of no rows is everything, their image nothing
-    assert intmat.kernel_int([], 3) == intmat.identity(3)
+    assert intmat.kernel_int([], 3) == identity(3)
     assert intmat.kernel_int([{}, {}], 0) == intmat.image_basis_int([], 3) == []
 
 
@@ -720,24 +721,24 @@ def test_sparse_mod_p_edge_shapes():
 def dense_generators(X, ring, k, target):
     """`subgroup_generators` as built from dense coboundary matrices: the F_p
     sets by the dense oracles above on delta_{k-1}^T and delta_k, the Z and Z/n
-    sets from the image and columns of V of one Smith form of the dense delta."""
+    sets from the image and columns of V of one dense Smith form of delta."""
     nk = len(X.faces(k))
     if target == COBOUNDARIES:
         if k <= -1:
             gens = []
         elif ring.is_field:
-            gens = rref_mod_p_dense(intmat.transpose(delta_matrix(X, k - 1)), ring.size)[0]
+            gens = rref_mod_p_dense(transpose(delta_matrix(X, k - 1)), ring.size)[0]
         else:
             M = delta_matrix(X, k - 1)
-            _, d, V = intmat.smith_normal_form(M)
-            gens = intmat.transpose(intmat.mat_mul(M, V))[: len(d)]
+            _, d, V = dense_smith(M)
+            gens = transpose(mat_mul(M, V))[: len(d)]
     elif k == X.dim:
-        gens = intmat.identity(nk)
+        gens = identity(nk)
     elif ring.is_field:
         gens = kernel_mod_p_dense(delta_matrix(X, k), ring.size)
     else:
-        _, d, V = intmat.smith_normal_form(delta_matrix(X, k))
-        columns = intmat.transpose(V)
+        _, d, V = dense_smith(delta_matrix(X, k))
+        columns = transpose(V)
         if not ring.is_finite:
             gens = columns[len(d):]
         else:
@@ -749,13 +750,79 @@ def dense_generators(X, ring, k, target):
     return gens
 
 
+def dense_free_cocycle_generators(X, k):
+    """`lattice.free_cocycle_generators` on dense matrices: the kernel vectors
+    as the columns of K, the coboundaries solved in them, and the columns of
+    U^-1 past the rank of the solutions' matrix applied to K."""
+    kernel = dense_generators(X, INTEGERS, k, COCYCLES)
+    if not kernel:
+        return []
+    K = transpose(kernel)
+    Y = intmat.solve_int_columns(K, dense_generators(X, INTEGERS, k, COBOUNDARIES))
+    assert None not in Y
+    if not Y:
+        return [mat_vec(K, y) for y in identity(len(kernel))]
+    _, d, _, Uinv = dense_smith(transpose(Y), inverse=True)
+    return [mat_vec(K, y) for y in transpose(Uinv)[len(d):]]
+
+
+def random_2_complexes(count=30, n=7):
+    """Seeded pure 2-complexes on the vertices v0..v{n-1}, 4 to 14 triangles each."""
+    rng = random.Random(33)
+    triangles = list(combinations(range(n), 3))
+    return [build_complex([[f"v{i}" for i in t] for t in rng.sample(triangles, rng.randint(4, 14))])
+            for _ in range(count)]
+
+
 def test_generating_sets_match_the_dense_route():
-    rings = [prime_field(2), prime_field(3), INTEGERS, modular_ring(4), modular_ring(6)]
+    rings = [prime_field(2), prime_field(3), INTEGERS, modular_ring(4), modular_ring(6),
+             modular_ring(8), modular_ring(9)]
     complexes = [catalog.named_complex(name) for name in catalog.names()]
     complexes.append(building.build_building(3, 2).complex)
+    complexes += random_2_complexes()
     for X in complexes:
-        for ring in rings:
-            for k in range(-1, X.dim + 1):
+        for k in range(-1, X.dim + 1):
+            for ring in rings:
                 for target in (COBOUNDARIES, COCYCLES):
                     assert subgroup_generators(X, ring, k, target) == \
                         dense_generators(X, ring, k, target), (X, ring, k, target)
+            assert free_cocycle_generators(X, k) == dense_free_cocycle_generators(X, k), (X, k)
+
+
+# -- caller rows: the Smith form and the rank read them without reducing them ---------
+
+
+@st.composite
+def sparse_matrices(draw):
+    """(rows, n, M): 1 to 6 rows and up to 6 columns, mostly zero with entries
+    up to 3 in absolute value, as the caller's {column: value} rows in a drawn
+    key order and as the dense M, which has rows to carry its width. Larger
+    sides or entries can send the elimination into runaway entry growth."""
+    n = draw(st.integers(0, 6))
+    entries = st.sampled_from((0, 0, 0, 0, 1, -1, 2, -2, 3))
+    M = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=1, max_size=6))
+    rows = []
+    for row in M:
+        keys = draw(st.permutations([j for j in range(n) if row[j]]))
+        rows.append({j: row[j] for j in keys})
+    return rows, n, M
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_matrices())
+def test_smith_form_of_caller_rows_leaves_them_and_matches_the_dense_route(rowsM):
+    rows, n, M = rowsM
+    before = [dict(row) for row in rows]
+    U, d, V, Uinv = intmat.smith_normal_form(rows, n, inverse=True)
+    assert rows == before  # read, never reduced in place
+    assert intmat.rank_int(M) == len(d)
+    # the sparse transforms are those of the dense route, entry for entry
+    m = len(M)
+    dense = (intmat.dense_rows(U, m), d, transpose(intmat.dense_rows(V, n)),
+             transpose(intmat.dense_rows(Uinv, m)))
+    assert dense == dense_smith(M, inverse=True)
+    Ud, S, Vd = smith_as_dense(M)
+    assert (Ud, S, Vd) == smith_normal_form_dense(M)
+    if n:
+        assert mul(mul(Ud, M), Vd) == diagonal(d, m, n)
+    assert all(a > 0 for a in d) and all(b % a == 0 for a, b in zip(d, d[1:]))

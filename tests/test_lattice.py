@@ -26,10 +26,12 @@ from hdx.lattice import (
     lattice_distance,
     lattice_report,
     minimal_representatives,
+    smith_form_holds,
     smith_profile,
     uct_check,
 )
 from hdx.rings import INTEGERS, prime_field
+from dense import dense_smith, identity, mat_mul, mat_vec, transpose, zeros
 from test_intmat import record_reductions, reductions
 
 F2 = prime_field(2)
@@ -52,7 +54,7 @@ def test_matrix_composition_zero():
         for k in range(-1, X.dim - 1):
             D0 = delta_matrix(X, k)
             D1 = delta_matrix(X, k + 1)
-            prod = intmat.mat_mul(D1, D0)
+            prod = mat_mul(D1, D0)
             assert all(all(v == 0 for v in row) for row in prod)
 
 
@@ -71,7 +73,7 @@ def test_transpose_duality_with_boundary():
 
 
 def diagonal(d, m, n):
-    S = intmat.zeros(m, n)
+    S = zeros(m, n)
     for i, v in enumerate(d):
         S[i][i] = v
     return S
@@ -84,27 +86,45 @@ def test_smith_profile_examples():
     for _ in range(15):
         M = [[rng.randint(-6, 6) for _ in range(6)] for _ in range(6)]
         d = smith_profile(M)
-        U, d2, V = intmat.smith_normal_form(M)
+        U, d2, V = dense_smith(M)
         assert d == tuple(d2)
-        assert intmat.mat_mul(intmat.mat_mul(U, M), V) == diagonal(d, 6, 6)
+        assert mat_mul(mat_mul(U, M), V) == diagonal(d, 6, 6)
+
+
+# corruptions of the sparse transforms: U as {column: value} rows, V as
+# {row: value} columns
+
+
+def _one_entry_of_u(U, d, V):
+    U = [dict(u) for u in U]
+    U[1][0] = U[1].get(0, 0) + 1
+    return U, d, V
+
+
+def _one_entry_of_v(U, d, V):
+    V = [dict(v) for v in V]
+    V[2][1] = V[2].get(1, 0) - 1
+    return U, d, V
 
 
 def _one_off_diagonal(U, d, V):
     # column 1 += column 0 on V puts d_1 at (0, 1) of U M V
-    V = [row[:1] + [row[0] + row[1]] + row[2:] for row in V]
-    return U, d, V
+    return U, d, V[:1] + [intmat.combine({0: 1, 1: 1}, V)] + V[2:]
 
 
 def _wrong_factor(U, d, V):
     return U, d[:-1] + [2 * d[-1]], V
 
 
-@pytest.mark.parametrize("tamper", [_one_off_diagonal, _wrong_factor])
+@pytest.mark.parametrize("tamper", [_one_entry_of_u, _one_entry_of_v, _one_off_diagonal,
+                                    _wrong_factor])
 def test_smith_profile_rejects_a_wrong_smith_form(monkeypatch, tamper):
     M = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]
     assert smith_profile(M) == (2, 6, 12)
+    assert smith_form_holds(M, *intmat.smith_normal_form(M))
+    assert not smith_form_holds(M, *tamper(*intmat.smith_normal_form(M)))
     snf = intmat.smith_normal_form
-    monkeypatch.setattr(intmat, "smith_normal_form", lambda M: tamper(*snf(M)))
+    monkeypatch.setattr(intmat, "smith_normal_form", lambda *a, **kw: tamper(*snf(*a, **kw)))
     with pytest.raises(errors.PropertyViolation):
         smith_profile(M)
 
@@ -217,12 +237,12 @@ def per_column_free_generators(X, k):
     """free_cocycle_generators with one integer solve, so one reduction of
     the kernel matrix K, per coboundary column."""
     kernel = subgroup_generators(X, INTEGERS, k, COCYCLES)
-    K = intmat.transpose(kernel)
+    K = transpose(kernel)
     Y = [intmat.solve_int(K, col) for col in subgroup_generators(X, INTEGERS, k, COBOUNDARIES)]
     if not Y:
-        return [intmat.mat_vec(K, y) for y in intmat.identity(len(kernel))]
-    _, d, _, Uinv = intmat.smith_normal_form(intmat.transpose(Y), inverse=True)
-    return [intmat.mat_vec(K, y) for y in intmat.transpose(Uinv)[len(d):]]
+        return [mat_vec(K, y) for y in identity(len(kernel))]
+    _, d, _, Uinv = dense_smith(transpose(Y), inverse=True)
+    return [mat_vec(K, y) for y in transpose(Uinv)[len(d):]]
 
 
 @pytest.mark.parametrize("name,k,columns", [
@@ -231,7 +251,7 @@ def per_column_free_generators(X, k):
 def test_free_generators_take_one_smith_form_of_the_kernel(monkeypatch, name, k, columns):
     # one reduction of K, counted over the unit-pivot and the Smith route
     X = build_complex(named_complex(name).top_faces)
-    K = intmat.transpose(subgroup_generators(X, INTEGERS, k, COCYCLES))
+    K = transpose(subgroup_generators(X, INTEGERS, k, COCYCLES))
     assert len(subgroup_generators(X, INTEGERS, k, COBOUNDARIES)) == columns
     seen = record_reductions(monkeypatch)
     want = per_column_free_generators(X, k)

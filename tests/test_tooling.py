@@ -705,56 +705,8 @@ def test_local_minimality_batches_and_its_maps_have_one_home():
 
 # the unit-pivot elimination is intmat._unit_reduce alone: defined and called
 # only in intmat, which hands lattice.smith_profile its echelon through
-# unit_echelon; smith_profile multiplies matrices only on its Smith fallback
+# unit_echelon
 UNIT_REDUCTION = "_unit_reduce"
-
-
-def _unit_route_products(source):
-    """function:line of each mat_mul call on lattice.smith_profile's unit
-    route: its statements before the first one that calls smith_normal_form,
-    and the module's functions those statements call. None when the Smith
-    fallback, the statements from there on and the functions they call, makes
-    no mat_mul call."""
-    defs = {node.name: node for node in ast.parse(source).body
-            if isinstance(node, ast.FunctionDef)}
-    body = defs["smith_profile"].body
-
-    def products(stmts):
-        calls = [(f"smith_profile:{c.lineno}", c) for s in stmts for c in ast.walk(s)
-                 if isinstance(c, ast.Call)]
-        helpers = {_callee(c) for _, c in calls} & defs.keys()
-        calls += [(f"{name}:{c.lineno}", c) for name in helpers
-                  for c in ast.walk(defs[name]) if isinstance(c, ast.Call)]
-        return sorted(where for where, c in calls if _callee(c) == "mat_mul")
-
-    first = next((i for i, stmt in enumerate(body)
-                  if any(_callee(c) == "smith_normal_form"
-                         for c in ast.walk(stmt) if isinstance(c, ast.Call))), len(body))
-    return products(body[:first]) if products(body[first:]) else None
-
-
-def test_unit_route_product_finder():
-    source = """
-def smith_profile(M):
-    E = intmat.unit_echelon(M)
-    if E is not None:
-        return _rank(M, *E)
-    U, d, V = intmat.smith_normal_form(M)
-    return d if holds(M, U, d, V) else None
-
-
-def holds(M, U, d, V):
-    return intmat.mat_mul(intmat.mat_mul(U, M), V) == diag(d)
-
-
-def _rank(M, order, H, U):
-    return rank(intmat.mat_mul(U, M), H)
-"""
-    assert _unit_route_products(source) == ["_rank:15"]
-    checked_first = source.replace("    E = intmat", "    intmat.mat_mul(M, M)\n    E = intmat")
-    assert _unit_route_products(checked_first) == ["_rank:16", "smith_profile:3"]
-    unchecked = source.replace("    return d if holds(M, U, d, V) else None", "    return d")
-    assert _unit_route_products(unchecked) is None
 
 
 def test_unit_elimination_lives_in_intmat():
@@ -768,7 +720,89 @@ def test_unit_elimination_lives_in_intmat():
                     if _callee(call) == UNIT_REDUCTION]
     assert homes == ["intmat.py"]
     assert callers and all(c.startswith("intmat.py:") for c in callers)
-    assert _unit_route_products((SRC / "lattice.py").read_text(encoding="utf-8")) == []
+
+
+# the dense matrix helpers serve only the tests, from tests/dense.py: the
+# library neither defines nor calls them, and takes no Smith form of a
+# densified matrix; products are intmat.combine's sums of sparse vectors
+TEST_ONLY_HELPERS = {"zeros", "identity", "mat_mul", "mat_vec", "transpose"}
+
+
+def _own_callee(call):
+    """The callee's name when it is a plain name or an attribute of intmat,
+    not of numpy or any other module."""
+    func = call.func
+    if isinstance(func, ast.Attribute):
+        return func.attr if getattr(func.value, "id", None) == "intmat" else None
+    return getattr(func, "id", None)
+
+
+def _dense_uses(source):
+    """name:line of each definition or call of a test-only dense helper, and
+    of each smith_normal_form call passed a dense_rows(...) result, directly
+    or through a name its enclosing function assigns that result to."""
+    tree = ast.parse(source)
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in TEST_ONLY_HELPERS:
+            out.add(f"def {node.name}:{node.lineno}")
+        elif isinstance(node, ast.Call) and _own_callee(node) in TEST_ONLY_HELPERS:
+            out.add(f"{_own_callee(node)}:{node.lineno}")
+    for scope in ast.walk(tree):
+        if not isinstance(scope, ast.FunctionDef):
+            continue
+        nodes = list(ast.walk(scope))
+        dense = {t.id for a in nodes if isinstance(a, ast.Assign)
+                 and isinstance(a.value, ast.Call) and _callee(a.value) == "dense_rows"
+                 for t in a.targets if isinstance(t, ast.Name)}
+        for call in nodes:
+            if isinstance(call, ast.Call) and _callee(call) == "smith_normal_form" and call.args:
+                arg = call.args[0]
+                if (isinstance(arg, ast.Call) and _callee(arg) == "dense_rows"
+                        or isinstance(arg, ast.Name) and arg.id in dense):
+                    out.add(f"smith_normal_form(dense_rows):{call.lineno}")
+    return sorted(out)
+
+
+def test_dense_use_finder():
+    source = """
+def transpose(A):
+    return [list(col) for col in zip(*A)]
+
+
+def smith_profile(rows, n):
+    M = intmat.dense_rows(rows, n)
+    U, d, V = intmat.smith_normal_form(M)
+    return intmat.mat_mul(intmat.mat_mul(U, M), V)
+
+
+def kernel_int(rows, n):
+    _, d, V = smith_normal_form(dense_rows(rows, n))
+    return transpose(V)[len(d):]
+
+
+def sparse(rows, n):
+    M = intmat.dense_rows(rows, n)
+    return intmat.smith_normal_form(rows, n), intmat.combine({0: 1}, rows), M
+
+
+def array(n):
+    return np.zeros((n, n)), np.identity(n)
+"""
+    assert _dense_uses(source) == [
+        "def transpose:2", "mat_mul:9", "smith_normal_form(dense_rows):13",
+        "smith_normal_form(dense_rows):8", "transpose:14",
+    ]
+
+
+def test_dense_helpers_serve_only_the_tests():
+    offenders = [f"{path.name} {where}" for path in sorted(SRC.glob("*.py"))
+                 for where in _dense_uses(path.read_text(encoding="utf-8"))]
+    assert offenders == []
+    homes = {path.name: {name for _, name in _definitions(path.read_text(encoding="utf-8"))}
+             & (TEST_ONLY_HELPERS | {"dense_smith"}) for path in sorted(TESTS.glob("*.py"))}
+    assert {name: found for name, found in homes.items() if found} == {
+        "dense.py": TEST_ONLY_HELPERS | {"dense_smith"}}
 
 
 # the group acts on a building as int64 vertex permutations: the dict actions
