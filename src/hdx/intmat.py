@@ -39,10 +39,11 @@ def combine(coeffs, vecs):
     """The sum of c * vecs[k] over the {k: c} items of coeffs, vecs being
     {index: value} dicts, as the dict of its nonzero entries."""
     out = {}
+    get = out.get
     for k, c in coeffs.items():
-        if c:
-            _add_to(out, vecs[k], c)
-    return out
+        for j, v in vecs[k].items():
+            out[j] = get(j, 0) + c * v
+    return {j: v for j, v in out.items() if v}
 
 
 def columns_of(rows, n):
