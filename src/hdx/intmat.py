@@ -1,10 +1,11 @@
 """Exact integer and modular linear algebra on sparse integer matrices.
 
 Matrices are lists of lists of Python ints or their sparse {column: value}
-rows, so everything is arbitrary precision. Every reader takes M as `rows_of`
-does: a dense matrix, converted once, or, with its width, the rows a caller
-built from its own index (as `cochains.delta_rows` builds delta), copied, so a
-caller's rows are never reduced in place. The Smith normal form is the
+rows, so everything is arbitrary precision. Every reader but `rank_int`, which
+takes a dense matrix, takes M as `rows_of` does: a dense matrix, converted
+once, or, with its width, the rows a caller built from its own index (as
+`cochains.delta_rows` builds delta), copied, so a caller's rows are never
+reduced in place. The Smith normal form is the
 classical elimination run on sparse rows: each operation touches only nonzero
 entries, and the transforms it returns are its own sparse ones, equal entry
 for entry to those of the dense algorithm. It returns (U, d, V): U as

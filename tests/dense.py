@@ -40,6 +40,14 @@ def transpose(A):
     return [list(col) for col in zip(*A)]
 
 
+def diagonal(d, m, n):
+    """The m x n matrix whose diagonal starts with d and is zero elsewhere."""
+    S = zeros(m, n)
+    for i, v in enumerate(d):
+        S[i][i] = v
+    return S
+
+
 def dense_smith(M, inverse=False):
     """`intmat.smith_normal_form` of the dense matrix M with its transforms
     dense: (U, d, V), and U^-1 after them with inverse=True. U comes as

@@ -6,22 +6,12 @@ from math import gcd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense import dense_smith, identity, mat_mul, mat_vec, transpose, zeros
+from dense import dense_smith, diagonal, identity, mat_mul, mat_vec, transpose
 from hdx import building, catalog, intmat
 from hdx.cochains import COBOUNDARIES, COCYCLES, delta_matrix, subgroup_generators
 from hdx.complexes import build_complex
 from hdx.lattice import free_cocycle_generators, smith_profile
 from hdx.rings import INTEGERS, modular_ring, prime_field
-
-mul = mat_mul
-
-
-def diagonal(d, m, n):
-    """The m x n matrix whose diagonal starts with d and is zero elsewhere."""
-    S = zeros(m, n)
-    for i, v in enumerate(d):
-        S[i][i] = v
-    return S
 
 
 def smith_as_dense(M):
@@ -49,13 +39,13 @@ def test_snf_random_transform_verification():
         M = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
         U, d, V = dense_smith(M)
         # off-diagonal entries vanish and the diagonal starts with d
-        assert mul(mul(U, M), V) == diagonal(d, m, n)
+        assert mat_mul(mat_mul(U, M), V) == diagonal(d, m, n)
         assert all(a > 0 for a in d)
         for a, b in zip(d, d[1:]):
             assert b % a == 0
         # unimodularity
         Ui = invert_unimodular(U)
-        assert mul(U, Ui) == identity(m)
+        assert mat_mul(U, Ui) == identity(m)
 
 
 def smith_solve_columns(M, bs):
@@ -367,11 +357,11 @@ def assert_matches_dense(M):
     U, S, V = smith_as_dense(M)
     assert (U, S, V) == smith_normal_form_dense(M)
     if M and M[0]:
-        assert mul(mul(U, M), V) == S
+        assert mat_mul(mat_mul(U, M), V) == S
     U2, d2, V2, Uinv = dense_smith(M, inverse=True)
     assert (U2, d2, V2) == dense_smith(M)
     if M:
-        assert mul(U, Uinv) == identity(len(M))
+        assert mat_mul(U, Uinv) == identity(len(M))
     else:
         assert Uinv == []
 
@@ -439,7 +429,7 @@ def test_sparse_smith_matches_dense_on_coboundaries():
             M = delta_matrix(X, k)
             U, S, V = smith_as_dense(M)
             assert (U, S, V) == smith_normal_form_dense(M)
-            assert mul(mul(U, M), V) == S
+            assert mat_mul(mat_mul(U, M), V) == S
 
 
 def test_smith_inverse_is_the_inverse_of_u():
@@ -824,5 +814,5 @@ def test_smith_form_of_caller_rows_leaves_them_and_matches_the_dense_route(rowsM
     Ud, S, Vd = smith_as_dense(M)
     assert (Ud, S, Vd) == smith_normal_form_dense(M)
     if n:
-        assert mul(mul(Ud, M), Vd) == diagonal(d, m, n)
+        assert mat_mul(mat_mul(Ud, M), Vd) == diagonal(d, m, n)
     assert all(a > 0 for a in d) and all(b % a == 0 for a, b in zip(d, d[1:]))

@@ -31,7 +31,7 @@ from hdx.lattice import (
     uct_check,
 )
 from hdx.rings import INTEGERS, prime_field
-from dense import dense_smith, identity, mat_mul, mat_vec, transpose, zeros
+from dense import dense_smith, diagonal, identity, mat_mul, mat_vec, transpose
 from test_intmat import record_reductions, reductions
 
 F2 = prime_field(2)
@@ -70,13 +70,6 @@ def test_transpose_duality_with_boundary():
         for tau, row in zip(X.faces(k + 1), D):
             bd = boundary(Chain(INTEGERS, k + 1, {tau: 1}))
             assert row == [bd.coeffs.get(f, 0) for f in X.faces(k)]
-
-
-def diagonal(d, m, n):
-    S = zeros(m, n)
-    for i, v in enumerate(d):
-        S[i][i] = v
-    return S
 
 
 def test_smith_profile_examples():
