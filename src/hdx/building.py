@@ -15,13 +15,13 @@ import random
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from itertools import accumulate, chain, combinations, compress, permutations, repeat
+from itertools import chain, combinations, compress, repeat
 from math import comb, prod
 from typing import NamedTuple
 
 import numpy as np
 
-from . import cosets, intmat
+from . import cosets
 from .cochains import Chain, Cochain, cochain_vector, random_cochain, vector_cochain
 from .complexes import SimplicialComplex, frac_json
 from .config import DEFAULT_BUILDING_FACE_CAP
@@ -34,7 +34,10 @@ from .errors import (
     RingMismatch,
     TooLarge,
 )
-from .gf import GF, line_images, subspace_tables, subspace_token
+from .gf import (
+    GF, line_images, pgl_order, primitive_element, subset_chains, subspace_tables, subspace_token,
+    transvections,
+)
 from .rings import Ring, prime_field
 
 
@@ -55,26 +58,6 @@ class SphericalBuilding:
         return self.n - 2
 
 
-def _subset_chains(n: int) -> list:
-    """Nonempty chains of proper nonempty subsets of range(n), strictly increasing.
-
-    These are the faces of the model apartment; every frame maps them to its
-    apartment through its span tokens, so the list is built once per n.
-    """
-    subsets = [s for r in range(1, n) for s in combinations(range(n), r)]
-    out = []
-
-    def extend(c):
-        out.append(c)
-        for s in subsets:
-            if set(c[-1]) < set(s):
-                extend(c + (s,))
-
-    for s in subsets:
-        extend((s,))
-    return out
-
-
 def build_building(n: int, q: int) -> SphericalBuilding:
     """The flag complex of the proper nonzero subspaces of GF(q)^n.
 
@@ -82,7 +65,7 @@ def build_building(n: int, q: int) -> SphericalBuilding:
     form: the maximal flags follow the covering relation, and for every n-set
     of lines at once the span of each subset S is one gather through the join
     table, span(S) = join[span(S minus its last line), that line]. The frames
-    are the n-sets spanning GF(q)^n; each chain of `_subset_chains` picks one
+    are the n-sets spanning GF(q)^n; each chain of `subset_chains` picks one
     face per frame, looked up by `_moved` from its spans' vertex indices, so
     every apartment holds X's own face tuples.
     """
@@ -108,7 +91,7 @@ def build_building(n: int, q: int) -> SphericalBuilding:
     for _ in range(n - 2):
         flags = [f + (w,) for f in flags for w in up[f[-1]]]
     X = SimplicialComplex.from_top_faces([[tokens[v] for v in f] for f in flags])
-    model = _subset_chains(n)
+    model = subset_chains(n)
     B = SphericalBuilding(n, q, gf, X, dict(zip(tokens, bases)), [], [], len(model))
     index = _face_index(B)
     lines = np.array(list(combinations(range(join.shape[1]), n)))
@@ -165,18 +148,20 @@ def _apartment_words(B: SphericalBuilding):
 
 def _in_intersections(B: SphericalBuilding, sigma, taus, level=None):
     """[r in A_{sigma,tau}], a row per tau in taus by a column per r in X.faces(level), or in
-    `_apartment_words` order when level is None: r's words hold those sigma and tau share,
-    read word by word. Raises PropertyViolation when sigma and some tau share no apartment."""
-    _, row, packed, bits = _apartment_words(B)
-    rs = packed[:-1] if level is None else bits[level]
-    hits = packed[[row[tau] for tau in taus]] & packed[row[sigma]]
-    if not (meets := hits.any(axis=1)).all():
+    `_apartment_words` order when level is None. The a apartments of sigma are first packed
+    into ceil(a / 64) words per face, by shifts and masks of the `_apartment_words`, so a read
+    is one pass over them (one word on B(4,2)): r's words hold tau's. Raises PropertyViolation
+    when sigma and some tau share no apartment."""
+    faces, row, packed, _ = _apartment_words(B)
+    words = packed.view(np.int64).T  # arithmetic shifts, so every bit reads as 0 or 1
+    a = np.flatnonzero(words[:, row[sigma], None] >> np.arange(64) & 1)
+    bit = words[a // 64] >> (a % 64)[:, None] & 1  # a row per apartment of sigma
+    own = np.add.reduceat(bit << (np.arange(len(a)) % 64)[:, None], range(0, len(a), 64)).T
+    lv = faces if level is None else B.complex.faces(level)
+    rs, hits = own[row[lv[0]]:][:len(lv)], own[[row[tau] for tau in taus], None]
+    if not (meets := hits.any(axis=2)).all():
         raise PropertyViolation(f"no apartment contains both {sigma} and {taus[meets.argmin()]}")
-    inside = np.ones((len(taus), len(rs)), dtype=bool)
-    for w in np.flatnonzero(hits.any(axis=0)):
-        h = hits[:, w, None]
-        inside &= rs[:, w] & h == h
-    return inside
+    return (rs & hits == hits).all(axis=2)
 
 
 def _weights(B: SphericalBuilding, sigma, k: int, level=None):
@@ -270,24 +255,29 @@ def intersection_complex(B: SphericalBuilding, sigma, taus) -> dict:
     return {k: inside[:, row[lv.faces[0]]:][:, :len(lv.faces)] for k, lv in _face_index(B).items()}
 
 
-def solve_boundary(B: SphericalBuilding, K: dict, k: int, target: dict):
-    """An integer (k+1)-chain inside K whose boundary is the k-chain target, or None.
+def solve_boundary(B: SphericalBuilding, table: dict, k: int, target):
+    """Integer (k+1)-chains inside A_{sigma,tau} whose boundaries are the k-chains target,
+    for a block of taus at once, as ((tau, face, coeff) triplets, solved).
 
-    K is one tau's row of each level of an `intersection_complex` table; chains map
-    face index positions to integers, and the filling keeps its nonzero coefficients in
-    ascending order. The system is K's transposed coboundary, a sparse {column: +-1}
-    row per k-face of K and a column per (k+1)-face, both ascending, signed from the
-    subface table and solved by `intmat.solve_int` with no dense matrix. The
-    family over any other ring is the reduction of the integer family, so no other
-    ring is ever solved in.
+    table is the block's `intersection_complex` table and target a (taus, X.faces(k)) int64
+    array of chains inside it. tau's system is A_{sigma,tau}'s transposed coboundary: a row
+    per k-face and a column per (k+1)-face, both ascending, with (-1)^i where a column's
+    subface i is the row, zero-padded to the block's largest; `cosets.unit_solve_stack`
+    solves the whole stack. The triplets hold each filling's nonzero coefficients, tau
+    (its row in the block) and then face ascending, and solved[tau] says whether target[tau]
+    has a filling. The family over any other ring is the reduction of the integer family,
+    so no other ring is ever solved in.
     """
-    M = {r: {} for r in np.flatnonzero(K[k]).tolist()}  # row per k-face, ascending
-    cols = np.flatnonzero(K[k + 1])
-    for j, subfaces in enumerate(_face_index(B)[k + 1].sub[cols].tolist()):
-        for i, r in enumerate(subfaces):
-            M[r][j] = -1 if i % 2 else 1
-    x = intmat.solve_int(list(M.values()), [target.get(r, 0) for r in M], len(cols))
-    return None if x is None else {c: v for c, v in zip(cols.tolist(), x) if v}
+    (t, r), (s, f) = np.nonzero(table[k]), np.nonzero(table[k + 1])
+    pos = np.cumsum(table[k], axis=1) - 1  # a k-face's row in its tau's system
+    j = np.arange(s.size) - np.searchsorted(s, s)  # a (k+1)-face's column
+    A = np.zeros((len(target), pos.max() + 1, j.max(initial=-1) + 2), dtype=np.int64)
+    A[t, pos[t, r], -1] = target[t, r]
+    for i, r in enumerate(_face_index(B)[k + 1].sub[f].T):
+        A[s, pos[s, r], j] = 1 - i % 2 * 2
+    X, solved = cosets.unit_solve_stack(A)
+    t, c = np.nonzero(X)
+    return np.array([t, f[np.searchsorted(s, t) + c], X[t, c]]), solved
 
 
 @dataclass(eq=False)
@@ -364,7 +354,8 @@ def chain_family(B: SphericalBuilding, ring: Ring, tops=None) -> ChainFamily:
     coeff) triplets by each chamber's signed face permutation and checks
     every moved support against its apartment intersection; then every
     entry must be present, and the identity's residual, summed over Z per
-    (sigma, tau) by `_identity_failure`, must reduce to zero in the ring.
+    (sigma, tau) by `_identity_failure` for a block of chambers at a time,
+    must reduce to zero in the ring.
     Only sigma_0's triplets, solved by `_integer_family_at`, are kept in
     B.cache. `tops` picks the chambers, each once (default: all of them).
     """
@@ -388,8 +379,10 @@ def chain_family(B: SphericalBuilding, ring: Ring, tops=None) -> ChainFamily:
         if gap.any():
             c, t = np.argwhere(gap)[0]
             raise PropertyViolation(f"chain family has no entry at {(tops[c], index[k].faces[t])}")
-    failures = [(bad[0], k, bad[1]) for k in moved
-                if (bad := _identity_failure(index, moved, k, ring)) is not None]
+    # about 2 CHUNKs of triplets per check, so its sort keys and their copies stay small
+    step = max(1, 2 * cosets.CHUNK // max(t.shape[1] for _, t, *_ in moved.values()))
+    failures = [(bad[0], k, bad[1]) for k in moved for lo in range(0, len(tops), step)
+                if (bad := _identity_failure(index, moved, k, ring, slice(lo, lo + step)))]
     if failures:
         c, k, t = min(failures)
         raise PropertyViolation(
@@ -450,28 +443,28 @@ def _transport(B: SphericalBuilding, family0: dict, G) -> dict:
     return out
 
 
-def _identity_failure(index: dict, moved: dict, k: int, ring: Ring):
-    """(chamber, tau) of the least entry at dimension k whose residual
+def _identity_failure(index: dict, moved: dict, k: int, ring: Ring, rows: slice):
+    """(chamber, tau) of the least entry at dimension k, chamber among rows, whose residual
 
         (-1)^{k+1} tau + sum_i (-1)^i c_{sigma,tau_i} - boundary(c_{sigma,tau})
 
     is nonzero in the ring, else None. The residual's terms are keyed by
     (chamber, tau, face) and summed by sort and np.add.reduceat.
     """
-    taus, tau, face, coeff = moved[k]
-    chamber, n = np.arange(len(taus))[:, None], taus.shape[1]
+    taus, tau, face, coeff = (a[rows] for a in moved[k])
+    chamber, n = np.arange(len(moved[k][0]))[rows, None], taus.shape[1]
     terms = [(chamber, taus, taus, np.full(taus.shape, (-1) ** (k + 1)))]
     terms += [(chamber, tau, index[k + 1].sub[face, i], -(-1) ** i * coeff) for i in range(k + 2)]
     if k >= 0:
         # c_{sigma,rho} enters at each coface tau of rho = tau minus vertex i
-        _, rho, face, coeff = moved[k - 1]
+        _, rho, face, coeff = (a[rows] for a in moved[k - 1])
         order = np.argsort(index[k].sub, axis=None, kind="stable")
         start = np.searchsorted(index[k].sub.ravel()[order], np.arange(len(index[k - 1].faces) + 1))
         count = (start[1:] - start[:-1])[rho].ravel()
         rep = np.repeat(np.arange(rho.size), count)
         at = order[start[rho.ravel()[rep]] + np.arange(rep.size)
                    - np.repeat(np.cumsum(count) - count, count)]
-        terms.append((rep // rho.shape[1], at // (k + 1), face.ravel()[rep],
+        terms.append((rows.start + rep // rho.shape[1], at // (k + 1), face.ravel()[rep],
                       coeff.ravel()[rep] * (1 - 2 * (at % (k + 1)))))
     key = np.concatenate([((c * n + t) * n + f).ravel() for c, t, f, _ in terms])
     val = np.concatenate([v.ravel() for *_, v in terms])
@@ -490,42 +483,44 @@ def _reduced(ring: Ring, values):
     return values
 
 
+_TAUS = 64  # the taus of one intersection read and one solve_boundary call
+
+
 def _integer_family_at(B: SphericalBuilding, sigma) -> dict:
     """sigma's integer family, k -> int64 (tau, face, coeff) triplet arrays
     over the face index: per tau, c_{sigma,tau}'s nonzero faces, ascending.
 
-    c_{sigma,()} is the least vertex of A_{sigma,()}. Then, level by level, from one
-    `intersection_complex` table per level, c_{sigma,tau} is the `solve_boundary`
-    filling inside A_{sigma,tau} of the target (-1)^{k+1} tau + sum_i (-1)^i
-    c_{sigma,tau_i}, summed over face index positions through the subface table. A
-    target that leaves its domain, is not a cycle (augmented at k = 0) or has no filling
+    c_{sigma,()} is the least vertex of A_{sigma,()}. Then level by level, _TAUS faces tau
+    at a time, from one `intersection_complex` table per block: each target (-1)^{k+1} tau +
+    sum_i (-1)^i c_{sigma,tau_i} is one int64 row over X.faces(k), the level below's chains
+    laid out as a dense table and gathered through the subface table; as array operations
+    over the block, its support must lie in A_{sigma,tau} and its boundary must vanish
+    (augmented at k = 0), and `solve_boundary` fills the whole block. The least tau whose
+    target leaves its domain, is not a cycle or has no filling, checked in that order,
     raises PropertyViolation.
     """
     index = _face_index(B)
-    solved = {-1: [{int(intersection_complex(B, sigma, [()])[0].argmax()): 1}]}
+    family = {-1: np.array([[0], [intersection_complex(B, sigma, [()])[0].argmax()], [1]])}
     for k in range(B.dim):
-        sub, table = index[k].sub.tolist(), intersection_complex(B, sigma, index[k].faces)
-        solved[k] = []
-        for t, tau in enumerate(index[k].faces):
-            K = {j: level[t] for j, level in table.items()}
-            target = {t: (-1) ** (k + 1)}
-            for i, rho in enumerate(sub[t]):
-                for f, v in solved[k - 1][rho].items():
-                    target[f] = target.get(f, 0) + (-v if i % 2 else v)
-            if not all(K[k][f] for f, v in target.items() if v):
-                raise PropertyViolation(f"family target for {(sigma, tau)} leaves its domain")
-            rim = {}
-            for f, v in target.items():
-                for i, rho in enumerate(sub[f]):
-                    rim[rho] = rim.get(rho, 0) + (-v if i % 2 else v)
-            if any(rim.values()):
-                raise PropertyViolation(f"family target for {(sigma, tau)} is not a cycle")
-            entry = solve_boundary(B, K, k, target)
-            if entry is None:
-                raise PropertyViolation(f"family target for {(sigma, tau)} has no filling")
-            solved[k].append(entry)
-    return {k: np.array([(t, f, v) for t, entry in enumerate(entries) for f, v in entry.items()],
-                        dtype=np.int64).reshape(-1, 3).T for k, entries in solved.items()}
+        below = np.zeros((len(index[k - 1].faces), len(index[k].faces)), dtype=np.int64)
+        below[tuple(family[k - 1][:2])], blocks = family[k - 1][2], []  # c_{sigma,rho} by rows
+        signs = np.resize([1, -1], k + 1)
+        for lo in range(0, len(index[k].faces), _TAUS):
+            taus, sub = index[k].faces[lo:lo + _TAUS], index[k].sub[lo:lo + _TAUS]
+            table, target = intersection_complex(B, sigma, taus), signs @ below[sub]
+            target[range(len(taus)), range(lo, lo + len(taus))] += (-1) ** (k + 1)
+            r, g = np.nonzero(target)
+            rim = np.zeros((len(taus), len(index[k - 1].faces)), dtype=np.int64)
+            np.add.at(rim, (r[:, None], index[k].sub[g]), target[r, g, None] * signs)
+            found, solved = solve_boundary(B, table, k, target)
+            bad = np.array([((target != 0) & ~table[k]).any(axis=1), rim.any(axis=1), ~solved])
+            if bad.any():
+                c = bad.any(axis=0).argmax()
+                why = ("leaves its domain", "is not a cycle", "has no filling")[bad[:, c].argmax()]
+                raise PropertyViolation(f"family target for {(sigma, taus[c])} {why}")
+            blocks.append(found + [[lo], [0], [0]])
+        family[k] = np.concatenate(blocks, axis=1)
+    return family
 
 
 def _iota(fam: ChainFamily, rows, k: int, fv):
@@ -622,28 +617,6 @@ def cone_norms(fam: ChainFamily, f: Cochain):
 # -- symmetry ------------------------------------------------------------------------
 
 
-def _transvections(n: int, scalars) -> list:
-    """The elementary matrices E_ij(a) = I + a e_ij for i != j, a in scalars."""
-    out = []
-    for i, j in permutations(range(n), 2):
-        for a in scalars:
-            out.append(np.eye(n, dtype=np.int64))
-            out[-1][i, j] = a
-    return out
-
-
-def _primitive_element(gf: GF) -> int:
-    """The least generator of the multiplicative group GF(q)^x, for q > 2:
-    the least a whose powers a, ..., a^(q-1) are distinct."""
-    return next(a for a in range(2, gf.q)
-                if len(set(accumulate([a] * (gf.q - 1), gf.mul))) == gf.q - 1)
-
-
-def _pgl_order(n: int, q: int) -> int:
-    """|PGL(n, q)| = prod_{i<n} (q^n - q^i) / (q - 1)."""
-    return prod(q ** n - q ** i for i in range(n)) // (q - 1)
-
-
 def generator_actions(B: SphericalBuilding) -> np.ndarray:
     """Vertex permutations generating G = PGL(n, q), in a fixed order, as an
     (S, V) int64 array over the vertex positions of `_face_index`.
@@ -659,10 +632,10 @@ def generator_actions(B: SphericalBuilding) -> np.ndarray:
     through the join table of `subspace_tables`.
     """
     n, q = B.n, B.q
-    mats = _transvections(n, range(1, q))
+    mats = transvections(n, range(1, q))
     if q > 2:
         mats.append(np.eye(n, dtype=np.int64))
-        mats[-1][0, 0] = _primitive_element(B.gf)
+        mats[-1][0, 0] = primitive_element(B.gf)
     image = line_images(B.gf, n, mats)
     bases, lines, _, join = subspace_tables(B.gf, n)
     pos = _face_index(B)[0].pos
@@ -807,7 +780,7 @@ def symmetry_checks(B: SphericalBuilding, seed=0) -> SymmetryReport:
     """
     X = B.complex
     gens = generator_actions(B)
-    order = _pgl_order(B.n, B.q)
+    order = pgl_order(B.n, B.q)
     orbits = _face_orbits(B, gens)
     orbit_counts = {k: len(v) for k, v in orbits.items()}
     transitive_top = orbit_counts[X.dim] == 1

@@ -19,16 +19,23 @@ a broadcast over a table whose last axis is one digit would run n^(m-1)
 inner loops of n entries. The distance table picks its route by the
 subgroup's size (see there): per-row outer sums when it streams at most m
 rows, a scatter and per-axis passes beyond.
+
+The same int64 arrays carry `unit_solve_stack`, which solves a stack of small
+integer systems by `intmat._unit_reduce`'s pivot rule all at once: sparse,
+arbitrary-precision elimination stays in `intmat`, stacked int64 elimination
+lives here, and a system it cannot finish goes to `intmat.solve_int`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, product
+from math import isqrt
 from operator import mul
 
 import numpy as np
 
+from . import intmat
 from .config import candidate_cap
 from .errors import ParameterOutOfRange, SearchSpaceTooLarge
 
@@ -303,3 +310,65 @@ def mod_p_floor(minimum_mod) -> Fraction:
         except SearchSpaceTooLarge:
             continue
     return best
+
+
+def unit_solve_stack(A):
+    """(X, solved) for the integer systems A[s, :, :n] x = A[s, :, n] of an
+    (S, m, n + 1) int64 stack: X[s] is the x that `intmat.solve_int` gives
+    where solved[s], and solved[s] is False, with X[s] zero, where it gives None.
+
+    Every system follows `intmat._unit_reduce`'s rule at once: column by
+    column, the pivot is the first row at or below the system's current row
+    whose entry is +-1; it is swapped up, the column is cleared below it only,
+    and a column with no nonzero there is free. Then a nonzero right-hand
+    side below the rank leaves no solution, and back-substitution sets the
+    free variables to 0. Zero rows and columns that pad a system change
+    nothing. Entries, factors and x are held to isqrt(INT64_MAX // (n + 2)),
+    so no sum of the n elimination steps or of the back-substitution leaves
+    int64; a system past that bound, or with a column of non-unit
+    candidates, is solved by `intmat.solve_int` instead.
+    """
+    S, m, width = A.shape
+    n, bound = width - 1, isqrt(INT64_MAX // (width + 1))
+    out = np.zeros((S, m + 1, width), dtype=np.int64)  # row m stays zero
+    out[:, :m] = A
+    hard = np.abs(out).max(axis=(1, 2)) > bound
+    out[hard] = 0
+    rows, at, t = np.arange(m + 1), np.arange(S), np.zeros(S, dtype=np.int64)
+    for c in range(n):
+        # the candidates at or below each system's current row t
+        below = np.abs(out[:, :, c]) * (rows >= t[:, None])
+        unit = below == 1
+        go = unit.any(axis=1)
+        lost = below.max(axis=1) > np.where(go, bound, 0)
+        p = np.where(go, unit.argmax(axis=1), t)
+        piv = out[at, p]
+        out[at, p] = out[at, t]
+        out[at, t] = piv
+        lost |= go & (np.abs(piv).max(axis=1) > bound)
+        if lost.any():
+            hard |= lost
+            out[lost], go[lost] = 0, False
+        s, i = np.nonzero(out[:, :, c] * ((rows > t[:, None]) & go[:, None]))
+        out[s, i, c:] -= (out[s, i, c] * piv[s, c])[:, None] * piv[s, c:]
+        t += go
+    # row i < t holds its pivot, a +-1, first; column n takes the rows past t
+    pivot = np.where(rows[:m] < t[:, None], (out[:, :m] != 0).argmax(axis=2), n)
+    X = np.zeros((S, width), dtype=np.int64)
+    for i in range(int(t.max(initial=0)) - 1, -1, -1):
+        c, row = pivot[:, i], out[:, i]
+        x = row[at, c] * (c < n) * (row[:, n] - (row[:, :n] * X[:, :n]).sum(axis=1))
+        X[at, c] = x
+        if np.abs(x).max() > bound:
+            hard |= np.abs(x) > bound
+            X[hard] = 0
+    solved = ~((rows >= t[:, None]) & (out[:, :, n] != 0)).any(axis=1)
+    X[~solved] = 0
+    for s in np.flatnonzero(hard).tolist():
+        x = intmat.solve_int(A[s, :, :n].tolist(), A[s, :, n].tolist())
+        solved[s] = x is not None
+        X[s] = 0
+        if x is not None:
+            require_int64(max(map(abs, x), default=0), "unit solve entries")
+            X[s, :n] = x
+    return X[:, :n], solved

@@ -9,7 +9,8 @@ expected to stay small (q <= 16 in practice).
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import accumulate, combinations, permutations, product
+from math import prod
 
 import numpy as np
 
@@ -144,6 +145,27 @@ def all_subspaces(gf: GF, n: int, r: int):
     return out
 
 
+def subset_chains(n: int) -> list:
+    """Nonempty chains of proper nonempty subsets of range(n), strictly increasing.
+
+    These are the faces of the model apartment of a building on GF(q)^n: a
+    frame of n lines maps each subset to the span of its lines, so the list
+    is built once per n.
+    """
+    subsets = [s for r in range(1, n) for s in combinations(range(n), r)]
+    out = []
+
+    def extend(c):
+        out.append(c)
+        for s in subsets:
+            if set(c[-1]) < set(s):
+                extend(c + (s,))
+
+    for s in subsets:
+        extend((s,))
+    return out
+
+
 def subspace_token(basis) -> str:
     """Serialize an RREF basis as S[row;row;...] with hex digits per entry."""
     return "S[" + ";".join("".join(format(x, "x") for x in row) for row in basis) + "]"
@@ -182,7 +204,10 @@ def subspace_tables(gf: GF, n: int):
     over the lines.
     """
     bases = [s for r in range(1, n) for s in all_subspaces(gf, n, r)]
-    images = line_images(gf, n, [np.pad(b, ((0, n - len(b)), (0, 0))) for b in bases])
+    padded = np.zeros((len(bases), n, n), dtype=np.int64)
+    for U, b in enumerate(bases):
+        padded[U, :len(b)] = b
+    images = line_images(gf, n, padded)
     lines = (images[..., None] == np.arange(images.shape[1])).any(axis=1)
     size = lines.sum(axis=1)  # (q^r - 1) / (q - 1) lines in rank r
     cover = (lines[:, None] <= lines).all(axis=2) & (gf.q * size[:, None] + 1 == size)
@@ -191,3 +216,28 @@ def subspace_tables(gf: GF, n: int):
     e, line = (lines[w] > lines[u]).nonzero()
     join[u[e], line] = w[e]
     return bases, lines, [np.flatnonzero(row).tolist() for row in cover], join
+
+
+# -- the group PGL(n, q) -----------------------------------------------------------
+
+
+def transvections(n: int, scalars) -> list:
+    """The elementary matrices E_ij(a) = I + a e_ij for i != j, a in scalars."""
+    out = []
+    for i, j in permutations(range(n), 2):
+        for a in scalars:
+            out.append(np.eye(n, dtype=np.int64))
+            out[-1][i, j] = a
+    return out
+
+
+def primitive_element(gf: GF) -> int:
+    """The least generator of the multiplicative group GF(q)^x, for q > 2:
+    the least a whose powers a, ..., a^(q-1) are distinct."""
+    return next(a for a in range(2, gf.q)
+                if len(set(accumulate([a] * (gf.q - 1), gf.mul))) == gf.q - 1)
+
+
+def pgl_order(n: int, q: int) -> int:
+    """|PGL(n, q)| = prod_{i<n} (q^n - q^i) / (q - 1)."""
+    return prod(q ** n - q ** i for i in range(n)) // (q - 1)

@@ -8,7 +8,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from hdx import building, errors, intmat
+from hdx import building, cosets, errors, intmat
 from hdx import gf as gf_module
 from hdx.building import (
     ChainFamily,
@@ -16,7 +16,6 @@ from hdx.building import (
     _in_intersections,
     _integer_family_at,
     _summed_totals,
-    _transvections,
     beta_constants,
     build_building,
     building_expansion_audit,
@@ -208,8 +207,8 @@ def test_apartments_are_tuples_of_theta_distinct_faces(fano, b42):
 def test_build_refuses_an_apartment_with_a_repeated_face(monkeypatch):
     # a model list naming one chain twice gives each apartment theta entries
     # but one face fewer
-    chains = building._subset_chains
-    monkeypatch.setattr(building, "_subset_chains", lambda n: chains(n) + chains(n)[:1])
+    chains = building.subset_chains
+    monkeypatch.setattr(building, "subset_chains", lambda n: chains(n) + chains(n)[:1])
     with pytest.raises(errors.PropertyViolation):
         build_building(3, 2)
 
@@ -329,7 +328,7 @@ def per_subset_building(n, q):
         extend([s], 2)
     top_faces = tuple(sorted(tuple(sorted(f)) for f in flags))
     frames, apartments = [], []
-    model_chains = building._subset_chains(n)
+    model_chains = building.subset_chains(n)
     for combo in combinations(by_rank[1], n):
         if len(rref(gf, [row for basis in combo for row in basis])) != n:
             continue
@@ -486,7 +485,7 @@ def as_triplets(B, entries, sigma):
     return out
 
 
-@pytest.mark.parametrize("n,q", [(3, 2), (3, 3), (3, 4), (4, 2)])
+@pytest.mark.parametrize("n,q", [(3, 2), (3, 3), (3, 4), (3, 5), (4, 2)])
 def test_sigma0_family_matches_the_subcomplex_filling(n, q):
     # the same entries, faces and coefficient order as the object route
     B = build_building(n, q)
@@ -498,10 +497,10 @@ def test_sigma0_family_matches_the_subcomplex_filling(n, q):
         assert got[k].dtype == np.int64 and np.array_equal(got[k], want[k])
 
 
-@pytest.mark.parametrize("n,q", [(3, 2), (3, 3), (3, 4), (4, 2)])
+@pytest.mark.parametrize("n,q", [(3, 2), (3, 3), (3, 4), (3, 5), (4, 2)])
 def test_sigma0_family_matches_the_per_pair_dense_solve(n, q):
-    # the level-wide tables and sparse rows give the triplets of one
-    # Subcomplex and one dense intmat.solve_int per (sigma_0, tau) pair
+    # the blocks of tables and the stacked int64 solve give the triplets of
+    # one Subcomplex and one dense intmat.solve_int per (sigma_0, tau) pair
     B = build_building(n, q)
     sigma0 = B.complex.top_faces[0]
 
@@ -517,8 +516,9 @@ def test_sigma0_family_matches_the_per_pair_dense_solve(n, q):
 
 @pytest.mark.parametrize("n,q", [(3, 2), (3, 3), (4, 2)])
 def test_cold_family_reads_one_intersection_table_per_level(n, q, monkeypatch):
-    # sigma_0's solve asks about the empty face, then about every face of
-    # each level 0..d-1 at once: d + 1 reads, and transport reads none
+    # sigma_0's solve asks about the empty face, then about each level 0..d-1
+    # in consecutive blocks of building._TAUS faces: one read per block, none
+    # per tau; transport and a warm family read none
     B = build_building(n, q)
     X = B.complex
     calls = []
@@ -529,10 +529,15 @@ def test_cold_family_reads_one_intersection_table_per_level(n, q, monkeypatch):
 
     monkeypatch.setattr(building, "_in_intersections", counted)
     chain_family(B, INTEGERS, tops=X.top_faces[:16])
-    assert calls == [(X.top_faces[0], X.faces(k), None) for k in range(-1, X.dim)]
-    assert len(calls) == X.dim + 1
+    block = building._TAUS
+    assert calls == [(X.top_faces[0], faces[lo:lo + block], None)
+                     for faces in [((),)] + [X.faces(k) for k in range(X.dim)]
+                     for lo in range(0, len(faces), block)]
+    assert len(calls) == 1 + sum(-(-len(X.faces(k)) // block) for k in range(X.dim))
+    assert len(calls) < len(X.faces(0)) + 1
     calls.clear()
     chain_family(B, F2)
+    chain_family(B, INTEGERS, tops=X.top_faces[-3:])
     assert calls == []
 
 
@@ -568,42 +573,81 @@ def test_chain_family_hashes_as_before(n, q):
 
 
 def test_face_index_solve_matches_the_subcomplex_solve(fano, b42):
-    # random boundaries refilled in A_{sigma,tau}: the face index route gives
-    # the Subcomplex route's filling, in ascending face order
+    # random boundaries refilled in A_{sigma,tau} for a block of taus at once:
+    # the stacked face index route gives each tau the filling of the Subcomplex
+    # route with one dense intmat.solve_int, in ascending face order
+
+    def dense_solve(M, bs):
+        return [intmat.solve_int(M, b) for b in bs]
+
     rng = random.Random(53)
     for B in (fano, b42):
         X, index = B.complex, building._face_index(B)
-        for _ in range(12):
+        for _ in range(6):
             sigma, k = rng.choice(X.top_faces), rng.randrange(X.dim)
-            tau = rng.choice(X.faces(rng.randrange(-1, X.dim)))
-            K = {j: level[0] for j, level in intersection_complex(B, sigma, [tau]).items()}
-            up = {index[k + 1].faces[p]: rng.randint(-3, 3) for p in np.flatnonzero(K[k + 1])}
-            cycle = boundary(Chain(INTEGERS, k + 1, up))
-            got = solve_boundary(B, K, k, {index[k].pos[f]: v for f, v in cycle.coeffs.items()})
-            assert list(got) == sorted(got)
-            filled = Chain(INTEGERS, k + 1, {index[k + 1].faces[p]: v for p, v in got.items()})
-            assert boundary(filled) == cycle
-            assert filled == subcomplex_solve(scanned_intersection(B, sigma, tau), cycle)
+            taus = [rng.choice(X.faces(rng.randrange(-1, X.dim))) for _ in range(rng.randint(1, 5))]
+            table = intersection_complex(B, sigma, taus)
+            target = np.zeros((len(taus), len(index[k].faces)), dtype=np.int64)
+            cycles = []
+            for t, tau in enumerate(taus):
+                up = {index[k + 1].faces[p]: rng.randint(-3, 3)
+                      for p in np.flatnonzero(table[k + 1][t])}
+                cycles.append(boundary(Chain(INTEGERS, k + 1, up)))
+                for f, v in cycles[-1].coeffs.items():
+                    target[t, index[k].pos[f]] = v
+            (tau_at, face, coeff), solved = solve_boundary(B, table, k, target)
+            assert solved.tolist() == [True] * len(taus)
+            assert tau_at.tolist() == sorted(tau_at.tolist())
+            for t, (tau, cycle) in enumerate(zip(taus, cycles)):
+                got = face[tau_at == t].tolist()
+                assert got == sorted(got)
+                filled = Chain(INTEGERS, k + 1, {index[k + 1].faces[p]: int(v)
+                                                 for p, v in zip(got, coeff[tau_at == t])})
+                assert boundary(filled) == cycle
+                want = subcomplex_solve(scanned_intersection(B, sigma, tau), cycle, dense_solve)
+                assert filled == want
+
+
+def test_solve_boundary_reports_unsolvable_targets(fano):
+    # a lone vertex is no boundary: its tau is unsolved, the others are filled
+    X, index = fano.complex, building._face_index(fano)
+    sigma = X.top_faces[0]
+    taus = [(), sigma[:1], sigma]
+    table = intersection_complex(fano, sigma, taus)
+    target = np.zeros((3, len(index[0].faces)), dtype=np.int64)
+    target[1, index[0].pos[sigma[:1]]] = 1
+    edge = Chain(INTEGERS, 1, {sigma: 1})
+    for f, v in boundary(edge).coeffs.items():
+        target[2, index[0].pos[f]] = v
+    (tau_at, face, coeff), solved = solve_boundary(fano, table, 0, target)
+    assert solved.tolist() == [True, False, True]
+    assert tau_at.tolist() == [2] and face.tolist() == [index[1].pos[sigma]]
+    assert coeff.tolist() == [1]
 
 
 @pytest.mark.parametrize("tamper,message", [
     ("skew", "is not a cycle"), ("refuse", "has no filling"),
 ])
 def test_sigma0_solve_failures_are_property_violations(b42, monkeypatch, tamper, message):
-    # a vertex entry one off its filling makes its edges' targets no cycles;
-    # an unsolvable system is a construction bug as well
-    solve, calls = intmat.solve_int, []
+    # the first vertex's filling one face off makes the targets of its edges
+    # no cycles, the least edge through it first; an unsolvable system is a
+    # construction bug as well, reported at the least tau, the first vertex
+    solve, calls = cosets.unit_solve_stack, []
 
-    def tampered(M, b, width=None):
-        calls.append(1)
-        x = solve(M, b, width)
+    def tampered(A):
+        calls.append(A.shape)
+        X, solved = solve(A)
         if tamper == "skew" and len(calls) == 1:
-            x[0] += 1
-        return None if tamper == "refuse" else x
+            X[0, 0] += 1
+        return X, solved & (tamper != "refuse")
 
-    monkeypatch.setattr(intmat, "solve_int", tampered)
-    with pytest.raises(errors.PropertyViolation, match=message):
+    monkeypatch.setattr(cosets, "unit_solve_stack", tampered)
+    X = b42.complex
+    vertex = X.faces(0)[0]
+    tau = vertex if tamper == "refuse" else next(e for e in X.faces(1) if vertex[0] in e)
+    with pytest.raises(errors.PropertyViolation, match=message) as got:
         chain_family(dataclasses.replace(b42, cache={}), INTEGERS)
+    assert str(got.value) == f"family target for {(X.top_faces[0], tau)} {message}"
 
 
 def dropping_least_vertex(B, sigma, taus, level=None):
@@ -1165,10 +1209,10 @@ def face_image(act, face):
 
 def oracle_generator_actions(B):
     """The generators of `generator_actions`, in its order, as token dicts."""
-    mats = _transvections(B.n, range(1, B.q))
+    mats = gf_module.transvections(B.n, range(1, B.q))
     if B.q > 2:
         mats.append(np.eye(B.n, dtype=np.int64))
-        mats[-1][0, 0] = building._primitive_element(B.gf)
+        mats[-1][0, 0] = gf_module.primitive_element(B.gf)
     return [vertex_action(B, M) for M in mats]
 
 
@@ -1326,7 +1370,7 @@ def test_schreier_tree_needs_every_scalar(monkeypatch):
     # over GF(4) the E_ij(1) generate only SL(3,2), which misses chambers
     B = build_building(3, 4)
     assert len(chamber_transport(B)) == len(B.complex.top_faces)
-    ones = as_array(B, [vertex_action(B, M) for M in _transvections(B.n, [1])])
+    ones = as_array(B, [vertex_action(B, M) for M in gf_module.transvections(B.n, [1])])
     monkeypatch.setattr(building, "generator_actions", lambda B: ones)
     with pytest.raises(errors.PropertyViolation):
         chamber_transport(dataclasses.replace(B, cache={}))
@@ -1376,8 +1420,30 @@ def test_transported_family_sampled_4_2_tops(b42):
 
 
 def test_family_solves_only_at_one_chamber(b42, monkeypatch):
+    # sigma_0's systems go to solve_boundary a block of taus at a time: one
+    # call per block of each level, whatever the requested chambers
     B = dataclasses.replace(b42, cache={})
     X = B.complex
+    calls = []
+    solve = building.solve_boundary
+
+    def counting(B, table, k, target):
+        calls.append((k, len(target)))
+        return solve(B, table, k, target)
+
+    monkeypatch.setattr(building, "solve_boundary", counting)
+    tops = [X.top_faces[i] for i in sorted(random.Random(43).sample(range(315), 16))]
+    chain_family(B, INTEGERS, tops=tops)
+    assert calls == [(0, 64), (0, 1)] + [(1, 64)] * 4 + [(1, 59)]
+    assert sum(n for _, n in calls) == len(X.faces(0)) + len(X.faces(1)) == 380
+    chain_family(B, INTEGERS, tops=X.top_faces[:5])
+    assert len(calls) == 7
+
+
+@pytest.mark.parametrize("n,q", [(3, 2), (3, 3), (3, 4), (3, 5), (4, 2)])
+def test_cold_family_makes_no_smith_or_sparse_solve(n, q, monkeypatch):
+    # every sigma_0 system of an admitted building has unit pivots and small
+    # entries, so the stacked int64 solve finishes all of them
     calls = []
     solve = intmat.solve_int
 
@@ -1386,9 +1452,8 @@ def test_family_solves_only_at_one_chamber(b42, monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(intmat, "solve_int", counting)
-    tops = [X.top_faces[i] for i in sorted(random.Random(43).sample(range(315), 16))]
-    chain_family(B, INTEGERS, tops=tops)
-    assert 0 < len(calls) <= len(X.faces(0)) + len(X.faces(1)) == 380
+    fam = chain_family(build_building(n, q), INTEGERS)
+    assert len(fam) and calls == []
 
 
 def test_repeated_family_calls_agree_on_shared_tops(fano):
@@ -1819,7 +1884,7 @@ def test_generators_are_simply_transitive_on_frames_3_4():
     rep = symmetry_checks(B)
     assert rep.group_order == 60480
     assert len(frame_orbit(B, token_actions(B, generator_actions(B)))) == 60480
-    transvections = [vertex_action(B, M) for M in _transvections(3, range(1, 4))]
+    transvections = [vertex_action(B, M) for M in gf_module.transvections(3, range(1, 4))]
     assert len(frame_orbit(B, transvections)) == 20160
 
 
@@ -1830,7 +1895,7 @@ def test_orbits_of_4_2(b42):
 
 
 def test_orbit_size_must_divide_the_group_order(fano, monkeypatch):
-    monkeypatch.setattr(building, "_pgl_order", lambda n, q: 167)
+    monkeypatch.setattr(building, "pgl_order", lambda n, q: 167)
     with pytest.raises(errors.PropertyViolation):
         symmetry_checks(fano)
 

@@ -2,9 +2,10 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from hdx import intmat
+from hdx import cosets
 from hdx.cli import main, parse_fraction, resolve_complex
 from hdx.catalog import named_complex
 from hdx.cochains import COBOUNDARIES, coboundary, cochain_from_lines, distance
@@ -271,7 +272,8 @@ def test_building_audit_on_a_sigma0_target_outside_its_domain_exits_2(capsys, mo
 
 def test_building_audit_with_an_unsolvable_filling_exits_2(capsys, monkeypatch):
     # a sigma_0 filling with no solution is a construction bug, not a usage error
-    monkeypatch.setattr(intmat, "solve_int", lambda M, b, width=None: None)
+    solve = cosets.unit_solve_stack
+    monkeypatch.setattr(cosets, "unit_solve_stack", lambda A: (solve(A)[0], np.zeros(len(A), bool)))
     code, out, err = run_cli(["report", "building-audit", "--n", "3", "--q", "2"], capsys)
     assert code == 2
     assert out == ""

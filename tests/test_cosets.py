@@ -631,3 +631,129 @@ def test_integer_supports_match_the_fraction_dfs(name):
                Fraction(1, 2 * den + 1), Fraction(-1, 3), Fraction(0), Fraction(3, 2)}
         for mu in sorted(mus):
             assert _supports_up_to_norm(X, k, mu) == fraction_supports(X, k, mu), (k, mu)
+
+
+# -- the stacked unit-pivot solve against intmat.solve_int ------------------------
+
+
+def _system(rng, kind):
+    """(rows, b) of one small integer system of the given kind."""
+    m, n = rng.randint(1, 5), rng.randint(1, 5)
+    if kind == "boundary":  # columns of +-1 with two or three nonzeros, as in a chain complex
+        rows = [[0] * n for _ in range(m)]
+        for j in range(n):
+            for i in rng.sample(range(m), min(m, rng.randint(2, 3))):
+                rows[i][j] = rng.choice((1, -1))
+    elif kind == "non-unit":  # every nonzero even
+        rows = [[rng.choice((0, 2, -2, 4)) for _ in range(n)] for _ in range(m)]
+        rows[0][0] = 2
+    elif kind == "big":  # a unit diagonal beside entries past the bound
+        m = n = rng.randint(2, 5)
+        rows = [[int(i == j) if i >= j else rng.choice((0, 2 ** 40, -(2 ** 33)))
+                 for j in range(n)] for i in range(m)]
+        rows[0][n - 1] = 2 ** 40
+    else:  # "small" or "unsolvable"
+        rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
+    x = [rng.randint(-2, 2) for _ in range(n)]
+    b = [sum(a * v for a, v in zip(row, x)) for row in rows]
+    if kind == "unsolvable":  # a unit pivot per column, one row repeated with another value
+        rows = [[int(i == j) for j in range(n)] for i in range(n + 1)]
+        rows[n][0] = 1
+        b = x + [x[0] + 1]
+    elif kind == "small" and rng.random() < 0.3:
+        b[rng.randrange(len(b))] += 1
+    return rows, b
+
+
+def _stacked(systems):
+    """The (S, m, n + 1) int64 stack of the systems, zero-padded to the largest."""
+    m = max(len(rows) for rows, _ in systems)
+    n = max(len(rows[0]) for rows, _ in systems)
+    A = np.zeros((len(systems), m, n + 1), dtype=np.int64)
+    for s, (rows, b) in enumerate(systems):
+        A[s, :len(rows), :len(rows[0])] = rows
+        A[s, :len(b), n] = b
+    return A
+
+
+KINDS = ("boundary", "small", "non-unit", "unsolvable", "big")
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_unit_solve_stack_matches_solve_int(seed, monkeypatch):
+    # each system of a seeded random stack gets what intmat.solve_int gives it
+    # on its own rows, and only a system with no unit pivot or an entry past
+    # the int64 bound is handed to solve_int
+    rng = random.Random(seed)
+    systems = [_system(rng, KINDS[i % len(KINDS)]) for i in range(40)]
+    A = _stacked(systems)
+    n = A.shape[2] - 1
+    bound = cosets.isqrt(cosets.INT64_MAX // (n + 2))
+    handed, solve = [], intmat.solve_int
+
+    def counting(M, b, width=None):
+        handed.append((M, b))
+        return solve(M, b, width)
+
+    monkeypatch.setattr(intmat, "solve_int", counting)
+    X, solved = cosets.unit_solve_stack(A)
+    monkeypatch.undo()
+    assert X.shape == (len(systems), n) and X.dtype == np.int64
+    routes, hard_count = {kind: set() for kind in KINDS}, 0  # (handed, solvable) per kind
+    for s, (rows, b) in enumerate(systems):
+        want = intmat.solve_int(rows, b)
+        got = X[s, :len(rows[0])].tolist() if solved[s] else None
+        assert got == want, (s, rows, b)
+        assert not X[s, len(rows[0]):].any() and (solved[s] or not X[s].any())
+        hard = intmat.unit_echelon(rows) is None or max(abs(v) for row in rows for v in row) > bound
+        assert ((A[s, :, :n].tolist(), A[s, :, n].tolist()) in handed) == hard
+        routes[KINDS[s % len(KINDS)]].add((hard, want is not None))
+        hard_count += hard
+    assert len(handed) == hard_count
+    # with no unit pivot or past the bound solve_int solves; an unsolvable
+    # right-hand side with unit pivots is found in int64
+    assert {hard for hard, _ in routes["non-unit"] | routes["big"]} == {True}
+    assert routes["unsolvable"] == {(False, False)}
+    assert (False, True) in routes["boundary"] and (False, True) in routes["small"]
+
+
+def test_unit_solve_stack_hands_over_entries_past_the_bound(monkeypatch):
+    # B = the bound for three columns: an entry past it anywhere, a factor
+    # that grows past it beside a unit pivot, a pivot row that grows past it
+    # and an x past it all send their system to solve_int, which gives the answer
+    B = cosets.isqrt(cosets.INT64_MAX // 5)
+    systems = [
+        ([[1, 0, 0], [0, 0, 0]], [0, 2 ** 62]),  # past the bound below the rank only
+        ([[1, B, 0], [-B, 0, 0], [0, 1, 0]], [1, -B, 0]),  # a factor B^2 beside a unit
+        ([[1, 0, B], [-B, 1, 0], [0, 0, 1]], [0, 1, 0]),  # a pivot row holding B^2
+        ([[1, B, 0], [0, 1, B], [0, 0, 1]], [0, 0, 1]),  # back-substitution reaching B^2
+        ([[1, B, 0], [0, 1, 0], [0, 0, 1]], [B, 1, 0]),  # all within the bound
+    ]
+    handed, solve = [], intmat.solve_int
+
+    def counting(M, b, width=None):
+        handed.append(M)
+        return solve(M, b, width)
+
+    monkeypatch.setattr(intmat, "solve_int", counting)
+    X, solved = cosets.unit_solve_stack(_stacked(systems))
+    monkeypatch.undo()
+    assert [x.tolist() if ok else None for x, ok in zip(X, solved)] == [
+        intmat.solve_int(rows, b) for rows, b in systems
+    ]
+    assert handed == [_stacked(systems)[s, :, :3].tolist() for s in range(4)]
+
+
+def test_unit_solve_stack_edge_shapes():
+    # no systems, no columns, and no rows beside a system that fills them
+    X, solved = cosets.unit_solve_stack(np.zeros((0, 3, 4), dtype=np.int64))
+    assert X.shape == (0, 3) and solved.shape == (0,)
+    X, solved = cosets.unit_solve_stack(np.array([[[0], [2]], [[0], [0]]], dtype=np.int64))
+    assert X.shape == (2, 0) and solved.tolist() == [False, True]
+    A = np.array([[[1, -1, 3], [0, 0, 0]], [[0, 0, 0], [0, 0, 0]]], dtype=np.int64)
+    X, solved = cosets.unit_solve_stack(A)
+    assert X.tolist() == [[3, 0], [0, 0]] and solved.tolist() == [True, True]
+    # a solution past int64 is refused, as every int64 kernel here refuses
+    huge = np.array([[[1, 2 ** 62, 0], [0, 1, 4]]], dtype=np.int64)
+    with pytest.raises(SearchSpaceTooLarge, match="unit solve entries"):
+        cosets.unit_solve_stack(huge)

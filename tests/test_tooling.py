@@ -507,9 +507,10 @@ def dead(x):
 # gf.rref is an echelon-form oracle of the tests that stays in the library
 # because the benchmark's per-layer metric `gf.rref.calls` names it (see
 # test_benchmark_layers_name_library_functions); test_no_echelon_form_in_the_library
-# pins that nothing in the library calls it
+# pins that nothing in the library calls it. ChainFamily.entries stays because
+# the benchmark's `building.chain_family.entries` counter reads len(fam.entries)
 TESTED_SURFACE = [
-    "building.contraction",
+    "building.ChainFamily.entries", "building.contraction",
     "cochains.Cochain.scaled", "cochains.cochain_from_lines", "cochains.Chain.scaled",
     "complexes.face_weight", "complexes.set_norm", "complexes.complex_to_text",
     "gf.GF.neg", "gf.GF.elements", "gf.rref", "rings.Ring.neg", "rings.Ring.elements",
@@ -703,9 +704,11 @@ def test_local_minimality_batches_and_its_maps_have_one_home():
     assert offenders == []
 
 
-# the unit-pivot elimination is intmat._unit_reduce alone: defined and called
-# only in intmat, which hands lattice.smith_profile its echelon through
-# unit_echelon
+# sparse, arbitrary-precision unit-pivot elimination is intmat._unit_reduce
+# alone: defined and called only in intmat, which hands lattice.smith_profile
+# its echelon through unit_echelon. Stacked int64 elimination, the same pivot
+# rule on many small systems at once, lives in cosets (see
+# test_stacked_unit_elimination_lives_in_cosets)
 UNIT_REDUCTION = "_unit_reduce"
 
 
@@ -720,6 +723,24 @@ def test_unit_elimination_lives_in_intmat():
                     if _callee(call) == UNIT_REDUCTION]
     assert homes == ["intmat.py"]
     assert callers and all(c.startswith("intmat.py:") for c in callers)
+
+
+# the stacked int64 unit-pivot solve is cosets.unit_solve_stack: defined there
+# alone, and called by building.solve_boundary alone, for the sigma_0 family
+STACKED_UNIT_SOLVE = "unit_solve_stack"
+
+
+def test_stacked_unit_elimination_lives_in_cosets():
+    homes, callers = [], []
+    for path in sorted(SRC.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        homes += [path.name for _, name in _definitions(source) if name == STACKED_UNIT_SOLVE]
+        visitor = _Calls()
+        visitor.visit(ast.parse(source))
+        callers += [f"{path.name}:{scope}" for scope, call in visitor.calls
+                    if _callee(call) == STACKED_UNIT_SOLVE]
+    assert homes == ["cosets.py"]
+    assert callers == ["building.py:solve_boundary"]
 
 
 # the dense matrix helpers serve only the tests, from tests/dense.py: the
