@@ -153,10 +153,10 @@ def _in_intersections(B: SphericalBuilding, sigma, taus, level=None):
     is one pass over them (one word on B(4,2)): r's words hold tau's. Raises PropertyViolation
     when sigma and some tau share no apartment."""
     faces, row, packed, _ = _apartment_words(B)
-    words = packed.view(np.int64).T  # arithmetic shifts, so every bit reads as 0 or 1
-    a = np.flatnonzero(words[:, row[sigma], None] >> np.arange(64) & 1)
-    bit = words[a // 64] >> (a % 64)[:, None] & 1  # a row per apartment of sigma
-    own = np.add.reduceat(bit << (np.arange(len(a)) % 64)[:, None], range(0, len(a), 64)).T
+    place = np.arange(64, dtype=np.uint64)  # uint64 shifts and masks, as the packing uses
+    a = np.flatnonzero(packed[row[sigma], :, None] >> place & 1)
+    bit = packed.T[a // 64] >> place[a % 64, None] & 1  # a row per apartment of sigma
+    own = np.bitwise_or.reduceat(bit << place[np.arange(len(a)) % 64, None], range(0, len(a), 64)).T
     lv = faces if level is None else B.complex.faces(level)
     rs, hits = own[row[lv[0]]:][:len(lv)], own[[row[tau] for tau in taus], None]
     if not (meets := hits.any(axis=2)).all():
