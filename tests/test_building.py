@@ -1635,6 +1635,24 @@ def test_identity_failure_names_the_tampered_chamber(fano, monkeypatch):
     assert str(sigma) in str(got.value)
 
 
+def test_identity_failure_names_the_least_tampered_chamber_across_blocks(b42, monkeypatch):
+    # a 16-chamber B(4,2) family is checked 6 chambers at a time: edge entries
+    # tampered at chambers 8 and 14 fail at 8, the least, in the second block
+    B = dataclasses.replace(b42, cache={})
+    move = building._transport
+
+    def tamper(*args):
+        out = move(*args)
+        out[1][3][[8, 14], -1] += 1  # the last edge entry's last coefficient
+        return out
+
+    monkeypatch.setattr(building, "_transport", tamper)
+    tops = B.complex.top_faces[:16]
+    with pytest.raises(errors.PropertyViolation, match="identity failed") as got:
+        chain_family(B, INTEGERS, tops=tops)
+    assert str(tops[8]) in str(got.value) and str(tops[14]) not in str(got.value)
+
+
 def test_chain_family_refuses_residuals_beyond_int64(fano, monkeypatch):
     B = dataclasses.replace(fano, cache={})
     solve = building._integer_family_at
