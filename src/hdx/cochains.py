@@ -431,15 +431,18 @@ def subgroup_array(X, ring: Ring, k: int, target: str):
     """B^k or Z^k of a finite ring as a cached int64 array, one row per element.
 
     Rows are the distinct combinations of the generators, in order of first
-    appearance; the array is the one stored copy of the subgroup.
+    appearance; the array is the one stored copy of the subgroup. Over F_p the
+    generators are linearly independent, so their p^r combinations are already
+    distinct and the span is taken as it is; over Z/n repeats are dropped.
     """
     key = ("array", target, ring, k)
     G = X.cache.get(key)
     if G is None:
         gens = subgroup_generators(X, ring, k, target)
-        R = cosets.span(gens, ring.size, len(X.faces(k)))
-        _, first = np.unique(R, axis=0, return_index=True)
-        G = R[np.sort(first)]
+        G = cosets.span(gens, ring.size, len(X.faces(k)))
+        if not ring.is_field:
+            _, first = np.unique(G, axis=0, return_index=True)
+            G = G[np.sort(first)]
         X.cache[key] = G
     return G
 

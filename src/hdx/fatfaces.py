@@ -17,7 +17,14 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, isqrt
 
-from .cochains import Cochain, coboundary, is_locally_minimal, localize
+from .cochains import (
+    Cochain,
+    coboundary,
+    cochain_vector,
+    is_locally_minimal,
+    localize,
+    locally_minimal_rows,
+)
 from .complexes import SimplicialComplex, frac_json
 from .errors import (
     BadEta,
@@ -273,28 +280,68 @@ def good_dimension_witness(X, ring, f: Cochain, c: dict, alpha: Fraction):
     every level probability clears c_i * ||f||, otherwise i = j+1 for the
     largest failing level j. Asserts ||delta f|| >= (beta_i c_i -
     (k+1-i)(i+1) c_{i-1} - eta (k+1)(k+2) 2^{k+2}) ||f|| with
-    eta = alpha^(2^-d), and returns (i, bound).
+    eta = alpha^(2^-d), and returns (i, bound). The one-cochain case of
+    `good_dimension_witnesses`.
+    """
+    return good_dimension_witnesses(X, ring, [f], c, alpha)[0]
+
+
+def good_dimension_witnesses(X, ring, fs, c: dict, alpha: Fraction):
+    """`good_dimension_witness` of each cochain of fs, as a list of (i, bound).
+
+    Local minimality is screened once: one `locally_minimal_rows` call per
+    (complex, ring, dimension) over the finite-ring cochains that reach that
+    precondition (integer ones take `is_locally_minimal`). Each cochain is then
+    checked in order, so a batch raises what a per-cochain loop raises first.
     """
     alpha = Fraction(alpha)
-    k, d = f.dim, X.dim
-    if f.is_zero():
-        return 0, Fraction(0)
+    fs = list(fs)
+    early = [None if f.is_zero() else _precondition_failure(f, c, alpha) for f in fs]
+    groups = {}
+    for t, f in enumerate(fs):
+        if early[t] is None and f.ring.is_finite and not f.is_zero():
+            groups.setdefault((id(f.complex), f.ring, f.dim), []).append(t)
+    minimal = {}
+    for ts in groups.values():
+        g = fs[ts[0]]
+        rows = [cochain_vector(fs[t]) for t in ts]
+        minimal.update(zip(ts, locally_minimal_rows(g.complex, g.ring, g.dim, rows).tolist()))
+    eta = _exact_root(alpha, X.dim)
+    out = []
+    for t, f in enumerate(fs):
+        if f.is_zero():
+            out.append((0, Fraction(0)))
+            continue
+        if early[t] is not None:
+            raise PreconditionViolated(early[t])
+        if not (minimal[t] if f.ring.is_finite else is_locally_minimal(f)):
+            raise PreconditionViolated("f is not locally minimal")
+        if eta is None:
+            raise ParameterOutOfRange(
+                f"alpha = {alpha} has no exact 2^{X.dim}-th root; pass an exact power"
+            )
+        out.append(_certified_dimension(X, ring, f, c, eta))
+    return out
+
+
+def _precondition_failure(f: Cochain, c: dict, alpha: Fraction):
+    """Why the nonzero f fails the constants or norm precondition, or None."""
+    k = f.dim
     for i in range(0, k + 1):
         lo = c.get(i - 1, None)
         hi = c.get(i, None)
         if lo is None or hi is None or lo > hi:
-            raise PreconditionViolated("constants must be monotone over -1..k")
+            return "constants must be monotone over -1..k"
     if c[-1] != 0 or c[k] > 1:
-        raise PreconditionViolated("constants must start at 0 and end at most 1")
+        return "constants must start at 0 and end at most 1"
     if f.norm() > alpha:
-        raise PreconditionViolated(f"||f|| = {f.norm()} exceeds alpha = {alpha}")
-    if not is_locally_minimal(f):
-        raise PreconditionViolated("f is not locally minimal")
-    eta = _exact_root(alpha, d)
-    if eta is None:
-        raise ParameterOutOfRange(
-            f"alpha = {alpha} has no exact 2^{d}-th root; pass an exact power"
-        )
+        return f"||f|| = {f.norm()} exceeds alpha = {alpha}"
+    return None
+
+
+def _certified_dimension(X, ring, f: Cochain, c: dict, eta: Fraction):
+    """(i, bound) for a cochain that meets every precondition."""
+    k = f.dim
     fam = fat_family(X, f.support, eta)
     if fam.levels[-1]:
         raise PropertyViolation("the empty face came out fat although ||f|| <= alpha")

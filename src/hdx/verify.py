@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, compress, product
 from math import comb
 
 from . import building as building_mod
@@ -488,9 +488,8 @@ def check_good_dimension_witness(seed):
         fs = [f for sz in range(1, 4) for supp in combinations(X.faces(k), sz)
               if (f := Cochain(X, F2, k, {s: 1 for s in supp})).norm() <= alpha]
         rows = [cochains_mod.cochain_vector(f) for f in fs]
-        for f, lm in zip(fs, cochains_mod.locally_minimal_rows(X, F2, k, rows)):
-            if lm:
-                fatfaces_mod.good_dimension_witness(X, F2, f, cons, alpha)
+        lm = cochains_mod.locally_minimal_rows(X, F2, k, rows)
+        fatfaces_mod.good_dimension_witnesses(X, F2, compress(fs, lm), cons, alpha)
     return True, ""
 
 

@@ -16,8 +16,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from hdx import cosets, expansion, intmat
-from hdx.catalog import named_complex
+from hdx import building, cosets, expansion, intmat
+from hdx.catalog import named_complex, names
 from hdx.cochains import (
     COBOUNDARIES,
     COCYCLES,
@@ -49,7 +49,7 @@ from hdx.expansion import (
 )
 from hdx.lattice import _bounded_coset_minimum
 from hdx.rings import INTEGERS, modular_ring, prime_field
-from test_cochains import oracle_is_locally_minimal
+from test_cochains import oracle_is_locally_minimal, random_relabelled_complex
 from dense import identity, transpose
 
 RINGS = [prime_field(2), prime_field(3), modular_ring(4), modular_ring(6)]
@@ -115,6 +115,60 @@ def test_finite_subgroups_match_their_definitions(X, ring, data):
     assert len(set(bgroup)) == len(bgroup) and len(set(zgroup)) == len(zgroup)
     assert set(bgroup) == delta_column_span(X, ring, k)
     assert set(zgroup) == brute_group(X, ring, k, COCYCLES)
+
+
+def dedup_subgroup_array(X, ring, k, target):
+    """The subgroup as the distinct rows of the generators' span, in order of
+    first appearance, found by a dedup sort."""
+    R = cosets.span(subgroup_generators(X, ring, k, target), ring.size, len(X.faces(k)))
+    _, first = np.unique(R, axis=0, return_index=True)
+    return R[np.sort(first)]
+
+
+def subgroup_cases(rings, budget=1 << 14):
+    """(X, ring, k, target) over the catalog, B(3,2) and seeded random
+    complexes, every k and both targets, with at most `budget` combinations."""
+    rng = random.Random(35)
+    complexes_ = [named_complex(name) for name in names()]
+    complexes_ += [building.build_building(3, 2).complex]
+    complexes_ += [random_relabelled_complex(rng) for _ in range(25)]
+    for X in complexes_:
+        for ring in rings:
+            for k in range(X.dim + 1):
+                for target in (COBOUNDARIES, COCYCLES):
+                    if ring.size ** len(subgroup_generators(X, ring, k, target)) <= budget:
+                        yield X, ring, k, target
+
+
+def test_field_subgroups_enumerate_the_span_without_a_dedup_sort(monkeypatch):
+    """Over F_p the generators are independent: the p^r span rows are distinct
+    and byte-identical to the dedup route, and no sort runs to find that."""
+    cases = list(subgroup_cases(FIELDS))
+    wants = [dedup_subgroup_array(*case) for case in cases]
+
+    def no_sort(*args, **kwargs):
+        raise AssertionError("np.unique during a field enumeration")
+
+    monkeypatch.setattr(np, "unique", no_sort)
+    seen = set()
+    for (X, ring, k, target), want in zip(cases, wants):
+        G = subgroup_array(X, ring, k, target)
+        assert G.dtype == want.dtype and G.tobytes() == want.tobytes(), (X, ring, k, target)
+        assert len({row.tobytes() for row in G}) == len(G)
+        seen.add((ring.size, target))
+    assert seen == {(p, t) for p in (2, 3, 5) for t in (COBOUNDARIES, COCYCLES)}
+
+
+@pytest.mark.parametrize("n, combos, rows", [(4, 4096, 2048), (6, 46656, 15552)])
+def test_modular_subgroups_still_drop_repeated_combinations(n, combos, rows):
+    X, ring = named_complex("rp2"), modular_ring(n)
+    gens = subgroup_generators(X, ring, 1, COCYCLES)
+    assert n ** len(gens) == combos
+    G = subgroup_array(X, ring, 1, COCYCLES)
+    assert len(G) == rows == len({row.tobytes() for row in G})
+    assert G.tobytes() == dedup_subgroup_array(X, ring, 1, COCYCLES).tobytes()
+    for case in subgroup_cases(MODULAR):
+        assert subgroup_array(*case).tobytes() == dedup_subgroup_array(*case).tobytes()
 
 
 @SETTINGS

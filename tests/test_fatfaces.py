@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from hdx import errors
+from hdx import errors, fatfaces, verify
 from hdx.catalog import named_complex, names
 from hdx.cochains import Cochain, coboundary, is_locally_minimal
 from hdx.expansion import good_links_constants, link_profile, skeleton_alpha
@@ -19,6 +19,7 @@ from hdx.fatfaces import (
     fat_bound_failure,
     fat_family,
     good_dimension_witness,
+    good_dimension_witnesses,
     ladder_restrict,
     links_inequality_check,
     max_link_alpha,
@@ -357,6 +358,77 @@ def test_good_dimension_exhaustive_with_theorem_constants():
                 if f.norm() <= alpha_big:
                     i, bound = good_dimension_witness(X, F2, f, g.c, alpha_big)
                     assert coboundary(f).norm() >= bound
+
+
+ALPHA = Fraction(81, 256)  # eta = 3/4, exact fourth root on the octahedron
+CONS = {-1: Fraction(0), 0: Fraction(1, 100), 1: Fraction(1, 50)}
+
+
+def octahedron_cochains(ring, k, sizes=range(0, 4)):
+    X = named_complex("octahedron")
+    return X, [Cochain(X, ring, k, {s: 1 for s in supp})
+               for size in sizes for supp in combinations(X.faces(k), size)]
+
+
+def first_failure(X, ring, fs, cons, alpha):
+    """What a per-cochain loop of good_dimension_witness raises first, as (type, message)."""
+    for f in fs:
+        try:
+            good_dimension_witness(X, ring, f, cons, alpha)
+        except errors.HdxError as e:
+            return type(e), str(e)
+    return None
+
+
+@pytest.mark.parametrize("ring", [F2, prime_field(3)], ids=str)
+def test_good_dimension_witnesses_match_per_cochain_calls(ring):
+    for k in [0, 1]:
+        X, fs = octahedron_cochains(ring, k)
+        fs = [f for f in fs if f.norm() <= ALPHA and is_locally_minimal(f)]
+        assert len(fs) > 5 and fs[0].is_zero()
+        assert (good_dimension_witnesses(X, ring, fs, CONS, ALPHA)
+                == [good_dimension_witness(X, ring, f, CONS, ALPHA) for f in fs])
+    assert good_dimension_witnesses(X, ring, [], CONS, ALPHA) == []
+
+
+def test_a_batch_raises_what_the_per_cochain_loop_raises_first():
+    X, fs = octahedron_cochains(F2, 1)
+    good = [f for f in fs if f.norm() <= ALPHA and is_locally_minimal(f)][:20]
+    e = X.faces(1)
+    # three edges at one vertex: the fourth edge of its link beats them
+    not_minimal = Cochain(X, F2, 1, {e[0]: 1, e[1]: 1, e[2]: 1})
+    too_heavy = Cochain(X, F2, 1, {s: 1 for s in e[:6]})
+    assert not is_locally_minimal(not_minimal) and not_minimal.norm() <= ALPHA
+    assert too_heavy.norm() > ALPHA
+    for bad in ([not_minimal, too_heavy], [too_heavy, not_minimal]):
+        batch = good[:7] + [bad[0]] + good[7:] + [bad[1]]
+        want = first_failure(X, F2, batch, CONS, ALPHA)
+        assert want is not None and want == first_failure(X, F2, bad[:1], CONS, ALPHA)
+        with pytest.raises(want[0]) as got:
+            good_dimension_witnesses(X, F2, batch, CONS, ALPHA)
+        assert str(got.value) == want[1]
+
+
+def test_a_batch_screens_local_minimality_in_one_call(monkeypatch):
+    calls = []
+
+    def counted(X, ring, k, F):
+        calls.append(len(F))
+        return screen(X, ring, k, F)
+
+    screen = fatfaces.locally_minimal_rows
+    monkeypatch.setattr(fatfaces, "locally_minimal_rows", counted)
+    for k in [0, 1]:
+        X, fs = octahedron_cochains(F2, k)
+        fs = [f for f in fs if f.norm() <= ALPHA and is_locally_minimal(f)]
+        calls.clear()
+        good_dimension_witnesses(X, F2, fs, CONS, ALPHA)
+        assert calls == [len(fs) - 1]  # every cochain but the zero one
+    # verify's check hands each k's locally minimal cochains over as one batch
+    calls.clear()
+    assert verify.check_good_dimension_witness(0) == (True, "")
+    assert len(calls) == 2 and sum(calls) > 80
+
 
 # -- the bound predicates, each against a restatement from the definitions ---------------
 

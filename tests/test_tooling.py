@@ -508,11 +508,14 @@ def dead(x):
 # because the benchmark's per-layer metric `gf.rref.calls` names it (see
 # test_benchmark_layers_name_library_functions); test_no_echelon_form_in_the_library
 # pins that nothing in the library calls it. ChainFamily.entries stays because
-# the benchmark's `building.chain_family.entries` counter reads len(fam.entries)
+# the benchmark's `building.chain_family.entries` counter reads len(fam.entries).
+# fatfaces.good_dimension_witness is the one-cochain case of the batch that
+# verify calls
 TESTED_SURFACE = [
     "building.ChainFamily.entries", "building.contraction",
     "cochains.Cochain.scaled", "cochains.cochain_from_lines", "cochains.Chain.scaled",
     "complexes.face_weight", "complexes.set_norm", "complexes.complex_to_text",
+    "fatfaces.good_dimension_witness",
     "gf.GF.neg", "gf.GF.elements", "gf.rref", "rings.Ring.neg", "rings.Ring.elements",
 ]
 
