@@ -395,7 +395,8 @@ def test_a_batch_raises_what_the_per_cochain_loop_raises_first():
     X, fs = octahedron_cochains(F2, 1)
     good = [f for f in fs if f.norm() <= ALPHA and is_locally_minimal(f)][:20]
     e = X.faces(1)
-    # three edges at one vertex: the fourth edge of its link beats them
+    # three of the four edges at one vertex: at that vertex the fourth edge alone
+    # is a cheaper localization in the same coset
     not_minimal = Cochain(X, F2, 1, {e[0]: 1, e[1]: 1, e[2]: 1})
     too_heavy = Cochain(X, F2, 1, {s: 1 for s in e[:6]})
     assert not is_locally_minimal(not_minimal) and not_minimal.norm() <= ALPHA
@@ -427,7 +428,7 @@ def test_a_batch_screens_local_minimality_in_one_call(monkeypatch):
     # verify's check hands each k's locally minimal cochains over as one batch
     calls.clear()
     assert verify.check_good_dimension_witness(0) == (True, "")
-    assert len(calls) == 2 and sum(calls) > 80
+    assert calls == [6, 78]
 
 
 # -- the bound predicates, each against a restatement from the definitions ---------------
