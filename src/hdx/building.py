@@ -35,8 +35,8 @@ from .errors import (
     TooLarge,
 )
 from .gf import (
-    GF, line_images, pgl_order, primitive_element, subset_chains, subspace_tables, subspace_token,
-    transvections,
+    GF, frame_spans, line_images, pgl_order, primitive_element, subset_chains, subspace_tables,
+    subspace_token, transvections,
 )
 from .rings import Ring, prime_field
 
@@ -62,12 +62,12 @@ def build_building(n: int, q: int) -> SphericalBuilding:
     """The flag complex of the proper nonzero subspaces of GF(q)^n.
 
     Built on the numbered subspaces of `subspace_tables`, with no echelon
-    form: the maximal flags follow the covering relation, and for every n-set
-    of lines at once the span of each subset S is one gather through the join
-    table, span(S) = join[span(S minus its last line), that line]. The frames
-    are the n-sets spanning GF(q)^n; each chain of `subset_chains` picks one
-    face per frame, looked up by `_moved` from its spans' vertex indices, so
-    every apartment holds X's own face tuples.
+    form: the maximal flags follow the covering relation, and the frames and
+    the spans of their subsets are gathers through the join table
+    (`gf.frame_spans`). Each chain of `subset_chains` picks one face per frame,
+    looked up by `_moved` from its spans' vertex indices, one call per face
+    level over every chain and frame, so every apartment holds X's own face
+    tuples.
     """
     if n < 3:
         raise DimensionOutOfRange("need n >= 3 for a building of dimension >= 1")
@@ -94,26 +94,20 @@ def build_building(n: int, q: int) -> SphericalBuilding:
     model = subset_chains(n)
     B = SphericalBuilding(n, q, gf, X, dict(zip(tokens, bases)), [], [], len(model))
     index = _face_index(B)
-    lines = np.array(list(combinations(range(join.shape[1]), n)))
-    span = {}
-    for s in (s for r in range(1, n + 1) for s in combinations(range(n), r)):
-        span[s] = join[span[s[:-1]], lines[:, s[-1]]] if s[1:] else lines[:, s[0]]
-    frame = span.pop(tuple(range(n))) == len(bases)
+    frames, span = frame_spans(join, n)
     vertex = np.array([index[0].pos[t,] for t in tokens])
-    faces = []  # per model chain, its face in each frame's apartment
-    for c in model:
-        level = index[len(c) - 1]
-        at, on_X = _moved(level, vertex[np.array([span[s][frame] for s in c]).T])
+    faces = np.empty((len(model), len(frames)), dtype=object)  # a row per model chain
+    for k in range(n - 1):
+        level, at = index[k], [i for i, c in enumerate(model) if len(c) == k + 1]
+        rows = vertex[np.array([[span[s] for s in model[i]] for i in at])]  # chain, line, frame
+        pos, on_X = _moved(level, rows.swapaxes(1, 2))
         if not on_X.all():
             raise PropertyViolation("the spans of a frame's chain are no flag")
-        faces.append(list(map(level.faces.__getitem__, at.tolist())))
-    for apt in zip(*faces):
-        if len(set(apt)) != len(model):
-            raise PropertyViolation(
-                f"apartment has {len(set(apt))} distinct faces, expected {len(model)}"
-            )
-        B.apartments.append(apt)
-    B.frames = [tuple(sorted(tokens[v] for v in row)) for row in lines[frame].tolist()]
+        if ((ranked := np.sort(pos, axis=0))[1:] == ranked[:-1]).any():
+            raise PropertyViolation(f"an apartment repeats a {k}-face")
+        faces[at] = np.fromiter(level.faces, object, len(level.faces))[pos]
+    B.apartments = list(map(tuple, faces.T))
+    B.frames = [tuple(sorted(tokens[v] for v in row)) for row in frames.tolist()]
     return B
 
 
@@ -150,13 +144,18 @@ def _in_intersections(B: SphericalBuilding, sigma, taus, level=None):
     """[r in A_{sigma,tau}], a row per tau in taus by a column per r in X.faces(level), or in
     `_apartment_words` order when level is None. The a apartments of sigma are first packed
     into ceil(a / 64) words per face, by shifts and masks of the `_apartment_words`, so a read
-    is one pass over them (one word on B(4,2)): r's words hold tau's. Raises PropertyViolation
-    when sigma and some tau share no apartment."""
+    is one pass over them (one word on B(4,2)): r's words hold tau's. The last sigma's words
+    are kept in B.cache with the packed words they came from. Raises PropertyViolation when
+    sigma and some tau share no apartment."""
     faces, row, packed, _ = _apartment_words(B)
-    place = np.arange(64, dtype=np.uint64)  # uint64 shifts and masks, as the packing uses
-    a = np.flatnonzero(packed[row[sigma], :, None] >> place & 1)
-    bit = packed.T[a // 64] >> place[a % 64, None] & 1  # a row per apartment of sigma
-    own = np.bitwise_or.reduceat(bit << place[np.arange(len(a)) % 64, None], range(0, len(a), 64)).T
+    last = B.cache.get("sigma_words")
+    if last is None or last[0] is not packed or last[1] != sigma:
+        place = np.arange(64, dtype=np.uint64)  # uint64 shifts and masks, as the packing uses
+        a = np.flatnonzero(packed[row[sigma], :, None] >> place & 1)
+        bit = packed.T[a // 64] >> place[a % 64, None] & 1  # a row per apartment of sigma
+        last = B.cache["sigma_words"] = packed, sigma, np.bitwise_or.reduceat(
+            bit << place[np.arange(len(a)) % 64, None], range(0, len(a), 64)).T
+    own = last[2]
     lv = faces if level is None else B.complex.faces(level)
     rs, hits = own[row[lv[0]]:][:len(lv)], own[[row[tau] for tau in taus], None]
     if not (meets := hits.any(axis=2)).all():

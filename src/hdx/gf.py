@@ -218,6 +218,23 @@ def subspace_tables(gf: GF, n: int):
     return bases, lines, [np.flatnonzero(row).tolist() for row in cover], join
 
 
+def frame_spans(join, n: int):
+    """(frames, span) over the numbering of `subspace_tables`, join being its join
+    table: frames is the (F, n) array of the ascending n-sets of lines that span
+    GF(q)^n, in lexicographic order, and span[s] the (F,) subspace numbers of the
+    spans of lines s of each frame, s over the proper nonempty subsets of range(n).
+
+    Each span is one gather over every n-set of lines at once:
+    span(S) = join[span(S minus its last line), that line].
+    """
+    lines = np.array(list(combinations(range(join.shape[1]), n)))
+    span = {}
+    for s in (s for r in range(1, n + 1) for s in combinations(range(n), r)):
+        span[s] = join[span[s[:-1]], lines[:, s[-1]]] if s[1:] else lines[:, s[0]]
+    frame = span.pop(tuple(range(n))) == len(join)
+    return lines[frame], {s: at[frame] for s, at in span.items()}
+
+
 # -- the group PGL(n, q) -----------------------------------------------------------
 
 

@@ -4,8 +4,8 @@ Matrices are lists of lists of Python ints or their sparse {column: value}
 rows, so everything is arbitrary precision. Every reader but `rank_int`, which
 takes a dense matrix, takes M as `rows_of` does: a dense matrix, converted
 once, or, with its width, the rows a caller built from its own index (as
-`cochains.delta_rows` builds delta), copied, so a caller's rows are never
-reduced in place. The Smith normal form is the
+`cochains.delta_rows` builds delta), copied without explicit zeros, so a
+caller's rows are never reduced in place. The Smith normal form is the
 classical elimination run on sparse rows: each operation touches only nonzero
 entries, and the transforms it returns are its own sparse ones, equal entry
 for entry to those of the dense algorithm. It returns (U, d, V): U as
@@ -15,10 +15,12 @@ factors d, whose length is the rank.
 Integer solves and ranks first try `_unit_reduce`, a unit-pivot elimination on
 sparse rows that builds no U and no V and carries right-hand sides through its
 row operations; only a matrix with a column of non-unit candidate pivots pays
-for a Smith form. `lattice.smith_profile` certifies `unit_echelon`'s
-elimination. Integer kernels and image bases read V. Over F_p, `rref_mod_p` and
-`kernel_mod_p` eliminate on the sparse rows and return sparse rows. The one
-product is `combine`, a sum of sparse vectors that reads only nonzeros.
+for a Smith form. `unit_echelon` records the multipliers of those row
+operations instead, (I + L) @ H = P @ M with I + L unit lower-triangular, and
+`lattice.smith_profile` certifies that record. Integer kernels and image bases
+read V. Over F_p, `rref_mod_p` and `kernel_mod_p` eliminate on the sparse rows
+and return sparse rows. The one product is `combine`, a sum of sparse vectors
+that reads only nonzeros.
 """
 
 from __future__ import annotations
@@ -185,9 +187,11 @@ def smith_normal_form(M, width=None, *, inverse=False):
 
 def rows_of(M, width=None):
     """(rows, n): fresh {column: value} rows of M's nonzeros and its width n; M is
-    a dense matrix, or, with its width given, such rows, which are copied."""
+    a dense matrix, or, with its width given, such rows, copied without any
+    explicit zeros they hold."""
     if width is not None:
-        return [dict(row) for row in M], width
+        return [dict(row) if all(row.values()) else {j: v for j, v in row.items() if v}
+                for row in M], width
     return [{j: v for j, v in enumerate(row) if v} for row in M], len(M[0]) if M else 0
 
 
@@ -202,7 +206,7 @@ def dense_rows(rows, n):
     return out
 
 
-def _unit_reduce(rows, n):
+def _unit_reduce(rows, n, mults=None):
     """Row echelon form by unit-pivot row operations, or None.
 
     The one kernel: rows are {column: value} dicts of nonzeros, reduced in place,
@@ -211,7 +215,9 @@ def _unit_reduce(rows, n):
     entry of absolute value 1 at or below the current row; a column with no
     entry there is free, and one whose entries there are all non-units ends the
     attempt with None. Returns (rows, order, pivots): the reduced rows, order[i]
-    the input row that ended at position i, and the pivot columns.
+    the input row that ended at position i, and the pivot columns. Given mults,
+    one {position: multiplier} dict per row, each operation row_i -= f * row_t
+    is recorded as mults[i][t] = f, and mults is swapped along with the rows.
     """
     m = len(rows)
     order = list(range(m))
@@ -228,37 +234,40 @@ def _unit_reduce(rows, n):
             return None
         rows[t], rows[p] = rows[p], rows[t]
         order[t], order[p] = order[p], order[t]
+        if mults is not None:
+            mults[t], mults[p] = mults[p], mults[t]
         pivot = rows[t]
         s = pivot[c]
         for i in hits:
             if i != p:
                 # the row that was at t now sits at p
                 i = p if i == t else i
-                _add_to(rows[i], pivot, -rows[i][c] * s)
+                f = rows[i][c] * s
+                _add_to(rows[i], pivot, -f)
+                if mults is not None:
+                    mults[i][t] = f
         pivots.append(c)
         t += 1
     return rows, order, pivots
 
 
 def unit_echelon(M, width=None):
-    """(order, H, U) with U @ M = H, from the unit-pivot elimination of M, or
-    None when M needs a Smith form. M is read as by `rows_of` and not changed.
+    """(order, H, L) with (I + L) @ H = P @ M, from the unit-pivot elimination of
+    M, or None when M needs a Smith form. M is read as by `rows_of` and not
+    changed; row i of P @ M is row order[i] of M.
 
-    H and U are sparse rows, the keys of U rows of M. H is in row echelon form
-    with pivots of absolute value 1, and U is unit lower-triangular once its
-    columns are read in the order `order`. Nothing is checked here:
+    H is sparse rows in row echelon form with pivots of absolute value 1. L is
+    the record of the row operations, L[i] = {t: f} for row_i -= f * row_t with
+    t < i, so I + L is unit lower-triangular: row order[i] of M is H[i] plus
+    f * H[t] over the items of L[i]. Nothing is checked here:
     `lattice.smith_profile` certifies the triple.
     """
     rows, n = rows_of(M, width)
-    for i, row in enumerate(rows):
-        row[n + i] = 1
-    reduced = _unit_reduce(rows, n)
+    L = [{} for _ in rows]
+    reduced = _unit_reduce(rows, n, L)
     if reduced is None:
         return None
-    rows, order, _ = reduced
-    H = [{j: v for j, v in row.items() if j < n} for row in rows]
-    U = [{j - n: v for j, v in row.items() if j >= n} for row in rows]
-    return order, H, U
+    return reduced[1], rows, L
 
 
 def rank_int(M):

@@ -44,7 +44,8 @@ from .rings import INTEGERS
 def smith_profile(M, width=None) -> tuple:
     """The invariant factors of M, read as by `intmat.rows_of`, with the reduction
     that gives them checked. M that reduces with unit pivots has d = (1,) * r,
-    certified by `_unit_echelon_rank` against M's sparse rows. Any other M
+    certified by `_unit_echelon_rank`, which replays the elimination's row
+    multipliers against M's sparse rows: (I + L) @ H = P @ M. Any other M
     takes a Smith form on the same rows, and its sparse U @ M @ V is checked
     against d.
     """
@@ -71,24 +72,24 @@ def smith_form_holds(M, U, d, V, width=None) -> bool:
     return [intmat.combine(v, UM) for v in V] == S
 
 
-def _unit_echelon_rank(rows, order, H, U):
+def _unit_echelon_rank(rows, order, H, L):
     """The rank r of M, given as sparse rows, from an `intmat.unit_echelon` triple checked.
 
-    U is unit lower-triangular with its columns read in `order`, so it is
-    unimodular; U @ M equals H, by a sparse product; and H is in row echelon
-    form with r pivots of absolute value 1 and zero rows below them. The
-    pivot minor is then +-1, so every invariant factor of M is 1.
+    Every key t of L[i] lies in 0..i-1, so I + L is unit lower-triangular and
+    unimodular; order is a permutation, and (I + L) @ H equals P @ M row by row,
+    H[i] plus L[i]'s multiples of the rows above it being row order[i] of M;
+    and H is in row echelon form with r pivots of absolute value 1 and zero
+    rows below them. The pivot minor is then +-1, so every invariant factor of
+    M is 1.
     """
     m = len(rows)
-    if sorted(order) != list(range(m)) or len(H) != m or len(U) != m:
+    if sorted(order) != list(range(m)) or len(H) != m or len(L) != m:
         raise PropertyViolation("unit echelon: rows do not match the matrix")
-    at = {row: i for i, row in enumerate(order)}
-    for i, u in enumerate(U):
-        if u.get(order[i]) != 1 or any(at.get(k, m) > i for k in u):
-            raise PropertyViolation("unit echelon: U is not unit lower-triangular")
-    for u, h in zip(U, H):
-        if intmat.combine(u, rows) != h:
-            raise PropertyViolation("unit echelon: U @ M differs from H")
+    for i, l in enumerate(L):
+        if not all(map(range(i).__contains__, l)):
+            raise PropertyViolation("unit echelon: I + L is not unit lower-triangular")
+        if intmat.combine({**l, i: 1}, H) != rows[order[i]]:
+            raise PropertyViolation("unit echelon: P @ M minus L @ H differs from H")
     r, lead = 0, -1
     for h in H:
         if not h:

@@ -57,3 +57,16 @@ def dense_smith(M, inverse=False):
     U, d, V, *Uinv = intmat.smith_normal_form(M, inverse=inverse)
     out = (intmat.dense_rows(U, m), d, transpose(intmat.dense_rows(V, n)))
     return out + tuple(transpose(intmat.dense_rows(C, m)) for C in Uinv)
+
+
+def dense_unit_echelon(M):
+    """`intmat.unit_echelon` of the dense matrix M read densely: (P, I + L, H),
+    P the permutation matrix taking M's rows to H's order, or None."""
+    m, n = len(M), len(M[0])
+    echelon = intmat.unit_echelon(M)
+    if echelon is None:
+        return None
+    order, H, L = echelon
+    P = [[int(j == order[i]) for j in range(m)] for i in range(m)]
+    IL = [[L[i].get(t, int(t == i)) for t in range(m)] for i in range(m)]
+    return P, IL, intmat.dense_rows(H, n)

@@ -354,6 +354,72 @@ def test_build_matches_per_subset_spans_in_order(n, q):
     assert B.complex.top_faces == top_faces
 
 
+def per_chain_apartments(B):
+    """The apartments as a per-chain loop builds them: each chain of the model
+    looked up by `_moved` on its own, a face per frame, zipped per apartment."""
+    bases, _, _, join = subspace_tables(B.gf, B.n)
+    index = building._face_index(B)
+    vertex = np.array([index[0].pos[subspace_token(b),] for b in bases])
+    _, span = gf_module.frame_spans(join, B.n)
+    faces = []
+    for c in building.subset_chains(B.n):
+        level = index[len(c) - 1]
+        at, on_X = building._moved(level, vertex[np.array([span[s] for s in c]).T])
+        assert on_X.all()
+        faces.append(list(map(level.faces.__getitem__, at.tolist())))
+    return list(zip(*faces))
+
+
+@pytest.mark.parametrize("n,q", [(3, 2), (3, 3), (3, 4), (3, 5), (4, 2)])
+def test_build_looks_faces_up_a_level_at_a_time_as_per_chain(n, q):
+    B = build_building(n, q)
+    oracle = per_chain_apartments(B)
+    assert B.apartments == oracle
+    assert all(x is y for apt, other in zip(B.apartments, oracle) for x, y in zip(apt, other))
+
+
+def _spans_patched(monkeypatch, edit):
+    spans = building.frame_spans
+
+    def patched(join, n):
+        frames, span = spans(join, n)
+        edit(span)
+        return frames, span
+
+    monkeypatch.setattr(building, "frame_spans", patched)
+
+
+def test_build_refuses_spans_that_are_no_flag(monkeypatch):
+    # lines 0 and the plane of lines 0, 1 trade places: still 6 distinct vertices
+    # per frame, but the planes 01 and 02 are no flag
+    def swap(span):
+        span[0,], span[0, 1] = span[0, 1], span[0,]
+
+    _spans_patched(monkeypatch, swap)
+    with pytest.raises(errors.PropertyViolation, match="no flag"):
+        build_building(3, 2)
+
+
+def test_build_refuses_spans_that_repeat_a_face(monkeypatch):
+    def repeat(span):
+        span[1,] = span[0,]
+
+    _spans_patched(monkeypatch, repeat)
+    with pytest.raises(errors.PropertyViolation, match="repeats a 0-face"):
+        build_building(3, 2)
+
+
+def test_intersections_after_another_sigma_read_as_on_a_fresh_building(b42):
+    B = dataclasses.replace(b42, cache={})
+    X = B.complex
+    first, second = X.top_faces[0], X.top_faces[-1]
+    for sigma, other, level in [(second, first, 0), (first, second, None), (first, first, 1)]:
+        _in_intersections(B, other, X.faces(1))
+        fresh = _in_intersections(dataclasses.replace(b42, cache={}), sigma, X.faces(1), level)
+        assert np.array_equal(_in_intersections(B, sigma, X.faces(1), level), fresh)
+    assert B.cache["sigma_words"][1] == first
+
+
 def test_build_takes_no_echelon_form_and_shares_faces(monkeypatch):
     calls = []
     monkeypatch.setattr(gf_module, "rref", lambda *args: calls.append(args))
@@ -1728,8 +1794,9 @@ def test_symmetry_checks_3_3_at_default_settings():
     assert rep.stabilizer_bound_ok
     assert rep.summed_bound_ok
     assert rep.apartment_equivariance_ok
-    # intersections are read off the bitsets, never cached per (sigma, tau)
-    assert len(B.cache) <= 2
+    # intersections are read off the bitsets, never cached per (sigma, tau):
+    # beside the index and the bitsets, only the last sigma's words are kept
+    assert set(B.cache) <= {"face_index", "apartment_words", "sigma_words"}
     assert not any(isinstance(key, tuple) for key in B.cache)
 
 

@@ -6,11 +6,11 @@ from math import gcd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense import dense_smith, diagonal, identity, mat_mul, mat_vec, transpose
+from dense import dense_smith, dense_unit_echelon, diagonal, identity, mat_mul, mat_vec, transpose
 from hdx import building, catalog, intmat
 from hdx.cochains import COBOUNDARIES, COCYCLES, delta_matrix, subgroup_generators
 from hdx.complexes import build_complex
-from hdx.lattice import free_cocycle_generators, smith_profile
+from hdx.lattice import free_cocycle_generators, smith_form_holds, smith_profile
 from hdx.rings import INTEGERS, modular_ring, prime_field
 
 
@@ -75,10 +75,10 @@ def record_reductions(monkeypatch):
     seen = []
     unit, smith = intmat._unit_reduce, intmat.smith_normal_form
 
-    def unit_counted(rows, n):
+    def unit_counted(rows, n, mults=None):
         # the matrix part of the rows, read before they are reduced in place
         M = [[row.get(j, 0) for j in range(n)] for row in rows]
-        reduced = unit(rows, n)
+        reduced = unit(rows, n, mults)
         seen.append(("refused" if reduced is None else "unit", M))
         return reduced
 
@@ -550,9 +550,43 @@ def test_unit_route_edge_shapes():
     assert intmat.solve_int([[1], [1], [-1]], [2, 2, -2]) == [2]
     assert intmat.solve_int([[1], [1], [-1]], [2, 2, 2]) is None
     assert intmat.rank_int([[0, 0], [0, 0]]) == 0
-    order, H, U = intmat.unit_echelon([[0, 1], [1, 1], [1, 0]])
+    order, H, L = intmat.unit_echelon([[0, 1], [1, 1], [1, 0]])
     assert order == [1, 0, 2] and H == [{0: 1, 1: 1}, {1: 1}, {}]
-    assert U == [{1: 1}, {0: 1}, {2: 1, 1: -1, 0: 1}]
+    # row 2 of M: [1, 0] = H[2] + 1 * H[0] - 1 * H[1]
+    assert L == [{}, {}, {0: 1, 1: -1}]
+
+
+def assert_unit_echelon_replays(M):
+    """Where M reduces with unit pivots, its (I + L) @ H is P @ M, densely, with I + L
+    unit lower-triangular and H an echelon form with pivots of absolute value 1."""
+    dense = dense_unit_echelon(M)
+    if dense is None:
+        return False
+    P, IL, H = dense
+    assert mat_mul(IL, H) == mat_mul(P, M)
+    assert all(IL[i][i] == 1 and not any(IL[i][i + 1:]) for i in range(len(M)))
+    leads = [next(j for j, v in enumerate(h) if v) for h in H if any(h)]
+    assert leads == sorted(set(leads)) and not any(map(any, H[len(leads):]))
+    assert all(abs(H[i][j]) == 1 for i, j in enumerate(leads))
+    return True
+
+
+def test_unit_echelon_replays_densely_on_random_matrices():
+    rng = random.Random(41)
+    unit = 0
+    for _ in range(300):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        M = [[rng.choice((-2, -1, 0, 0, 0, 1, 2)) for _ in range(n)] for _ in range(m)]
+        unit += assert_unit_echelon_replays(M)
+    assert 50 < unit < 250  # both routes
+
+
+def test_unit_echelon_replays_densely_on_coboundaries():
+    complexes = [catalog.named_complex(name) for name in catalog.names()]
+    complexes += [building.build_building(n, q).complex for n, q in [(3, 2), (3, 3), (4, 2)]]
+    unit = [assert_unit_echelon_replays(delta_matrix(X, k))
+            for X in complexes for k in range(-1, X.dim)]
+    assert sum(unit) > len(unit) // 2
 
 
 # -- sparse input: the same kernel from rows built by the caller -----------------------
@@ -608,6 +642,43 @@ def test_sparse_rows_of_no_columns_or_no_rows():
     # the kernel of no rows is everything, their image nothing
     assert intmat.kernel_int([], 3) == identity(3)
     assert intmat.kernel_int([{}, {}], 0) == intmat.image_basis_int([], 3) == []
+
+
+def with_explicit_zeros(M, rng):
+    """M as {column: value} rows holding its nonzeros and, at about half of its
+    zero entries, an explicit zero."""
+    return [{j: v for j, v in enumerate(row) if v or rng.random() < 0.5} for row in M]
+
+
+def assert_explicit_zeros_read_as_dense(M, rows):
+    n = len(M[0])
+    before = [dict(row) for row in rows]
+    b = mat_vec(M, [1] * n)
+    assert intmat.unit_echelon(rows, n) == intmat.unit_echelon(M)
+    assert smith_profile(rows, n) == smith_profile(M)
+    assert intmat.solve_int(rows, b, n) == intmat.solve_int(M, b)
+    assert intmat.solve_int_columns(rows, [b, [1] * len(M)], n) == \
+        intmat.solve_int_columns(M, [b, [1] * len(M)])
+    snf = intmat.smith_normal_form(M, inverse=True)
+    assert intmat.smith_normal_form(rows, n, inverse=True) == snf
+    assert smith_form_holds(rows, *snf[:3], n)
+    assert intmat.kernel_int(rows, n) == intmat.kernel_int(M)
+    assert intmat.image_basis_int(rows, n) == intmat.image_basis_int(M)
+    for p in (2, 3):
+        assert intmat.rref_mod_p(rows, p, n) == intmat.rref_mod_p(M, p)
+        assert intmat.kernel_mod_p(rows, p, n) == intmat.kernel_mod_p(M, p)
+    assert rows == before
+
+
+def test_sparse_readers_drop_explicit_zeros():
+    # a stored 0 is no entry: no pivot, no Smith minimum, no key to look up
+    assert_explicit_zeros_read_as_dense([[0, 0], [1, 1]], [{0: 0}, {0: 1, 1: 1}])
+    assert intmat.rows_of([{0: 0, 1: 2}, {}], 2) == ([{1: 2}, {}], 2)
+    rng = random.Random(43)
+    for _ in range(100):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        M = [[rng.choice((-2, -1, 0, 0, 0, 1, 2)) for _ in range(n)] for _ in range(m)]
+        assert_explicit_zeros_read_as_dense(M, with_explicit_zeros(M, rng))
 
 
 # -- echelon forms mod p and generating sets against the dense oracles -----------------

@@ -122,23 +122,36 @@ def test_smith_profile_rejects_a_wrong_smith_form(monkeypatch, tamper):
         smith_profile(M)
 
 
-def _last_pivot_zeroed(order, H, U):
-    # U @ M == H still, and H is an echelon form one rank short; U is singular
+def _multiplier_above(order, H, L):
+    # a multiplier of row 0 on row 1: I + L is no longer lower-triangular
+    return order, H, [{1: 1}, *L[1:]]
+
+
+def _pivot_zeroed(order, H, L):
+    # H is an echelon form one rank short, and the zeroed row of P @ M is lost
     r = sum(1 for h in H if h) - 1
-    return order, H[:r] + [{}] + H[r + 1:], U[:r] + [{}] + U[r + 1:]
+    return order, H[:r] + [{}] + H[r + 1:], L[:r] + [{}] + L[r + 1:]
 
 
-def _one_entry_off(order, H, U):
+def _one_entry_off(order, H, L):
     H = [dict(h) for h in H]
     H[0][2] = H[0].get(2, 0) + 1
-    return order, H, U
+    return order, H, L
+
+
+def _one_multiplier_off(order, H, L):
+    L = [dict(row) for row in L]
+    i, t = next((i, t) for i, row in enumerate(L) for t in row)
+    L[i][t] += 1
+    return order, H, L
 
 
 UNIT_MATRIX = [[1, 1, 0], [0, 1, 1], [1, 0, 0]]
 
 
 @pytest.mark.parametrize("tamper,message", [
-    (_last_pivot_zeroed, "not unit lower-triangular"), (_one_entry_off, "differs from H"),
+    (_multiplier_above, "not unit lower-triangular"), (_pivot_zeroed, "differs from H"),
+    (_one_entry_off, "differs from H"), (_one_multiplier_off, "differs from H"),
 ])
 def test_smith_profile_rejects_a_wrong_unit_echelon(monkeypatch, capsys, tamper, message):
     assert smith_profile(UNIT_MATRIX) == (1, 1, 1)
