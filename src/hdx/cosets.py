@@ -116,11 +116,8 @@ def combinations(base, gens, coeffs, skip_zero=False):
 
 
 def span(basis, n, width):
-    """Every combination c @ basis mod n, c in range(n)^len(basis), product order,
-    reduced in place."""
-    R = np.concatenate(list(combinations([0] * width, basis, range(n))))
-    R %= n
-    return R
+    """Every combination c @ basis mod n, c in range(n)^len(basis), product order."""
+    return np.concatenate(list(combinations([0] * width, basis, range(n)))) % n
 
 
 def min_distances(blocks, V, w):
